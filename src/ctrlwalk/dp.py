@@ -10,6 +10,7 @@ sits at an endpoint {0, q_cap}; the solver records where the cap is chosen.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ import numpy as np
 from .errors import ParameterError
 from .lattice import (
     FLOAT,
+    RATIONAL,
+    RATIONAL_MAX_STEPS,
     AugmentedDistribution,
     ControlRow,
     interval_mass,
@@ -31,11 +34,20 @@ MIN = "min"
 
 
 def as_target(target) -> tuple[int, int]:
-    """Normalize a target spec to an inclusive site interval (lo, hi)."""
+    """Normalize a target spec to an inclusive site interval (lo, hi).
+
+    A target is None (site 0), one integral site, numpy integers included,
+    or a (lo, hi) pair.
+    """
     if target is None:
         return (0, 0)
-    if isinstance(target, int):
-        return (target, target)
+    try:
+        site = operator.index(target)
+    except TypeError:
+        if np.ndim(target) == 0:
+            raise ParameterError(f"target site must be an integer, got {target!r}") from None
+    else:
+        return (site, site)
     lo, hi = int(target[0]), int(target[1])
     if lo > hi:
         raise ParameterError(f"empty target interval [{lo}, {hi}]")
@@ -46,6 +58,8 @@ def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT):
     """Yield the law at times 0..n under the policy (n+1 distributions)."""
     if n < 0:
         raise ParameterError("n must be >= 0")
+    if mode == RATIONAL and n > RATIONAL_MAX_STEPS:
+        raise ParameterError(f"rational mode runs at most {RATIONAL_MAX_STEPS} steps, got n={n}")
     hz = horizon(policy)
     if hz is not None and hz < n:
         raise ParameterError(f"policy horizon {hz} shorter than n={n}")
@@ -149,7 +163,9 @@ def solve_extremal(
 
     width = 2 * n + 1
     vnext = np.zeros(width)
-    vnext[max(lo, -n) + n : min(hi, n) + n + 1] = 1.0
+    # a target wholly outside [-n, n] leaves every value 0
+    if max(lo, -n) <= min(hi, n):
+        vnext[max(lo, -n) + n : min(hi, n) + n + 1] = 1.0
     values = None
     if keep_values:
         values = np.zeros((n + 1, width))

@@ -15,8 +15,8 @@ import numpy as np
 
 from .dp import as_target
 from .errors import ParameterError
-from .policies import PolicySpec, control_values, flag_reset_times, horizon
-from .rng import step_uniforms, trial_keys
+from .policies import PolicySpec, flag_reset_times, horizon, stay_set
+from .rng import UNIFORM_SHIFT, step_bits, trial_keys
 
 
 def wilson_interval(k: int, m: int, z: float = 1.96) -> tuple[float, float]:
@@ -82,6 +82,113 @@ class TrajectoryBatch:
     family: BarrierFamily | None = None
 
 
+def _step_bounds(u: float) -> tuple[np.uint64, np.uint64]:
+    """The step rule's two thresholds as bounds on a step's mixed bits z.
+
+    The uniform r = (z >> 11) * 2^-53 is a multiple of 2^-53, and v * 2^53
+    is exact, so r >= v exactly when z >= ceil(v * 2^53) << 11. The walk
+    stays iff z < stay_bound (r < u) and moves up iff z > up_bound
+    (r >= u + (1-u)/2, that sum rounded as a float). The sum can round to
+    1.0, whose up_bound is 2^64 - 1: no up step at all.
+    """
+    u = float(u)
+    if not 0.0 <= u < 1.0:
+        raise ParameterError(f"stay probability must lie in [0, 1), got {u}")
+    down = u + (1.0 - u) * 0.5
+    return (
+        np.uint64(math.ceil(u * 2.0**53) << UNIFORM_SHIFT),
+        np.uint64((math.ceil(down * 2.0**53) << UNIFORM_SHIFT) - 1),
+    )
+
+
+_FREE_UP = _step_bounds(0.0)[1]
+
+
+def _buffers(keys: np.ndarray, shape) -> tuple:
+    """Work arrays for _advance over walks of the given shape, made once per batch."""
+    return (np.empty_like(keys),) + tuple(np.empty(shape, dtype=bool) for _ in range(3))
+
+
+def _advance(x: np.ndarray, keys: np.ndarray, t: int, u: float, where, buf) -> None:
+    """Step every walk in x once, in place: the module's one step rule.
+
+    Walk j draws the bits of keys[j] at step t (keys broadcast against x).
+    Its stay probability is u where the mask `where` holds, or everywhere
+    when it is None, and 0 elsewhere. buf comes from _buffers.
+    """
+    z, stay, up, free_up = buf
+    step_bits(keys, t, z)
+    stay_bound, up_bound = _step_bounds(u)
+    np.less(z, stay_bound, out=stay)
+    np.greater(z, up_bound, out=up)
+    if where is not None:
+        # walks outside `where` step by the u = 0 rule; its up set contains
+        # the capped one, so up = free_up ^ (where & (free_up ^ up)), which
+        # stays branch-free on irregular masks
+        stay &= where
+        np.greater(z, _FREE_UP, out=free_up)
+        up ^= free_up
+        up &= where
+        up ^= free_up
+    # move = 2*up + stay - 1 (up +1, down -1, stay 0), formed in up's bytes
+    move = up.view(np.int8)
+    move += move
+    move += stay.view(np.int8)
+    move -= 1
+    x += move
+
+
+def _walk(policy: PolicySpec, n: int, start: int, keys: np.ndarray, family, record_path=False):
+    """Step one walk per key n times: (final sites, entrance table, path).
+
+    The entrance table is None without a family; path holds walk 0's site
+    at times 0..n when record_path is set, else it is None. Barrier
+    tracking keeps each walk's next stage with that stage's radius and band
+    start, and updates only the walks that enter a stage.
+    """
+    if n < 0:
+        raise ParameterError("n must be >= 0")
+    hz = horizon(policy)
+    if hz is not None and hz < n:
+        raise ParameterError(f"policy horizon {hz} shorter than n={n}")
+    if family is not None and family.n != n:
+        raise ParameterError(f"family horizon {family.n} != n={n}")
+    trials = keys.size
+    x = np.full(trials, start, dtype=np.int64)
+    flag = x == 0
+    resets = set(flag_reset_times(policy))
+    buf = _buffers(keys, trials)
+    path = np.full(n + 1, start, dtype=np.int64) if record_path else None
+
+    entr = None
+    if family is not None:
+        entr = np.full((trials, family.N0), -1, dtype=np.int64)
+        # pads: a walk past the last stage gets radius -1 and never enters again
+        rad = np.array(family.radii + (-1,), dtype=np.int64)
+        bs = np.array(family.band_starts + (n,), dtype=np.int64)
+        stage = np.zeros(trials, dtype=np.int64)  # 0-based index of next stage
+        radius = np.full(trials, rad[0])
+        band = np.full(trials, bs[0])
+
+    for t in range(n):
+        if t in resets:
+            np.equal(x, 0, out=flag)
+        u, where = stay_set(policy, t, x, flag)
+        _advance(x, keys, t, u, where, buf)
+        flag |= x == 0
+        if path is not None:
+            path[t + 1] = x[0]
+        if family is not None and t + 1 >= bs[0]:
+            idx = np.flatnonzero((np.abs(x) <= radius) & (band <= t + 1))
+            if idx.size:
+                k = stage[idx]
+                entr[idx, k] = t + 1
+                stage[idx] = k + 1
+                radius[idx] = rad[k + 1]
+                band[idx] = bs[k + 1]
+    return x, entr, path
+
+
 def run_batch(
     policy: PolicySpec,
     n: int,
@@ -97,53 +204,17 @@ def run_batch(
     after stage i-1, at most one stage per time step, never at t=0. A -1 in
     the entrance table means the stage was not reached by time n.
     """
-    if n < 0:
-        raise ParameterError("n must be >= 0")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    hz = horizon(policy)
-    if hz is not None and hz < n:
-        raise ParameterError(f"policy horizon {hz} shorter than n={n}")
-
     keys = trial_keys(seed, trials, base=trial_base)
-    x = np.full(trials, start, dtype=np.int64)
-    flag = x == 0
-    resets = set(flag_reset_times(policy))
-
-    entr = None
-    rad = bs = ptr0 = None
-    if family is not None:
-        if family.n != n:
-            raise ParameterError(f"family horizon {family.n} != n={n}")
-        entr = np.full((trials, family.N0), -1, dtype=np.int64)
-        rad = np.asarray(family.radii, dtype=np.int64)
-        bs = np.asarray(family.band_starts, dtype=np.int64)
-        ptr0 = np.zeros(trials, dtype=np.int64)  # 0-based index of next stage
-
-    for t in range(n):
-        if t in resets:
-            flag = x == 0
-        u = control_values(policy, t, x, flag)
-        r = step_uniforms(keys, t)
-        stay = r < u
-        down = ~stay & (r < u + (1.0 - u) * 0.5)
-        x = x + np.where(stay, 0, np.where(down, -1, 1))
-        flag = flag | (x == 0)
-        if family is not None and t + 1 >= family.band_starts[0]:
-            cl = np.minimum(ptr0, family.N0 - 1)
-            enter = (ptr0 < family.N0) & (t + 1 >= bs[cl]) & (np.abs(x) <= rad[cl])
-            idx = np.flatnonzero(enter)
-            if idx.size:
-                entr[idx, ptr0[idx]] = t + 1
-                ptr0[idx] += 1
-
+    final, entr, _ = _walk(policy, n, start, keys, family)
     return TrajectoryBatch(
         policy=policy,
         n=n,
         start=start,
         trials=trials,
         seed=seed,
-        final=x,
+        final=final,
         entrances=entr,
         family=family,
     )
@@ -162,41 +233,9 @@ def sample_path(
     Returns (path, entrance_times); entrance_times is None unless a family
     is supplied, else an array with -1 for stages not reached by time n.
     """
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    hz = horizon(policy)
-    if hz is not None and hz < n:
-        raise ParameterError(f"policy horizon {hz} shorter than n={n}")
     keys = trial_keys(seed, 1, base=trial)
-    xv = np.full(1, start, dtype=np.int64)
-    flag = xv == 0
-    resets = set(flag_reset_times(policy))
-    path = np.empty(n + 1, dtype=np.int64)
-    path[0] = start
-
-    entr = None
-    ptr = 0
-    if family is not None:
-        if family.n != n:
-            raise ParameterError(f"family horizon {family.n} != n={n}")
-        entr = np.full(family.N0, -1, dtype=np.int64)
-
-    for t in range(n):
-        if t in resets:
-            flag = xv == 0
-        u = control_values(policy, t, xv, flag)
-        r = step_uniforms(keys, t)
-        stay = r < u
-        down = ~stay & (r < u + (1.0 - u) * 0.5)
-        xv = xv + np.where(stay, 0, np.where(down, -1, 1))
-        flag = flag | (xv == 0)
-        path[t + 1] = xv[0]
-        if family is not None and ptr < family.N0:
-            if t + 1 >= family.band_starts[ptr] and abs(int(xv[0])) <= family.radii[ptr]:
-                entr[ptr] = t + 1
-                ptr += 1
-
-    return path, entr
+    _, entr, path = _walk(policy, n, start, keys, family, record_path=True)
+    return path, None if entr is None else entr[0]
 
 
 @dataclass(frozen=True)
@@ -339,13 +378,10 @@ def lemma0_check(
     x = np.zeros(trials, dtype=np.int64)
     stopped = np.zeros(trials, dtype=bool)
     hit_top = np.zeros(trials, dtype=bool)
-    thr_down = q_cap + (1.0 - q_cap) * 0.5
+    buf = _buffers(keys, trials)
     for t in range(ell):
-        r = step_uniforms(keys, t)
-        stay = r < q_cap
-        down = ~stay & (r < thr_down)
-        move = np.where(stay, 0, np.where(down, -1, 1))
-        x = x + np.where(stopped, 0, move)
+        # stopped walks keep moving: only a walk's site at its stopping time is read
+        _advance(x, keys, t, q_cap, None, buf)
         newly = ~stopped & (np.abs(x) >= h)
         hit_top |= newly & (x >= h)
         stopped |= newly
@@ -410,14 +446,11 @@ def lemma_ori_check(
     x = np.repeat(starts[:, None], trials, axis=1)
     flag = x == 0
     exited = np.zeros_like(flag)
+    buf = _buffers(keys, x.shape)
     for t in range(steps):
-        r = step_uniforms(keys, t)[None, :]
-        u = np.where(flag, q_cap, 0.0)
-        stay = r < u
-        down = ~stay & (r < u + (1.0 - u) * 0.5)
-        x = x + np.where(stay, 0, np.where(down, -1, 1))
-        flag = flag | (x == 0)
-        exited = exited | (flag & (np.abs(x) >= K))
+        _advance(x, keys, t, q_cap, flag, buf)
+        flag |= x == 0
+        exited |= flag & (np.abs(x) >= K)
 
     contain = (np.abs(x) <= K).mean(axis=1)
     no_hit = (~flag).mean(axis=1)

@@ -305,35 +305,47 @@ def control_grid(policy: PolicySpec, t: int, offset: int, width: int, mode: str 
     return u
 
 
-def control_values(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate for samplers: u per trial given site/flag arrays."""
+def stay_set(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray):
+    """Vectorized evaluate for samplers, as the set of trials that may stay.
+
+    Returns (u, where): the stay probability is u where the boolean mask
+    `where` holds and 0 elsewhere. Only the constant kind gives the same u
+    to every trial; it returns where=None.
+    """
     _check_horizon(policy, t)
     kind = policy.kind
     if kind == SCHEDULE:
-        return control_values(_segment_at(policy, t).inner_policy, t, x, flag)
+        return stay_set(_segment_at(policy, t).inner_policy, t, x, flag)
     if kind == CONSTANT:
-        return np.full(x.shape, policy.params["u_value"])
+        return policy.params["u_value"], None
     if kind == TWO_ZONE:
-        band = policy.params["band_halfwidth"]
-        return np.where(np.abs(x) <= band, policy.q_cap, 0.0)
+        return policy.q_cap, np.abs(x) <= policy.params["band_halfwidth"]
     if kind == FAST_UNTIL_ZERO:
-        return np.where(flag, policy.q_cap, 0.0)
+        return policy.q_cap, np.asarray(flag, dtype=bool)
     if kind == BANG_BANG_TABLE:
-        # the stay region can hold O(n) intervals (parity combs), so build a
-        # dense row mask once and gather instead of testing every interval
-        # against every trial
+        # the stay region can hold O(n) intervals (parity combs), so mark
+        # interval edges, cumsum them into a dense row over [-n-2, n+2] and
+        # gather; intervals are clipped to [-n-1, n+1], so sites farther out
+        # read the always-free end cells
         n = policy.params["n"]
-        dense = np.zeros(2 * n + 3, dtype=bool)
-        for a, b in policy.params["rows"][t]:
-            lo = max(a, -n - 1)
-            hi = min(b, n + 1)
-            if lo <= hi:
-                dense[lo + n + 1 : hi + n + 2] = True
-        hit = np.zeros(x.shape, dtype=bool)
-        inside = np.abs(x) <= n + 1
-        hit[inside] = dense[x[inside].astype(np.int64) + n + 1]
-        return np.where(hit, policy.q_cap, 0.0)
+        iv = np.array(policy.params["rows"][t], dtype=np.int64).reshape(-1, 2)
+        lo = np.maximum(iv[:, 0], -n - 1)
+        hi = np.minimum(iv[:, 1], n + 1)
+        keep = lo <= hi
+        edges = np.zeros(2 * n + 5, dtype=np.int8)
+        edges[lo[keep] + n + 2] = 1
+        edges[hi[keep] + n + 3] -= 1  # after the starts: an interval may end where the next begins
+        row = np.cumsum(edges, dtype=np.int8).view(bool)
+        return policy.q_cap, np.take(row, x + (n + 2), mode="clip")
     raise ParameterError(f"unknown policy kind {kind!r}")
+
+
+def control_values(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """Vectorized evaluate for samplers: u per trial given site/flag arrays."""
+    u, where = stay_set(policy, t, x, flag)
+    if where is None:
+        return np.full(np.shape(x), u)
+    return np.where(where, u, 0.0)
 
 
 def policy_to_json(policy: PolicySpec) -> dict:

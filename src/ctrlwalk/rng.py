@@ -12,34 +12,49 @@ import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SALT = np.uint64(0xD1B54A32D192ED03)
-_STEP = np.uint64(0xC2B2AE3D27D4EB4F)
+_STEP = 0xC2B2AE3D27D4EB4F
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
 _INV53 = float(2.0**-53)
+# a uniform keeps the top 53 of the 64 mixed bits
+UNIFORM_SHIFT = 11
 
 
-def mix64(z) -> np.ndarray:
-    """Bijective 64-bit finalizer, elementwise over uint64 input."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(z, dtype=np.uint64)
-        z = z ^ (z >> np.uint64(30))
-        z = z * _M1
-        z = z ^ (z >> np.uint64(27))
-        z = z * _M2
-        z = z ^ (z >> np.uint64(31))
-    return z
+def mix64(z, out=None) -> np.ndarray:
+    """Bijective 64-bit finalizer, elementwise over uint64 input.
+
+    With out (which may be z itself) the result is computed in place.
+    """
+    z = np.asarray(z, dtype=np.uint64)
+    if out is None:
+        out = z.copy()
+    elif out is not z:
+        np.copyto(out, z)
+    scratch = np.empty_like(out)
+    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+        np.right_shift(out, shift, out=scratch)
+        np.bitwise_xor(out, scratch, out=out)
+        if mult is not None:
+            np.multiply(out, mult, out=out)
+    return out
 
 
 def trial_keys(seed: int, trials: int, base: int = 0) -> np.ndarray:
     """Independent per-trial stream keys for trial indices base..base+trials-1."""
-    s = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    s = np.uint64(int(seed) & _MASK)
     idx = np.arange(base, base + trials, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return mix64((s ^ _SALT) + idx * _GOLDEN)
 
 
+def step_bits(keys: np.ndarray, step: int, out=None) -> np.ndarray:
+    """The 64 mixed bits behind each key's uniform at the given step, into out if given."""
+    out = np.add(keys, np.uint64((step + 1) * _STEP & _MASK), out=out)
+    return mix64(out, out)
+
+
 def step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
     """One uniform in [0, 1) per key for the given step counter."""
-    with np.errstate(over="ignore"):
-        bits = mix64(keys + np.uint64(step + 1) * _STEP)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV53
+    bits = step_bits(keys, step)
+    return (bits >> np.uint64(UNIFORM_SHIFT)).astype(np.float64) * _INV53

@@ -78,6 +78,17 @@ class TestEvolveAndSolve:
         assert code == 0
         assert rec["payload"]["p_exact"] == "46189/262144"
 
+    def test_evolve_rational_beyond_cap_is_exit_2(self, capsys):
+        code = run_command(
+            ["evolve", "--policy", "constant:q=0.5,u=0.5", "--n", "65", "--mode", "rational"]
+        )
+        assert code == 2
+
+    def test_solve_target_left_of_window(self, capsys):
+        code, out = run(capsys, ["solve", "--q", "0.5", "--n", "2", "--target=-10:-5"])
+        assert code == 0
+        assert record_from(out)["payload"]["value"] == 0
+
     def test_solve_two_steps(self, capsys):
         code, out = run(capsys, ["solve", "--q", "0.5", "--n", "2", "--objective", "max"])
         rec = record_from(out)

@@ -3,11 +3,13 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from ctrlwalk import (
     MAX,
     MIN,
+    RATIONAL,
     ParameterError,
     as_target,
     boundary_to_csv,
@@ -22,6 +24,7 @@ from ctrlwalk import (
     two_zone_policy,
     value_table_to_csv,
 )
+from ctrlwalk.lattice import RATIONAL_MAX_STEPS
 
 
 def grid_optimum(q, n, objective, grid=None, target=(0, 0)):
@@ -80,6 +83,21 @@ class TestEvolveDriver:
         with pytest.raises(ParameterError):
             as_target((5, -2))
 
+    def test_as_target_numpy_integers(self):
+        assert as_target(np.int64(3)) == (3, 3)
+        assert as_target(np.int32(-2)) == (-2, -2)
+        assert as_target((np.int64(-1), np.int64(4))) == (-1, 4)
+
+    @pytest.mark.parametrize("bad", [3.5, np.float64(2.0), "3"])
+    def test_as_target_rejects_non_integral_site(self, bad):
+        with pytest.raises(ParameterError):
+            as_target(bad)
+
+    def test_rational_horizon_capped(self):
+        p = constant_policy(0.5, 0.5)
+        with pytest.raises(ParameterError):
+            evolve(p, RATIONAL_MAX_STEPS + 1, mode=RATIONAL)
+
 
 class TestSolverOracles:
     def test_one_step_max(self):
@@ -123,6 +141,25 @@ class TestSolverOracles:
         assert table.value(0, 0) >= single
         every = solve_extremal(0.5, 6, MAX, target=(-6, 6))[0].value(0, 0)
         assert abs(every - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("objective", [MAX, MIN])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_targets_against_the_window(self, n, objective):
+        outside = [(-n - 8, -n - 2), (-n - 8, -n - 1), (n + 1, n + 8), (n + 2, n + 8)]
+        for target, want in [(t, 0.0) for t in outside] + [((-n - 3, n + 3), 1.0)]:
+            got = solve_extremal(0.5, n, objective, target=target)[0].value(0, 0)
+            assert got == want
+        for target in ((-n - 4, -n + 1), (n - 1, n + 4), (-n - 2, 0)):
+            got = solve_extremal(0.5, n, objective, target=target)[0].value(0, 0)
+            assert abs(got - grid_optimum(0.5, n, objective, target=target)) < 1e-12
+
+    @pytest.mark.parametrize("objective", [MAX, MIN])
+    def test_mirrored_targets_agree(self, objective):
+        n = 9
+        for lo, hi in ((-14, -11), (-12, -10), (-12, -4), (-3, 1), (2, 5), (-9, 9), (4, 30)):
+            a = solve_extremal(0.6, n, objective, target=(lo, hi), keep_values=False)
+            b = solve_extremal(0.6, n, objective, target=(-hi, -lo), keep_values=False)
+            assert a[0].value(0, 0) == b[0].value(0, 0)
 
     def test_monotone_in_cap(self):
         values = [

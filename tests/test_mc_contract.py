@@ -1,0 +1,229 @@
+"""Bitwise pins of the Monte Carlo stream contract.
+
+Every uniform is a pure function of (seed, trial, step), so each terminal
+site, barrier entrance time and sampled path below is fixed by its inputs
+alone. The digests were recorded from the float-uniform step rule
+(stay if r < u, down if r < u + (1-u)/2, else up, with r from
+step_uniforms); any rewrite of the step kernel must reproduce them exactly.
+A digest is the first 16 hex digits of the sha256 of the array's bytes.
+"""
+
+import hashlib
+import math
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+
+from ctrlwalk import (
+    ParameterError,
+    barrier_family,
+    constant_policy,
+    fast_until_zero_policy,
+    lemma0_check,
+    lemma_ori_check,
+    run_batch,
+    sample_path,
+    solve_extremal,
+    sweep_policy,
+    two_zone_policy,
+)
+from ctrlwalk.montecarlo import _advance, _buffers, _step_bounds
+from ctrlwalk.rng import _STEP, step_uniforms
+
+N = 512
+TRIALS = 300
+SEED = 20240917
+PATH_TRIAL = 7
+MASK = (1 << 64) - 1
+
+POLICIES = {
+    "constant-cap": lambda q: constant_policy(q, q),
+    "constant-zero": lambda q: constant_policy(q, 0.0),
+    "constant-mid": lambda q: constant_policy(q, 0.37 * q),
+    "two-zone": lambda q: two_zone_policy(q, 3),
+    "fast-until-zero": fast_until_zero_policy,
+    "schedule-localization": lambda q: sweep_policy("schedule-localization", q, N, {}),
+    "schedule-qto1": lambda q: sweep_policy("schedule-qto1", q, N, {}),
+    "bang-bang": lambda q: solve_extremal(q, N, "max", target=0, keep_values=False)[1].as_policy(),
+}
+VARIANTS = {"plain": (0, False), "barriers": (0, True), "off-zero": (5, False),
+            "off-zero-barriers": (-3, True)}
+
+
+def digest(a) -> str | None:
+    return None if a is None else hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def case_digests(q: float, kind: str, variant: str) -> tuple:
+    """(final, entrances, sample_path path) digests for one pinned case."""
+    policy = POLICIES[kind](q)
+    start, tracked = VARIANTS[variant]
+    family = barrier_family(N) if tracked else None
+    batch = run_batch(policy, N, start=start, trials=TRIALS, seed=SEED, family=family)
+    path, _ = sample_path(policy, N, start=start, seed=SEED, trial=PATH_TRIAL, family=family)
+    return digest(batch.final), digest(batch.entrances), digest(path)
+
+
+PINS = {
+    (0.9, "constant-cap", "plain"): ("b5db5281e6f9c2d8", None, "b3561059acbc76ad"),
+    (0.9, "constant-cap", "barriers"): ("b5db5281e6f9c2d8", "caaa7ac6e8cb2088", "b3561059acbc76ad"),
+    (0.9, "constant-cap", "off-zero"): ("28145f7f3cb3e3e9", None, "4a3a10f7de2ce66d"),
+    (0.9, "constant-cap", "off-zero-barriers"): ("167f222ad289ce56", "223453286dc515e2", "c014c3a43f501ac5"),
+    (0.9, "constant-zero", "plain"): ("0a71a39c8c1b04ae", None, "592a118a5e8dd492"),
+    (0.9, "constant-zero", "barriers"): ("0a71a39c8c1b04ae", "4fce50bdcdc95d4e", "592a118a5e8dd492"),
+    (0.9, "constant-zero", "off-zero"): ("2d360d54bd9e5c5b", None, "c803ade4b1d3093a"),
+    (0.9, "constant-zero", "off-zero-barriers"): ("58a60ec03ff80ff5", "912d1088c8b9889a", "c90d9b3f0646855a"),
+    (0.9, "constant-mid", "plain"): ("dc31e18791791907", None, "9fa608ddeb390ab3"),
+    (0.9, "constant-mid", "barriers"): ("dc31e18791791907", "2b2842eac92b84df", "9fa608ddeb390ab3"),
+    (0.9, "constant-mid", "off-zero"): ("e6a8098797f8a4f4", None, "27fc0c593f17f4bc"),
+    (0.9, "constant-mid", "off-zero-barriers"): ("d02b96160abc204f", "17df547527fbb0cd", "200ea7eddd3bed8f"),
+    (0.9, "two-zone", "plain"): ("fc4f66098b96d4a7", None, "deb1cc076f977d45"),
+    (0.9, "two-zone", "barriers"): ("fc4f66098b96d4a7", "3d68869f0f725ee3", "deb1cc076f977d45"),
+    (0.9, "two-zone", "off-zero"): ("d9c920eb476903fc", None, "b2cb32f753780b83"),
+    (0.9, "two-zone", "off-zero-barriers"): ("482652ec885add47", "ffa213a759bfab67", "750ab9f6197fa95c"),
+    (0.9, "fast-until-zero", "plain"): ("b5db5281e6f9c2d8", None, "b3561059acbc76ad"),
+    (0.9, "fast-until-zero", "barriers"): ("b5db5281e6f9c2d8", "caaa7ac6e8cb2088", "b3561059acbc76ad"),
+    (0.9, "fast-until-zero", "off-zero"): ("ea4032a668b28242", None, "2cc1bd10463d27ad"),
+    (0.9, "fast-until-zero", "off-zero-barriers"): ("7adb6c2ebc302862", "054dffd14d5239ad", "a0bb7016fc1645a1"),
+    (0.9, "schedule-localization", "plain"): ("41879d41b3f607b0", None, "557299572480caa7"),
+    (0.9, "schedule-localization", "barriers"): ("41879d41b3f607b0", "ce6b739124b4113d", "557299572480caa7"),
+    (0.9, "schedule-localization", "off-zero"): ("ad45eb353e37c9b5", None, "4a3a10f7de2ce66d"),
+    (0.9, "schedule-localization", "off-zero-barriers"): ("4be80b93ce39c5a6", "98fa3a6e321686ad", "e99bc715c1ce3f84"),
+    (0.9, "schedule-qto1", "plain"): ("88cfeff1da8c5a8d", None, "746ad8f39ffa7429"),
+    (0.9, "schedule-qto1", "barriers"): ("88cfeff1da8c5a8d", "8d9cd08519c6a5c3", "746ad8f39ffa7429"),
+    (0.9, "schedule-qto1", "off-zero"): ("f9f21ca18452ece2", None, "3feea9c3d7a6fad8"),
+    (0.9, "schedule-qto1", "off-zero-barriers"): ("91db577ea2868dc3", "a8677f63ac430aa9", "80b55b2265491efc"),
+    (0.9, "bang-bang", "plain"): ("990846fdd0221032", None, "cce4f9a0789be6d7"),
+    (0.9, "bang-bang", "barriers"): ("990846fdd0221032", "c0a95a5d757b3fef", "cce4f9a0789be6d7"),
+    (0.9, "bang-bang", "off-zero"): ("c9ba224be14b4d0e", None, "c302544890de1245"),
+    (0.9, "bang-bang", "off-zero-barriers"): ("fe262fdbb30c1c73", "54c3a4b0a405d0a6", "78f4cc9db10de642"),
+    (0.0, "constant-cap", "plain"): ("0a71a39c8c1b04ae", None, "592a118a5e8dd492"),
+    (0.0, "constant-cap", "barriers"): ("0a71a39c8c1b04ae", "4fce50bdcdc95d4e", "592a118a5e8dd492"),
+    (0.0, "constant-cap", "off-zero"): ("2d360d54bd9e5c5b", None, "c803ade4b1d3093a"),
+    (0.0, "constant-cap", "off-zero-barriers"): ("58a60ec03ff80ff5", "912d1088c8b9889a", "c90d9b3f0646855a"),
+    (0.0, "constant-zero", "plain"): ("0a71a39c8c1b04ae", None, "592a118a5e8dd492"),
+    (0.0, "constant-zero", "barriers"): ("0a71a39c8c1b04ae", "4fce50bdcdc95d4e", "592a118a5e8dd492"),
+    (0.0, "constant-zero", "off-zero"): ("2d360d54bd9e5c5b", None, "c803ade4b1d3093a"),
+    (0.0, "constant-zero", "off-zero-barriers"): ("58a60ec03ff80ff5", "912d1088c8b9889a", "c90d9b3f0646855a"),
+    (0.0, "two-zone", "plain"): ("0a71a39c8c1b04ae", None, "592a118a5e8dd492"),
+    (0.0, "two-zone", "barriers"): ("0a71a39c8c1b04ae", "4fce50bdcdc95d4e", "592a118a5e8dd492"),
+    (0.0, "two-zone", "off-zero"): ("2d360d54bd9e5c5b", None, "c803ade4b1d3093a"),
+    (0.0, "two-zone", "off-zero-barriers"): ("58a60ec03ff80ff5", "912d1088c8b9889a", "c90d9b3f0646855a"),
+    (0.0, "fast-until-zero", "plain"): ("0a71a39c8c1b04ae", None, "592a118a5e8dd492"),
+    (0.0, "fast-until-zero", "barriers"): ("0a71a39c8c1b04ae", "4fce50bdcdc95d4e", "592a118a5e8dd492"),
+    (0.0, "fast-until-zero", "off-zero"): ("2d360d54bd9e5c5b", None, "c803ade4b1d3093a"),
+    (0.0, "fast-until-zero", "off-zero-barriers"): ("58a60ec03ff80ff5", "912d1088c8b9889a", "c90d9b3f0646855a"),
+    (0.0, "schedule-localization", "plain"): ("0a71a39c8c1b04ae", None, "592a118a5e8dd492"),
+    (0.0, "schedule-localization", "barriers"): ("0a71a39c8c1b04ae", "4fce50bdcdc95d4e", "592a118a5e8dd492"),
+    (0.0, "schedule-localization", "off-zero"): ("2d360d54bd9e5c5b", None, "c803ade4b1d3093a"),
+    (0.0, "schedule-localization", "off-zero-barriers"): ("58a60ec03ff80ff5", "912d1088c8b9889a", "c90d9b3f0646855a"),
+    (0.0, "schedule-qto1", "plain"): ("0a71a39c8c1b04ae", None, "592a118a5e8dd492"),
+    (0.0, "schedule-qto1", "barriers"): ("0a71a39c8c1b04ae", "4fce50bdcdc95d4e", "592a118a5e8dd492"),
+    (0.0, "schedule-qto1", "off-zero"): ("2d360d54bd9e5c5b", None, "c803ade4b1d3093a"),
+    (0.0, "schedule-qto1", "off-zero-barriers"): ("58a60ec03ff80ff5", "912d1088c8b9889a", "c90d9b3f0646855a"),
+    (0.0, "bang-bang", "plain"): ("0a71a39c8c1b04ae", None, "592a118a5e8dd492"),
+    (0.0, "bang-bang", "barriers"): ("0a71a39c8c1b04ae", "4fce50bdcdc95d4e", "592a118a5e8dd492"),
+    (0.0, "bang-bang", "off-zero"): ("2d360d54bd9e5c5b", None, "c803ade4b1d3093a"),
+    (0.0, "bang-bang", "off-zero-barriers"): ("58a60ec03ff80ff5", "912d1088c8b9889a", "c90d9b3f0646855a"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINS), ids=lambda k: f"q={k[0]}-{k[1]}-{k[2]}")
+def test_batch_pins(key):
+    assert case_digests(*key) == PINS[key]
+
+
+LEMMA_PINS = {
+    "lemma0": "668a1fd2b0a69797",
+    "lemma0-h2": "0250e96f198e0361",
+    "lemma_ori": "b3be68b23a454f45",
+    "lemma_ori-q0": "764ecf39497cf8d6",
+}
+
+LEMMA_CALLS = {
+    "lemma0": lambda: lemma0_check(0.9, 1, 0.1, 240, trials=3000, seed=5),
+    "lemma0-h2": lambda: lemma0_check(0.5, 2, 0.5, 192, trials=2000, seed=11),
+    "lemma_ori": lambda: lemma_ori_check(0.875, 1, 4, trials=500, seed=3),
+    "lemma_ori-q0": lambda: lemma_ori_check(0.0, 2, 3, trials=300, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_PINS))
+def test_probe_result_pins(name):
+    res = LEMMA_CALLS[name]()
+    assert hashlib.sha256(repr(astuple(res)).encode()).hexdigest()[:16] == LEMMA_PINS[name]
+
+
+# ---------------------------------------------------------------------------
+# the integer step rule against the float rule at its boundaries
+
+
+def unmix64(z: int) -> int:
+    """Inverse of the finalizer: undo each xorshift and odd multiply."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK
+    z = unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK
+    return unshift(z, 30)
+
+
+def keys_drawing(bits, t):
+    """Keys whose mixed bits at step t are exactly the given words."""
+    return np.array([(unmix64(b) - (t + 1) * _STEP) & MASK for b in bits], dtype=np.uint64)
+
+
+def words_around(v):
+    """Words whose uniform equals v (when v is on the 2^-53 grid) or is one
+    grid step either side, with low bits that the uniform drops."""
+    m = math.ceil(v * 2.0**53)
+    words = set()
+    for r in (m - 1, m, m + 1):
+        for low in (0, 1, 2047):
+            words.add((r << 11) + low)
+    return sorted(w for w in words if 0 <= w <= MASK)
+
+
+CAP_EDGE = 1.0 - 2.0**-53  # u + (1-u)/2 rounds to 1.0
+STAY_VALUES = (0.0, 2.0**-53, 3 * 2.0**-54, 1e-300, 0.25, 0.333, 0.5, 0.9, CAP_EDGE)
+
+
+@pytest.mark.parametrize("u", STAY_VALUES)
+def test_integer_thresholds_match_float_rule(u):
+    down = u + (1.0 - u) * 0.5
+    t = 17
+    words = words_around(u) + words_around(down) + [0, MASK]
+    keys = keys_drawing(words, t)
+    r = step_uniforms(keys, t)
+    assert [int(w) >> 11 for w in words] == [int(v) for v in r * 2.0**53]
+    stay = r < u
+    want_free = np.where(r < 0.5, -1, 1)
+    want = np.where(stay, 0, np.where(r < down, -1, 1))
+    where = np.arange(len(words)) % 2 == 0
+    for mask, expect in ((None, want), (where, np.where(where, want, want_free))):
+        x = np.zeros(len(words), dtype=np.int64)
+        _advance(x, keys, t, u, mask, _buffers(keys, x.shape))
+        assert np.array_equal(x, expect)
+
+
+def test_up_bound_at_the_cap_edge():
+    assert CAP_EDGE + (1.0 - CAP_EDGE) * 0.5 == 1.0
+    stay_bound, up_bound = _step_bounds(CAP_EDGE)
+    assert int(up_bound) == MASK  # no word moves up
+    assert int(stay_bound) == (2**53 - 1) << 11
+    assert _step_bounds(0.0) == (0, (1 << 63) - 1)
+
+
+@pytest.mark.parametrize("u", [-0.1, 1.0, math.nan])
+def test_stay_probability_outside_unit_interval_rejected(u):
+    with pytest.raises(ParameterError):
+        _step_bounds(u)
+    with pytest.raises(ParameterError):
+        lemma_ori_check(u, 1, 2, trials=10)

@@ -17,21 +17,13 @@ import numpy as np
 from scipy.stats import binom
 
 from . import defaults
-from .dp import MAX, MIN, hit_probability, solve_extremal
+from .dp import MAX, evolve, evolve_trace, hit_probability, solve_extremal
 from .errors import CalibrationError, ParameterError
-from .lattice import (
-    FLOAT,
-    RATIONAL,
-    ControlRow,
-    interval_mass,
-    point_mass,
-    step_distribution,
-)
+from .lattice import FLOAT, RATIONAL, interval_mass
 from .montecarlo import estimate_hit
 from .policies import (
     PolicySpec,
     constant_policy,
-    control_grid,
     fast_until_zero_policy,
     multiscale_localization_schedule,
     multiscale_qto1_schedule,
@@ -96,16 +88,6 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
         n_min=kept[0][0],
         n_max=kept[-1][0],
     )
-
-
-SWEEP_KINDS = (
-    "constant",
-    "two-zone",
-    "fast-until-zero",
-    "schedule-localization",
-    "schedule-qto1",
-    "optimal",
-)
 
 
 def sweep_policy(policy_kind: str, q_cap: float, n: int, params: dict) -> PolicySpec:
@@ -174,20 +156,11 @@ def exponent_sweep(
     n_grid,
     method: str = "exact",
     params: dict | None = None,
-    threads: int = 1,
     min_n: int | None = None,
 ) -> tuple[list[dict], ExponentFit]:
     """Hit probability per n plus the power-law fit over the grid."""
     params = dict(params or {})
-    n_grid = [int(n) for n in n_grid]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {n: pool.submit(_sweep_point, policy_kind, q_cap, n, method, params) for n in n_grid}
-            records = [futs[n].result() for n in n_grid]
-    else:
-        records = [_sweep_point(policy_kind, q_cap, n, method, params) for n in n_grid]
+    records = [_sweep_point(policy_kind, q_cap, int(n), method, params) for n in n_grid]
     kwargs = {} if min_n is None else {"min_n": min_n}
     fit = fit_exponent([(r["n"], r["p"]) for r in records], **kwargs)
     return records, fit
@@ -275,10 +248,7 @@ def heat_kernel_profile(chain: ChainSpec, t_grid, x_probe_set=None) -> dict:
     grid = set(t_grid)
     sup = {t: 0.0 for t in t_grid}
     for x0 in x_probe_set:
-        d = point_mass(int(x0))
-        for t in range(1, tmax + 1):
-            u = control_grid(pol, t - 1, d.offset, d.width)
-            d = step_distribution(d, ControlRow(time=t - 1, offset=d.offset, u=u, q_cap=pol.q_cap))
+        for t, d in enumerate(evolve_trace(pol, tmax, int(x0))):
             if t in grid:
                 peak = float(d.site_mass().max()) * math.sqrt(t)
                 if peak > sup[t]:
@@ -311,10 +281,7 @@ def band_sum_profile(q_cap: float, K: int, band: int, t: int, ys) -> dict:
     pol = two_zone_policy(q_cap, band)
     out = {}
     for y in ys:
-        d = point_mass(int(y))
-        for s in range(t):
-            u = control_grid(pol, s, d.offset, d.width)
-            d = step_distribution(d, ControlRow(time=s, offset=d.offset, u=u, q_cap=q_cap))
+        d = evolve(pol, t, int(y))
         m_outer = float(interval_mass(d, -K, K))
         m_band = float(interval_mass(d, -band, band))
         out[int(y)] = (m_outer - q_cap * m_band) / (1.0 - q_cap)
@@ -327,10 +294,7 @@ def band_sum_direct(q_cap: float, K: int, band: int, t: int, ys) -> dict:
     ys = [int(y) for y in ys]
     total = {y: 0.0 for y in ys}
     for x in range(-K, K + 1):
-        d = point_mass(x)
-        for s in range(t):
-            u = control_grid(pol, s, d.offset, d.width)
-            d = step_distribution(d, ControlRow(time=s, offset=d.offset, u=u, q_cap=q_cap))
+        d = evolve(pol, t, x)
         for y in ys:
             total[y] += float(d.mass_at(y))
     return total
@@ -448,28 +412,17 @@ def interior_survival(q_cap: float, K: int, s: int) -> float:
 
 
 def level_hit_cdf_absorbing(a: int, t: int) -> float:
-    """Dual route for level_hit_cdf: evolve with a frozen site at +a."""
-    pol = constant_policy(0.0, 0.0)
-    d = point_mass(0)
-    for s in range(t):
-        u = control_grid(pol, s, d.offset, d.width)
-        frozen = d.sites >= a
-        d = step_distribution(
-            d, ControlRow(time=s, offset=d.offset, u=u, q_cap=0.0), frozen=frozen
-        )
+    """Dual route for level_hit_cdf: evolve with every site >= a frozen.
+
+    The walk cannot get below -t, so the live interval starts there.
+    """
+    d = evolve(constant_policy(0.0, 0.0), t, live=(-t, a - 1))
     return float(interval_mass(d, a, a))
 
 
 def interior_survival_absorbing(q_cap: float, K: int, s: int) -> float:
     """Dual route for interior_survival: freeze all mass at |x| >= K."""
-    pol = constant_policy(q_cap, q_cap)
-    d = point_mass(0)
-    for t in range(s):
-        u = control_grid(pol, t, d.offset, d.width)
-        frozen = np.abs(d.sites) >= K
-        d = step_distribution(
-            d, ControlRow(time=t, offset=d.offset, u=u, q_cap=q_cap), frozen=frozen
-        )
+    d = evolve(constant_policy(q_cap, q_cap), s, live=(-K + 1, K - 1))
     return float(interval_mass(d, -K + 1, K - 1))
 
 

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, defaults
+from . import __version__
 from .analysis import (
     ChainSpec,
     band_sum_direct,
@@ -31,6 +31,7 @@ from .analysis import (
     level_hit_cdf,
     level_hit_cdf_absorbing,
     reversibility_check,
+    sweep_policy,
     verify_lemma5_certificate,
     verify_lemma6_certificate,
 )
@@ -46,18 +47,22 @@ from .dp import (
 from .errors import CalibrationError, InvariantError, ParameterError
 from .lattice import FLOAT, RATIONAL, interval_mass, to_snapshot
 from .montecarlo import barrier_diagnostics, estimate_hit, lemma0_check
-from .policies import (
-    constant_policy,
-    fast_until_zero_policy,
-    multiscale_localization_schedule,
-    multiscale_qto1_schedule,
-    policy_from_json,
-    policy_to_json,
-    schedule_policy,
-    two_zone_policy,
-)
+from .policies import policy_from_json, policy_to_json
 
 OUT_DIR_ENV = "CTRLWALK_OUT_DIR"
+
+# policy-string key -> (sweep_policy parameter, type); "n" is the horizon
+_POLICY_KEYS = {
+    "q": ("q", float),
+    "u": ("u_value", float),
+    "band": ("band", int),
+    "alpha": ("alpha", float),
+    "beta": ("beta", float),
+    "K0": ("K0", int),
+    "A": ("A", int),
+    "T": ("n", int),
+    "n": ("n", int),
+}
 
 _MC_COMMANDS = {"simulate", "barriers"}
 
@@ -105,39 +110,18 @@ def parse_policy(spec, n: int | None = None):
         with open(spec[5:]) as fh:
             return policy_from_json(json.load(fh))
     kind, _, rest = spec.partition(":")
-    kv = {}
-    for item in rest.split(","):
-        if not item:
-            continue
-        if "=" not in item:
+    params = {}
+    for item in filter(None, rest.split(",")):
+        k, eq, v = (part.strip() for part in item.partition("="))
+        if not eq:
             raise ParameterError(f"bad policy parameter {item!r} in {spec!r}")
-        k, v = item.split("=", 1)
-        kv[k.strip()] = v.strip()
-    try:
-        q = float(kv.pop("q"))
-    except KeyError:
-        raise ParameterError(f"policy spec {spec!r} needs q=...") from None
-    if kind == "constant":
-        return constant_policy(q, float(kv.pop("u", q)))
-    if kind == "two-zone":
-        return two_zone_policy(q, int(kv.pop("band")))
-    if kind == "fast-until-zero":
-        return fast_until_zero_policy(q)
-    if kind == "schedule-localization":
-        T = int(kv.pop("T", n if n is not None else 0))
-        segs = multiscale_localization_schedule(
-            q,
-            float(kv.pop("alpha", defaults.LOC_ALPHA)),
-            float(kv.pop("beta", defaults.LOC_BETA)),
-            int(kv.pop("K0", defaults.LOC_K0)),
-            T,
-        )
-        return schedule_policy(q, segs)
-    if kind == "schedule-qto1":
-        horizon = int(kv.pop("n", n if n is not None else 0))
-        segs = multiscale_qto1_schedule(q, int(kv.pop("A", defaults.QTO1_A)), horizon)
-        return schedule_policy(q, segs)
-    raise ParameterError(f"unknown policy kind {kind!r} in {spec!r}")
+        if k not in _POLICY_KEYS:
+            raise ParameterError(f"unknown policy parameter {k!r} in {spec!r}")
+        name, typ = _POLICY_KEYS[k]
+        params[name] = typ(v)
+    if "q" not in params:
+        raise ParameterError(f"policy spec {spec!r} needs q=...")
+    return sweep_policy(kind, params.pop("q"), params.pop("n", n if n is not None else 0), params)
 
 
 def _record(command: str, config: dict, payload, provenance) -> dict:
@@ -318,10 +302,9 @@ def _cmd_exponent(cfg, out):
             raise ParameterError("--seed is required for mc sweeps (no hidden entropy)")
         params.setdefault("seed", int(cfg["seed"]))
         params.setdefault("trials", int(cfg.get("trials") or 10000))
-    threads = int(cfg.get("threads") or 1)
     min_n = cfg.get("min_n")
     records, fit = exponent_sweep(
-        kind, q, grid, method=method, params=params, threads=threads,
+        kind, q, grid, method=method, params=params,
         min_n=None if min_n is None else int(min_n),
     )
     fit_payload = {
@@ -534,7 +517,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", dest="n_grid")
     p.add_argument("--method", choices=["exact", "mc"])
     p.add_argument("--trials", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--min-n", dest="min_n", type=int)
     p.add_argument("--csv")
     p.add_argument("--params", help="JSON object with extra policy parameters")

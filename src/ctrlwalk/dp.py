@@ -20,8 +20,8 @@ from .lattice import (
     FLOAT,
     RATIONAL,
     RATIONAL_MAX_STEPS,
-    AugmentedDistribution,
     ControlRow,
+    LatticeDistribution,
     interval_mass,
     point_mass,
     reset_hit_flags,
@@ -54,8 +54,12 @@ def as_target(target) -> tuple[int, int]:
     return (lo, hi)
 
 
-def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT):
-    """Yield the law at times 0..n under the policy (n+1 distributions)."""
+def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=None):
+    """Yield the law at times 0..n under the policy (n+1 distributions).
+
+    live, if given, is an inclusive site interval (lo, hi); mass on sites
+    outside it is absorbed there and moves no more (first-passage laws).
+    """
     if n < 0:
         raise ParameterError("n must be >= 0")
     if mode == RATIONAL and n > RATIONAL_MAX_STEPS:
@@ -70,13 +74,14 @@ def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT):
         if t in resets:
             d = reset_hit_flags(d)
         u = control_grid(policy, t, d.offset, d.width, mode)
-        d = step_distribution(d, ControlRow(time=t, offset=d.offset, u=u, q_cap=policy.q_cap))
+        frozen = None if live is None else (d.sites < live[0]) | (d.sites > live[1])
+        d = step_distribution(d, ControlRow(time=t, offset=d.offset, u=u, q_cap=policy.q_cap), frozen)
         yield d
 
 
-def evolve(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT) -> AugmentedDistribution:
+def evolve(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=None) -> LatticeDistribution:
     """Exact law of the walk after n steps from start under the policy."""
-    for d in evolve_trace(policy, n, start, mode):
+    for d in evolve_trace(policy, n, start, mode, live):
         pass
     return d
 

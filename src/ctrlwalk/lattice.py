@@ -250,7 +250,3 @@ def from_snapshot(snap: dict) -> LatticeDistribution:
         for j, v in enumerate(rows[f]):
             mass[f, j] = Fraction(v) if mode == RATIONAL else float(v)
     return LatticeDistribution(time=snap["time"], offset=snap["offset"], mass=mass, mode=mode)
-
-
-# vocabulary alias: the flag-augmented distribution is the one we always carry
-AugmentedDistribution = LatticeDistribution

@@ -173,7 +173,7 @@ def _walk(policy: PolicySpec, n: int, start: int, keys: np.ndarray, family, reco
     for t in range(n):
         if t in resets:
             np.equal(x, 0, out=flag)
-        u, where = stay_set(policy, t, x, flag)
+        u, where = stay_set(policy, t, x, flag, sites=(start - t, start + t))
         _advance(x, keys, t, u, where, buf)
         flag |= x == 0
         if path is not None:

@@ -253,91 +253,84 @@ def _segment_at(policy: PolicySpec, t: int) -> ScheduleSegment:
     return segs[i]
 
 
-def evaluate(policy: PolicySpec, t: int, x: int, flag: int = NOT_HIT) -> float:
-    """Control value at one space-time cell. Pure and deterministic."""
-    _check_horizon(policy, t)
-    kind = policy.kind
-    if kind == CONSTANT:
-        return policy.params["u_value"]
-    if kind == TWO_ZONE:
-        return policy.q_cap if abs(x) <= policy.params["band_halfwidth"] else 0.0
-    if kind == FAST_UNTIL_ZERO:
-        return policy.q_cap if flag == HIT_ZERO else 0.0
-    if kind == SCHEDULE:
-        return evaluate(_segment_at(policy, t).inner_policy, t, x, flag)
-    if kind == BANG_BANG_TABLE:
-        for a, b in policy.params["rows"][t]:
-            if a <= x <= b:
-                return policy.q_cap
-            if x < a:
-                break
-        return 0.0
-    raise ParameterError(f"unknown policy kind {kind!r}")
+def _stay_region(policy: PolicySpec, t: int):
+    """The stay rule of every kind at step t: (u, hit_only, intervals).
 
-
-def control_grid(policy: PolicySpec, t: int, offset: int, width: int, mode: str = FLOAT) -> np.ndarray:
-    """Vectorized evaluate over a window: (2, width) array, row per flag."""
-    _check_horizon(policy, t)
-    kind = policy.kind
-    if kind == SCHEDULE:
-        return control_grid(_segment_at(policy, t).inner_policy, t, offset, width, mode)
-
-    u = _zeros((2, width), mode)
-    cap = _as_mode_value(policy.q_cap, mode)
-    if kind == CONSTANT:
-        u[...] = _as_mode_value(policy.params["u_value"], mode)
-    elif kind == TWO_ZONE:
-        band = policy.params["band_halfwidth"]
-        lo = max(-band, offset)
-        hi = min(band, offset + width - 1)
-        if lo <= hi:
-            u[:, lo - offset : hi - offset + 1] = cap
-    elif kind == FAST_UNTIL_ZERO:
-        u[HIT_ZERO, :] = cap
-    elif kind == BANG_BANG_TABLE:
-        for a, b in policy.params["rows"][t]:
-            lo = max(a, offset)
-            hi = min(b, offset + width - 1)
-            if lo <= hi:
-                u[:, lo - offset : hi - offset + 1] = cap
-    else:
-        raise ParameterError(f"unknown policy kind {kind!r}")
-    return u
-
-
-def stay_set(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray):
-    """Vectorized evaluate for samplers, as the set of trials that may stay.
-
-    Returns (u, where): the stay probability is u where the boolean mask
-    `where` holds and 0 elsewhere. Only the constant kind gives the same u
-    to every trial; it returns where=None.
+    The stay probability is u on the sorted inclusive site intervals
+    (None: every site), only in the HIT_ZERO row when hit_only, and 0
+    elsewhere. Schedules resolve to the policy of the segment holding t.
     """
     _check_horizon(policy, t)
     kind = policy.kind
     if kind == SCHEDULE:
-        return stay_set(_segment_at(policy, t).inner_policy, t, x, flag)
+        return _stay_region(_segment_at(policy, t).inner_policy, t)
     if kind == CONSTANT:
-        return policy.params["u_value"], None
+        return policy.params["u_value"], False, None
     if kind == TWO_ZONE:
-        return policy.q_cap, np.abs(x) <= policy.params["band_halfwidth"]
+        band = policy.params["band_halfwidth"]
+        return policy.q_cap, False, ((-band, band),)
     if kind == FAST_UNTIL_ZERO:
-        return policy.q_cap, np.asarray(flag, dtype=bool)
+        return policy.q_cap, True, None
     if kind == BANG_BANG_TABLE:
-        # the stay region can hold O(n) intervals (parity combs), so mark
-        # interval edges, cumsum them into a dense row over [-n-2, n+2] and
-        # gather; intervals are clipped to [-n-1, n+1], so sites farther out
-        # read the always-free end cells
-        n = policy.params["n"]
-        iv = np.array(policy.params["rows"][t], dtype=np.int64).reshape(-1, 2)
-        lo = np.maximum(iv[:, 0], -n - 1)
-        hi = np.minimum(iv[:, 1], n + 1)
-        keep = lo <= hi
-        edges = np.zeros(2 * n + 5, dtype=np.int8)
-        edges[lo[keep] + n + 2] = 1
-        edges[hi[keep] + n + 3] -= 1  # after the starts: an interval may end where the next begins
-        row = np.cumsum(edges, dtype=np.int8).view(bool)
-        return policy.q_cap, np.take(row, x + (n + 2), mode="clip")
+        return policy.q_cap, False, policy.params["rows"][t]
     raise ParameterError(f"unknown policy kind {kind!r}")
+
+
+def evaluate(policy: PolicySpec, t: int, x: int, flag: int = NOT_HIT) -> float:
+    """Control value at one space-time cell. Pure and deterministic."""
+    u, hit_only, intervals = _stay_region(policy, t)
+    if hit_only and flag != HIT_ZERO:
+        return 0.0
+    if intervals is None or any(a <= x <= b for a, b in intervals):
+        return u
+    return 0.0
+
+
+def control_grid(policy: PolicySpec, t: int, offset: int, width: int, mode: str = FLOAT) -> np.ndarray:
+    """Vectorized evaluate over a window: (2, width) array, row per flag."""
+    u, hit_only, intervals = _stay_region(policy, t)
+    grid = _zeros((2, width), mode)
+    rows = grid[HIT_ZERO:] if hit_only else grid
+    u = _as_mode_value(u, mode)
+    end = offset + width - 1
+    for a, b in ((offset, end),) if intervals is None else intervals:
+        lo, hi = max(a, offset), min(b, end)
+        if lo <= hi:
+            rows[:, lo - offset : hi - offset + 1] = u
+    return grid
+
+
+def stay_set(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray, sites=None):
+    """Vectorized evaluate for samplers, as the set of trials that may stay.
+
+    Returns (u, where): the stay probability is u where the boolean mask
+    `where` holds and 0 elsewhere; where=None means every trial. sites is
+    an inclusive (lo, hi) range holding every entry of x; it is computed
+    from x when not given.
+    """
+    u, hit_only, intervals = _stay_region(policy, t)
+    if intervals is None:
+        where = None
+    elif len(intervals) == 1 and intervals[0][0] == -intervals[0][1]:
+        where = np.abs(x) <= intervals[0][1]
+    else:
+        # the stay region can hold O(n) intervals (parity combs), so mark
+        # interval edges over the occupied sites, cumsum them into a dense
+        # row and gather
+        lo, hi = (int(np.min(x, initial=0)), int(np.max(x, initial=0))) if sites is None else sites
+        iv = np.array(intervals, dtype=np.int64).reshape(-1, 2)
+        a = np.maximum(iv[:, 0], lo)
+        b = np.minimum(iv[:, 1], hi)
+        keep = a <= b
+        edges = np.zeros(hi - lo + 2, dtype=np.int8)
+        edges[a[keep] - lo] = 1
+        edges[b[keep] - lo + 1] -= 1  # after the starts: an interval may end where the next begins
+        row = np.cumsum(edges, dtype=np.int8).view(bool)
+        where = np.take(row, x - lo)
+    if hit_only:
+        flag = np.asarray(flag, dtype=bool)
+        where = flag if where is None else where & flag
+    return u, where
 
 
 def control_values(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from ctrlwalk import __version__, calibrate_lemma5
-from ctrlwalk.cli import run_command
+from ctrlwalk import __version__, calibrate_lemma5, sweep_policy
+from ctrlwalk.cli import parse_policy, run_command
 
 
 def run(capsys, argv):
@@ -40,6 +40,23 @@ class TestExitCodes:
         assert code == 2
         code = run_command(["evolve", "--policy", "constant:u=0.5", "--n", "4"])
         assert code == 2
+
+    def test_unknown_policy_key_rejected(self, capsys):
+        code = run_command(["evolve", "--policy", "constant:q=0.5,uu=0.1", "--n", "4"])
+        assert code == 2
+        assert "'uu'" in capsys.readouterr().err
+
+    def test_policy_strings_share_sweep_defaults(self, capsys):
+        assert parse_policy("two-zone:q=0.9", n=64) == sweep_policy("two-zone", 0.9, 64, {})
+        assert parse_policy("schedule-qto1:q=0.9,A=2,n=256") == sweep_policy(
+            "schedule-qto1", 0.9, 256, {"A": 2}
+        )
+        assert parse_policy("schedule-localization:q=0.5,T=512", n=8) == sweep_policy(
+            "schedule-localization", 0.5, 512, {}
+        )
+        code, out = run(capsys, ["evolve", "--policy", "two-zone:q=0.9", "--n", "64"])
+        assert code == 0
+        assert record_from(out)["payload"]["policy"]["band_halfwidth"] == 4
 
     def test_calibration_failure_is_exit_3(self, capsys):
         assert run_command(["calibrate", "lemma6", "--eps", "1e-9"]) == 3
@@ -317,19 +334,6 @@ class TestExponentCommand:
             ]
         )
         assert code == 2
-
-    def test_threads_flag_accepted(self, capsys, tmp_path):
-        nd = tmp_path / "s.ndjson"
-        code = run_command(
-            [
-                "exponent", "--policy-kind", "two-zone", "--q", "0.9",
-                "--n-grid", "128,256,512", "--method", "exact",
-                "--threads", "2", "--out", str(nd),
-            ]
-        )
-        capsys.readouterr()
-        assert code == 0
-        assert len(nd.read_text().splitlines()) == 4
 
 
 class TestInstalledScript:

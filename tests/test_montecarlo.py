@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ctrlwalk import (
     ParameterError,
+    bang_bang_table_policy,
     barrier_diagnostics,
     barrier_family,
     constant_policy,
@@ -136,6 +137,16 @@ class TestEstimates:
         assert abs(est.p_hat - exact) < 4 * se
         assert est.ci_low <= exact <= est.ci_high
         assert est.hits == round(est.p_hat * est.trials)
+
+    def test_far_start_bang_bang_against_exact(self):
+        # stay intervals beyond +-(n+1), reached from starts next to them
+        wide = bang_bang_table_policy(0.9, 4, [((10, 12), (14, 20))] * 4)
+        left = bang_bang_table_policy(0.8, 6, [((-40, -9),)] * 6)
+        for p, n, start, target in ((wide, 4, 15, 15), (wide, 4, 11, (10, 12)), (left, 6, -10, -10)):
+            exact = hit_probability(p, n, start, target)
+            est = estimate_hit(p, n, start=start, target=target, trials=20000, seed=17)
+            se = math.sqrt(exact * (1 - exact) / est.trials)
+            assert abs(est.p_hat - exact) <= 4.5 * se
 
     def test_estimate_interval_target(self):
         p = constant_policy(0.5, 0.5)

@@ -26,6 +26,7 @@ from ctrlwalk import (
     schedule_policy,
     two_zone_policy,
 )
+from ctrlwalk.policies import stay_set
 
 
 class TestBuilders:
@@ -188,12 +189,21 @@ class TestVectorizedEvaluation:
             assert grid[HIT_ZERO, j] == evaluate(p, t, x, HIT_ZERO)
 
     def test_values_match_pointwise(self):
-        p = fast_until_zero_policy(0.6)
         xs = np.array([-3, 0, 2, 7, -1])
         flags = np.array([NOT_HIT, HIT_ZERO, NOT_HIT, HIT_ZERO, NOT_HIT])
-        vals = control_values(p, 5, xs, flags)
-        want = [evaluate(p, 5, int(x), int(f)) for x, f in zip(xs, flags)]
-        assert np.array_equal(vals, np.array(want))
+        far_xs = np.array([-22, -9, -6, 9, 10, 12, 13, 14, 17, 20, 21])
+        far_flags = np.zeros_like(far_xs)
+        cases = [
+            (fast_until_zero_policy(0.6), 5, xs, flags),
+            # tables whose intervals lie beyond +-(n+1), read at far sites
+            (bang_bang_table_policy(0.9, 4, [((10, 12), (14, 20))] * 4), 0, far_xs, far_flags),
+            (bang_bang_table_policy(0.5, 4, [((-30, -9), (-6, -6), (13, 40))] * 4), 3, far_xs, far_flags),
+        ]
+        for p, t, xs, flags in cases:
+            want = np.array([evaluate(p, t, int(x), int(f)) for x, f in zip(xs, flags)])
+            assert np.array_equal(control_values(p, t, xs, flags), want)
+            u, where = stay_set(p, t, xs, flags, sites=(int(xs.min()) - 3, int(xs.max()) + 2))
+            assert np.array_equal(np.where(where, u, 0.0), want)
 
     def test_grid_admissible(self):
         for q in (0.3, 0.9):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import binom
 
 from . import defaults
 from .dp import MAX, evolve, evolve_trace, hit_probability, solve_extremal
@@ -90,6 +89,22 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
     )
 
 
+# the params each sweep kind reads ("optimal" is solved, not built);
+# exponent_sweep also takes seed and trials for the mc method
+SWEEP_PARAMS = {
+    "constant": ("u_value",), "two-zone": ("band",), "fast-until-zero": (),
+    "schedule-localization": ("alpha", "beta", "K0"), "schedule-qto1": ("A",),
+    "optimal": ("objective",),
+}
+
+
+def check_sweep_params(policy_kind: str, params: dict, extra=()) -> None:
+    """Reject params the kind does not read (extra: more accepted keys)."""
+    unread = sorted(set(params) - set(SWEEP_PARAMS.get(policy_kind, ())) - set(extra))
+    if unread:
+        raise ParameterError(f"{policy_kind} policy does not read {', '.join(unread)}")
+
+
 def sweep_policy(policy_kind: str, q_cap: float, n: int, params: dict) -> PolicySpec:
     """Builtin policy for one sweep point; schedule kinds scale with n."""
     if policy_kind == "constant":
@@ -160,6 +175,7 @@ def exponent_sweep(
 ) -> tuple[list[dict], ExponentFit]:
     """Hit probability per n plus the power-law fit over the grid."""
     params = dict(params or {})
+    check_sweep_params(policy_kind, params, ("seed", "trials") if method == "mc" else ())
     records = [_sweep_point(policy_kind, q_cap, int(n), method, params) for n in n_grid]
     kwargs = {} if min_n is None else {"min_n": min_n}
     fit = fit_exponent([(r["n"], r["p"]) for r in records], **kwargs)
@@ -372,6 +388,7 @@ def verify_lemma5_certificate(cert: dict) -> dict:
 
 def level_hit_cdf(a: int, t: int) -> float:
     """P(simple walk from 0 reaches level a within t steps), by reflection."""
+    from scipy.stats import binom  # imported here: it costs about a second per process
     a = int(a)
     t = int(t)
     if a < 1:

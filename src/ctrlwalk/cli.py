@@ -24,6 +24,7 @@ from .analysis import (
     band_sum_direct,
     calibrate_lemma5,
     calibrate_lemma6,
+    check_sweep_params,
     exponent_sweep,
     heat_kernel_profile,
     interior_survival,
@@ -40,7 +41,6 @@ from .dp import (
     boundary_to_csv,
     evolve,
     extract_region,
-    hit_probability,
     solve_extremal,
     value_table_to_csv,
 )
@@ -121,7 +121,9 @@ def parse_policy(spec, n: int | None = None):
         params[name] = typ(v)
     if "q" not in params:
         raise ParameterError(f"policy spec {spec!r} needs q=...")
-    return sweep_policy(kind, params.pop("q"), params.pop("n", n if n is not None else 0), params)
+    q, horizon = params.pop("q"), params.pop("n", n if n is not None else 0)
+    check_sweep_params(kind, params)
+    return sweep_policy(kind, q, horizon, params)
 
 
 def _record(command: str, config: dict, payload, provenance) -> dict:
@@ -135,16 +137,13 @@ def _record(command: str, config: dict, payload, provenance) -> dict:
     }
 
 
-def _emit(record: dict, out: str | None) -> None:
-    text = json.dumps(record, indent=2)
+def _emit(text: str, out: str | None) -> None:
     if out:
-        path = _resolve_out(out)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {path}")
+        with _open_out(out) as fh:
+            fh.write(text)
+        print(f"wrote {_resolve_out(out)}")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _open_out(path: str):
@@ -209,16 +208,8 @@ def _cmd_solve(cfg):
 
 
 def _cmd_region(cfg):
-    n = int(cfg["n"])
-    q = float(cfg["q"])
-    objective = cfg.get("objective") or "max"
-    target = _parse_target(cfg.get("target"))
-    _, bb = solve_extremal(q, n, objective, target=target, keep_values=False)
-    region = extract_region(bb)
-    if cfg.get("boundary_csv"):
-        with _open_out(cfg["boundary_csv"]) as fh:
-            boundary_to_csv(bb, fh)
-    return region, "exact"
+    payload, prov = _cmd_solve(cfg)
+    return payload["region"], prov
 
 
 def _cmd_simulate(cfg):
@@ -332,15 +323,7 @@ def _cmd_exponent(cfg, out):
     }
     lines = [_record("exponent", cfg, r, r["method"] if method == "exact" else prov) for r in records]
     lines.append(_record("exponent", cfg, {"fit": fit_payload}, prov))
-    text = "\n".join(json.dumps(line) for line in lines) + "\n"
-    if out:
-        path = _resolve_out(out)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(json.dumps(line) for line in lines) + "\n", out)
     print(f"sigma_hat = {fit.sigma_hat:.6f}  r2 = {fit.r_squared:.6f}", file=sys.stderr)
     return 0
 
@@ -458,6 +441,17 @@ def _cmd_calibrate(cfg):
         cert = calibrate_lemma6(float(cfg["eps"]))
         return cert, "exact"
     raise ParameterError(f"unknown calibrate target {what!r}")
+
+
+_COMMANDS = {
+    "evolve": _cmd_evolve,
+    "solve": _cmd_solve,
+    "region": _cmd_region,
+    "simulate": _cmd_simulate,
+    "barriers": _cmd_barriers,
+    "verify": _cmd_verify,
+    "calibrate": _cmd_calibrate,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -587,31 +581,14 @@ def run_command(argv) -> int:
         if command in _MC_COMMANDS and cfg.get("seed") is None:
             raise ParameterError(f"--seed is required for {command} (no hidden entropy)")
 
-        ok = True
-        if command == "evolve":
-            payload, prov = _cmd_evolve(cfg)
-        elif command == "solve":
-            payload, prov = _cmd_solve(cfg)
-        elif command == "region":
-            payload, prov = _cmd_region(cfg)
-        elif command == "simulate":
-            payload, prov = _cmd_simulate(cfg)
-        elif command == "barriers":
-            payload, prov = _cmd_barriers(cfg)
-        elif command == "verify":
-            payload, prov, ok = _cmd_verify(cfg)
-        elif command == "calibrate":
-            payload, prov = _cmd_calibrate(cfg)
-        else:
-            raise ParameterError(f"unknown command {command!r}")
-
+        payload, prov, *ok = _COMMANDS[command](cfg)  # verify adds a pass flag
         record = _record(command, {**cfg, "out": out} if out else cfg, payload, prov)
-        _emit(record, out)
-        if not ok:
+        _emit(json.dumps(record, indent=2) + "\n", out)
+        if not all(ok):
             print(f"{command} {cfg.get('what', '')}: check FAILED", file=sys.stderr)
             return 4
         return 0
-    except ParameterError as exc:
+    except (ParameterError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CalibrationError as exc:
@@ -620,9 +597,6 @@ def run_command(argv) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (KeyError, ValueError, TypeError) as exc:
         print(f"error: missing or malformed parameter: {exc!r}", file=sys.stderr)
         return 2

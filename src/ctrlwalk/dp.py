@@ -15,19 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from . import lattice
+from .errors import AdmissibilityError, InvariantError, ParameterError
 from .lattice import (
     FLOAT,
+    HIT_ZERO,
+    NOT_HIT,
     RATIONAL,
     RATIONAL_MAX_STEPS,
-    ControlRow,
     LatticeDistribution,
+    _as_mode_value,
+    _zeros,
     interval_mass,
     point_mass,
     reset_hit_flags,
-    step_distribution,
 )
-from .policies import PolicySpec, bang_bang_table_policy, control_grid, flag_reset_times, horizon
+from .policies import PolicySpec, _stay_region, bang_bang_table_policy, flag_reset_times, horizon
 
 MAX = "max"
 MIN = "min"
@@ -54,11 +57,14 @@ def as_target(target) -> tuple[int, int]:
     return (lo, hi)
 
 
-def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=None):
-    """Yield the law at times 0..n under the policy (n+1 distributions).
+def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
+    """The law at times 0..n as (2, 2t+1) views that the next step overwrites.
 
-    live, if given, is an inclusive site interval (lo, hi); mass on sites
-    outside it is absorbed there and moves no more (first-passage laws).
+    Buffers sized once hold column site + shift, zero off the window and, in
+    half, off the live columns. Each step follows step_distribution's
+    operation order, so the laws agree bitwise. u in [0, 1] keeps every
+    factor non-negative, so no mass can turn negative and only the total is
+    checked.
     """
     if n < 0:
         raise ParameterError("n must be >= 0")
@@ -68,22 +74,65 @@ def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, 
     if hz is not None and hz < n:
         raise ParameterError(f"policy horizon {hz} shorter than n={n}")
     resets = set(flag_reset_times(policy))
-    d = point_mass(start, mode=mode)
-    yield d
+    c0, shift = n + 1, n + 1 - start
+    mass, out, half = (_zeros((2, 2 * n + 3), mode) for _ in range(3))
+    mass[:, c0] = point_mass(start, mode=mode).mass[:, 0]
+    lo, hi = (c0 - n, c0 + n) if live is None else (live[0] + shift, live[1] + shift)
+    one_half, zero, prev = (_as_mode_value(v, mode) for v in (0.5, 0, 1))
+    tols = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
+    yield mass[:, c0 : c0 + 1]
     for t in range(n):
+        a, b = c0 - t, c0 + t
         if t in resets:
-            d = reset_hit_flags(d)
-        u = control_grid(policy, t, d.offset, d.width, mode)
-        frozen = None if live is None else (d.sites < live[0]) | (d.sites > live[1])
-        d = step_distribution(d, ControlRow(time=t, offset=d.offset, u=u, q_cap=policy.q_cap), frozen)
-        yield d
+            d = LatticeDistribution(t, a - shift, mass[:, a : b + 1], mode)
+            mass[:, a : b + 1] = reset_hit_flags(d).mass
+        u, hit_only, intervals = _stay_region(policy, t)
+        if not 0 <= u <= min(policy.q_cap, 1.0):
+            raise AdmissibilityError(f"control value {u} escapes [0, {policy.q_cap}] at step {t}")
+        u = _as_mode_value(u, mode)
+        f = (1 - u) * one_half  # each neighbour's share of moving mass on a stay span
+        p = max(a, lo)  # live columns [p, r], the rest is frozen
+        r = max(min(b, hi), p - 1)
+        rows = slice(HIT_ZERO, None) if hit_only else slice(None)
+        spans = [] if u == 0 else [slice(p, r + 1)] if intervals is None else [
+            slice(max(x0 + shift, p), min(x1 + shift, r) + 1)
+            for x0, x1 in intervals if x1 + shift >= p and x0 + shift <= r
+        ]
+        if len(spans) > 1:  # many stay intervals (bang-bang tables): one gather
+            spans = [np.concatenate([np.arange(s.start, s.stop) for s in spans])]
+        whole = intervals is None and not hit_only
+        np.multiply(mass[:, p : r + 1], f if whole else one_half, out=half[:, p : r + 1])
+        for s in () if whole else spans:
+            half[rows, s] = mass[rows, s] * f
+        np.add(half[:, a : b + 3], half[:, a - 2 : b + 1], out=out[:, a - 1 : b + 2])
+        for s in spans:
+            out[rows, s] += mass[rows, s] * u
+        for s in (slice(a, p), slice(r + 1, b + 1)):
+            np.add(out[:, s], mass[:, s], out=out[:, s])
+        if a - 1 <= shift <= b + 1:  # arrivals at site 0 join the HIT_ZERO row
+            out[[NOT_HIT, HIT_ZERO], shift] = zero, out[HIT_ZERO, shift] + out[NOT_HIT, shift]
+        total = np.add.reduce(out[:, a - 1 : b + 2], axis=None)
+        if not (abs(total - prev) <= tols[0] and abs(total - 1) <= tols[1]):  # NaN fails too
+            raise InvariantError(f"total mass {total!r} after step {t}, {prev!r} before")
+        prev, mass, out = total, out, mass
+        yield mass[:, a - 1 : b + 2]
+
+
+def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=None):
+    """Yield the law at times 0..n under the policy (n+1 distributions).
+
+    live, if given, is an inclusive site interval (lo, hi); mass on sites
+    outside it is absorbed there and moves no more (first-passage laws).
+    """
+    for t, m in enumerate(_forward(policy, n, start, mode, live)):
+        yield LatticeDistribution(time=t, offset=start - t, mass=m.copy(), mode=mode)
 
 
 def evolve(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=None) -> LatticeDistribution:
     """Exact law of the walk after n steps from start under the policy."""
-    for d in evolve_trace(policy, n, start, mode, live):
+    for m in _forward(policy, n, start, mode, live):
         pass
-    return d
+    return LatticeDistribution(time=n, offset=start - n, mass=m.copy(), mode=mode)
 
 
 def hit_probability(policy: PolicySpec, n: int, start: int = 0, target=None) -> float:

@@ -1,11 +1,15 @@
 """Exponent fits, chain structure checks, closed-form calibrations."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ctrlwalk
 from ctrlwalk import (
     RATIONAL,
     CalibrationError,
@@ -102,6 +106,22 @@ class TestSweeps:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             sweep_policy("teleport", 0.5, 64, {})
+
+    def test_params_the_kind_does_not_read_rejected(self):
+        with pytest.raises(ParameterError, match="bnd"):
+            exponent_sweep("two-zone", 0.9, [16, 32, 64], params={"bnd": 3})
+        with pytest.raises(ParameterError, match="seed"):
+            exponent_sweep("constant", 0.9, [16, 32, 64], params={"seed": 3})
+        with pytest.raises(ParameterError, match="objective"):
+            exponent_sweep("constant", 0.9, [16, 32, 64], params={"objective": "max"})
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import; only level_hit_cdf loads it
+    src = os.path.dirname(os.path.dirname(ctrlwalk.__file__))
+    code = "import ctrlwalk, sys; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestChainStructure:

@@ -46,6 +46,29 @@ class TestExitCodes:
         assert code == 2
         assert "'uu'" in capsys.readouterr().err
 
+    def test_policy_key_the_kind_does_not_read_rejected(self, capsys):
+        code = run_command(["evolve", "--policy", "constant:q=0.5,band=3", "--n", "4"])
+        assert code == 2
+        assert "band" in capsys.readouterr().err
+        code = run_command(["evolve", "--policy", "two-zone:q=0.5,band=2,A=3", "--n", "4"])
+        assert code == 2
+
+    def test_exponent_params_the_kind_does_not_read_rejected(self, capsys):
+        argv = ["exponent", "--q", "0.9", "--n-grid", "16,32,64", "--min-n", "16"]
+        code = run_command(argv + ["--policy-kind", "two-zone", "--params", '{"bnd": 3}'])
+        assert code == 2
+        assert "bnd" in capsys.readouterr().err
+        code = run_command(argv + ["--policy-kind", "constant", "--params", '{"seed": 3}'])
+        assert code == 2
+        for extra in (
+            ["--policy-kind", "two-zone", "--params", '{"band": 3}'],
+            ["--policy-kind", "optimal", "--params", '{"objective": "max"}'],
+            ["--policy-kind", "constant", "--method", "mc", "--seed", "1",
+             "--params", '{"seed": 2, "trials": 500}'],
+        ):
+            assert run_command(argv + extra) == 0
+        capsys.readouterr()
+
     def test_policy_strings_share_sweep_defaults(self, capsys):
         assert parse_policy("two-zone:q=0.9", n=64) == sweep_policy("two-zone", 0.9, 64, {})
         assert parse_policy("schedule-qto1:q=0.9,A=2,n=256") == sweep_policy(

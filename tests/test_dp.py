@@ -5,25 +5,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlwalk import (
+    CONSTANT,
+    FLOAT,
     MAX,
     MIN,
     RATIONAL,
+    AdmissibilityError,
+    ControlRow,
+    InvariantError,
     ParameterError,
+    PolicySpec,
+    ScheduleSegment,
     as_target,
+    bang_bang_table_policy,
     boundary_to_csv,
     constant_policy,
+    control_grid,
     evolve,
     evolve_trace,
     extract_region,
+    fast_until_zero_policy,
+    flag_reset_times,
     hit_probability,
     multiscale_qto1_schedule,
+    point_mass,
+    reset_hit_flags,
     schedule_policy,
     solve_extremal,
+    step_distribution,
     two_zone_policy,
     value_table_to_csv,
 )
+from ctrlwalk import lattice
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
 
 
@@ -45,6 +62,143 @@ def grid_optimum(q, n, objective, grid=None, target=(0, 0)):
             nv[x] = pick(u * v.get(x, 0.0) + (1.0 - u) * 0.5 * nb for u in grid)
         v = {x: nv.get(x, 0.0) for x in range(-n - 1, n + 2)}
     return v[0]
+
+
+def per_cell_trace(policy, n, start, mode=FLOAT, live=None):
+    """Reference evolution: a control_grid row and a step_distribution per step."""
+    d = point_mass(start, mode=mode)
+    yield d
+    resets = flag_reset_times(policy)
+    for t in range(n):
+        if t in resets:
+            d = reset_hit_flags(d)
+        u = control_grid(policy, t, d.offset, d.width, mode)
+        frozen = None if live is None else (d.sites < live[0]) | (d.sites > live[1])
+        d = step_distribution(d, ControlRow(t, d.offset, u, policy.q_cap), frozen)
+        yield d
+
+
+def trinomial_return(n, u):
+    """P(S_n = 0) for the walk that stays put with probability u each step.
+
+    Closed form: sum over k up-steps (and k down-steps) of the trinomial
+    weight n! / (k! k! (n-2k)!) ((1-u)/2)^(2k) u^(n-2k), in logs.
+    """
+    log_move = math.log((1.0 - u) / 2.0)
+    logs = [
+        math.lgamma(n + 1) - 2 * math.lgamma(k + 1) - math.lgamma(n - 2 * k + 1)
+        + 2 * k * log_move + ((n - 2 * k) * math.log(u) if n > 2 * k else 0.0)
+        for k in range(n // 2 + 1)
+        if u > 0 or n == 2 * k
+    ]
+    if not logs:
+        return 0.0
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+
+
+def site_rows(draw, lo=-50, hi=50, max_intervals=4):
+    """Sorted disjoint inclusive intervals, single sites included."""
+    ends = sorted(draw(st.sets(st.integers(lo, hi), max_size=2 * max_intervals)))
+    ends = ends[: len(ends) // 2 * 2]
+    return [(a, b - draw(st.booleans())) for a, b in zip(ends[::2], ends[1::2])]
+
+
+@st.composite
+def evolution_cases(draw):
+    """(policy, n, start, mode, live) covering every policy kind."""
+    q = draw(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99))
+    n = draw(st.integers(0, 40))
+    start = draw(st.integers(-45, 45))
+    mode = draw(st.sampled_from([FLOAT, RATIONAL]))
+    live = draw(st.none() | st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+
+    def simple():
+        kind = draw(st.sampled_from([CONSTANT, "two-zone", "fast-until-zero"]))
+        if kind == CONSTANT:
+            return constant_policy(q, draw(st.sampled_from([0.0, q]) | st.floats(0.0, q)))
+        if kind == "two-zone":
+            return two_zone_policy(q, draw(st.integers(0, 12)))
+        return fast_until_zero_policy(q)
+
+    kind = draw(st.sampled_from(["simple", "schedule", "bang-bang"]))
+    if kind == "simple":
+        policy = simple()
+    elif kind == "bang-bang":
+        n = max(n, 1)
+        policy = bang_bang_table_policy(q, n, [site_rows(draw) for _ in range(n)])
+    else:
+        # breakpoints in (0, n) put fast-until-zero segments, and so flag
+        # resets, in the middle of the run
+        n = max(n, 1)
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+        bounds = [0, *cuts, n]
+        segments = [ScheduleSegment(a, b, simple()) for a, b in zip(bounds, bounds[1:])]
+        policy = schedule_policy(q, segments)
+    return policy, n, start, mode, live
+
+
+class TestEvolveAgainstPerCellOracle:
+    @given(evolution_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_laws_match_bitwise(self, case):
+        policy, n, start, mode, live = case
+        # collected first: a yielded law must not change under later steps
+        got = list(evolve_trace(policy, n, start, mode, live))
+        want = list(per_cell_trace(policy, n, start, mode, live))
+        final = evolve(policy, n, start, mode, live)
+        assert len(got) == len(want) == n + 1
+        for g, w in zip([*got, final], [*want, want[-1]]):
+            assert (g.time, g.offset, g.mode) == (w.time, w.offset, w.mode)
+            if mode == RATIONAL:
+                assert g.mass.shape == w.mass.shape and (g.mass == w.mass).all()
+            else:
+                assert g.mass.tobytes() == w.mass.tobytes()
+
+    def test_flag_reset_schedule_crosses_reset(self):
+        segs = multiscale_qto1_schedule(0.9, 2, 40)
+        p = schedule_policy(0.9, segs)
+        assert flag_reset_times(p)
+        for start in (0, 3, -7):
+            got = evolve(p, 40, start)
+            want = list(per_cell_trace(p, 40, start))[-1]
+            assert got.mass.tobytes() == want.mass.tobytes()
+
+
+class TestKeptChecks:
+    @pytest.mark.parametrize("u", [0.7, float("nan")])
+    @pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+    def test_inadmissible_control_raises(self, u, mode):
+        # built by hand: constant_policy would refuse these values
+        p = PolicySpec(CONSTANT, 0.5, {"u_value": u})
+        with pytest.raises(AdmissibilityError):
+            evolve(p, 3, mode=mode)
+
+    def test_conservation_checked_every_step(self, monkeypatch):
+        p = constant_policy(0.5, 0.5)
+        evolve(p, 5)
+        monkeypatch.setattr(lattice, "_STEP_TOL", -1.0)
+        with pytest.raises(InvariantError):
+            evolve(p, 1)
+        assert evolve(p, 0).mass.tolist() == [[0.0], [1.0]]
+
+    def test_total_mass_checked(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_TOTAL_TOL", -1.0)
+        with pytest.raises(InvariantError):
+            evolve(two_zone_policy(0.5, 1), 2, start=4)
+
+
+class TestConstantLazinessClosedForm:
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 17, 4096])
+    def test_return_probability(self, q, n):
+        want = trinomial_return(n, q)
+        assert hit_probability(constant_policy(q, q), n) == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_oracle_small_cases(self):
+        assert trinomial_return(2, 0.5) == pytest.approx(0.25 + 0.125)
+        assert trinomial_return(3, 0.0) == 0.0
+        assert trinomial_return(4, 0.0) == pytest.approx(6 / 16)
 
 
 class TestEvolveDriver:

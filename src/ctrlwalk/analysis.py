@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import defaults
-from .dp import MAX, evolve, evolve_trace, hit_probability, solve_extremal
+from .dp import MAX, _forward, evolve, hit_probability, solve_extremal
 from .errors import CalibrationError, ParameterError
-from .lattice import FLOAT, RATIONAL, interval_mass
+from .lattice import FLOAT, _as_mode_value, interval_mass
 from .montecarlo import estimate_hit
 from .policies import (
     PolicySpec,
@@ -188,53 +187,37 @@ def exponent_sweep(
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Conductance description of the two-zone kernel.
+    """Reversing measure and one-step kernel of the two-zone chain.
 
-    Unit edge weights everywhere, a self-loop of weight 2q/(1-q) inside the
-    band. The induced reversing measure is 2/(1-q) inside and 2 outside,
-    and weight/measure ratios reproduce the policy kernel.
+    pi is 2/(1-q) inside the band and 2 outside: the conductances of unit
+    edges plus a self-loop of weight 2q/(1-q) inside the band.
     """
 
     q_cap: float
     band_halfwidth: int
     mode: str = FLOAT
 
-    def _q(self):
-        return Fraction(self.q_cap) if self.mode == RATIONAL else float(self.q_cap)
-
     def _inside(self, x: int) -> bool:
         return abs(x) <= self.band_halfwidth
 
-    def weight(self, x: int, y: int):
-        one = Fraction(1) if self.mode == RATIONAL else 1.0
-        if abs(x - y) == 1:
-            return one
-        if x == y and self._inside(x):
-            q = self._q()
-            return 2 * q / (1 - q)
-        return 0 * one
-
     def pi(self, x: int):
-        q = self._q()
-        two = Fraction(2) if self.mode == RATIONAL else 2.0
+        q, two = (_as_mode_value(v, self.mode) for v in (self.q_cap, 2))
         return two / (1 - q) if self._inside(x) else two
 
     def kernel(self, x: int, y: int):
         """One-step transition probability from the policy's definition."""
-        q = self._q()
-        zero = Fraction(0) if self.mode == RATIONAL else 0.0
+        q, zero, half = (_as_mode_value(v, self.mode) for v in (self.q_cap, 0, 0.5))
         u = q if self._inside(x) else zero
         if y == x:
             return u
         if abs(y - x) == 1:
-            half = Fraction(1, 2) if self.mode == RATIONAL else 0.5
             return (1 - u) * half
         return zero
 
 
 def reversibility_check(chain: ChainSpec, K_window: int):
     """Max |pi(x) k(x,y) - pi(y) k(y,x)| over pairs inside [-K, K]."""
-    worst = Fraction(0) if chain.mode == RATIONAL else 0.0
+    worst = _as_mode_value(0, chain.mode)
     for x in range(-K_window, K_window + 1):
         for y in (x, x + 1):
             if y > K_window:
@@ -246,27 +229,25 @@ def reversibility_check(chain: ChainSpec, K_window: int):
     return worst
 
 
-def heat_kernel_profile(chain: ChainSpec, t_grid, x_probe_set=None) -> dict:
+def heat_kernel_profile(chain: ChainSpec, t_grid) -> dict:
     """sup over probes x and all y of p^t(x,y)*sqrt(t), per grid time.
 
     Returns per-t suprema, the running max, and the final running max as an
     empirical bound constant. Exact evolution under the matching two-zone
-    policy; use even t to dodge parity oscillation.
+    policy from HK_PROBE_FACTORS x band; use even t to dodge parity oscillation.
     """
     t_grid = sorted({int(t) for t in t_grid})
     if not t_grid or t_grid[0] < 1:
         raise ParameterError("t_grid must contain positive times")
-    if x_probe_set is None:
-        b = chain.band_halfwidth
-        x_probe_set = tuple(sorted({f * b for f in defaults.HK_PROBE_FACTORS}))
+    probes = tuple(sorted({int(f * chain.band_halfwidth) for f in defaults.HK_PROBE_FACTORS}))
     pol = two_zone_policy(chain.q_cap, chain.band_halfwidth)
     tmax = t_grid[-1]
     grid = set(t_grid)
     sup = {t: 0.0 for t in t_grid}
-    for x0 in x_probe_set:
-        for t, d in enumerate(evolve_trace(pol, tmax, int(x0))):
+    for x0 in probes:
+        for t, m in enumerate(_forward(pol, tmax, x0, FLOAT, None)):
             if t in grid:
-                peak = float(d.site_mass().max()) * math.sqrt(t)
+                peak = float((m[0] + m[1]).max()) * math.sqrt(t)
                 if peak > sup[t]:
                     sup[t] = peak
 
@@ -280,7 +261,7 @@ def heat_kernel_profile(chain: ChainSpec, t_grid, x_probe_set=None) -> dict:
         "per_t": per_t,
         "running_max": running,
         "bound_estimate": best,
-        "probes": tuple(int(x) for x in x_probe_set),
+        "probes": probes,
     }
 
 
@@ -453,12 +434,16 @@ def early_exit_probability(q_cap: float, A: int, K: int) -> float:
     return 1.0 - interior_survival(q_cap, K, A * K * K - 1)
 
 
-def calibrate_lemma6(
-    eps: float,
-    Ks=defaults.L6_KS,
-    max_A_doublings: int = defaults.L6_MAX_A_DOUBLINGS,
-    max_q_levels: int = defaults.L6_MAX_Q_LEVELS,
-) -> dict:
+def _first_below(half_eps: float, stage: str, candidates, prob):
+    """First candidate c with prob(c, K) < half_eps at every K, as (c, {K: value})."""
+    for c in candidates:
+        vals = {K: prob(c, K) for K in defaults.L6_KS}
+        if max(vals.values()) < half_eps:
+            return c, vals
+    raise CalibrationError(f"{stage}{c} still fails eps/2={half_eps:g}")
+
+
+def calibrate_lemma6(eps: float) -> dict:
     """Find (A, q) with free escape and lazy early-exit both below eps/2.
 
     A doubles from 1 until the no-return probability P(level 2K unreached by
@@ -468,42 +453,19 @@ def calibrate_lemma6(
     """
     if not (0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    Ks = tuple(int(K) for K in Ks)
-
-    A = None
-    escape_vals = None
-    for d in range(max_A_doublings + 1):
-        cand = 1 << d
-        vals = {K: escape_probability(cand, K) for K in Ks}
-        if max(vals.values()) < eps / 2.0:
-            A = cand
-            escape_vals = vals
-            break
-    if A is None:
-        raise CalibrationError(
-            f"escape stage exhausted: A={1 << max_A_doublings} still fails eps/2={eps / 2:g}"
-        )
-
-    q = None
-    exit_vals = None
-    for j in range(1, max_q_levels + 1):
-        cand = 1.0 - 2.0**-j
-        vals = {K: early_exit_probability(cand, A, K) for K in Ks}
-        if max(vals.values()) < eps / 2.0:
-            q = cand
-            exit_vals = vals
-            q_level = j
-            break
-    if q is None:
-        raise CalibrationError(
-            f"containment stage exhausted at q level {max_q_levels} for A={A}"
-        )
-
+    half = eps / 2.0
+    doublings = [1 << d for d in range(defaults.L6_MAX_A_DOUBLINGS + 1)]
+    A, escape_vals = _first_below(half, "escape stage exhausted: A=", doublings, escape_probability)
+    q_level, exit_vals = _first_below(
+        half, f"containment stage exhausted for A={A}: q level ",
+        range(1, defaults.L6_MAX_Q_LEVELS + 1),
+        lambda j, K: early_exit_probability(1.0 - 2.0**-j, A, K),
+    )
     return {
         "eps": eps,
-        "Ks": list(Ks),
+        "Ks": list(defaults.L6_KS),
         "A": A,
-        "q": q,
+        "q": 1.0 - 2.0**-q_level,
         "q_level": q_level,
         "escape_by_K": {str(K): v for K, v in escape_vals.items()},
         "early_exit_by_K": {str(K): v for K, v in exit_vals.items()},
@@ -517,12 +479,10 @@ def verify_lemma6_certificate(cert: dict) -> dict:
     eps = cert["eps"]
     max_diff = 0.0
     ok = True
-    for K_str, v in cert["escape_by_K"].items():
-        fresh = escape_probability(A, int(K_str))
-        max_diff = max(max_diff, abs(fresh - v))
-        ok &= fresh < eps / 2.0
-    for K_str, v in cert["early_exit_by_K"].items():
-        fresh = early_exit_probability(q, A, int(K_str))
-        max_diff = max(max_diff, abs(fresh - v))
-        ok &= fresh < eps / 2.0
+    for key, prob in (("escape_by_K", lambda K: escape_probability(A, K)),
+                      ("early_exit_by_K", lambda K: early_exit_probability(q, A, K))):
+        for K_str, v in cert[key].items():
+            fresh = prob(int(K_str))
+            max_diff = max(max_diff, abs(fresh - v))
+            ok &= fresh < eps / 2.0
     return {"max_diff": max_diff, "all_below": bool(ok)}

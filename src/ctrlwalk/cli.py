@@ -64,21 +64,16 @@ _POLICY_KEYS = {
     "n": ("n", int),
 }
 
-_MC_COMMANDS = {"simulate", "barriers"}
+# the runs that sample and so need --seed: (command, its method or what)
+_SAMPLING_RUNS = {("simulate", None), ("barriers", None), ("exponent", "mc"), ("verify", "lemma0")}
+_VARIANT_KEY = {"exponent": "method", "verify": "what"}
 
 
-def _jsonable(x):
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+def _plain(x):
+    """json.dump default: numpy scalars and arrays as plain Python values."""
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _resolve_out(path: str) -> str:
@@ -89,15 +84,10 @@ def _resolve_out(path: str) -> str:
 
 
 def _parse_target(text):
-    if text is None:
-        return (0, 0)
-    if isinstance(text, (list, tuple)):
-        return as_target(tuple(text))
-    text = str(text)
-    if ":" in text:
-        a, b = text.split(":", 1)
-        return as_target((int(a), int(b)))
-    return as_target(int(text))
+    if isinstance(text, str):
+        a, sep, b = text.partition(":")
+        return as_target((int(a), int(b)) if sep else int(a))
+    return as_target(text)
 
 
 def parse_policy(spec, n: int | None = None):
@@ -118,7 +108,10 @@ def parse_policy(spec, n: int | None = None):
         if k not in _POLICY_KEYS:
             raise ParameterError(f"unknown policy parameter {k!r} in {spec!r}")
         name, typ = _POLICY_KEYS[k]
-        params[name] = typ(v)
+        try:
+            params[name] = typ(v)
+        except ValueError:
+            raise ParameterError(f"policy parameter {k}={v!r} is not {typ.__name__}") from None
     if "q" not in params:
         raise ParameterError(f"policy spec {spec!r} needs q=...")
     q, horizon = params.pop("q"), params.pop("n", n if n is not None else 0)
@@ -129,11 +122,11 @@ def parse_policy(spec, n: int | None = None):
 def _record(command: str, config: dict, payload, provenance) -> dict:
     return {
         "command": command,
-        "config": _jsonable(config),
+        "config": config,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "payload": _jsonable(payload),
-        "provenance": _jsonable(provenance),
+        "payload": payload,
+        "provenance": provenance,
     }
 
 
@@ -195,7 +188,7 @@ def _cmd_solve(cfg):
             boundary_to_csv(bb, fh)
     if cfg.get("region_json"):
         with _open_out(cfg["region_json"]) as fh:
-            json.dump(_jsonable(region), fh)
+            json.dump(region, fh, default=_plain)
     payload = {
         "q": q,
         "n": n,
@@ -288,9 +281,9 @@ def _cmd_exponent(cfg, out):
     params = cfg.get("params") or {}
     if isinstance(params, str):
         params = json.loads(params)
+    if not isinstance(params, dict):
+        raise ParameterError(f"--params must be a JSON object, got {params!r}")
     if method == "mc":
-        if cfg.get("seed") is None:
-            raise ParameterError("--seed is required for mc sweeps (no hidden entropy)")
         params.setdefault("seed", int(cfg["seed"]))
         params.setdefault("trials", int(cfg.get("trials") or 10000))
     min_n = cfg.get("min_n")
@@ -321,18 +314,18 @@ def _cmd_exponent(cfg, out):
     prov = "exact" if method == "exact" else {
         "method": "mc", "seed": params.get("seed"), "trials": params.get("trials"),
     }
-    lines = [_record("exponent", cfg, r, r["method"] if method == "exact" else prov) for r in records]
-    lines.append(_record("exponent", cfg, {"fit": fit_payload}, prov))
-    _emit("\n".join(json.dumps(line) for line in lines) + "\n", out)
+    lines = [_record("exponent", cfg, r, prov) for r in [*records, {"fit": fit_payload}]]
+    _emit("\n".join(json.dumps(line, default=_plain) for line in lines) + "\n", out)
     print(f"sigma_hat = {fit.sigma_hat:.6f}  r2 = {fit.r_squared:.6f}", file=sys.stderr)
     return 0
 
 
 def _cmd_verify(cfg):
     what = cfg["what"]
+    if what in ("lemma5", "lemma6"):
+        with open(_resolve_out(cfg["cert"])) as fh:
+            cert = json.load(fh)
     if what == "lemma0":
-        if cfg.get("seed") is None:
-            raise ParameterError("--seed is required for verify lemma0 (no hidden entropy)")
         res = lemma0_check(
             float(cfg["q"]),
             int(cfg["h"]),
@@ -351,8 +344,6 @@ def _cmd_verify(cfg):
         return payload, {"method": "mc", "seed": int(cfg["seed"]), "trials": res.trials}, ok
 
     if what == "lemma5":
-        with open(_resolve_out(cfg["cert"])) as fh:
-            cert = json.load(fh)
         rep = verify_lemma5_certificate(cert)
         K0 = cert["K0"]
         k0_entries = [e for e in cert["entries"] if e["K"] == K0]
@@ -371,8 +362,6 @@ def _cmd_verify(cfg):
         return payload, "exact", ok
 
     if what == "lemma6":
-        with open(_resolve_out(cfg["cert"])) as fh:
-            cert = json.load(fh)
         rep = verify_lemma6_certificate(cert)
         # small-scale dual route: absorbing evolution vs both closed forms
         k_small = 8
@@ -574,16 +563,17 @@ def run_command(argv) -> int:
         cfg = _merge_config(args)
         command = args.command
         out = cfg.pop("out", None)
+        run = (command, cfg.get(_VARIANT_KEY[command]) if command in _VARIANT_KEY else None)
+        if run in _SAMPLING_RUNS and cfg.get("seed") is None:
+            name = " ".join(filter(None, run))
+            raise ParameterError(f"--seed is required for {name} (no hidden entropy)")
 
         if command == "exponent":
             return _cmd_exponent(cfg, out)
 
-        if command in _MC_COMMANDS and cfg.get("seed") is None:
-            raise ParameterError(f"--seed is required for {command} (no hidden entropy)")
-
         payload, prov, *ok = _COMMANDS[command](cfg)  # verify adds a pass flag
         record = _record(command, {**cfg, "out": out} if out else cfg, payload, prov)
-        _emit(json.dumps(record, indent=2) + "\n", out)
+        _emit(json.dumps(record, indent=2, default=_plain) + "\n", out)
         if not all(ok):
             print(f"{command} {cfg.get('what', '')}: check FAILED", file=sys.stderr)
             return 4

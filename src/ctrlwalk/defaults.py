@@ -1,8 +1,8 @@
 """Recorded default parameters for schedules, fits, and calibration searches.
 
 The localization/return constructions only assert that suitable constants
-exist; these are the concrete witnesses this package ships with. Anything
-here can be overridden per call or through the CLI config file.
+exist; these are the concrete witnesses this package ships with. Sweep
+params, fit cutoffs and band-sum grids can also be set per call.
 """
 
 # exponent fits drop pre-asymptotic points below this n

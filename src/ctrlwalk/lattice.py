@@ -68,9 +68,9 @@ class LatticeDistribution:
         if self.mode == RATIONAL:
             if total != 1:
                 raise InvariantError(f"total mass is {total}, expected exactly 1")
-        elif abs(float(total) - 1.0) > _TOTAL_TOL:
+        elif not abs(float(total) - 1.0) <= _TOTAL_TOL:  # NaN fails too
             raise InvariantError(f"total mass {total!r} deviates from 1 beyond {_TOTAL_TOL}")
-        if np.any(self.mass < 0):
+        if not np.all(self.mass >= 0):
             raise InvariantError("negative mass entry")
 
     @property
@@ -147,7 +147,7 @@ def step_distribution(
         raise ParameterError(f"control row is for time {row.time}, distribution at {d.time}")
     if row.offset != d.offset or row.u.shape != d.mass.shape:
         raise ParameterError("control row window does not match the distribution window")
-    if np.any(row.u < 0) or np.any(row.u > row.q_cap):
+    if not np.all((row.u >= 0) & (row.u <= row.q_cap)):
         raise AdmissibilityError(f"control values escape [0, {row.q_cap}]")
 
     w = d.width
@@ -186,7 +186,7 @@ def step_distribution(
     if d.mode == RATIONAL:
         if after != before:
             raise InvariantError("mass not conserved in exact mode")
-    elif abs(float(after) - float(before)) > _STEP_TOL:
+    elif not abs(float(after) - float(before)) <= _STEP_TOL:
         raise InvariantError(f"mass drifted by {float(after) - float(before):.3e} in one step")
 
     return LatticeDistribution(time=d.time + 1, offset=d.offset - 1, mass=new, mode=d.mode)

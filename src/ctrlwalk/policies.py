@@ -342,7 +342,8 @@ def control_values(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray) 
 
 
 def policy_to_json(policy: PolicySpec) -> dict:
-    obj = {"kind": policy.kind, "q_cap": policy.q_cap}
+    """JSON form: kind, q_cap and the builder's keyword arguments."""
+    obj = {"kind": policy.kind, "q_cap": policy.q_cap, **policy.params}
     if policy.kind == SCHEDULE:
         obj["segments"] = [
             {
@@ -352,29 +353,31 @@ def policy_to_json(policy: PolicySpec) -> dict:
             }
             for s in policy.params["segments"]
         ]
-    elif policy.kind == BANG_BANG_TABLE:
-        obj["n"] = policy.params["n"]
-        obj["rows"] = [[[a, b] for a, b in row] for row in policy.params["rows"]]
-    else:
-        obj.update(policy.params)
     return obj
 
 
+_BUILDERS = {  # a policy's params are its builder's keyword arguments
+    CONSTANT: constant_policy, TWO_ZONE: two_zone_policy, FAST_UNTIL_ZERO: fast_until_zero_policy,
+    SCHEDULE: schedule_policy, BANG_BANG_TABLE: bang_bang_table_policy,
+}
+
+
 def policy_from_json(obj: dict) -> PolicySpec:
-    kind = obj.get("kind")
-    q_cap = obj["q_cap"]
-    if kind == CONSTANT:
-        return constant_policy(q_cap, obj["u_value"])
-    if kind == TWO_ZONE:
-        return two_zone_policy(q_cap, obj["band_halfwidth"])
-    if kind == FAST_UNTIL_ZERO:
-        return fast_until_zero_policy(q_cap)
-    if kind == SCHEDULE:
-        segs = [
-            ScheduleSegment(s["t_start"], s["t_end"], policy_from_json(s["inner"]))
-            for s in obj["segments"]
-        ]
-        return schedule_policy(q_cap, segs)
-    if kind == BANG_BANG_TABLE:
-        return bang_bang_table_policy(q_cap, obj["n"], obj["rows"])
-    raise ParameterError(f"unknown policy kind {kind!r}")
+    """Inverse of policy_to_json; a malformed, missing or unknown key raises ParameterError."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"a policy is a JSON object, got {type(obj).__name__}")
+    args = dict(obj)
+    kind = args.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ParameterError(f"unknown policy kind {kind!r}")
+    try:
+        if kind == SCHEDULE:
+            args["segments"] = [
+                ScheduleSegment(inner_policy=policy_from_json(s.pop("inner")), **s)
+                for s in map(dict, args["segments"])
+            ]
+        return _BUILDERS[kind](**args)
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"malformed {kind} policy: {exc!r}") from None

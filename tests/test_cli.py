@@ -6,7 +6,19 @@ import sys
 
 import pytest
 
-from ctrlwalk import __version__, calibrate_lemma5, sweep_policy
+from ctrlwalk import (
+    ParameterError,
+    __version__,
+    calibrate_lemma5,
+    estimate_hit,
+    hit_probability,
+    multiscale_qto1_schedule,
+    policy_to_json,
+    run_batch,
+    schedule_policy,
+    solve_extremal,
+    sweep_policy,
+)
 from ctrlwalk.cli import parse_policy, run_command
 
 
@@ -68,6 +80,27 @@ class TestExitCodes:
         ):
             assert run_command(argv + extra) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("spec", ["constant:q=abc", "two-zone:q=0.5,band=1.5"])
+    def test_unparsable_policy_value(self, spec):
+        with pytest.raises(ParameterError):
+            parse_policy(spec)
+
+    def test_non_object_policy_file_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text("[1]")
+        assert run_command(["evolve", "--policy", f"file:{path}", "--n", "4"]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_seed_rule_reads_command_and_variant(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": 0.5, "band": 4, "method": "mc", "what": "lemma0"}))
+        code, _ = run(capsys, ["verify", "reversibility", "--config", str(cfg)])
+        assert code == 0
+        code = run_command(["exponent", "--config", str(cfg), "--policy-kind", "constant",
+                            "--n-grid", "128,256,512"])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_policy_strings_share_sweep_defaults(self, capsys):
         assert parse_policy("two-zone:q=0.9", n=64) == sweep_policy("two-zone", 0.9, 64, {})
@@ -201,6 +234,20 @@ class TestSampling:
         assert pl["violations_exact"] == 0
         assert len(pl["stage_stats"]) == pl["N0"]
 
+    def test_simulate_dump_final_matches_run_batch(self, capsys, tmp_path):
+        path = tmp_path / "final.csv"
+        policy = "two-zone:q=0.9,band=4"
+        code, _ = run(
+            capsys,
+            ["simulate", "--policy", policy, "--n", "100", "--start", "2", "--trials", "300",
+             "--seed", "11", "--dump-final", str(path)],
+        )
+        assert code == 0
+        rows = path.read_text().splitlines()
+        batch = run_batch(parse_policy(policy, n=100), 100, start=2, trials=300, seed=11)
+        assert rows[0] == "trial,final"
+        assert rows[1:] == [f"{i},{int(v)}" for i, v in enumerate(batch.final)]
+
     def test_verify_lemma0(self, capsys):
         code, out = run(
             capsys,
@@ -311,6 +358,20 @@ class TestRecordsAndConfig:
         assert code == 0
         assert record_from(out)["payload"]["trials"] == 700
 
+    @pytest.mark.parametrize("kind", ["bang-bang-table", "schedule"])
+    def test_policy_file_written_by_policy_to_json(self, capsys, tmp_path, kind):
+        if kind == "schedule":
+            n, policy = 64, schedule_policy(0.9, multiscale_qto1_schedule(0.9, 2, 64))
+        else:
+            n, policy = 32, solve_extremal(0.5, 32, "max", keep_values=False)[1].as_policy()
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy_to_json(policy)))
+        code, out = run(capsys, ["evolve", "--policy", f"file:{path}", "--n", str(n)])
+        rec = record_from(out)
+        assert code == 0
+        assert rec["payload"]["policy"] == json.loads(path.read_text())
+        assert rec["payload"]["p"] == hit_probability(policy, n)
+
     def test_mc_round_trip(self, capsys, tmp_path):
         code, out = run(
             capsys,
@@ -348,6 +409,31 @@ class TestExponentCommand:
         assert 0.4 < fit["sigma_hat"] < 0.6
         header = cs.read_text().splitlines()[0]
         assert header == "policy_kind,q,n,p,method,ci_low,ci_high"
+
+    def test_non_object_params_is_exit_2(self, capsys):
+        code = run_command(
+            [
+                "exponent", "--policy-kind", "constant", "--q", "0.9", "--n-grid", "16,32,64",
+                "--method", "mc", "--seed", "1", "--params", "[1]",
+            ]
+        )
+        assert code == 2
+        assert "--params" in capsys.readouterr().err
+
+    def test_optimal_mc_sweep_samples_the_bang_bang_policy(self, capsys):
+        code, out = run(
+            capsys,
+            [
+                "exponent", "--policy-kind", "optimal", "--q", "0.9", "--n-grid", "16,32,64",
+                "--min-n", "16", "--method", "mc", "--seed", "2", "--trials", "300",
+            ],
+        )
+        assert code == 0
+        points = [json.loads(line)["payload"] for line in out.splitlines()[:-1]]
+        assert [r["n"] for r in points] == [16, 32, 64]
+        for r in points:
+            bb = solve_extremal(0.9, r["n"], "max", keep_values=False)[1]
+            assert r["p"] == estimate_hit(bb.as_policy(), r["n"], trials=300, seed=2 + r["n"]).p_hat
 
     def test_mc_method_needs_seed(self, capsys):
         code = run_command(

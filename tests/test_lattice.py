@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ctrlwalk import (
     FLOAT,
+    AdmissibilityError,
     InvariantError,
     HIT_ZERO,
     NOT_HIT,
@@ -232,3 +233,13 @@ class TestValidation:
         row = ControlRow(time=0, offset=1, u=grid, q_cap=0.5)
         with pytest.raises(ParameterError):
             step_distribution(d, row)
+
+    def test_nan_snapshot_rejected(self):
+        snap = {"time": 0, "offset": 0, "mass": [[math.nan], [0.0]], "flag_split": True}
+        with pytest.raises(InvariantError):
+            from_snapshot(snap)
+
+    def test_nan_control_rejected(self):
+        row = ControlRow(time=0, offset=0, u=np.array([[math.nan], [math.nan]]), q_cap=0.5)
+        with pytest.raises(AdmissibilityError):
+            step_distribution(point_mass(0), row)

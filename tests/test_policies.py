@@ -225,15 +225,7 @@ class TestSerialization:
         import json
 
         for p in self.policies():
-            blob = json.dumps(policy_to_json(p))
-            back = policy_from_json(json.loads(blob))
-            assert back.kind == p.kind
-            assert back.q_cap == p.q_cap
-            h = horizon(p) or 8
-            for t in range(min(h, 8)):
-                for x in (-5, -1, 0, 1, 6):
-                    for f in (NOT_HIT, HIT_ZERO):
-                        assert evaluate(back, t, x, f) == evaluate(p, t, x, f)
+            assert policy_from_json(json.loads(json.dumps(policy_to_json(p)))) == p
 
     def test_reset_times_survive(self):
         p = schedule_policy(0.9, multiscale_qto1_schedule(0.9, 4, 256))
@@ -243,3 +235,24 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             policy_from_json({"kind": "warp-drive", "q_cap": 0.5})
+
+    @pytest.mark.parametrize(
+        "obj, error",
+        [
+            ([1], ParameterError),
+            ({"q_cap": 0.5}, ParameterError),
+            ({"kind": "constant", "u_value": 0.1}, ParameterError),
+            ({"kind": "two-zone", "q_cap": 0.9, "band": 3}, ParameterError),
+            ({"kind": "constant", "q_cap": 0.5, "u_value": 0.1, "band_halfwidth": 3}, ParameterError),
+            ({"kind": "two-zone", "q_cap": 0.9, "band_halfwidth": "wide"}, ParameterError),
+            ({"kind": "bang-bang-table", "q_cap": 0.5, "n": 1, "rows": [[[0]]]}, ParameterError),
+            ({"kind": "schedule", "q_cap": 0.5, "segments": [{"t_start": 0, "t_end": 4}]},
+             ParameterError),
+            ({"kind": "schedule", "q_cap": 0.5, "segments": [[0, 4]]}, ParameterError),
+            ({"kind": "constant", "q_cap": 0.5, "u_value": 0.9}, AdmissibilityError),
+            ({"kind": "schedule", "q_cap": 0.5, "segments": []}, DegenerateScheduleError),
+        ],
+    )
+    def test_malformed_rejected(self, obj, error):
+        with pytest.raises(error):
+            policy_from_json(obj)

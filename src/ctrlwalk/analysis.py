@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .dp import MAX, _forward, evolve, hit_probability, solve_extremal
+from .dp import MAX, _forward, _optimal_curve, evolve, hit_probability, solve_extremal
 from .errors import CalibrationError, ParameterError
 from .lattice import FLOAT, _as_mode_value, interval_mass
 from .montecarlo import estimate_hit
@@ -128,7 +128,7 @@ def sweep_policy(policy_kind: str, q_cap: float, n: int, params: dict) -> Policy
     raise ParameterError(f"unknown sweep policy kind {policy_kind!r}")
 
 
-def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: dict) -> dict:
+def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: dict, curve) -> dict:
     rec = {
         "policy_kind": policy_kind,
         "q": q_cap,
@@ -138,11 +138,10 @@ def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: di
         "ci_high": None,
     }
     if policy_kind == "optimal":
-        objective = params.get("objective", MAX)
-        table, bb = solve_extremal(q_cap, n, objective, keep_values=False)
-        if method == "exact":
-            rec["p"] = float(table.value(0, 0))
+        if method == "exact":  # every exact point comes from one backward pass
+            rec["p"] = curve[n]
             return rec
+        _, bb = solve_extremal(q_cap, n, params.get("objective", MAX), keep_values=False)
         pol = bb.as_policy()
     else:
         pol = sweep_policy(policy_kind, q_cap, n, params)
@@ -175,7 +174,10 @@ def exponent_sweep(
     """Hit probability per n plus the power-law fit over the grid."""
     params = dict(params or {})
     check_sweep_params(policy_kind, params, ("seed", "trials") if method == "mc" else ())
-    records = [_sweep_point(policy_kind, q_cap, int(n), method, params) for n in n_grid]
+    grid = [int(n) for n in n_grid]
+    one_pass = policy_kind == "optimal" and method == "exact"
+    curve = _optimal_curve(q_cap, grid, params.get("objective", MAX)) if one_pass else None
+    records = [_sweep_point(policy_kind, q_cap, n, method, params, curve) for n in grid]
     kwargs = {} if min_n is None else {"min_n": min_n}
     fit = fit_exponent([(r["n"], r["p"]) for r in records], **kwargs)
     return records, fit

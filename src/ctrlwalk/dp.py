@@ -10,6 +10,7 @@ sits at an endpoint {0, q_cap}; the solver records where the cap is chosen.
 from __future__ import annotations
 
 import csv
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ def as_target(target) -> tuple[int, int]:
     """Normalize a target spec to an inclusive site interval (lo, hi).
 
     A target is None (site 0), one integral site, numpy integers included,
-    or a (lo, hi) pair.
+    or a (lo, hi) pair of them.
     """
     if target is None:
         return (0, 0)
@@ -51,7 +52,10 @@ def as_target(target) -> tuple[int, int]:
             raise ParameterError(f"target site must be an integer, got {target!r}") from None
     else:
         return (site, site)
-    lo, hi = int(target[0]), int(target[1])
+    try:
+        lo, hi = (operator.index(v) for v in target)
+    except (TypeError, ValueError):  # a non-integer, or not two items
+        raise ParameterError(f"target must be a site or a (lo, hi) pair, got {target!r}") from None
     if lo > hi:
         raise ParameterError(f"empty target interval [{lo}, {hi}]")
     return (lo, hi)
@@ -170,12 +174,18 @@ class ValueTable:
 
 @dataclass(frozen=True)
 class BangBangPolicy:
-    """Where the extremal control picks the cap: per-t inclusive intervals."""
+    """Where the extremal control picks the cap, per t: masks as (site offset,
+    packed bits), and rows, built on first read, as inclusive site intervals."""
 
     n: int
     q_cap: float
     objective: str
-    rows: tuple
+    masks: tuple
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        return tuple(_mask_to_intervals(np.unpackbits(np.frombuffer(bits, np.uint8)), offset)
+                     for offset, bits in self.masks)
 
     def as_policy(self) -> PolicySpec:
         return bang_bang_table_policy(self.q_cap, self.n, self.rows)
@@ -189,6 +199,33 @@ def _mask_to_intervals(mask: np.ndarray, offset: int) -> tuple:
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [idx.size - 1]))
     return tuple((int(idx[s]) + offset, int(idx[e]) + offset) for s, e in zip(starts, ends))
+
+
+def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int):
+    """(t, V_t on [-n, n], a, cap mask on sites a, a+1, ...) for t = n..0, as
+    views the next step overwrites. Only the target's light cone [lo - k,
+    hi + k], k = n - t, is swept: off it V_t is 0 and u = 0 wins the tie, as
+    in a whole-window sweep with the same operation order, bitwise."""
+    lo, hi = max(lo, -n), min(hi, n)
+    pad = np.zeros(2 * n + 3)  # V at site x in column x + n + 1
+    if lo <= hi:  # a target wholly outside [-n, n] leaves every value 0
+        pad[lo + n + 1 : hi + n + 2] = 1.0
+    nb, v0, vq, mask = (np.empty(2 * n + 1, dt) for dt in (float, float, float, bool))
+    scale = (1.0 - q_cap) * 0.5
+    better = np.greater if objective == MAX else np.less
+    yield n, pad[1:-1], lo, mask[:0]
+    for t in range(n - 1, -1, -1):
+        a = max(lo - (n - t), -n)
+        w = max(min(hi + (n - t), n) - a + 1, 0)
+        v = pad[a + n + 1 : a + n + 1 + w]  # V(x) on the cone; V(x-1), V(x+1) a column aside
+        np.add(pad[a + n : a + n + w], pad[a + n + 2 : a + n + 2 + w], out=nb[:w])
+        np.multiply(nb[:w], 0.5, out=v0[:w])
+        np.multiply(nb[:w], scale, out=vq[:w])
+        np.add(vq[:w], np.multiply(v, q_cap, out=nb[:w]), out=vq[:w])
+        better(vq[:w], v0[:w], out=mask[:w])
+        np.copyto(v, v0[:w])
+        np.copyto(v, vq[:w], where=mask[:w])
+        yield t, pad[1:-1], a, mask[:w]
 
 
 def solve_extremal(
@@ -205,6 +242,23 @@ def solve_extremal(
     Affinity in u puts the extremum at u in {0, q_cap}; exact ties go to
     u = 0, which keeps the recorded region minimal and reproducible.
     """
+    q_cap, n = _solve_args(q_cap, n, objective)
+    lo, hi = as_target(target)
+    values = np.zeros((n + 1, 2 * n + 1)) if keep_values else None
+    masks = [None] * n
+    for t, v, a, mask in _backward(q_cap, n, objective, lo, hi):
+        if keep_values:
+            values[t] = v
+        if t < n:
+            masks[t] = (a, np.packbits(mask).tobytes())
+    table = ValueTable(
+        n=n, q_cap=q_cap, objective=objective, target=(lo, hi), v0=v.copy(), values=values
+    )
+    bb = BangBangPolicy(n=n, q_cap=q_cap, objective=objective, masks=tuple(masks))
+    return table, bb
+
+
+def _solve_args(q_cap: float, n: int, objective: str) -> tuple[float, int]:
     q_cap = float(q_cap)
     if not (0.0 <= q_cap < 1.0):
         raise ParameterError(f"q_cap must lie in [0, 1), got {q_cap}")
@@ -213,37 +267,15 @@ def solve_extremal(
         raise ParameterError("n must be >= 1")
     if objective not in (MAX, MIN):
         raise ParameterError(f"objective must be {MAX!r} or {MIN!r}")
-    lo, hi = as_target(target)
+    return q_cap, n
 
-    width = 2 * n + 1
-    vnext = np.zeros(width)
-    # a target wholly outside [-n, n] leaves every value 0
-    if max(lo, -n) <= min(hi, n):
-        vnext[max(lo, -n) + n : min(hi, n) + n + 1] = 1.0
-    values = None
-    if keep_values:
-        values = np.zeros((n + 1, width))
-        values[n] = vnext
 
-    scale = (1.0 - q_cap) * 0.5
-    pad = np.zeros(width + 2)
-    rows = [()] * n
-    for t in range(n - 1, -1, -1):
-        pad[1:-1] = vnext
-        nb = pad[:-2] + pad[2:]  # V(x-1) + V(x+1), fixed order
-        v0 = nb * 0.5
-        vq = nb * scale + vnext * q_cap
-        mask = (vq > v0) if objective == MAX else (vq < v0)
-        vnext = np.where(mask, vq, v0)
-        rows[t] = _mask_to_intervals(mask, -n)
-        if keep_values:
-            values[t] = vnext
-
-    table = ValueTable(
-        n=n, q_cap=q_cap, objective=objective, target=(lo, hi), v0=vnext, values=values
-    )
-    bb = BangBangPolicy(n=n, q_cap=q_cap, objective=objective, rows=tuple(rows))
-    return table, bb
+def _optimal_curve(q_cap: float, horizons, objective: str) -> dict:
+    """{m: extremal P(S_m = 0)} per horizon m from one pass to N = max m: the
+    recursion does not depend on t, so V_{N-m}(0) is the solve to m, bitwise."""
+    big = max([_solve_args(q_cap, m, objective)[1] for m in horizons], default=1)
+    steps = _backward(float(q_cap), big, objective, 0, 0)
+    return {big - t: float(v[big]) for t, v, _, _ in steps if big - t in horizons}
 
 
 def extract_region(bb: BangBangPolicy) -> dict:
@@ -251,12 +283,8 @@ def extract_region(bb: BangBangPolicy) -> dict:
 
     boundary[t] is max(|x|) over the row's cells, or -1 for an empty row.
     """
-    boundary = []
-    for t, row in enumerate(bb.rows):
-        r = -1
-        for a, b in row:
-            r = max(r, abs(a), abs(b))
-        boundary.append((t, r))
+    boundary = [(t, max((max(abs(a), abs(b)) for a, b in row), default=-1))
+                for t, row in enumerate(bb.rows)]
     return {
         "n": bb.n,
         "q_cap": bb.q_cap,

@@ -92,6 +92,13 @@ class TestExitCodes:
         assert run_command(["evolve", "--policy", f"file:{path}", "--n", "4"]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", [[5], [0, 2, 9]])
+    def test_config_target_not_a_pair_is_exit_2(self, capsys, tmp_path, target):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": "constant:q=0.5", "n": 4, "target": target}))
+        assert run_command(["evolve", "--config", str(cfg)]) == 2
+        assert "(lo, hi) pair" in capsys.readouterr().err
+
     def test_seed_rule_reads_command_and_variant(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q": 0.5, "band": 4, "method": "mc", "what": "lemma0"}))

@@ -27,12 +27,15 @@ from ctrlwalk import (
     control_grid,
     evolve,
     evolve_trace,
+    exponent_sweep,
     extract_region,
     fast_until_zero_policy,
     flag_reset_times,
     hit_probability,
     multiscale_qto1_schedule,
     point_mass,
+    policy_from_json,
+    policy_to_json,
     reset_hit_flags,
     schedule_policy,
     solve_extremal,
@@ -41,6 +44,7 @@ from ctrlwalk import (
     value_table_to_csv,
 )
 from ctrlwalk import lattice
+from ctrlwalk.dp import _optimal_curve
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
 
 
@@ -76,6 +80,40 @@ def per_cell_trace(policy, n, start, mode=FLOAT, live=None):
         frozen = None if live is None else (d.sites < live[0]) | (d.sites > live[1])
         d = step_distribution(d, ControlRow(t, d.offset, u, policy.q_cap), frozen)
         yield d
+
+
+def full_window_solve(q_cap, n, objective, target):
+    """Reference backward sweep over every site of [-n, n] at every step.
+
+    The same operation order as the solver, with no light cone: returns v0,
+    all values and the cap rows as run-length intervals found site by site.
+    """
+    lo, hi = target
+    width = 2 * n + 1
+    vnext = np.zeros(width)
+    if max(lo, -n) <= min(hi, n):
+        vnext[max(lo, -n) + n : min(hi, n) + n + 1] = 1.0
+    values = np.zeros((n + 1, width))
+    values[n] = vnext
+    scale = (1.0 - q_cap) * 0.5
+    pad = np.zeros(width + 2)
+    rows = [()] * n
+    for t in range(n - 1, -1, -1):
+        pad[1:-1] = vnext
+        nb = pad[:-2] + pad[2:]  # V(x-1) + V(x+1), fixed order
+        v0 = nb * 0.5
+        vq = nb * scale + vnext * q_cap
+        mask = (vq > v0) if objective == MAX else (vq < v0)
+        vnext = np.where(mask, vq, v0)
+        runs = []
+        for j in range(width):
+            if mask[j] and runs and runs[-1][1] == j - n - 1:
+                runs[-1][1] = j - n
+            elif mask[j]:
+                runs.append([j - n, j - n])
+        rows[t] = tuple((a, b) for a, b in runs)
+        values[t] = vnext
+    return vnext, values, tuple(rows)
 
 
 def trinomial_return(n, u):
@@ -138,9 +176,80 @@ def evolution_cases(draw):
     return policy, n, start, mode, live
 
 
+@st.composite
+def dp_cases(draw):
+    """(q, n, objective, target) with targets at every place against [-n, n]."""
+    q = draw(st.sampled_from([0.0, 0.5, 0.9, 0.95]) | st.floats(0.0, 0.99))
+    n = draw(st.integers(1, 60))
+    objective = draw(st.sampled_from([MAX, MIN]))
+    inside, gap = st.integers(-n, n), st.integers(1, 20)
+    kind = draw(st.sampled_from(
+        ["site", "interval", "straddle", "partly-outside", "left", "right", "wider"]
+    ))
+    if kind == "site":
+        return q, n, objective, draw(inside)
+    if kind == "interval":
+        lo = draw(inside)
+        return q, n, objective, (lo, draw(st.integers(lo, n)))
+    if kind == "straddle":
+        return q, n, objective, (-draw(st.integers(1, n)), draw(st.integers(1, n)))
+    if kind == "partly-outside":
+        lo, hi = draw(inside), n + draw(gap)
+        return q, n, objective, (lo, hi) if draw(st.booleans()) else (-hi, -lo)
+    if kind == "left":
+        hi = -n - draw(gap)
+        return q, n, objective, (hi - draw(st.integers(0, 20)), hi)
+    if kind == "right":
+        lo = n + draw(gap)
+        return q, n, objective, (lo, lo + draw(st.integers(0, 20)))
+    return q, n, objective, (-n - draw(st.integers(0, 20)), n + draw(gap))
+
+
+class TestSolverAgainstFullWindow:
+    @given(dp_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_values_and_rows_match_bitwise(self, case):
+        q, n, objective, target = case
+        v0, values, rows = full_window_solve(q, n, objective, as_target(target))
+        table, bb = solve_extremal(q, n, objective, target=target)
+        assert table.v0.tobytes() == v0.tobytes()
+        assert table.values.tobytes() == values.tobytes()
+        assert bb.rows == rows
+        lean, lean_bb = solve_extremal(q, n, objective, target=target, keep_values=False)
+        assert lean.v0.tobytes() == v0.tobytes() and lean_bb == bb
+
+    @given(
+        st.sampled_from([0.0, 0.5, 0.95]) | st.floats(0.0, 0.99),
+        st.integers(1, 60),
+        st.sampled_from([MAX, MIN]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_one_pass_curve_equals_per_n_solves(self, q, big, objective):
+        curve = _optimal_curve(q, range(1, big + 1), objective)
+        assert sorted(curve) == list(range(1, big + 1))
+        for m, p in curve.items():
+            assert p == solve_extremal(q, m, objective, keep_values=False)[0].value(0, 0)
+
+    @given(st.floats(0.01, 0.99), st.integers(6, 60), st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_optimal_sweep_records_equal_per_n_solves(self, q, big, data):
+        # the min objective reaches p = 0 at odd horizons, which no fit takes
+        for objective, step in ((MAX, 1), (MIN, 2)):
+            top = big // step
+            picks = data.draw(st.sets(st.integers(1, top), min_size=1, max_size=6))
+            grid = [step * m for m in sorted(picks | {1, 2, top})]
+            records, _ = exponent_sweep(
+                "optimal", q, grid, params={"objective": objective}, min_n=1
+            )
+            assert [r["n"] for r in records] == grid
+            for r in records:
+                want = solve_extremal(q, r["n"], objective, keep_values=False)[0].value(0, 0)
+                assert r["p"] == want
+
+
 class TestEvolveAgainstPerCellOracle:
     @given(evolution_cases())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_laws_match_bitwise(self, case):
         policy, n, start, mode, live = case
         # collected first: a yielded law must not change under later steps
@@ -244,6 +353,13 @@ class TestEvolveDriver:
 
     @pytest.mark.parametrize("bad", [3.5, np.float64(2.0), "3"])
     def test_as_target_rejects_non_integral_site(self, bad):
+        with pytest.raises(ParameterError):
+            as_target(bad)
+
+    @pytest.mark.parametrize(
+        "bad", [[5], (1,), [0, 2, 9], (), [float("inf"), 2], ["a", 1], [0.5, 2], (np.float64(1), 2)]
+    )
+    def test_as_target_rejects_non_pairs(self, bad):
         with pytest.raises(ParameterError):
             as_target(bad)
 
@@ -386,9 +502,26 @@ class TestBangBang:
         boundary = dict(extract_region(bb)["boundary"])
         assert boundary[0] >= boundary[1] >= boundary[2]
 
-    def test_bang_bang_policy_is_serializable(self):
-        from ctrlwalk import policy_from_json, policy_to_json
+    def test_rows_built_once_on_first_read(self):
+        _, bb = solve_extremal(0.7, 40, MAX, keep_values=False)
+        assert "rows" not in vars(bb)
+        rows = bb.rows
+        assert len(rows) == 40 and bb.rows is rows
 
+    def test_lazy_rows_replay_and_round_trip(self):
+        table, bb = solve_extremal(0.9, 48, MIN, target=(-3, 5), keep_values=False)
+        p = bb.as_policy()
+        assert abs(hit_probability(p, 48, target=(-3, 5)) - table.value(0, 0)) < 1e-12
+        assert policy_from_json(policy_to_json(p)).params["rows"] == p.params["rows"]
+
+    def test_equal_solves_compare_equal(self):
+        a = solve_extremal(0.6, 30, MAX, target=(2, 4), keep_values=False)[1]
+        b = solve_extremal(0.6, 30, MAX, target=(2, 4))[1]
+        assert a == b and hash(a) == hash(b)
+        assert a.rows == b.rows and a == b  # a read row cache does not enter equality
+        assert a != solve_extremal(0.6, 30, MIN, target=(2, 4))[1]
+
+    def test_bang_bang_policy_is_serializable(self):
         _, bb = solve_extremal(0.5, 16, MAX, keep_values=False)
         p = bb.as_policy()
         back = policy_from_json(policy_to_json(p))

@@ -199,6 +199,9 @@ class ChainSpec:
     band_halfwidth: int
     mode: str = FLOAT
 
+    def __post_init__(self):
+        two_zone_policy(self.q_cap, self.band_halfwidth)  # ParameterError on a bad cap or band
+
     def _inside(self, x: int) -> bool:
         return abs(x) <= self.band_halfwidth
 

@@ -31,7 +31,9 @@ from .lattice import (
     point_mass,
     reset_hit_flags,
 )
-from .policies import PolicySpec, _stay_region, bang_bang_table_policy, flag_reset_times, horizon
+from .policies import (
+    PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times, horizon
+)
 
 MAX = "max"
 MIN = "min"
@@ -65,10 +67,10 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     """The law at times 0..n as (2, 2t+1) views that the next step overwrites.
 
     Buffers sized once hold column site + shift, zero off the window and, in
-    half, off the live columns. Each step follows step_distribution's
-    operation order, so the laws agree bitwise. u in [0, 1] keeps every
-    factor non-negative, so no mass can turn negative and only the total is
-    checked.
+    half, off the live columns. Each step follows the operation order of
+    the per-cell oracle step_distribution in tests/reference.py, so the
+    laws agree bitwise. u in [0, 1] keeps every factor non-negative, so no
+    mass can turn negative and only the total is checked.
     """
     if n < 0:
         raise ParameterError("n must be >= 0")
@@ -259,9 +261,7 @@ def solve_extremal(
 
 
 def _solve_args(q_cap: float, n: int, objective: str) -> tuple[float, int]:
-    q_cap = float(q_cap)
-    if not (0.0 <= q_cap < 1.0):
-        raise ParameterError(f"q_cap must lie in [0, 1), got {q_cap}")
+    q_cap = _check_cap(q_cap)
     n = int(n)
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -295,16 +295,18 @@ def extract_region(bb: BangBangPolicy) -> dict:
 
 
 def value_table_to_csv(table: ValueTable, fh, cutoff: int | None = None) -> int:
-    """Write (t, x, value) rows with |x| <= cutoff; returns the row count."""
+    """Write (t, x, value) rows with |x| <= cutoff, 0.0 off [-n, n]; returns the row count."""
     if table.values is None:
         raise ParameterError("value export needs keep_values=True")
     cutoff = table.n if cutoff is None else int(cutoff)
+    if cutoff < 0:
+        raise ParameterError(f"cutoff must be >= 0, got {cutoff}")
     writer = csv.writer(fh)
     writer.writerow(["t", "x", "value"])
     count = 0
     for t in range(table.n + 1):
         for x in range(-cutoff, cutoff + 1):
-            writer.writerow([t, x, repr(table.values[t, x + table.n])])
+            writer.writerow([t, x, repr(table.value(t, x))])
             count += 1
     return count
 

@@ -8,6 +8,10 @@ care about history just see both rows evolved identically.
 Two numeric backends share one code path: float64 arrays (default) and
 object arrays of fractions.Fraction for an exact cross-check mode on short
 horizons.
+
+This module holds the law and its helpers; the one step kernel is
+dp._forward. The per-cell oracle it is tested against, one step under an
+explicit control row, is step_distribution in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AdmissibilityError, InvariantError, ParameterError
+from .errors import InvariantError, ParameterError
 
 # flag row indices
 NOT_HIT = 0
@@ -99,20 +103,6 @@ class LatticeDistribution:
         return self.mass[0].sum(), self.mass[1].sum()
 
 
-@dataclass(frozen=True)
-class ControlRow:
-    """Control values for one step, aligned with a distribution window.
-
-    u has shape (2, width): one value per (flag, site). Policies that ignore
-    the flag emit two identical rows. Every value must lie in [0, q_cap].
-    """
-
-    time: int
-    offset: int
-    u: np.ndarray
-    q_cap: float
-
-
 def point_mass(x: int, flag: int | None = None, mode: str = FLOAT) -> LatticeDistribution:
     """Unit mass at site x, time 0.
 
@@ -126,70 +116,6 @@ def point_mass(x: int, flag: int | None = None, mode: str = FLOAT) -> LatticeDis
     mass = _zeros((2, 1), mode)
     mass[flag, 0] = _as_mode_value(1, mode)
     return LatticeDistribution(time=0, offset=x, mass=mass, mode=mode)
-
-
-def step_distribution(
-    d: LatticeDistribution,
-    row: ControlRow,
-    frozen: np.ndarray | None = None,
-) -> LatticeDistribution:
-    """Advance the distribution one step under the given control row.
-
-    Mass at site x with control u stays put with probability u and moves to
-    each of x-1, x+1 with probability (1-u)/2. Any mass of the NOT_HIT row
-    that lands on site 0 switches to the HIT_ZERO row.
-
-    frozen, if given, is a boolean mask over the current window marking
-    absorbing sites: their mass is carried through unchanged. This is the
-    kernel variant used for first-passage quantities.
-    """
-    if row.time != d.time:
-        raise ParameterError(f"control row is for time {row.time}, distribution at {d.time}")
-    if row.offset != d.offset or row.u.shape != d.mass.shape:
-        raise ParameterError("control row window does not match the distribution window")
-    if not np.all((row.u >= 0) & (row.u <= row.q_cap)):
-        raise AdmissibilityError(f"control values escape [0, {row.q_cap}]")
-
-    w = d.width
-    mass = d.mass
-    held = None
-    if frozen is not None:
-        frozen = np.asarray(frozen, dtype=bool)
-        if frozen.shape != (w,):
-            raise ParameterError("frozen mask must match the window width")
-        idx = np.flatnonzero(frozen)
-        moving = mass.copy()
-        moving[:, idx] = 0
-        held = _zeros((2, w), d.mode)
-        held[:, idx] = mass[:, idx]
-    else:
-        moving = mass
-
-    half_factor = (1 - row.u) * _as_mode_value(Fraction(1, 2), d.mode)
-    half = moving * half_factor
-    stay = moving * row.u
-
-    new = _zeros((2, w + 2), d.mode)
-    new[:, 0:w] = half            # arrivals one site to the left
-    new[:, 2 : w + 2] += half     # arrivals one site to the right
-    new[:, 1 : w + 1] += stay
-    if held is not None:
-        new[:, 1 : w + 1] += held
-
-    z = -(d.offset - 1)  # column of site 0 in the widened window
-    if 0 <= z < w + 2:
-        new[HIT_ZERO, z] = new[HIT_ZERO, z] + new[NOT_HIT, z]
-        new[NOT_HIT, z] = _as_mode_value(0, d.mode)
-
-    before = mass.sum()
-    after = new.sum()
-    if d.mode == RATIONAL:
-        if after != before:
-            raise InvariantError("mass not conserved in exact mode")
-    elif not abs(float(after) - float(before)) <= _STEP_TOL:
-        raise InvariantError(f"mass drifted by {float(after) - float(before):.3e} in one step")
-
-    return LatticeDistribution(time=d.time + 1, offset=d.offset - 1, mass=new, mode=d.mode)
 
 
 def interval_mass(d: LatticeDistribution, a: int, b: int, flag: int | None = None):

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateScheduleError, ParameterError
-from .lattice import FLOAT, HIT_ZERO, NOT_HIT, _as_mode_value, _zeros
 
 CONSTANT = "constant"
 TWO_ZONE = "two-zone"
@@ -276,32 +275,8 @@ def _stay_region(policy: PolicySpec, t: int):
     raise ParameterError(f"unknown policy kind {kind!r}")
 
 
-def evaluate(policy: PolicySpec, t: int, x: int, flag: int = NOT_HIT) -> float:
-    """Control value at one space-time cell. Pure and deterministic."""
-    u, hit_only, intervals = _stay_region(policy, t)
-    if hit_only and flag != HIT_ZERO:
-        return 0.0
-    if intervals is None or any(a <= x <= b for a, b in intervals):
-        return u
-    return 0.0
-
-
-def control_grid(policy: PolicySpec, t: int, offset: int, width: int, mode: str = FLOAT) -> np.ndarray:
-    """Vectorized evaluate over a window: (2, width) array, row per flag."""
-    u, hit_only, intervals = _stay_region(policy, t)
-    grid = _zeros((2, width), mode)
-    rows = grid[HIT_ZERO:] if hit_only else grid
-    u = _as_mode_value(u, mode)
-    end = offset + width - 1
-    for a, b in ((offset, end),) if intervals is None else intervals:
-        lo, hi = max(a, offset), min(b, end)
-        if lo <= hi:
-            rows[:, lo - offset : hi - offset + 1] = u
-    return grid
-
-
 def stay_set(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray, sites=None):
-    """Vectorized evaluate for samplers, as the set of trials that may stay.
+    """The stay rule at step t for samplers, as the set of trials that may stay.
 
     Returns (u, where): the stay probability is u where the boolean mask
     `where` holds and 0 elsewhere; where=None means every trial. sites is
@@ -331,14 +306,6 @@ def stay_set(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray, sites=
         flag = np.asarray(flag, dtype=bool)
         where = flag if where is None else where & flag
     return u, where
-
-
-def control_values(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate for samplers: u per trial given site/flag arrays."""
-    u, where = stay_set(policy, t, x, flag)
-    if where is None:
-        return np.full(np.shape(x), u)
-    return np.where(where, u, 0.0)
 
 
 def policy_to_json(policy: PolicySpec) -> dict:

@@ -16,7 +16,6 @@ _STEP = 0xC2B2AE3D27D4EB4F
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
-_INV53 = float(2.0**-53)
 # a uniform keeps the top 53 of the 64 mixed bits
 UNIFORM_SHIFT = 11
 
@@ -52,9 +51,3 @@ def step_bits(keys: np.ndarray, step: int, out=None) -> np.ndarray:
     """The 64 mixed bits behind each key's uniform at the given step, into out if given."""
     out = np.add(keys, np.uint64((step + 1) * _STEP & _MASK), out=out)
     return mix64(out, out)
-
-
-def step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
-    """One uniform in [0, 1) per key for the given step counter."""
-    bits = step_bits(keys, step)
-    return (bits >> np.uint64(UNIFORM_SHIFT)).astype(np.float64) * _INV53

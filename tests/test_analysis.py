@@ -124,6 +124,10 @@ def test_import_leaves_scipy_stats_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_every_public_name_resolves():
+    assert [name for name in ctrlwalk.__all__ if not hasattr(ctrlwalk, name)] == []
+
+
 class TestChainStructure:
     @pytest.mark.parametrize("q", [0.3, 0.9])
     @pytest.mark.parametrize("band", [4, 64])
@@ -137,6 +141,12 @@ class TestChainStructure:
         residual = reversibility_check(ChainSpec(q, band, mode=RATIONAL), band + 16)
         assert residual == 0
         assert isinstance(residual, Fraction)
+
+    @pytest.mark.parametrize("mode", ["float64", RATIONAL])
+    @pytest.mark.parametrize("q, band", [(1.0, 2), (1.5, 2), (0.5, -1)])
+    def test_invalid_cap_or_band_rejected(self, q, band, mode):
+        with pytest.raises(ParameterError):
+            ChainSpec(q, band, mode=mode)
 
     def test_stationary_weights(self):
         chain = ChainSpec(0.5, 4)

@@ -131,6 +131,17 @@ class TestExitCodes:
         path.write_text(json.dumps(cert))
         assert run_command(["verify", "lemma5", "--cert", str(path)]) == 4
 
+    @pytest.mark.parametrize("mode", ["float64", "rational"])
+    @pytest.mark.parametrize("q, band", [("1", "2"), ("1.5", "2"), ("0.5", "-1")])
+    def test_verify_reversibility_bad_chain_is_exit_2(self, capsys, q, band, mode):
+        argv = ["verify", "reversibility", "--q", q, "--band", band, "--mode", mode]
+        assert run(capsys, argv) == (2, "")
+
+    def test_solve_negative_cutoff_is_exit_2(self, capsys, tmp_path):
+        argv = ["solve", "--q", "0.5", "--n", "2", "--values-csv", str(tmp_path / "v.csv"),
+                "--cutoff", "-1"]
+        assert run(capsys, argv) == (2, "")
+
     def test_version_flag(self, capsys):
         assert run_command(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
@@ -189,6 +200,17 @@ class TestEvolveAndSolve:
         assert v.read_text().splitlines()[0] == "t,x,value"
         assert b.read_text().splitlines()[0] == "t,max_radius"
         assert "intervals" in json.loads(r.read_text())
+
+    def test_values_csv_past_the_window(self, capsys, tmp_path):
+        v = tmp_path / "v.csv"
+        argv = ["solve", "--q", "0.5", "--n", "2", "--keep-values", "--values-csv", str(v),
+                "--cutoff", "3"]
+        assert run(capsys, argv)[0] == 0
+        rows = [line.split(",") for line in v.read_text().splitlines()[1:]]
+        assert len(rows) == 3 * 7
+        values = {(int(t), int(x)): float(value) for t, x, value in rows}
+        assert values[0, -3] == values[0, 3] == 0.0
+        assert values[0, 0] == 0.5 and values[2, 2] == 0.0 and values[2, 0] == 1.0
 
     def test_region_subcommand(self, capsys, tmp_path):
         b = tmp_path / "b.csv"

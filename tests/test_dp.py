@@ -15,7 +15,6 @@ from ctrlwalk import (
     MIN,
     RATIONAL,
     AdmissibilityError,
-    ControlRow,
     InvariantError,
     ParameterError,
     PolicySpec,
@@ -24,7 +23,6 @@ from ctrlwalk import (
     bang_bang_table_policy,
     boundary_to_csv,
     constant_policy,
-    control_grid,
     evolve,
     evolve_trace,
     exponent_sweep,
@@ -39,13 +37,13 @@ from ctrlwalk import (
     reset_hit_flags,
     schedule_policy,
     solve_extremal,
-    step_distribution,
     two_zone_policy,
     value_table_to_csv,
 )
 from ctrlwalk import lattice
 from ctrlwalk.dp import _optimal_curve
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
+from reference import ControlRow, control_grid, step_distribution
 
 
 def grid_optimum(q, n, objective, grid=None, target=(0, 0)):
@@ -217,6 +215,15 @@ class TestSolverAgainstFullWindow:
         assert bb.rows == rows
         lean, lean_bb = solve_extremal(q, n, objective, target=target, keep_values=False)
         assert lean.v0.tobytes() == v0.tobytes() and lean_bb == bb
+
+    @given(dp_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_value_matches_dict_oracle_and_replay(self, case):
+        q, n, objective, target = case
+        table, bb = solve_extremal(q, n, objective, target=target, keep_values=False)
+        value = table.value(0, 0)
+        assert abs(grid_optimum(q, n, objective, target=as_target(target)) - value) <= 1e-12
+        assert abs(hit_probability(bb.as_policy(), n, target=target) - value) <= 1e-12
 
     @given(
         st.sampled_from([0.0, 0.5, 0.95]) | st.floats(0.0, 0.99),
@@ -465,6 +472,24 @@ class TestValueTable:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,max_radius"
         assert len(lines) == 1 + 3
+
+    @pytest.mark.parametrize("cutoff", [None, 0, 2, 3, 7])
+    def test_csv_values_are_plain_floats(self, cutoff):
+        n = 2
+        table, _ = solve_extremal(0.5, n, MAX, target=(-1, 2))
+        buf = io.StringIO()
+        rows = value_table_to_csv(table, buf, cutoff)
+        lines = buf.getvalue().strip().splitlines()[1:]
+        assert rows == len(lines)
+        for line in lines:
+            t, x, value = line.split(",")
+            t, x, value = int(t), int(x), float(value)
+            assert value == (0.0 if abs(x) > n else table.values[t, x + n])
+
+    def test_csv_negative_cutoff_rejected(self):
+        table, _ = solve_extremal(0.5, 2, MAX)
+        with pytest.raises(ParameterError, match="cutoff"):
+            value_table_to_csv(table, io.StringIO(), -1)
 
 
 class TestBangBang:

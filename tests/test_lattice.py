@@ -15,16 +15,15 @@ from ctrlwalk import (
     HIT_ZERO,
     NOT_HIT,
     RATIONAL,
-    ControlRow,
     LatticeDistribution,
     ParameterError,
     from_snapshot,
     interval_mass,
     point_mass,
     reset_hit_flags,
-    step_distribution,
     to_snapshot,
 )
+from reference import ControlRow, step_distribution
 
 
 def uniform_row(d, u):

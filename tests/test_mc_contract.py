@@ -29,7 +29,8 @@ from ctrlwalk import (
     two_zone_policy,
 )
 from ctrlwalk.montecarlo import _advance, _buffers, _step_bounds
-from ctrlwalk.rng import _STEP, step_uniforms
+from ctrlwalk.rng import _STEP
+from reference import step_uniforms
 
 N = 512
 TRIALS = 300

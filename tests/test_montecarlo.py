@@ -9,23 +9,28 @@ from hypothesis import strategies as st
 
 from ctrlwalk import (
     ParameterError,
+    as_target,
     bang_bang_table_policy,
     barrier_diagnostics,
     barrier_family,
     constant_policy,
     estimate_hit,
+    evolve,
     fast_until_zero_policy,
     hit_probability,
+    interval_mass,
     lemma0_check,
     lemma_ori_check,
     mix64,
     run_batch,
     sample_path,
-    step_uniforms,
+    solve_extremal,
+    sweep_policy,
     trial_keys,
     two_zone_policy,
     wilson_interval,
 )
+from reference import step_uniforms
 
 MASK = (1 << 64) - 1
 
@@ -235,3 +240,40 @@ class TestProbes:
         a = lemma_ori_check(0.875, 1, 4, trials=400, seed=2)
         b = lemma_ori_check(0.875, 1, 4, trials=400, seed=2)
         assert a.contain == b.contain
+
+
+class TestAgainstExact:
+    """Seeded MC estimates against the exact law, for every policy kind.
+
+    n = 512 keeps schedule-localization past the horizons where it
+    degenerates (about 256). Start -600 lies off the window of a walk from
+    0, so the bang-bang table reads u = 0 there; targets reach from the
+    origin to sites only the far start can hit.
+    """
+
+    N, Q, TRIALS, SEED = 512, 0.9, 10000, 11
+    TARGETS = (0, (3, 5), (-300, -200), (-530, -500))
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["constant", "two-zone", "fast-until-zero", "schedule-localization", "schedule-qto1",
+         "bang-bang"],
+    )
+    @pytest.mark.parametrize("start", [0, 7, -600])
+    def test_estimates_within_z_bound(self, kind, start):
+        n, q, trials = self.N, self.Q, self.TRIALS
+        if kind == "bang-bang":
+            policy = solve_extremal(q, n, "max", target=0, keep_values=False)[1].as_policy()
+        else:
+            policy = sweep_policy(kind, q, n, {})
+        final = run_batch(policy, n, start=start, trials=trials, seed=self.SEED).final
+        law = evolve(policy, n, start)
+        for target in self.TARGETS:
+            lo, hi = as_target(target)
+            exact = float(interval_mass(law, lo, hi))
+            p_hat = np.count_nonzero((final >= lo) & (final <= hi)) / trials
+            if exact == 0.0:
+                assert p_hat == 0.0, target
+            else:
+                se = math.sqrt(exact * (1 - exact) / trials)
+                assert abs(p_hat - exact) <= 4.5 * se, (target, p_hat, exact)

@@ -13,9 +13,6 @@ from ctrlwalk import (
     ParameterError,
     bang_bang_table_policy,
     constant_policy,
-    control_grid,
-    control_values,
-    evaluate,
     fast_until_zero_policy,
     flag_reset_times,
     horizon,
@@ -27,6 +24,7 @@ from ctrlwalk import (
     two_zone_policy,
 )
 from ctrlwalk.policies import stay_set
+from reference import control_grid, control_values, evaluate
 
 
 class TestBuilders:

@@ -222,6 +222,8 @@ class ChainSpec:
 
 def reversibility_check(chain: ChainSpec, K_window: int):
     """Max |pi(x) k(x,y) - pi(y) k(y,x)| over pairs inside [-K, K]."""
+    if K_window < 0:
+        raise ParameterError(f"window must be >= 0, got {K_window}")
     worst = _as_mode_value(0, chain.mode)
     for x in range(-K_window, K_window + 1):
         for y in (x, x + 1):

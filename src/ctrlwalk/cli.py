@@ -176,7 +176,9 @@ def _cmd_solve(cfg):
     q = float(cfg["q"])
     objective = cfg.get("objective") or "max"
     target = _parse_target(cfg.get("target"))
-    keep = bool(cfg.get("keep_values")) or bool(cfg.get("values_csv"))
+    keep = bool(cfg.get("values_csv"))  # the value table is only ever read by the CSV export
+    if not keep and (cfg.get("keep_values") or cfg.get("cutoff") is not None):
+        raise ParameterError("--keep-values and --cutoff only apply with --values-csv")
     table, bb = solve_extremal(q, n, objective, target=target, keep_values=keep)
     region = extract_region(bb)
     if cfg.get("values_csv"):
@@ -384,7 +386,7 @@ def _cmd_verify(cfg):
         mode = cfg.get("mode") or FLOAT
         band = int(cfg["band"])
         chain = ChainSpec(float(cfg["q"]), band, mode=mode)
-        window = int(cfg.get("window") or band + 8)
+        window = band + 8 if cfg.get("window") is None else int(cfg["window"])
         residual = reversibility_check(chain, window)
         tol = 0.0 if mode == RATIONAL else 1e-15
         ok = residual <= tol

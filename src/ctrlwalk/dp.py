@@ -27,12 +27,12 @@ from .lattice import (
     LatticeDistribution,
     _as_mode_value,
     _zeros,
-    interval_mass,
     point_mass,
     reset_hit_flags,
 )
 from .policies import (
-    PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times, horizon
+    PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times, horizon,
+    reads_flag,
 )
 
 MAX = "max"
@@ -63,14 +63,19 @@ def as_target(target) -> tuple[int, int]:
     return (lo, hi)
 
 
-def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
-    """The law at times 0..n as (2, 2t+1) views that the next step overwrites.
+def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, site_law: bool = False):
+    """The law at times 0..n as (R, 2t+1) views that the next step overwrites.
 
-    Buffers sized once hold column site + shift, zero off the window and, in
-    half, off the live columns. Each step follows the operation order of
-    the per-cell oracle step_distribution in tests/reference.py, so the
-    laws agree bitwise. u in [0, 1] keeps every factor non-negative, so no
-    mass can turn negative and only the total is checked.
+    R = 2, one row per visited-0 flag, unless the caller reads only the
+    site law (site_law) and the flag cannot matter: the policy never reads
+    it, or the walk starts on 0 with no flag reset, so all mass is flagged.
+    Then R = 1: the one row is the site law, every step's stay rule holds
+    on all of it, and nothing is folded at site 0. Buffers sized once hold
+    column site + shift, zero off the window and, in half, off the live
+    columns. Each step follows the operation order of the per-cell oracle
+    step_distribution in tests/reference.py, so two-row laws agree bitwise.
+    u in [0, 1] keeps every factor non-negative, so no mass can turn
+    negative and only the total is checked.
     """
     if n < 0:
         raise ParameterError("n must be >= 0")
@@ -80,11 +85,12 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     if hz is not None and hz < n:
         raise ParameterError(f"policy horizon {hz} shorter than n={n}")
     resets = set(flag_reset_times(policy))
+    two = not site_law or (reads_flag(policy) and (start != 0 or bool(resets)))
     c0, shift = n + 1, n + 1 - start
-    mass, out, half = (_zeros((2, 2 * n + 3), mode) for _ in range(3))
-    mass[:, c0] = point_mass(start, mode=mode).mass[:, 0]
-    lo, hi = (c0 - n, c0 + n) if live is None else (live[0] + shift, live[1] + shift)
+    mass, out, half = (_zeros((1 + two, 2 * n + 3), mode) for _ in range(3))
     one_half, zero, prev = (_as_mode_value(v, mode) for v in (0.5, 0, 1))
+    mass[:, c0] = point_mass(start, mode=mode).mass[:, 0] if two else prev
+    lo, hi = (c0 - n, c0 + n) if live is None else (live[0] + shift, live[1] + shift)
     tols = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
     yield mass[:, c0 : c0 + 1]
     for t in range(n):
@@ -93,6 +99,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
             d = LatticeDistribution(t, a - shift, mass[:, a : b + 1], mode)
             mass[:, a : b + 1] = reset_hit_flags(d).mass
         u, hit_only, intervals = _stay_region(policy, t)
+        hit_only = hit_only and two
         if not 0 <= u <= min(policy.q_cap, 1.0):
             raise AdmissibilityError(f"control value {u} escapes [0, {policy.q_cap}] at step {t}")
         u = _as_mode_value(u, mode)
@@ -115,7 +122,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
             out[rows, s] += mass[rows, s] * u
         for s in (slice(a, p), slice(r + 1, b + 1)):
             np.add(out[:, s], mass[:, s], out=out[:, s])
-        if a - 1 <= shift <= b + 1:  # arrivals at site 0 join the HIT_ZERO row
+        if two and a - 1 <= shift <= b + 1:  # arrivals at site 0 join the HIT_ZERO row
             out[[NOT_HIT, HIT_ZERO], shift] = zero, out[HIT_ZERO, shift] + out[NOT_HIT, shift]
         total = np.add.reduce(out[:, a - 1 : b + 2], axis=None)
         if not (abs(total - prev) <= tols[0] and abs(total - 1) <= tols[1]):  # NaN fails too
@@ -142,8 +149,13 @@ def evolve(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=N
 
 
 def hit_probability(policy: PolicySpec, n: int, start: int = 0, target=None) -> float:
+    """P(S_n in target) from start, summed off the site law alone."""
     lo, hi = as_target(target)
-    return float(interval_mass(evolve(policy, n, start), lo, hi))
+    for m in _forward(policy, n, start, FLOAT, None, site_law=True):
+        pass
+    lattice.check_law(m, FLOAT)
+    cols = slice(max(lo - start + n, 0), max(hi - start + n + 1, 0))  # column 0 is start - n
+    return float(sum(row[cols].sum() for row in m))
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,26 @@ class TestExitCodes:
         argv = ["verify", "reversibility", "--q", q, "--band", band, "--mode", mode]
         assert run(capsys, argv) == (2, "")
 
+    @pytest.mark.parametrize("mode", ["float64", "rational"])
+    def test_verify_reversibility_negative_window_is_exit_2(self, capsys, mode):
+        argv = ["verify", "reversibility", "--q", "0.5", "--band", "2", "--window", "-5",
+                "--mode", mode]
+        assert run(capsys, argv) == (2, "")
+
+    @pytest.mark.parametrize("mode", ["float64", "rational"])
+    def test_verify_reversibility_window_zero_is_kept(self, capsys, mode):
+        argv = ["verify", "reversibility", "--q", "0.5", "--band", "2", "--window", "0",
+                "--mode", mode]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert record_from(out)["payload"]["window"] == 0
+
+    @pytest.mark.parametrize("extra", [["--keep-values"], ["--cutoff", "3"]])
+    def test_solve_value_options_need_values_csv(self, capsys, extra):
+        code = run_command(["solve", "--q", "0.5", "--n", "2", *extra])
+        assert code == 2
+        assert "--values-csv" in capsys.readouterr().err
+
     def test_solve_negative_cutoff_is_exit_2(self, capsys, tmp_path):
         argv = ["solve", "--q", "0.5", "--n", "2", "--values-csv", str(tmp_path / "v.csv"),
                 "--cutoff", "-1"]

@@ -2,6 +2,7 @@
 
 import io
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ctrlwalk import (
     CONSTANT,
+    FAST_UNTIL_ZERO,
     FLOAT,
     MAX,
     MIN,
@@ -30,6 +32,7 @@ from ctrlwalk import (
     fast_until_zero_policy,
     flag_reset_times,
     hit_probability,
+    interval_mass,
     multiscale_qto1_schedule,
     point_mass,
     policy_from_json,
@@ -37,11 +40,12 @@ from ctrlwalk import (
     reset_hit_flags,
     schedule_policy,
     solve_extremal,
+    sweep_policy,
     two_zone_policy,
     value_table_to_csv,
 )
 from ctrlwalk import lattice
-from ctrlwalk.dp import _optimal_curve
+from ctrlwalk.dp import _forward, _optimal_curve
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
 from reference import ControlRow, control_grid, step_distribution
 
@@ -201,6 +205,84 @@ def dp_cases(draw):
         lo = n + draw(gap)
         return q, n, objective, (lo, lo + draw(st.integers(0, 20)))
     return q, n, objective, (-n - draw(st.integers(0, 20)), n + draw(gap))
+
+
+@st.composite
+def site_law_cases(draw):
+    """(policy, n, start, target) for every sweep kind and a bang-bang table.
+
+    n is the policy's horizon or next to one of its segment starts, where
+    flag resets fall; starts reach past the window and targets off it.
+    """
+    q = draw(st.sampled_from([0.0, 0.5, 0.9, 0.95]) | st.floats(0.0, 0.99))
+    kind = draw(st.sampled_from([
+        "constant", "two-zone", "fast-until-zero", "schedule-localization", "schedule-qto1",
+        "bang-bang",
+    ]))
+    if kind == "bang-bang":
+        horizon = draw(st.integers(1, 80))
+        objective, site = draw(st.sampled_from([MAX, MIN])), draw(st.integers(-5, 5))
+        policy = solve_extremal(q, horizon, objective, site, keep_values=False)[1].as_policy()
+    else:
+        horizon = draw(st.integers(64 if kind == "schedule-localization" else 5, 300))
+        params = {"K0": draw(st.integers(1, 2)), "A": draw(st.integers(1, 4))}
+        policy = sweep_policy(kind, q, horizon, params)
+    cuts = {horizon} | {
+        min(max(seg.t_start + d, 0), horizon)
+        for seg in policy.params.get("segments", ()) for d in (-1, 0, 1)
+    }
+    n = draw(st.sampled_from(sorted(cuts)))
+    near, far = st.integers(-n, n), st.integers(n + 1, 2 * n + 40)
+    start = draw(st.sampled_from([st.just(0), near, near, far, far.map(operator.neg)]).flatmap(
+        lambda s: s))
+    lo = start + draw(st.integers(-n, n) | st.integers(-n - 40, n + 40))
+    width = draw(st.just(0) | st.integers(0, 2 * n + 80))
+    target = draw(st.sampled_from([None, lo, (lo, lo + width)]))
+    return policy, n, start, target
+
+
+class TestSiteLawOneRow:
+    """hit_probability reads one flag row where the flag cannot change the site law."""
+
+    @given(site_law_cases())
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_matches_two_row_law(self, case):
+        policy, n, start, target = case
+        got = hit_probability(policy, n, start, target)
+        want = float(interval_mass(evolve(policy, n, start), *as_target(target)))
+        segments = policy.params.get("segments", ())
+        reads = FAST_UNTIL_ZERO in {policy.kind, *(s.inner_policy.kind for s in segments)}
+        if start == 0 or reads:  # start 0: the NOT_HIT row is all zero
+            assert got.hex() == want.hex()
+        else:  # the rows are summed before each step rather than after the last
+            assert abs(got - want) <= 1e-15
+        rows = 2 if reads and (start != 0 or flag_reset_times(policy)) else 1
+        assert next(_forward(policy, n, start, FLOAT, None, site_law=True)).shape == (rows, 1)
+        assert next(_forward(policy, n, start, FLOAT, None)).shape == (2, 1)
+
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("policy, n", [
+        (constant_policy(0.5, 0.5), -1),
+        (fast_until_zero_policy(0.5), -1),
+        (schedule_policy(0.5, multiscale_qto1_schedule(0.5, 2, 10)), 11),
+        (schedule_policy(0.5, [ScheduleSegment(0, 10, two_zone_policy(0.5, 2))]), 11),
+        (PolicySpec(CONSTANT, 0.5, {"u_value": 0.7}), 3),
+        (PolicySpec(CONSTANT, 0.5, {"u_value": float("nan")}), 3),
+        (PolicySpec(FAST_UNTIL_ZERO, 1.5, {}), 3),
+    ])
+    def test_raises_what_evolve_raises(self, policy, n, start):
+        raised = []
+        for run in (lambda: evolve(policy, n, start), lambda: hit_probability(policy, n, start)):
+            with pytest.raises((ParameterError, AdmissibilityError)) as info:
+                run()
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+
+    def test_final_law_checked(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_TOTAL_TOL", -1.0)
+        for policy in (constant_policy(0.5, 0.5), fast_until_zero_policy(0.5)):
+            with pytest.raises(InvariantError):
+                hit_probability(policy, 2)
 
 
 class TestSolverAgainstFullWindow:

@@ -152,7 +152,7 @@ def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: di
         est = estimate_hit(
             pol,
             n,
-            trials=params.get("trials", 10000),
+            trials=params.get("trials", defaults.MC_TRIALS),
             seed=params.get("seed", 0) + n,
         )
         rec["p"] = est.p_hat
@@ -254,7 +254,7 @@ def heat_kernel_profile(chain: ChainSpec, t_grid) -> dict:
     for x0 in probes:
         for t, m in enumerate(_forward(pol, tmax, x0, FLOAT, None)):
             if t in grid:
-                peak = float((m[0] + m[1]).max()) * math.sqrt(t)
+                peak = float(m.sum(axis=0).max()) * math.sqrt(t)
                 if peak > sup[t]:
                     sup[t] = peak
 
@@ -304,13 +304,9 @@ def band_sum_direct(q_cap: float, K: int, band: int, t: int, ys) -> dict:
     return total
 
 
-def calibrate_lemma5(
-    q_cap: float,
-    alphas=defaults.L5_ALPHAS,
-    betas=defaults.L5_BETAS,
-    K0s=defaults.L5_K0S,
-) -> dict:
-    """Search (alpha, beta, K0) making every band-sum exceed 1 + eps.
+def calibrate_lemma5(q_cap: float) -> dict:
+    """Search the defaults.L5_* grids for (alpha, beta, K0) making every
+    band-sum exceed 1 + eps.
 
     Scales K0, 2*K0, 4*K0 are checked with band floor(beta*K) and horizon
     round(alpha*K^2), over every target y in the band. First candidate whose
@@ -321,9 +317,9 @@ def calibrate_lemma5(
         raise ParameterError(f"q_cap must lie in (0, 1), got {q_cap}")
     best_margin = -math.inf
     best_candidate = None
-    for K0 in K0s:
-        for beta in betas:
-            for alpha in alphas:
+    for K0 in defaults.L5_K0S:
+        for beta in defaults.L5_BETAS:
+            for alpha in defaults.L5_ALPHAS:
                 entries = []
                 margin = math.inf
                 for K in (K0, 2 * K0, 4 * K0):

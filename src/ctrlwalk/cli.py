@@ -36,6 +36,7 @@ from .analysis import (
     verify_lemma5_certificate,
     verify_lemma6_certificate,
 )
+from .defaults import MC_TRIALS
 from .dp import (
     as_target,
     boundary_to_csv,
@@ -46,7 +47,7 @@ from .dp import (
 )
 from .errors import CalibrationError, InvariantError, ParameterError
 from .lattice import FLOAT, RATIONAL, interval_mass, to_snapshot
-from .montecarlo import barrier_diagnostics, estimate_hit, lemma0_check
+from .montecarlo import barrier_diagnostics, estimate_hit, hit_estimate, lemma0_check, run_batch
 from .policies import policy_from_json, policy_to_json
 
 OUT_DIR_ENV = "CTRLWALK_OUT_DIR"
@@ -211,10 +212,19 @@ def _cmd_simulate(cfg):
     n = int(cfg["n"])
     policy = parse_policy(cfg["policy"], n=n)
     seed = int(cfg["seed"])
-    trials = int(cfg.get("trials") or 10000)
+    trials = int(cfg.get("trials", MC_TRIALS))
     start = int(cfg.get("start") or 0)
     target = _parse_target(cfg.get("target"))
-    est = estimate_hit(policy, n, start=start, target=target, trials=trials, seed=seed)
+    if cfg.get("dump_final"):  # one batch gives both the estimate and the dump
+        batch = run_batch(policy, n, start=start, trials=trials, seed=seed)
+        est = hit_estimate(batch.final, *target)
+        with _open_out(cfg["dump_final"]) as fh:
+            w = csv.writer(fh)
+            w.writerow(["trial", "final"])
+            for i, v in enumerate(batch.final):
+                w.writerow([i, int(v)])
+    else:
+        est = estimate_hit(policy, n, start=start, target=target, trials=trials, seed=seed)
     payload = {
         "n": n,
         "start": start,
@@ -226,15 +236,6 @@ def _cmd_simulate(cfg):
         "hits": est.hits,
         "trials": est.trials,
     }
-    if cfg.get("dump_final"):
-        from .montecarlo import run_batch
-
-        batch = run_batch(policy, n, start=start, trials=trials, seed=seed)
-        with _open_out(cfg["dump_final"]) as fh:
-            w = csv.writer(fh)
-            w.writerow(["trial", "final"])
-            for i, v in enumerate(batch.final):
-                w.writerow([i, int(v)])
     return payload, {"method": "mc", "seed": seed, "trials": trials}
 
 
@@ -242,7 +243,7 @@ def _cmd_barriers(cfg):
     n = int(cfg["n"])
     policy = parse_policy(cfg["policy"], n=n)
     seed = int(cfg["seed"])
-    trials = int(cfg.get("trials") or 10000)
+    trials = int(cfg.get("trials", MC_TRIALS))
     beta = float(cfg.get("beta") or 0.0)
     start = int(cfg.get("start") or 0)
     st = barrier_diagnostics(policy, n, beta_exp=beta, trials=trials, seed=seed, start=start)
@@ -287,7 +288,7 @@ def _cmd_exponent(cfg, out):
         raise ParameterError(f"--params must be a JSON object, got {params!r}")
     if method == "mc":
         params.setdefault("seed", int(cfg["seed"]))
-        params.setdefault("trials", int(cfg.get("trials") or 10000))
+        params.setdefault("trials", int(cfg.get("trials", MC_TRIALS)))
     min_n = cfg.get("min_n")
     records, fit = exponent_sweep(
         kind, q, grid, method=method, params=params,
@@ -333,7 +334,7 @@ def _cmd_verify(cfg):
             int(cfg["h"]),
             float(cfg["delta"]),
             int(cfg["ell"]),
-            trials=int(cfg.get("trials") or 10000),
+            trials=int(cfg.get("trials", MC_TRIALS)),
             seed=int(cfg["seed"]),
         )
         payload = {
@@ -397,7 +398,7 @@ def _cmd_verify(cfg):
         return payload, "exact", ok
 
     if what == "heatkernel":
-        band = int(cfg.get("band") or 16)
+        band = int(cfg.get("band", 16))
         q = float(cfg["q"])
         tg = cfg.get("t_grid")
         if isinstance(tg, str):

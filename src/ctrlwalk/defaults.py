@@ -1,9 +1,12 @@
-"""Recorded default parameters for schedules, fits, and calibration searches.
+"""Recorded default parameters for schedules, fits, sampling and calibration searches.
 
 The localization/return constructions only assert that suitable constants
 exist; these are the concrete witnesses this package ships with. Sweep
-params, fit cutoffs and band-sum grids can also be set per call.
+params and fit cutoffs can also be set per call.
 """
+
+# Monte Carlo trials per estimate
+MC_TRIALS = 10000
 
 # exponent fits drop pre-asymptotic points below this n
 MIN_FIT_N = 128

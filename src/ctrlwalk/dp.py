@@ -27,12 +27,12 @@ from .lattice import (
     LatticeDistribution,
     _as_mode_value,
     _zeros,
+    interval_mass,
     point_mass,
     reset_hit_flags,
 )
 from .policies import (
     PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times, horizon,
-    reads_flag,
 )
 
 MAX = "max"
@@ -63,19 +63,18 @@ def as_target(target) -> tuple[int, int]:
     return (lo, hi)
 
 
-def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, site_law: bool = False):
+def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     """The law at times 0..n as (R, 2t+1) views that the next step overwrites.
 
-    R = 2, one row per visited-0 flag, unless the caller reads only the
-    site law (site_law) and the flag cannot matter: the policy never reads
-    it, or the walk starts on 0 with no flag reset, so all mass is flagged.
-    Then R = 1: the one row is the site law, every step's stay rule holds
-    on all of it, and nothing is folded at site 0. Buffers sized once hold
-    column site + shift, zero off the window and, in half, off the live
-    columns. Each step follows the operation order of the per-cell oracle
-    step_distribution in tests/reference.py, so two-row laws agree bitwise.
-    u in [0, 1] keeps every factor non-negative, so no mass can turn
-    negative and only the total is checked.
+    R = 1 when the walk starts on 0 and no flag reset follows: all mass is
+    flagged, so the NOT_HIT row would stay zero. The one row is then the
+    HIT_ZERO row, every step's stay rule holds on all of it, and nothing is
+    folded at site 0. Otherwise R = 2, one row per visited-0 flag. Buffers
+    sized once hold column site + shift, zero off the window and, in half,
+    off the live columns. Each step follows the operation order of the
+    per-cell oracle step_distribution in tests/reference.py, so laws agree
+    bitwise. u in [0, 1] keeps every factor non-negative, so no mass can
+    turn negative and only the total is checked.
     """
     if n < 0:
         raise ParameterError("n must be >= 0")
@@ -85,7 +84,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, site_law: 
     if hz is not None and hz < n:
         raise ParameterError(f"policy horizon {hz} shorter than n={n}")
     resets = set(flag_reset_times(policy))
-    two = not site_law or (reads_flag(policy) and (start != 0 or bool(resets)))
+    two = start != 0 or bool(resets)
     c0, shift = n + 1, n + 1 - start
     mass, out, half = (_zeros((1 + two, 2 * n + 3), mode) for _ in range(3))
     one_half, zero, prev = (_as_mode_value(v, mode) for v in (0.5, 0, 1))
@@ -131,6 +130,13 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, site_law: 
         yield mass[:, a - 1 : b + 2]
 
 
+def _law(t: int, start: int, m: np.ndarray, mode: str) -> LatticeDistribution:
+    """A copy of one _forward view as a two-row law (a one-row view is HIT_ZERO)."""
+    mass = _zeros((2, m.shape[1]), mode)
+    mass[2 - len(m) :] = m
+    return LatticeDistribution(time=t, offset=start - t, mass=mass, mode=mode)
+
+
 def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=None):
     """Yield the law at times 0..n under the policy (n+1 distributions).
 
@@ -138,24 +144,20 @@ def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, 
     outside it is absorbed there and moves no more (first-passage laws).
     """
     for t, m in enumerate(_forward(policy, n, start, mode, live)):
-        yield LatticeDistribution(time=t, offset=start - t, mass=m.copy(), mode=mode)
+        yield _law(t, start, m, mode)
 
 
 def evolve(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=None) -> LatticeDistribution:
     """Exact law of the walk after n steps from start under the policy."""
     for m in _forward(policy, n, start, mode, live):
         pass
-    return LatticeDistribution(time=n, offset=start - n, mass=m.copy(), mode=mode)
+    return _law(n, start, m, mode)
 
 
 def hit_probability(policy: PolicySpec, n: int, start: int = 0, target=None) -> float:
-    """P(S_n in target) from start, summed off the site law alone."""
+    """P(S_n in target) from start."""
     lo, hi = as_target(target)
-    for m in _forward(policy, n, start, FLOAT, None, site_law=True):
-        pass
-    lattice.check_law(m, FLOAT)
-    cols = slice(max(lo - start + n, 0), max(hi - start + n + 1, 0))  # column 0 is start - n
-    return float(sum(row[cols].sum() for row in m))
+    return float(interval_mass(evolve(policy, n, start), lo, hi))
 
 
 @dataclass(frozen=True)

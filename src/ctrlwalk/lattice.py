@@ -3,9 +3,9 @@
 The law of a controlled walk at a fixed time is a dense mass vector over a
 contiguous window of integer sites, split by a one-bit history flag that
 records whether the walk has visited site 0 so far. Policies that do not
-care about history see both rows evolved identically; where only the site
-law is read and the flag cannot change it (no step reads the flag, or the
-walk starts on 0 with no flag reset), dp._forward evolves one row instead.
+care about history see both rows evolved identically. When the walk starts
+on 0 and no flag reset follows, the NOT_HIT row stays zero, so dp._forward
+evolves the HIT_ZERO row alone.
 
 Two numeric backends share one code path: float64 arrays (default) and
 object arrays of fractions.Fraction for an exact cross-check mode on short
@@ -51,18 +51,6 @@ def _as_mode_value(value, mode):
     return Fraction(value) if mode == RATIONAL else float(value)
 
 
-def check_law(mass: np.ndarray, mode: str) -> None:
-    """A law's invariant: total 1 (exactly in rational mode) and no negative entry."""
-    total = mass.sum()
-    if mode == RATIONAL:
-        if total != 1:
-            raise InvariantError(f"total mass is {total}, expected exactly 1")
-    elif not abs(float(total) - 1.0) <= _TOTAL_TOL:  # NaN fails too
-        raise InvariantError(f"total mass {total!r} deviates from 1 beyond {_TOTAL_TOL}")
-    if not np.all(mass >= 0):
-        raise InvariantError("negative mass entry")
-
-
 @dataclass(frozen=True)
 class LatticeDistribution:
     """Law of the walk at one time, augmented with the visited-0 flag.
@@ -82,7 +70,14 @@ class LatticeDistribution:
             raise ParameterError("mass must be a (2, width) array")
         if self.mode not in (FLOAT, RATIONAL):
             raise ParameterError(f"unknown numeric mode {self.mode!r}")
-        check_law(self.mass, self.mode)
+        total = self.mass.sum()
+        if self.mode == RATIONAL:
+            if total != 1:
+                raise InvariantError(f"total mass is {total}, expected exactly 1")
+        elif not abs(float(total) - 1.0) <= _TOTAL_TOL:  # NaN fails too
+            raise InvariantError(f"total mass {total!r} deviates from 1 beyond {_TOTAL_TOL}")
+        if not np.all(self.mass >= 0):
+            raise InvariantError("negative mass entry")
 
     @property
     def width(self) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import MC_TRIALS
 from .dp import as_target
 from .errors import ParameterError
 from .policies import PolicySpec, flag_reset_times, horizon, stay_set
@@ -247,14 +248,18 @@ class HitEstimate:
     trials: int
 
 
-def estimate_hit(
-    policy: PolicySpec, n: int, start: int = 0, target=None, trials: int = 10000, seed: int = 0
-) -> HitEstimate:
-    lo, hi = as_target(target)
-    batch = run_batch(policy, n, start=start, trials=trials, seed=seed)
-    hits = int(np.count_nonzero((batch.final >= lo) & (batch.final <= hi)))
+def hit_estimate(final: np.ndarray, lo: int, hi: int) -> HitEstimate:
+    """Share of final positions in [lo, hi], with its Wilson interval."""
+    hits, trials = int(np.count_nonzero((final >= lo) & (final <= hi))), final.size
     ci_low, ci_high = wilson_interval(hits, trials)
     return HitEstimate(p_hat=hits / trials, ci_low=ci_low, ci_high=ci_high, hits=hits, trials=trials)
+
+
+def estimate_hit(
+    policy: PolicySpec, n: int, start: int = 0, target=None, trials: int = MC_TRIALS, seed: int = 0
+) -> HitEstimate:
+    lo, hi = as_target(target)
+    return hit_estimate(run_batch(policy, n, start=start, trials=trials, seed=seed).final, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,7 @@ def barrier_diagnostics(
     policy: PolicySpec,
     n: int,
     beta_exp: float = 0.0,
-    trials: int = 10000,
+    trials: int = MC_TRIALS,
     seed: int = 0,
     start: int = 0,
 ) -> StageStats:
@@ -348,7 +353,7 @@ class EscapeProbeResult:
 
 
 def lemma0_check(
-    q_cap: float, h: int, delta: float, ell: int, trials: int = 10000, seed: int = 0
+    q_cap: float, h: int, delta: float, ell: int, trials: int = MC_TRIALS, seed: int = 0
 ) -> EscapeProbeResult:
     """Estimate the chance the lazy walk's first |.| >= h exit is upward and early.
 

@@ -222,13 +222,6 @@ def horizon(policy: PolicySpec) -> int | None:
     return None
 
 
-def reads_flag(policy: PolicySpec) -> bool:
-    """Whether some step's stay rule reads the visited-0 flag (is hit_only)."""
-    if policy.kind == SCHEDULE:
-        return any(reads_flag(seg.inner_policy) for seg in policy.params["segments"])
-    return policy.kind == FAST_UNTIL_ZERO
-
-
 def flag_reset_times(policy: PolicySpec) -> tuple[int, ...]:
     """Times at which evolution drivers must restart the visited-0 flag.
 

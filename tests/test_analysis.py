@@ -197,9 +197,11 @@ class TestBandSumIdentity:
         rep = verify_lemma5_certificate(cert)
         assert rep["max_diff"] > 0.0
 
-    def test_hopeless_grid_raises(self):
+    def test_hopeless_grid_raises(self, monkeypatch):
+        for name, grid in (("L5_ALPHAS", (0.25,)), ("L5_BETAS", (0.25,)), ("L5_K0S", (4,))):
+            monkeypatch.setattr(ctrlwalk.defaults, name, grid)
         with pytest.raises(CalibrationError):
-            calibrate_lemma5(0.01, alphas=(0.25,), betas=(0.25,), K0s=(4,))
+            calibrate_lemma5(0.01)
 
 
 class TestEscapeCalibration:

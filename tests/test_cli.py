@@ -162,6 +162,21 @@ class TestExitCodes:
                 "--cutoff", "-1"]
         assert run(capsys, argv) == (2, "")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--policy", "constant:q=0.5,u=0.5", "--n", "8"],
+        ["barriers", "--policy", "constant:q=0.5,u=0.5", "--n", "8"],
+        ["verify", "lemma0", "--q", "0.5", "--h", "1", "--delta", "0.5", "--ell", "48"],
+        ["exponent", "--policy-kind", "constant", "--q", "0.5", "--n-grid", "2,4,8",
+         "--min-n", "2", "--method", "mc"],
+    ])
+    def test_zero_trials_is_exit_2(self, capsys, argv):
+        # an explicit 0 is not replaced by the default trial count
+        assert run_command([*argv, "--seed", "1", "--trials", "1000"]) == 0
+        capsys.readouterr()
+        assert run_command([*argv, "--seed", "1", "--trials", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "trial" in err
+
     def test_version_flag(self, capsys):
         assert run_command(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
@@ -286,7 +301,7 @@ class TestSampling:
     def test_simulate_dump_final_matches_run_batch(self, capsys, tmp_path):
         path = tmp_path / "final.csv"
         policy = "two-zone:q=0.9,band=4"
-        code, _ = run(
+        code, out = run(
             capsys,
             ["simulate", "--policy", policy, "--n", "100", "--start", "2", "--trials", "300",
              "--seed", "11", "--dump-final", str(path)],
@@ -296,6 +311,8 @@ class TestSampling:
         batch = run_batch(parse_policy(policy, n=100), 100, start=2, trials=300, seed=11)
         assert rows[0] == "trial,final"
         assert rows[1:] == [f"{i},{int(v)}" for i, v in enumerate(batch.final)]
+        est = estimate_hit(parse_policy(policy, n=100), 100, start=2, trials=300, seed=11)
+        assert record_from(out)["payload"]["p_hat"] == est.p_hat
 
     def test_verify_lemma0(self, capsys):
         code, out = run(
@@ -361,6 +378,15 @@ class TestVerifyAndCalibrate:
         rec = record_from(out)
         assert code == 0
         assert rec["payload"]["top_octave_growth"] < 0.01
+
+    def test_heatkernel_band_zero_is_kept(self, capsys):
+        code, out = run(
+            capsys,
+            ["verify", "heatkernel", "--q", "0.5", "--band", "0", "--t-grid", "64,128"],
+        )
+        assert code == 0
+        assert record_from(out)["payload"]["band"] == 0
+        assert record_from(out)["payload"]["probes"] == [0]
 
 
 class TestRecordsAndConfig:

@@ -24,7 +24,7 @@ from ctrlwalk import (
     schedule_policy,
     two_zone_policy,
 )
-from ctrlwalk.policies import reads_flag, stay_set
+from ctrlwalk.policies import stay_set
 from reference import control_grid, control_values, evaluate
 
 
@@ -147,18 +147,6 @@ class TestSchedules:
     def test_qto1_reset_times(self):
         p = schedule_policy(0.9, multiscale_qto1_schedule(0.9, 4, 4096))
         assert flag_reset_times(p) == (2732, 3756, 4012, 4076, 4092)
-
-    def test_reads_flag(self):
-        free, lazy = constant_policy(0.9, 0.0), fast_until_zero_policy(0.9)
-        assert reads_flag(lazy)
-        assert not any(reads_flag(p) for p in (free, two_zone_policy(0.9, 3),
-                                                bang_bang_table_policy(0.9, 1, [[(0, 0)]])))
-        loc = schedule_policy(0.9, multiscale_localization_schedule(0.9, 0.5, 0.25, 4, 4096))
-        assert not reads_flag(loc)
-        assert reads_flag(schedule_policy(0.9, multiscale_qto1_schedule(0.9, 4, 256)))
-        # a flag-reading segment makes the schedule read it, nested or not
-        inner = schedule_policy(0.9, [ScheduleSegment(0, 4, free), ScheduleSegment(4, 8, lazy)])
-        assert reads_flag(schedule_policy(0.9, [ScheduleSegment(0, 8, inner)]))
 
     def test_qto1_no_room(self):
         with pytest.raises(DegenerateScheduleError):

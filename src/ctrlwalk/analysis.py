@@ -16,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .dp import MAX, _forward, _optimal_curve, evolve, hit_probability, solve_extremal
-from .errors import CalibrationError, ParameterError
+from .errors import CalibrationError, ParameterError, as_index
 from .lattice import FLOAT, _as_mode_value, interval_mass
 from .montecarlo import estimate_hit
 from .policies import (
@@ -174,7 +174,7 @@ def exponent_sweep(
     """Hit probability per n plus the power-law fit over the grid."""
     params = dict(params or {})
     check_sweep_params(policy_kind, params, ("seed", "trials") if method == "mc" else ())
-    grid = [int(n) for n in n_grid]
+    grid = [as_index(n, "n") for n in n_grid]
     one_pass = policy_kind == "optimal" and method == "exact"
     curve = _optimal_curve(q_cap, grid, params.get("objective", MAX)) if one_pass else None
     records = [_sweep_point(policy_kind, q_cap, n, method, params, curve) for n in grid]
@@ -243,7 +243,7 @@ def heat_kernel_profile(chain: ChainSpec, t_grid) -> dict:
     empirical bound constant. Exact evolution under the matching two-zone
     policy from HK_PROBE_FACTORS x band; use even t to dodge parity oscillation.
     """
-    t_grid = sorted({int(t) for t in t_grid})
+    t_grid = sorted({as_index(t, "time in t_grid") for t in t_grid})
     if not t_grid or t_grid[0] < 1:
         raise ParameterError("t_grid must contain positive times")
     probes = tuple(sorted({int(f * chain.band_halfwidth) for f in defaults.HK_PROBE_FACTORS}))

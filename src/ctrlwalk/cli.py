@@ -1,10 +1,11 @@
 """Command-line front end: reproducible experiments with persisted records.
 
 Every subcommand reads an optional flat JSON config (flags override file
-values), echoes the effective config into its output record, and writes one
-JSON ResultRecord (NDJSON for sweeps) so a stored record can be re-run. Exit
-codes: 0 success, 2 parameter problem, 3 calibration failure, 4 invariant
-violation found by a verify run.
+values, and each value must be what its flag would give), echoes the keys
+given into its output record, and writes one JSON ResultRecord (NDJSON for
+sweeps) so a stored record can be re-run. Exit codes: 0 success, 2
+parameter problem, 3 calibration failure, 4 invariant violation found by a
+verify run.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .analysis import (
 )
 from .defaults import MC_TRIALS
 from .dp import (
+    MAX,
+    MIN,
     as_target,
     boundary_to_csv,
     evolve,
@@ -65,6 +68,12 @@ _POLICY_KEYS = {
     "n": ("n", int),
 }
 
+# defaults of the keys several subcommands declare, applied where declared
+_DEFAULTS = {
+    "start": 0, "mode": FLOAT, "objective": MAX, "method": "exact",
+    "trials": MC_TRIALS, "beta": 0.0,
+}
+
 # the runs that sample and so need --seed: (command, its method or what)
 _SAMPLING_RUNS = {("simulate", None), ("barriers", None), ("exponent", "mc"), ("verify", "lemma0")}
 _VARIANT_KEY = {"exponent": "method", "verify": "what"}
@@ -82,6 +91,11 @@ def _resolve_out(path: str) -> str:
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
+
+
+def _grid(value):
+    """--n-grid and --t-grid: a comma list such as "128,256" as ints; a JSON list as it is."""
+    return [int(v) for v in value.split(",") if v] if isinstance(value, str) else value
 
 
 def _parse_target(text):
@@ -147,15 +161,13 @@ def _open_out(path: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: take the merged config, return (payload, provenance)
+# subcommand handlers: take the typed config, return (payload, provenance)
 
 
 def _cmd_evolve(cfg):
-    n = int(cfg["n"])
+    n, start, mode = cfg["n"], cfg["start"], cfg["mode"]
     policy = parse_policy(cfg["policy"], n=n)
-    start = int(cfg.get("start") or 0)
     target = _parse_target(cfg.get("target"))
-    mode = cfg.get("mode") or FLOAT
     d = evolve(policy, n, start, mode=mode)
     p = interval_mass(d, target[0], target[1])
     payload = {
@@ -173,19 +185,16 @@ def _cmd_evolve(cfg):
 
 
 def _cmd_solve(cfg):
-    n = int(cfg["n"])
-    q = float(cfg["q"])
-    objective = cfg.get("objective") or "max"
+    n, q, objective = cfg["n"], cfg["q"], cfg["objective"]
     target = _parse_target(cfg.get("target"))
     keep = bool(cfg.get("values_csv"))  # the value table is only ever read by the CSV export
-    if not keep and (cfg.get("keep_values") or cfg.get("cutoff") is not None):
+    if not keep and ("cutoff" in cfg or cfg.get("keep_values")):
         raise ParameterError("--keep-values and --cutoff only apply with --values-csv")
     table, bb = solve_extremal(q, n, objective, target=target, keep_values=keep)
     region = extract_region(bb)
     if cfg.get("values_csv"):
         with _open_out(cfg["values_csv"]) as fh:
-            cutoff = cfg.get("cutoff")
-            value_table_to_csv(table, fh, None if cutoff is None else int(cutoff))
+            value_table_to_csv(table, fh, cfg.get("cutoff"))
     if cfg.get("boundary_csv"):
         with _open_out(cfg["boundary_csv"]) as fh:
             boundary_to_csv(bb, fh)
@@ -209,11 +218,8 @@ def _cmd_region(cfg):
 
 
 def _cmd_simulate(cfg):
-    n = int(cfg["n"])
+    n, start, seed, trials = cfg["n"], cfg["start"], cfg["seed"], cfg["trials"]
     policy = parse_policy(cfg["policy"], n=n)
-    seed = int(cfg["seed"])
-    trials = int(cfg.get("trials", MC_TRIALS))
-    start = int(cfg.get("start") or 0)
     target = _parse_target(cfg.get("target"))
     if cfg.get("dump_final"):  # one batch gives both the estimate and the dump
         batch = run_batch(policy, n, start=start, trials=trials, seed=seed)
@@ -240,13 +246,11 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_barriers(cfg):
-    n = int(cfg["n"])
+    n, seed, trials = cfg["n"], cfg["seed"], cfg["trials"]
     policy = parse_policy(cfg["policy"], n=n)
-    seed = int(cfg["seed"])
-    trials = int(cfg.get("trials", MC_TRIALS))
-    beta = float(cfg.get("beta") or 0.0)
-    start = int(cfg.get("start") or 0)
-    st = barrier_diagnostics(policy, n, beta_exp=beta, trials=trials, seed=seed, start=start)
+    st = barrier_diagnostics(
+        policy, n, beta_exp=cfg["beta"], trials=trials, seed=seed, start=cfg["start"]
+    )
     payload = {
         "n": st.n,
         "beta_exp": st.beta_exp,
@@ -274,25 +278,21 @@ def _cmd_barriers(cfg):
     return payload, {"method": "mc", "seed": seed, "trials": trials}
 
 
-def _cmd_exponent(cfg, out):
-    q = float(cfg["q"])
-    kind = cfg["policy_kind"]
-    method = cfg.get("method") or "exact"
-    grid = cfg["n_grid"]
-    if isinstance(grid, str):
-        grid = [int(v) for v in grid.split(",") if v]
-    params = cfg.get("params") or {}
+def _cmd_exponent(cfg, echo, out):
+    method = cfg["method"]
+    params = cfg.get("params", {})
     if isinstance(params, str):
-        params = json.loads(params)
+        try:
+            params = json.loads(params)
+        except ValueError as exc:
+            raise ParameterError(f"--params is not JSON: {exc}") from None
     if not isinstance(params, dict):
         raise ParameterError(f"--params must be a JSON object, got {params!r}")
-    if method == "mc":
-        params.setdefault("seed", int(cfg["seed"]))
-        params.setdefault("trials", int(cfg.get("trials", MC_TRIALS)))
-    min_n = cfg.get("min_n")
+    if method == "mc":  # a seed or trials in params wins
+        params = {"seed": cfg["seed"], "trials": cfg["trials"], **params}
     records, fit = exponent_sweep(
-        kind, q, grid, method=method, params=params,
-        min_n=None if min_n is None else int(min_n),
+        cfg["policy_kind"], cfg["q"], _grid(cfg["n_grid"]), method=method,
+        params=params, min_n=cfg.get("min_n"),
     )
     fit_payload = {
         "sigma_hat": fit.sigma_hat,
@@ -317,7 +317,7 @@ def _cmd_exponent(cfg, out):
     prov = "exact" if method == "exact" else {
         "method": "mc", "seed": params.get("seed"), "trials": params.get("trials"),
     }
-    lines = [_record("exponent", cfg, r, prov) for r in [*records, {"fit": fit_payload}]]
+    lines = [_record("exponent", echo, r, prov) for r in [*records, {"fit": fit_payload}]]
     _emit("\n".join(json.dumps(line, default=_plain) for line in lines) + "\n", out)
     print(f"sigma_hat = {fit.sigma_hat:.6f}  r2 = {fit.r_squared:.6f}", file=sys.stderr)
     return 0
@@ -330,12 +330,7 @@ def _cmd_verify(cfg):
             cert = json.load(fh)
     if what == "lemma0":
         res = lemma0_check(
-            float(cfg["q"]),
-            int(cfg["h"]),
-            float(cfg["delta"]),
-            int(cfg["ell"]),
-            trials=int(cfg.get("trials", MC_TRIALS)),
-            seed=int(cfg["seed"]),
+            cfg["q"], cfg["h"], cfg["delta"], cfg["ell"], trials=cfg["trials"], seed=cfg["seed"]
         )
         payload = {
             "q": res.q_cap, "h": res.h, "delta": res.delta, "ell": res.ell,
@@ -344,7 +339,7 @@ def _cmd_verify(cfg):
             "threshold": res.threshold, "violation": res.violation,
         }
         ok = not res.violation
-        return payload, {"method": "mc", "seed": int(cfg["seed"]), "trials": res.trials}, ok
+        return payload, {"method": "mc", "seed": cfg["seed"], "trials": res.trials}, ok
 
     if what == "lemma5":
         rep = verify_lemma5_certificate(cert)
@@ -384,27 +379,20 @@ def _cmd_verify(cfg):
         return payload, "exact", ok
 
     if what == "reversibility":
-        mode = cfg.get("mode") or FLOAT
-        band = int(cfg["band"])
-        chain = ChainSpec(float(cfg["q"]), band, mode=mode)
-        window = band + 8 if cfg.get("window") is None else int(cfg["window"])
-        residual = reversibility_check(chain, window)
+        q, band, mode = cfg["q"], cfg["band"], cfg["mode"]
+        window = cfg.get("window", band + 8)
+        residual = reversibility_check(ChainSpec(q, band, mode=mode), window)
         tol = 0.0 if mode == RATIONAL else 1e-15
         ok = residual <= tol
         payload = {
-            "q": float(cfg["q"]), "band": band, "window": window, "mode": mode,
+            "q": q, "band": band, "window": window, "mode": mode,
             "residual": float(residual), "tolerance": tol, "pass": bool(ok),
         }
         return payload, "exact", ok
 
     if what == "heatkernel":
-        band = int(cfg.get("band", 16))
-        q = float(cfg["q"])
-        tg = cfg.get("t_grid")
-        if isinstance(tg, str):
-            tg = [int(v) for v in tg.split(",") if v]
-        if tg is None:
-            tg = [2**k for k in range(4, 13)]
+        q, band = cfg["q"], cfg.get("band", 16)
+        tg = _grid(cfg.get("t_grid", [2**k for k in range(4, 13)]))
         prof = heat_kernel_profile(ChainSpec(q, band), tg)
         running = dict(prof["running_max"])
         ts = sorted(running)
@@ -427,10 +415,10 @@ def _cmd_verify(cfg):
 def _cmd_calibrate(cfg):
     what = cfg["what"]
     if what == "lemma5":
-        cert = calibrate_lemma5(float(cfg["q"]))
+        cert = calibrate_lemma5(cfg["q"])
         return cert, "exact"
     if what == "lemma6":
-        cert = calibrate_lemma6(float(cfg["eps"]))
+        cert = calibrate_lemma6(cfg["eps"])
         return cert, "exact"
     raise ParameterError(f"unknown calibrate target {what!r}")
 
@@ -471,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="extremal hit probability over capped controls")
     p.add_argument("--q", type=float)
     p.add_argument("--n", type=int)
-    p.add_argument("--objective", choices=["max", "min"])
+    p.add_argument("--objective", choices=[MAX, MIN])
     p.add_argument("--target")
     p.add_argument("--keep-values", dest="keep_values", action="store_const", const=True)
     p.add_argument("--values-csv", dest="values_csv")
@@ -483,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="bang-bang region of the extremal control")
     p.add_argument("--q", type=float)
     p.add_argument("--n", type=int)
-    p.add_argument("--objective", choices=["max", "min"])
+    p.add_argument("--objective", choices=[MAX, MIN])
     p.add_argument("--target")
     p.add_argument("--boundary-csv", dest="boundary_csv")
     common(p)
@@ -539,19 +527,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its parser."""
+    return next(a.choices for a in parser._actions if a.dest == "command")
+
+
+def _typed(action: argparse.Action, value):
+    """A config value as its flag would give it; ParameterError if the flag cannot."""
+    key, typ = action.dest, action.type
+    if value is None:
+        raise ParameterError(f"config key {key!r} is null")
+    if typ is not None and (isinstance(value, bool) or not isinstance(value, (int, typ))):
+        kind = "an integer" if typ is int else "a number"  # flags are typed int or float
+        raise ParameterError(f"config key {key!r} must be {kind}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"config key {key!r} must be one of {action.choices}, got {value!r}")
+    return value if typ is None else typ(value)
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[dict, dict]:
+    """(echo, cfg). echo holds the keys given, flags over the config file's.
+    cfg holds them typed by their flags, over the shared defaults of the
+    keys the subcommand declares; undeclared keys pass through."""
+    echo = {}
+    if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            echo = json.load(fh)
+        if not isinstance(echo, dict):
             raise ParameterError("config file must hold a flat JSON object")
-        cfg.update(loaded)
-    for k, v in vars(args).items():
-        if k in ("command", "config") or v is None:
-            continue
-        cfg[k] = v
-    return cfg
+    flags = vars(args).items()
+    echo.update((k, v) for k, v in flags if k not in ("command", "config") and v is not None)
+    actions = {a.dest: a for a in parser._actions}
+    cfg = {k: v for k, v in _DEFAULTS.items() if k in actions}
+    cfg.update((k, _typed(actions[k], v) if k in actions else v) for k, v in echo.items())
+    return echo, cfg
 
 
 def run_command(argv) -> int:
@@ -563,19 +572,19 @@ def run_command(argv) -> int:
         return 2 if code not in (0,) else 0
 
     try:
-        cfg = _merge_config(args)
         command = args.command
-        out = cfg.pop("out", None)
+        echo, cfg = _merge_config(args, _subcommands(parser)[command])
+        out = echo.pop("out", None)
         run = (command, cfg.get(_VARIANT_KEY[command]) if command in _VARIANT_KEY else None)
-        if run in _SAMPLING_RUNS and cfg.get("seed") is None:
+        if run in _SAMPLING_RUNS and "seed" not in cfg:
             name = " ".join(filter(None, run))
             raise ParameterError(f"--seed is required for {name} (no hidden entropy)")
 
         if command == "exponent":
-            return _cmd_exponent(cfg, out)
+            return _cmd_exponent(cfg, echo, out)
 
         payload, prov, *ok = _COMMANDS[command](cfg)  # verify adds a pass flag
-        record = _record(command, {**cfg, "out": out} if out else cfg, payload, prov)
+        record = _record(command, {**echo, "out": out} if out else echo, payload, prov)
         _emit(json.dumps(record, indent=2, default=_plain) + "\n", out)
         if not all(ok):
             print(f"{command} {cfg.get('what', '')}: check FAILED", file=sys.stderr)
@@ -590,7 +599,7 @@ def run_command(argv) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         print(f"error: missing or malformed parameter: {exc!r}", file=sys.stderr)
         return 2
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import csv
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lattice
-from .errors import AdmissibilityError, InvariantError, ParameterError
+from .errors import AdmissibilityError, InvariantError, ParameterError, as_index
 from .lattice import (
     FLOAT,
     HIT_ZERO,
@@ -32,7 +31,7 @@ from .lattice import (
     reset_hit_flags,
 )
 from .policies import (
-    PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times, horizon,
+    PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times, run_args,
 )
 
 MAX = "max"
@@ -42,21 +41,17 @@ MIN = "min"
 def as_target(target) -> tuple[int, int]:
     """Normalize a target spec to an inclusive site interval (lo, hi).
 
-    A target is None (site 0), one integral site, numpy integers included,
-    or a (lo, hi) pair of them.
+    A target is None (site 0), one integral site, numpy integers included
+    and bools not, or a (lo, hi) pair of them.
     """
     if target is None:
         return (0, 0)
-    try:
-        site = operator.index(target)
-    except TypeError:
-        if np.ndim(target) == 0:
-            raise ParameterError(f"target site must be an integer, got {target!r}") from None
-    else:
+    if np.ndim(target) == 0:
+        site = as_index(target, "target site")
         return (site, site)
     try:
-        lo, hi = (operator.index(v) for v in target)
-    except (TypeError, ValueError):  # a non-integer, or not two items
+        lo, hi = (as_index(v, "target") for v in target)
+    except ValueError:  # a non-integer (ParameterError), or not two items
         raise ParameterError(f"target must be a site or a (lo, hi) pair, got {target!r}") from None
     if lo > hi:
         raise ParameterError(f"empty target interval [{lo}, {hi}]")
@@ -76,13 +71,9 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     bitwise. u in [0, 1] keeps every factor non-negative, so no mass can
     turn negative and only the total is checked.
     """
-    if n < 0:
-        raise ParameterError("n must be >= 0")
+    n, start = run_args(policy, n, start)
     if mode == RATIONAL and n > RATIONAL_MAX_STEPS:
         raise ParameterError(f"rational mode runs at most {RATIONAL_MAX_STEPS} steps, got n={n}")
-    hz = horizon(policy)
-    if hz is not None and hz < n:
-        raise ParameterError(f"policy horizon {hz} shorter than n={n}")
     resets = set(flag_reset_times(policy))
     two = start != 0 or bool(resets)
     c0, shift = n + 1, n + 1 - start
@@ -276,7 +267,7 @@ def solve_extremal(
 
 def _solve_args(q_cap: float, n: int, objective: str) -> tuple[float, int]:
     q_cap = _check_cap(q_cap)
-    n = int(n)
+    n = as_index(n, "n")
     if n < 1:
         raise ParameterError("n must be >= 1")
     if objective not in (MAX, MIN):

@@ -5,9 +5,21 @@ admissibility and degenerate schedules) exit 2, calibration failures exit 3,
 and detected invariant violations exit 4.
 """
 
+import operator
+
 
 class ParameterError(ValueError):
     """A caller-supplied parameter is out of range or inconsistent."""
+
+
+def as_index(value, name: str) -> int:
+    """value as an int: Python and numpy integers pass, bools and all else raise."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 class AdmissibilityError(ParameterError):

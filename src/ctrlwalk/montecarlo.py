@@ -15,8 +15,8 @@ import numpy as np
 
 from .defaults import MC_TRIALS
 from .dp import as_target
-from .errors import ParameterError
-from .policies import PolicySpec, flag_reset_times, horizon, stay_set
+from .errors import ParameterError, as_index
+from .policies import PolicySpec, flag_reset_times, run_args, stay_set
 from .rng import UNIFORM_SHIFT, step_bits, trial_keys
 
 
@@ -147,11 +147,7 @@ def _walk(policy: PolicySpec, n: int, start: int, keys: np.ndarray, family, reco
     tracking keeps each walk's next stage with that stage's radius and band
     start, and updates only the walks that enter a stage.
     """
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    hz = horizon(policy)
-    if hz is not None and hz < n:
-        raise ParameterError(f"policy horizon {hz} shorter than n={n}")
+    n, start = run_args(policy, n, start)
     if family is not None and family.n != n:
         raise ParameterError(f"family horizon {family.n} != n={n}")
     trials = keys.size
@@ -205,9 +201,9 @@ def run_batch(
     after stage i-1, at most one stage per time step, never at t=0. A -1 in
     the entrance table means the stage was not reached by time n.
     """
+    keys = trial_keys(seed, trials, base=trial_base)
     if trials < 1:
         raise ParameterError("need at least one trial")
-    keys = trial_keys(seed, trials, base=trial_base)
     final, entr, _ = _walk(policy, n, start, keys, family)
     return TrajectoryBatch(
         policy=policy,
@@ -362,8 +358,7 @@ def lemma0_check(
     ell >= 24*h^2/delta and 1 - q_cap >= delta, which is the regime where
     the estimate should stay above 1/6.
     """
-    h = int(h)
-    ell = int(ell)
+    h, ell = as_index(h, "h"), as_index(ell, "ell")
     delta = float(delta)
     if h < 1 or trials < 1:
         raise ParameterError("need h >= 1 and trials >= 1")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, DegenerateScheduleError, ParameterError
+from .errors import AdmissibilityError, DegenerateScheduleError, ParameterError, as_index
 
 CONSTANT = "constant"
 TWO_ZONE = "two-zone"
@@ -237,6 +237,17 @@ def flag_reset_times(policy: PolicySpec) -> tuple[int, ...]:
         if seg.inner_policy.kind == FAST_UNTIL_ZERO and seg.t_start > 0
     ]
     return tuple(times)
+
+
+def run_args(policy: PolicySpec, n, start) -> tuple[int, int]:
+    """(n, start) as ints for a run of n steps under the policy, else ParameterError."""
+    n, start = as_index(n, "n"), as_index(start, "start")
+    if n < 0:
+        raise ParameterError("n must be >= 0")
+    hz = horizon(policy)
+    if hz is not None and hz < n:
+        raise ParameterError(f"policy horizon {hz} shorter than n={n}")
+    return n, start
 
 
 def _check_horizon(policy: PolicySpec, t: int):

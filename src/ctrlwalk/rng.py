@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import as_index
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SALT = np.uint64(0xD1B54A32D192ED03)
 _STEP = 0xC2B2AE3D27D4EB4F
@@ -41,8 +43,9 @@ def mix64(z, out=None) -> np.ndarray:
 
 def trial_keys(seed: int, trials: int, base: int = 0) -> np.ndarray:
     """Independent per-trial stream keys for trial indices base..base+trials-1."""
-    s = np.uint64(int(seed) & _MASK)
-    idx = np.arange(base, base + trials, dtype=np.uint64)
+    s = np.uint64(as_index(seed, "seed") & _MASK)
+    base = as_index(base, "trial base")
+    idx = np.arange(base, base + as_index(trials, "trials"), dtype=np.uint64)
     with np.errstate(over="ignore"):
         return mix64((s ^ _SALT) + idx * _GOLDEN)
 

@@ -107,6 +107,11 @@ class TestSweeps:
         with pytest.raises(ParameterError):
             sweep_policy("teleport", 0.5, 64, {})
 
+    @pytest.mark.parametrize("kind", ["optimal", "constant"])
+    def test_non_integer_grid_rejected(self, kind):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            exponent_sweep(kind, 0.5, [128.7, 256, 512])
+
     def test_params_the_kind_does_not_read_rejected(self):
         with pytest.raises(ParameterError, match="bnd"):
             exponent_sweep("two-zone", 0.9, [16, 32, 64], params={"bnd": 3})
@@ -167,6 +172,10 @@ class TestChainStructure:
         for v in per_t.values():
             assert 0.5 < v < free
         assert prof["bound_estimate"] == max(per_t.values())
+
+    def test_heat_kernel_rejects_non_integer_times(self):
+        with pytest.raises(ParameterError, match="time in t_grid must be an integer"):
+            heat_kernel_profile(ChainSpec(0.5, 4), [64.5, 128])
 
 
 class TestBandSumIdentity:

@@ -19,7 +19,7 @@ from ctrlwalk import (
     solve_extremal,
     sweep_policy,
 )
-from ctrlwalk.cli import parse_policy, run_command
+from ctrlwalk.cli import _build_parser, _subcommands, parse_policy, run_command
 
 
 def run(capsys, argv):
@@ -30,6 +30,39 @@ def run(capsys, argv):
 
 def record_from(out):
     return json.loads(out)
+
+
+def records_from(argv, out):
+    """The records a run printed: NDJSON lines for exponent, one indented record otherwise."""
+    lines = out.splitlines() if argv[0] == "exponent" else [out]
+    return [json.loads(line) for line in lines]
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+# one valid config per subcommand, with its positional arguments
+VALID_CONFIGS = {
+    "evolve": ([], {"policy": "constant:q=0.5", "n": 4}),
+    "solve": ([], {"q": 0.5, "n": 4}),
+    "region": ([], {"q": 0.5, "n": 4}),
+    "simulate": ([], {"policy": "constant:q=0.5", "n": 4, "trials": 10, "seed": 1}),
+    "exponent": ([], {"policy_kind": "constant", "q": 0.5, "n_grid": "2,4,8", "min_n": 2}),
+    "barriers": ([], {"policy": "constant:q=0.5", "n": 4, "trials": 10, "seed": 1}),
+    "verify": (["reversibility"], {"q": 0.5, "band": 2}),
+    "calibrate": (["lemma5"], {"q": 0.5}),
+}
+
+# every option of every subcommand, from the parser itself
+OPTIONS = [
+    pytest.param(name, action, id=f"{name}-{action.dest}")
+    for name, sub in _subcommands(_build_parser()).items()
+    for action in sub._actions
+    if action.option_strings and action.dest != "help"
+]
 
 
 class TestExitCodes:
@@ -180,6 +213,94 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         assert run_command(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
+
+
+class TestConfigValues:
+    """A config value must be what its flag would give: type, choices, not null."""
+
+    def test_every_subcommand_has_a_valid_config(self, capsys, tmp_path):
+        assert set(VALID_CONFIGS) == set(_subcommands(_build_parser()))
+        for name, (positional, cfg) in VALID_CONFIGS.items():
+            argv = [name, *positional, "--config", write_config(tmp_path, cfg)]
+            assert run_command(argv) == 0, name
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name, action", OPTIONS)
+    def test_bad_value_is_exit_2_naming_the_key(self, capsys, tmp_path, name, action):
+        positional, cfg = VALID_CONFIGS[name]
+        bad = [None]
+        if action.type is not None or action.choices is not None:
+            bad += [True, ""]
+        if action.type is int:
+            bad += [1.5, 2.0, "3"]
+        if action.type is float:
+            bad += ["0.5"]
+        for value in bad:
+            path = write_config(tmp_path, {**cfg, action.dest: value})
+            assert run_command([name, *positional, "--config", path]) == 2, value
+            out, err = capsys.readouterr()
+            assert out == "" and f"config key {action.dest!r}" in err, (value, err)
+
+    @pytest.mark.parametrize("name, positional, cfg, named", [
+        ("solve", [], {"q": 0.5, "n": 4.7}, "'n'"),
+        ("solve", [], {"q": 0.5, "n": True}, "'n'"),
+        ("evolve", [], {"policy": "constant:q=0.5", "n": 4, "start": 1.5}, "'start'"),
+        ("evolve", [], {"policy": "constant:q=0.5", "n": 4, "mode": ""}, "'mode'"),
+        ("simulate", [], {"policy": "constant:q=0.5", "n": 8, "trials": 100.9, "seed": 1},
+         "'trials'"),
+        ("simulate", [], {"policy": "constant:q=0.5", "n": 8, "trials": 100, "seed": 1.9},
+         "'seed'"),
+        ("verify", ["reversibility"], {"q": 0.5, "band": 2.5}, "'band'"),
+        ("solve", [], {"q": 0.5, "n": 4, "objective": ""}, "'objective'"),
+        ("exponent", [], {"policy_kind": "constant", "q": 0.5, "n_grid": "2,4,8", "min_n": 2,
+                          "method": ""}, "'method'"),
+        ("exponent", [], {"policy_kind": "constant", "q": 0.5, "n_grid": "2,4,8", "min_n": 2,
+                          "params": ""}, "--params"),
+        ("exponent", ["--method", "mc", "--seed", "1", "--params", '{"trials": 100.5}'],
+         {"policy_kind": "constant", "q": 0.5, "n_grid": "2,4,8", "min_n": 2}, "trials"),
+        ("exponent", [], {"policy_kind": "optimal", "q": 0.5, "n_grid": [128.7, 256, 512]},
+         "n must be an integer"),
+        ("verify", ["heatkernel"], {"q": 0.5, "t_grid": [64.5, 128]}, "t_grid"),
+        ("evolve", [], {"policy": "constant:q=0.5", "n": 4, "target": True}, "target"),
+        ("solve", [], {"q": 10**400, "n": 4}, "too large"),
+    ])
+    def test_listed_bad_configs_are_exit_2(self, capsys, tmp_path, name, positional, cfg, named):
+        assert run_command([name, *positional, "--config", write_config(tmp_path, cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and named in err
+
+    def test_typed_values_run_as_their_flags(self, capsys, tmp_path):
+        # a JSON integer for a float flag reads as the float the flag would give
+        path = write_config(tmp_path, {"q": 0, "n": 4})
+        code, out = run(capsys, ["solve", "--config", path])
+        assert code == 0
+        assert record_from(out)["config"] == {"q": 0, "n": 4}  # the echo keeps what was given
+        _, flags = run(capsys, ["solve", "--q", "0", "--n", "4"])
+        assert out.split('"payload"')[1] == flags.split('"payload"')[1]
+
+    def test_shared_defaults_stay_out_of_the_echo(self, capsys):
+        code, out = run(capsys, ["evolve", "--policy", "constant:q=0.5", "--n", "4"])
+        assert code == 0
+        assert record_from(out)["config"] == {"policy": "constant:q=0.5", "n": 4}
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["evolve", "--policy", "constant:q=0.5", "--n", "4"],
+         ["--start", "0", "--mode", "float64"]),
+        (["solve", "--q", "0.5", "--n", "4"], ["--objective", "max"]),
+        (["exponent", "--policy-kind", "constant", "--q", "0.5", "--n-grid", "2,4,8",
+          "--min-n", "2"], ["--method", "exact"]),
+        (["simulate", "--policy", "constant:q=0.5", "--n", "4", "--seed", "1"],
+         ["--start", "0", "--trials", "10000"]),
+        (["barriers", "--policy", "constant:q=0.5", "--n", "4", "--seed", "1", "--trials", "10"],
+         ["--start", "0", "--beta", "0"]),
+        (["verify", "reversibility", "--q", "0.5", "--band", "2"], ["--mode", "float64"]),
+    ])
+    def test_shared_defaults_are_the_documented_values(self, capsys, argv, defaults):
+        plain, explicit = (
+            [(r["payload"], r["provenance"]) for r in records_from(argv, run(capsys, a)[1])]
+            for a in (argv, argv + defaults)
+        )
+        assert plain == explicit
 
 
 class TestEvolveAndSolve:
@@ -412,17 +533,41 @@ class TestRecordsAndConfig:
         assert (tmp_path / "sub" / "rec.json").exists()
 
     def test_config_round_trip(self, capsys, tmp_path):
-        code, out = run(
-            capsys,
+        # every subcommand, run from flags and again from its echoed config
+        cert = tmp_path / "cert5.json"
+        cert.write_text(json.dumps(calibrate_lemma5(0.5)))
+        runs = [
             ["evolve", "--policy", "two-zone:q=0.9,band=3", "--n", "64", "--target=-2:2"],
-        )
-        rec1 = record_from(out)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(rec1["config"]))
-        code2, out2 = run(capsys, ["evolve", "--config", str(cfg)])
-        rec2 = record_from(out2)
-        assert code == code2 == 0
-        assert rec1["payload"] == rec2["payload"]
+            ["evolve", "--policy", "constant:q=0.5,u=0.5", "--n", "10", "--start", "1",
+             "--mode", "rational"],
+            ["solve", "--q", "0.5", "--n", "6", "--objective", "min", "--target", "0:2"],
+            ["region", "--q", "0.5", "--n", "6", "--objective", "max"],
+            ["simulate", "--policy", "two-zone:q=0.9,band=4", "--n", "100", "--start", "2",
+             "--target", "0:4", "--trials", "500", "--seed", "42"],
+            ["barriers", "--policy", "constant:q=0.5,u=0.5", "--n", "64", "--beta", "0",
+             "--start", "1", "--trials", "300", "--seed", "3"],
+            ["exponent", "--policy-kind", "optimal", "--q", "0.9", "--n-grid", "16,32,64",
+             "--min-n", "16", "--method", "exact", "--params", '{"objective": "min"}'],
+            ["exponent", "--policy-kind", "constant", "--q", "0.5", "--n-grid", "16,32,64",
+             "--min-n", "16", "--method", "mc", "--trials", "300", "--seed", "2"],
+            ["verify", "lemma0", "--q", "0.9", "--h", "1", "--delta", "0.1", "--ell", "240",
+             "--trials", "500", "--seed", "7"],
+            ["verify", "lemma5", "--cert", str(cert)],
+            ["verify", "reversibility", "--q", "0.5", "--band", "3", "--window", "5",
+             "--mode", "rational"],
+            ["verify", "heatkernel", "--q", "0.5", "--band", "4", "--t-grid", "16,32,64"],
+            ["calibrate", "lemma5", "--q", "0.5"],
+        ]
+        for argv in runs:
+            code, out = run(capsys, argv)
+            recs = records_from(argv, out)
+            positional = argv[:2] if argv[0] in ("verify", "calibrate") else argv[:1]
+            path = write_config(tmp_path, recs[0]["config"])
+            code2, out2 = run(capsys, [*positional, "--config", path])
+            recs2 = records_from(argv, out2)
+            assert code == code2 == 0, argv
+            assert [r["payload"] for r in recs] == [r["payload"] for r in recs2], argv
+            assert [r["provenance"] for r in recs] == [r["provenance"] for r in recs2], argv
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

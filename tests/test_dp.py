@@ -248,7 +248,7 @@ class TestSiteLawOneRow:
     # the last, moves this value by 2.1e-15
     @example((sweep_policy("two-zone", 0.9, 4096, {}), 4096, 7, (0, 100000)))
     @given(site_law_cases())
-    @settings(max_examples=250, deadline=None, derandomize=True)
+    @settings(max_examples=250, deadline=None)
     def test_matches_two_row_law(self, case):
         policy, n, start, target = case
         got = hit_probability(policy, n, start, target)
@@ -284,7 +284,7 @@ class TestSiteLawOneRow:
 
 class TestSolverAgainstFullWindow:
     @given(dp_cases())
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     def test_values_and_rows_match_bitwise(self, case):
         q, n, objective, target = case
         v0, values, rows = full_window_solve(q, n, objective, as_target(target))
@@ -296,7 +296,7 @@ class TestSolverAgainstFullWindow:
         assert lean.v0.tobytes() == v0.tobytes() and lean_bb == bb
 
     @given(dp_cases())
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     def test_value_matches_dict_oracle_and_replay(self, case):
         q, n, objective, target = case
         table, bb = solve_extremal(q, n, objective, target=target, keep_values=False)
@@ -309,7 +309,7 @@ class TestSolverAgainstFullWindow:
         st.integers(1, 60),
         st.sampled_from([MAX, MIN]),
     )
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     def test_one_pass_curve_equals_per_n_solves(self, q, big, objective):
         curve = _optimal_curve(q, range(1, big + 1), objective)
         assert sorted(curve) == list(range(1, big + 1))
@@ -317,7 +317,7 @@ class TestSolverAgainstFullWindow:
             assert p == solve_extremal(q, m, objective, keep_values=False)[0].value(0, 0)
 
     @given(st.floats(0.01, 0.99), st.integers(6, 60), st.data())
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None)
     def test_optimal_sweep_records_equal_per_n_solves(self, q, big, data):
         # the min objective reaches p = 0 at odd horizons, which no fit takes
         for objective, step in ((MAX, 1), (MIN, 2)):
@@ -335,7 +335,7 @@ class TestSolverAgainstFullWindow:
 
 class TestEvolveAgainstPerCellOracle:
     @given(evolution_cases())
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None)
     def test_laws_match_bitwise(self, case):
         policy, n, start, mode, live = case
         # collected first: a yielded law must not change under later steps
@@ -419,6 +419,25 @@ class TestEvolveDriver:
         with pytest.raises(ParameterError):
             evolve(p, 65)
 
+    @pytest.mark.parametrize("call", [
+        lambda p: evolve(p, 4.5),
+        lambda p: evolve(p, True),
+        lambda p: evolve(p, 4, start=np.float64(1)),
+        lambda p: hit_probability(p, 4, start=0.5),
+        lambda p: solve_extremal(0.5, 4.5),
+        lambda p: solve_extremal(0.5, "4"),
+    ])
+    def test_non_integer_run_arguments_rejected(self, call):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(constant_policy(0.5, 0.5))
+
+    def test_numpy_integer_run_arguments_accepted(self):
+        p = two_zone_policy(0.9, 2)
+        want = evolve(p, 12, 3)
+        got = evolve(p, np.int64(12), np.int32(3))
+        assert got.mass.tobytes() == want.mass.tobytes() and got.offset == want.offset
+        assert solve_extremal(0.5, np.int64(6))[0].value(0, 0) == solve_extremal(0.5, 6)[0].value(0, 0)
+
     def test_schedule_resets_conserve_mass(self):
         segs = multiscale_qto1_schedule(0.9, 4, 64)
         p = schedule_policy(0.9, segs)
@@ -437,13 +456,14 @@ class TestEvolveDriver:
         assert as_target(np.int32(-2)) == (-2, -2)
         assert as_target((np.int64(-1), np.int64(4))) == (-1, 4)
 
-    @pytest.mark.parametrize("bad", [3.5, np.float64(2.0), "3"])
+    @pytest.mark.parametrize("bad", [3.5, np.float64(2.0), "3", True])
     def test_as_target_rejects_non_integral_site(self, bad):
         with pytest.raises(ParameterError):
             as_target(bad)
 
     @pytest.mark.parametrize(
-        "bad", [[5], (1,), [0, 2, 9], (), [float("inf"), 2], ["a", 1], [0.5, 2], (np.float64(1), 2)]
+        "bad", [[5], (1,), [0, 2, 9], (), [float("inf"), 2], ["a", 1], [0.5, 2], (np.float64(1), 2),
+                [False, 2]]
     )
     def test_as_target_rejects_non_pairs(self, bad):
         with pytest.raises(ParameterError):

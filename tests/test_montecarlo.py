@@ -112,6 +112,21 @@ class TestBatches:
         batch = run_batch(constant_policy(0.5, 0.0), 31, trials=500, seed=5)
         assert np.all((batch.final % 2) != 0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": 100.5}, {"trials": True}, {"trials": 10, "seed": 1.5},
+        {"trials": 10, "seed": True}, {"trials": 10, "trial_base": 0.5},
+        {"trials": 10, "start": 0.5}, {"trials": 10, "n": 16.0},
+    ])
+    def test_non_integer_batch_arguments_rejected(self, kwargs):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            run_batch(constant_policy(0.5, 0.5), **{"n": 16, **kwargs})
+
+    def test_numpy_integer_seeds_and_trials_accepted(self):
+        p = constant_policy(0.5, 0.5)
+        want = run_batch(p, 16, trials=50, seed=7).final
+        assert np.array_equal(run_batch(p, 16, trials=np.int64(50), seed=np.uint64(7)).final, want)
+        assert np.array_equal(trial_keys(np.int32(7), 3), trial_keys(7, 3))
+
     def test_start_offset(self):
         batch = run_batch(constant_policy(0.5, 0.5), 10, start=7, trials=100, seed=1)
         assert np.all(np.abs(batch.final - 7) <= 10)

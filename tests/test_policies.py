@@ -24,7 +24,9 @@ from ctrlwalk import (
     schedule_policy,
     two_zone_policy,
 )
-from ctrlwalk.policies import stay_set
+from ctrlwalk.dp import evolve
+from ctrlwalk.montecarlo import run_batch
+from ctrlwalk.policies import run_args, stay_set
 from reference import control_grid, control_values, evaluate
 
 
@@ -79,6 +81,26 @@ class TestBuilders:
     def test_bang_bang_table_row_count(self):
         with pytest.raises(ParameterError):
             bang_bang_table_policy(0.5, 3, [[(0, 0)]])
+
+
+class TestRunArguments:
+    def test_integers_pass_through(self):
+        p = schedule_policy(0.9, multiscale_qto1_schedule(0.9, 4, 64))
+        assert run_args(p, np.int64(64), np.int32(-3)) == (64, -3)
+        assert run_args(constant_policy(0.5, 0.5), 10**6, 0) == (10**6, 0)
+
+    @pytest.mark.parametrize("n, start, message", [
+        (65, 0, "policy horizon 64 shorter than n=65"),
+        (-1, 0, "n must be >= 0"),
+        (4.0, 0, "n must be an integer"),
+        (4, "1", "start must be an integer"),
+    ])
+    def test_both_engines_share_the_rule(self, n, start, message):
+        p = schedule_policy(0.9, multiscale_qto1_schedule(0.9, 4, 64))
+        for run in (lambda: run_args(p, n, start), lambda: evolve(p, n, start),
+                    lambda: run_batch(p, n, start, trials=4)):
+            with pytest.raises(ParameterError, match=message):
+                run()
 
 
 class TestSchedules:

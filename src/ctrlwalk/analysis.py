@@ -51,7 +51,7 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
     Points with n below min_n are dropped before fitting (pre-asymptotic
     transients bias the slope); the cutoff is recorded in the result.
     """
-    pts = [(int(n), float(p)) for n, p in points]
+    pts = [(as_index(n, "n"), float(p)) for n, p in points]
     if len(pts) < 3:
         raise ParameterError("need at least 3 points")
     for (n1, _), (n2, _) in zip(pts, pts[1:]):

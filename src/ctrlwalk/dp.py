@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .errors import AdmissibilityError, InvariantError, ParameterError, as_index
+from .errors import InvariantError, ParameterError, as_index
 from .lattice import (
     FLOAT,
     HIT_ZERO,
@@ -68,8 +68,8 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     sized once hold column site + shift, zero off the window and, in half,
     off the live columns. Each step follows the operation order of the
     per-cell oracle step_distribution in tests/reference.py, so laws agree
-    bitwise. u in [0, 1] keeps every factor non-negative, so no mass can
-    turn negative and only the total is checked.
+    bitwise. _stay_region holds u in [0, 1], which keeps every factor
+    non-negative, so no mass can turn negative and only the total is checked.
     """
     n, start = run_args(policy, n, start)
     if mode == RATIONAL and n > RATIONAL_MAX_STEPS:
@@ -90,8 +90,6 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
             mass[:, a : b + 1] = reset_hit_flags(d).mass
         u, hit_only, intervals = _stay_region(policy, t)
         hit_only = hit_only and two
-        if not 0 <= u <= min(policy.q_cap, 1.0):
-            raise AdmissibilityError(f"control value {u} escapes [0, {policy.q_cap}] at step {t}")
         u = _as_mode_value(u, mode)
         f = (1 - u) * one_half  # each neighbour's share of moving mass on a stay span
         p = max(a, lo)  # live columns [p, r], the rest is frozen
@@ -303,7 +301,7 @@ def value_table_to_csv(table: ValueTable, fh, cutoff: int | None = None) -> int:
     """Write (t, x, value) rows with |x| <= cutoff, 0.0 off [-n, n]; returns the row count."""
     if table.values is None:
         raise ParameterError("value export needs keep_values=True")
-    cutoff = table.n if cutoff is None else int(cutoff)
+    cutoff = table.n if cutoff is None else as_index(cutoff, "cutoff")
     if cutoff < 0:
         raise ParameterError(f"cutoff must be >= 0, got {cutoff}")
     writer = csv.writer(fh)

@@ -16,7 +16,9 @@ import numpy as np
 from .defaults import MC_TRIALS
 from .dp import as_target
 from .errors import ParameterError, as_index
-from .policies import PolicySpec, flag_reset_times, run_args, stay_set
+from .policies import (
+    PolicySpec, constant_policy, fast_until_zero_policy, flag_reset_times, run_args, stay_set,
+)
 from .rng import UNIFORM_SHIFT, step_bits, trial_keys
 
 
@@ -50,7 +52,7 @@ class BarrierFamily:
 
 
 def barrier_family(n: int, beta_exp: float = 0.0) -> BarrierFamily:
-    n = int(n)
+    n = as_index(n, "n")
     beta_exp = float(beta_exp)
     if n < 2:
         raise ParameterError("horizon must be >= 2")
@@ -139,42 +141,38 @@ def _advance(x: np.ndarray, keys: np.ndarray, t: int, u: float, where, buf) -> N
     x += move
 
 
-def _walk(policy: PolicySpec, n: int, start: int, keys: np.ndarray, family, record_path=False):
-    """Step one walk per key n times: (final sites, entrance table, path).
+def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=None):
+    """Step the caller's int64 sites x n times in place: the one step loop.
 
-    The entrance table is None without a family; path holds walk 0's site
-    at times 0..n when record_path is set, else it is None. Barrier
-    tracking keeps each walk's next stage with that stage's radius and band
-    start, and updates only the walks that enter a stage.
+    Walk j draws the bits of keys[j], keys broadcast against x. After each
+    step this yields the visited-0 flags and, given a family (x then 1-D),
+    the entrance table so far, else None. Barrier tracking keeps each walk's
+    next stage with that stage's radius and band start, and updates only
+    the walks that enter a stage.
     """
-    n, start = run_args(policy, n, start)
     if family is not None and family.n != n:
         raise ParameterError(f"family horizon {family.n} != n={n}")
-    trials = keys.size
-    x = np.full(trials, start, dtype=np.int64)
     flag = x == 0
     resets = set(flag_reset_times(policy))
-    buf = _buffers(keys, trials)
-    path = np.full(n + 1, start, dtype=np.int64) if record_path else None
+    buf = _buffers(keys, x.shape)
+    lo, hi = int(x.min()), int(x.max())
 
     entr = None
     if family is not None:
-        entr = np.full((trials, family.N0), -1, dtype=np.int64)
+        entr = np.full((x.size, family.N0), -1, dtype=np.int64)
         # pads: a walk past the last stage gets radius -1 and never enters again
         rad = np.array(family.radii + (-1,), dtype=np.int64)
         bs = np.array(family.band_starts + (n,), dtype=np.int64)
-        stage = np.zeros(trials, dtype=np.int64)  # 0-based index of next stage
-        radius = np.full(trials, rad[0])
-        band = np.full(trials, bs[0])
+        stage = np.zeros(x.size, dtype=np.int64)  # 0-based index of next stage
+        radius = np.full(x.size, rad[0])
+        band = np.full(x.size, bs[0])
 
     for t in range(n):
         if t in resets:
             np.equal(x, 0, out=flag)
-        u, where = stay_set(policy, t, x, flag, sites=(start - t, start + t))
+        u, where = stay_set(policy, t, x, flag, sites=(lo - t, hi + t))
         _advance(x, keys, t, u, where, buf)
         flag |= x == 0
-        if path is not None:
-            path[t + 1] = x[0]
         if family is not None and t + 1 >= bs[0]:
             idx = np.flatnonzero((np.abs(x) <= radius) & (band <= t + 1))
             if idx.size:
@@ -183,7 +181,7 @@ def _walk(policy: PolicySpec, n: int, start: int, keys: np.ndarray, family, reco
                 stage[idx] = k + 1
                 radius[idx] = rad[k + 1]
                 band[idx] = bs[k + 1]
-    return x, entr, path
+        yield flag, entr
 
 
 def run_batch(
@@ -204,17 +202,13 @@ def run_batch(
     keys = trial_keys(seed, trials, base=trial_base)
     if trials < 1:
         raise ParameterError("need at least one trial")
-    final, entr, _ = _walk(policy, n, start, keys, family)
-    return TrajectoryBatch(
-        policy=policy,
-        n=n,
-        start=start,
-        trials=trials,
-        seed=seed,
-        final=final,
-        entrances=entr,
-        family=family,
-    )
+    n, start = run_args(policy, n, start)
+    x = np.full(trials, start, dtype=np.int64)
+    entr = None
+    for _, entr in _walk(policy, n, x, keys, family):
+        pass
+    return TrajectoryBatch(policy=policy, n=n, start=start, trials=trials, seed=seed, final=x,
+                           entrances=entr, family=family)
 
 
 def sample_path(
@@ -231,7 +225,12 @@ def sample_path(
     is supplied, else an array with -1 for stages not reached by time n.
     """
     keys = trial_keys(seed, 1, base=trial)
-    _, entr, path = _walk(policy, n, start, keys, family, record_path=True)
+    n, start = run_args(policy, n, start)
+    x = np.full(1, start, dtype=np.int64)
+    path = np.full(n + 1, start, dtype=np.int64)
+    entr = None
+    for t, (_, entr) in enumerate(_walk(policy, n, x, keys, family), 1):
+        path[t] = x[0]
     return path, None if entr is None else entr[0]
 
 
@@ -378,10 +377,8 @@ def lemma0_check(
     x = np.zeros(trials, dtype=np.int64)
     stopped = np.zeros(trials, dtype=bool)
     hit_top = np.zeros(trials, dtype=bool)
-    buf = _buffers(keys, trials)
-    for t in range(ell):
-        # stopped walks keep moving: only a walk's site at its stopping time is read
-        _advance(x, keys, t, q_cap, None, buf)
+    # stopped walks keep moving: only a walk's site at its stopping time is read
+    for _ in _walk(constant_policy(q_cap, q_cap), ell, x, keys):
         newly = ~stopped & (np.abs(x) >= h)
         hit_top |= newly & (x >= h)
         stopped |= newly
@@ -433,8 +430,7 @@ def lemma_ori_check(
     separately: never reaching 0 at all, and drifting back out to |x| >= K
     after reaching it.
     """
-    A = int(A)
-    K = int(K)
+    A, K = as_index(A, "A"), as_index(K, "K")
     if K < 1 or A < 1:
         raise ParameterError("need K >= 1 and A >= 1")
     if trials < 1:
@@ -444,12 +440,8 @@ def lemma_ori_check(
 
     keys = trial_keys(seed, trials)
     x = np.repeat(starts[:, None], trials, axis=1)
-    flag = x == 0
-    exited = np.zeros_like(flag)
-    buf = _buffers(keys, x.shape)
-    for t in range(steps):
-        _advance(x, keys, t, q_cap, flag, buf)
-        flag |= x == 0
+    exited = np.zeros(x.shape, dtype=bool)
+    for flag, _ in _walk(fast_until_zero_policy(q_cap), steps, x, keys):
         exited |= flag & (np.abs(x) >= K)
 
     contain = (np.abs(x) <= K).mean(axis=1)

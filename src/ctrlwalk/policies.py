@@ -63,7 +63,7 @@ def constant_policy(q_cap: float, u_value: float) -> PolicySpec:
 def two_zone_policy(q_cap: float, band_halfwidth: int) -> PolicySpec:
     """Slow (u=q_cap) at |x| <= band_halfwidth, free (u=0) outside."""
     q_cap = _check_cap(q_cap)
-    band = int(band_halfwidth)
+    band = as_index(band_halfwidth, "band_halfwidth")
     if band < 0:
         raise ParameterError(f"band_halfwidth must be >= 0, got {band}")
     return PolicySpec(TWO_ZONE, q_cap, {"band_halfwidth": band})
@@ -104,7 +104,7 @@ def bang_bang_table_policy(q_cap: float, n: int, rows: Sequence[Sequence[tuple]]
     the output format of the exact optimizer.
     """
     q_cap = _check_cap(q_cap)
-    n = int(n)
+    n = as_index(n, "n")
     if n < 1 or len(rows) != n:
         raise ParameterError(f"need one interval row per step, got {len(rows)} for n={n}")
     frozen_rows = []
@@ -112,7 +112,7 @@ def bang_bang_table_policy(q_cap: float, n: int, rows: Sequence[Sequence[tuple]]
         prev = None
         clean = []
         for a, b in row:
-            a, b = int(a), int(b)
+            a, b = as_index(a, "interval end"), as_index(b, "interval end")
             if a > b or (prev is not None and a <= prev):
                 raise ParameterError(f"row {t} intervals not sorted/disjoint")
             clean.append((a, b))
@@ -135,8 +135,7 @@ def multiscale_localization_schedule(
     q_cap = _check_cap(q_cap)
     alpha = float(alpha)
     beta = float(beta)
-    K0 = int(K0)
-    T = int(T)
+    K0, T = as_index(K0, "K0"), as_index(T, "T")
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
     if alpha <= 0 or K0 < 1:
@@ -185,8 +184,7 @@ def multiscale_qto1_schedule(q_cap: float, A: int, n: int) -> list[ScheduleSegme
     phase that reaches time 0 form a free (u=0) prefix.
     """
     q_cap = _check_cap(q_cap)
-    A = int(A)
-    n = int(n)
+    A, n = as_index(A, "A"), as_index(n, "n")
     if A < 1:
         raise ParameterError(f"A must be >= 1, got {A}")
     if n <= A:
@@ -269,21 +267,26 @@ def _stay_region(policy: PolicySpec, t: int):
     The stay probability is u on the sorted inclusive site intervals
     (None: every site), only in the HIT_ZERO row when hit_only, and 0
     elsewhere. Schedules resolve to the policy of the segment holding t.
+    A u outside [0, min(q_cap, 1)] of the policy raises, for every engine.
     """
-    _check_horizon(policy, t)
-    kind = policy.kind
-    if kind == SCHEDULE:
-        return _stay_region(_segment_at(policy, t).inner_policy, t)
+    inner = policy
+    _check_horizon(inner, t)
+    while inner.kind == SCHEDULE:
+        inner = _segment_at(inner, t).inner_policy
+        _check_horizon(inner, t)
+    kind, u = inner.kind, inner.q_cap
+    hit_only, intervals = kind == FAST_UNTIL_ZERO, None
     if kind == CONSTANT:
-        return policy.params["u_value"], False, None
-    if kind == TWO_ZONE:
-        band = policy.params["band_halfwidth"]
-        return policy.q_cap, False, ((-band, band),)
-    if kind == FAST_UNTIL_ZERO:
-        return policy.q_cap, True, None
-    if kind == BANG_BANG_TABLE:
-        return policy.q_cap, False, policy.params["rows"][t]
-    raise ParameterError(f"unknown policy kind {kind!r}")
+        u = inner.params["u_value"]
+    elif kind == TWO_ZONE:
+        intervals = ((-inner.params["band_halfwidth"], inner.params["band_halfwidth"]),)
+    elif kind == BANG_BANG_TABLE:
+        intervals = inner.params["rows"][t]
+    elif kind != FAST_UNTIL_ZERO:
+        raise ParameterError(f"unknown policy kind {kind!r}")
+    if not 0 <= u <= min(policy.q_cap, 1.0):  # NaN fails too
+        raise AdmissibilityError(f"control value {u} escapes [0, {policy.q_cap}] at step {t}")
+    return u, hit_only, intervals
 
 
 def stay_set(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray, sites=None):

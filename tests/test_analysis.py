@@ -57,6 +57,10 @@ class TestExponentFit:
         with pytest.raises(ParameterError):
             fit_exponent([(16, 0.9), (32, 0.8), (256, 0.5), (512, 0.4)], min_n=128)
 
+    def test_rejects_non_integer_n(self):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            fit_exponent([(128.5, 0.5), (256, 0.4), (512, 0.3)])
+
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ParameterError):
             fit_exponent([(512, 0.4), (256, 0.5), (1024, 0.3)])

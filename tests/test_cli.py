@@ -1,11 +1,13 @@
 """Command-line contract: exit codes, records, round-trips."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ctrlwalk
 from ctrlwalk import (
     ParameterError,
     __version__,
@@ -124,6 +126,12 @@ class TestExitCodes:
         path.write_text("[1]")
         assert run_command(["evolve", "--policy", f"file:{path}", "--n", "4"]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+    def test_non_integer_band_in_policy_file_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "pol.json"
+        path.write_text(json.dumps({"kind": "two-zone", "q_cap": 0.5, "band_halfwidth": 2.5}))
+        assert run_command(["evolve", "--policy", f"file:{path}", "--n", "4"]) == 2
+        assert "band_halfwidth must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", [[5], [0, 2, 9]])
     def test_config_target_not_a_pair_is_exit_2(self, capsys, tmp_path, target):
@@ -667,10 +675,13 @@ class TestExponentCommand:
 
 class TestInstalledScript:
     def test_console_entry_point(self):
+        # the child imports the package under test, installed or not
+        src = os.path.dirname(os.path.dirname(ctrlwalk.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", "from ctrlwalk.cli import main; main()"],
             input="",
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 2  # no subcommand given

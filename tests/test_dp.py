@@ -25,6 +25,7 @@ from ctrlwalk import (
     bang_bang_table_policy,
     boundary_to_csv,
     constant_policy,
+    estimate_hit,
     evolve,
     evolve_trace,
     exponent_sweep,
@@ -38,6 +39,8 @@ from ctrlwalk import (
     policy_from_json,
     policy_to_json,
     reset_hit_flags,
+    run_batch,
+    sample_path,
     schedule_policy,
     solve_extremal,
     sweep_policy,
@@ -361,13 +364,21 @@ class TestEvolveAgainstPerCellOracle:
 
 
 class TestKeptChecks:
+    ENGINES = {
+        FLOAT: lambda p: evolve(p, 3, mode=FLOAT),
+        RATIONAL: lambda p: evolve(p, 3, mode=RATIONAL),
+        "run_batch": lambda p: run_batch(p, 3, trials=4, seed=1),
+        "sample_path": lambda p: sample_path(p, 3, seed=1),
+        "estimate_hit": lambda p: estimate_hit(p, 4, trials=10, seed=1),
+    }
+
     @pytest.mark.parametrize("u", [0.7, float("nan")])
-    @pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
-    def test_inadmissible_control_raises(self, u, mode):
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_inadmissible_control_raises(self, u, engine):
         # built by hand: constant_policy would refuse these values
         p = PolicySpec(CONSTANT, 0.5, {"u_value": u})
-        with pytest.raises(AdmissibilityError):
-            evolve(p, 3, mode=mode)
+        with pytest.raises(AdmissibilityError, match="escapes \\[0, 0.5\\] at step 0"):
+            self.ENGINES[engine](p)
 
     def test_conservation_checked_every_step(self, monkeypatch):
         p = constant_policy(0.5, 0.5)
@@ -589,6 +600,11 @@ class TestValueTable:
         table, _ = solve_extremal(0.5, 2, MAX)
         with pytest.raises(ParameterError, match="cutoff"):
             value_table_to_csv(table, io.StringIO(), -1)
+
+    def test_csv_non_integer_cutoff_rejected(self):
+        table, _ = solve_extremal(0.5, 4, MAX)
+        with pytest.raises(ParameterError, match="cutoff must be an integer"):
+            value_table_to_csv(table, io.StringIO(), 1.7)
 
 
 class TestBangBang:

@@ -193,6 +193,10 @@ class TestBarriers:
         with pytest.raises(ParameterError):
             barrier_family(1024, beta_exp=0.49)
 
+    def test_family_rejects_non_integer_horizon(self):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            barrier_family(64.9)
+
     def test_inclusion_holds_for_lazy(self):
         st_ = barrier_diagnostics(constant_policy(0.5, 0.5), 256, trials=3000, seed=6)
         assert st_.violations_exact == 0
@@ -250,6 +254,31 @@ class TestProbes:
         assert res.ci_low <= res.min_contain <= res.ci_high
         assert res.min_contain == min(res.contain)
         assert res.starts[res.contain.index(res.min_contain)] == res.worst_start
+
+    @pytest.mark.parametrize("A, K", [(2.5, 4), (1, 4.0)])
+    def test_return_probe_rejects_non_integer_sizes(self, A, K):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            lemma_ori_check(0.9, A, K, trials=10, seed=1)
+
+    def test_return_probe_runs_the_batch_walk(self):
+        # each start's row is run_batch from that start over A*K^2 = 16 steps
+        res = lemma_ori_check(0.875, 1, 4, trials=300, seed=3)
+        policy = fast_until_zero_policy(0.875)
+        for s, contain in zip(res.starts, res.contain):
+            final = run_batch(policy, 16, start=s, trials=300, seed=3).final
+            assert contain == np.count_nonzero(np.abs(final) <= 4) / 300
+
+    def test_escape_probe_runs_the_batch_walk(self):
+        res = lemma0_check(0.5, 2, 0.5, 192, trials=200, seed=11)
+        policy = constant_policy(0.5, 0.5)
+        exits = []  # each trial's site at its first |.| >= h, 0 if none
+        for i in range(200):
+            path, _ = sample_path(policy, 192, seed=11, trial=i)
+            out = path[np.abs(path) >= 2]
+            exits.append(int(out[0]) if out.size else 0)
+        assert (res.hits, res.stopped_within) == (105, 200)
+        assert res.hits == sum(e >= 2 for e in exits)
+        assert res.stopped_within == sum(e != 0 for e in exits)
 
     def test_return_probe_deterministic(self):
         a = lemma_ori_check(0.875, 1, 4, trials=400, seed=2)

@@ -82,6 +82,23 @@ class TestBuilders:
         with pytest.raises(ParameterError):
             bang_bang_table_policy(0.5, 3, [[(0, 0)]])
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: two_zone_policy(0.5, 2.5), id="two-zone-band"),
+        pytest.param(lambda: two_zone_policy(0.5, True), id="two-zone-band-bool"),
+        pytest.param(lambda: policy_from_json(
+            {"kind": "two-zone", "q_cap": 0.5, "band_halfwidth": 2.5}), id="two-zone-json"),
+        pytest.param(lambda: bang_bang_table_policy(0.5, 2.9, [((0.5, 1.5),), ()]), id="table-n"),
+        pytest.param(lambda: bang_bang_table_policy(0.5, 2, [((0.5, 1),), ()]), id="table-lo"),
+        pytest.param(lambda: bang_bang_table_policy(0.5, 2, [((0, 1.5),), ()]), id="table-hi"),
+        pytest.param(lambda: multiscale_localization_schedule(0.9, 0.5, 0.5, 4.5, 512), id="loc-K0"),
+        pytest.param(lambda: multiscale_localization_schedule(0.9, 0.5, 0.5, 4, 512.5), id="loc-T"),
+        pytest.param(lambda: multiscale_qto1_schedule(0.9, 4.5, 512), id="qto1-A"),
+        pytest.param(lambda: multiscale_qto1_schedule(0.9, 4, 512.5), id="qto1-n"),
+    ])
+    def test_non_integer_sizes_rejected(self, build):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            build()
+
 
 class TestRunArguments:
     def test_integers_pass_through(self):

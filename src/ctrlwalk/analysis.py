@@ -283,19 +283,20 @@ def band_sum_profile(q_cap: float, K: int, band: int, t: int, ys) -> dict:
         (1/(1-q)) * [P_y(in [-K, K]) - q * P_y(in [-band, band])].
     """
     pol = two_zone_policy(q_cap, band)
+    K, ys = as_index(K, "K"), [as_index(y, "y") for y in ys]
     out = {}
     for y in ys:
-        d = evolve(pol, t, int(y))
+        d = evolve(pol, t, y)
         m_outer = float(interval_mass(d, -K, K))
         m_band = float(interval_mass(d, -band, band))
-        out[int(y)] = (m_outer - q_cap * m_band) / (1.0 - q_cap)
+        out[y] = (m_outer - q_cap * m_band) / (1.0 - q_cap)
     return out
 
 
 def band_sum_direct(q_cap: float, K: int, band: int, t: int, ys) -> dict:
     """Same column sums by brute force: one evolution per start x in [-K, K]."""
     pol = two_zone_policy(q_cap, band)
-    ys = [int(y) for y in ys]
+    K, ys = as_index(K, "K"), [as_index(y, "y") for y in ys]
     total = {y: 0.0 for y in ys}
     for x in range(-K, K + 1):
         d = evolve(pol, t, x)
@@ -373,8 +374,7 @@ def verify_lemma5_certificate(cert: dict) -> dict:
 def level_hit_cdf(a: int, t: int) -> float:
     """P(simple walk from 0 reaches level a within t steps), by reflection."""
     from scipy.stats import binom  # imported here: it costs about a second per process
-    a = int(a)
-    t = int(t)
+    a, t = as_index(a, "level"), as_index(t, "t")
     if a < 1:
         raise ParameterError("level must be >= 1")
     if t < a:
@@ -393,8 +393,7 @@ def interior_survival(q_cap: float, K: int, s: int) -> float:
     sites: eigenvalues q + (1-q) cos(pi j / 2K), eigenvectors
     sin(pi j (x+K) / 2K), started from the delta at 0.
     """
-    K = int(K)
-    s = int(s)
+    K, s = as_index(K, "K"), as_index(s, "s")
     if K < 1:
         raise ParameterError("K must be >= 1")
     if s <= 0:

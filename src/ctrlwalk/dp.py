@@ -31,7 +31,8 @@ from .lattice import (
     reset_hit_flags,
 )
 from .policies import (
-    PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times, run_args,
+    PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times,
+    mirror_symmetric, run_args,
 )
 
 MAX = "max"
@@ -59,7 +60,7 @@ def as_target(target) -> tuple[int, int]:
 
 
 def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
-    """The law at times 0..n as (R, 2t+1) views that the next step overwrites.
+    """The law at times 0..n as (R, W) views that the next step overwrites.
 
     R = 1 when the walk starts on 0 and no flag reset follows: all mass is
     flagged, so the NOT_HIT row would stay zero. The one row is then the
@@ -70,12 +71,19 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     per-cell oracle step_distribution in tests/reference.py, so laws agree
     bitwise. _stay_region holds u in [0, 1], which keeps every factor
     non-negative, so no mass can turn negative and only the total is checked.
+
+    One row under a mirror-symmetric policy and live window is folded: site
+    -x would repeat the float operations of site x with its two neighbours
+    swapped, and IEEE addition commutes, so only sites 0..t are swept (W =
+    t + 1; otherwise W = 2t + 1), with column -1 a ghost copy of +1.
     """
     n, start = run_args(policy, n, start)
     if mode == RATIONAL and n > RATIONAL_MAX_STEPS:
         raise ParameterError(f"rational mode runs at most {RATIONAL_MAX_STEPS} steps, got n={n}")
+    live = None if live is None else as_target(live)
     resets = set(flag_reset_times(policy))
     two = start != 0 or bool(resets)
+    fold = not two and (live is None or live[0] == -live[1]) and mirror_symmetric(policy)
     c0, shift = n + 1, n + 1 - start
     mass, out, half = (_zeros((1 + two, 2 * n + 3), mode) for _ in range(3))
     one_half, zero, prev = (_as_mode_value(v, mode) for v in (0.5, 0, 1))
@@ -84,7 +92,8 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     tols = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
     yield mass[:, c0 : c0 + 1]
     for t in range(n):
-        a, b = c0 - t, c0 + t
+        a, b = (c0 if fold else c0 - t), c0 + t  # swept columns: sites -t..t, or 0..t
+        na = a if fold else a - 1  # the next law's first column
         if t in resets:
             d = LatticeDistribution(t, a - shift, mass[:, a : b + 1], mode)
             mass[:, a : b + 1] = reset_hit_flags(d).mass
@@ -105,32 +114,39 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
         np.multiply(mass[:, p : r + 1], f if whole else one_half, out=half[:, p : r + 1])
         for s in () if whole else spans:
             half[rows, s] = mass[rows, s] * f
-        np.add(half[:, a : b + 3], half[:, a - 2 : b + 1], out=out[:, a - 1 : b + 2])
+        if fold:
+            half[:, c0 - 1] = half[:, c0 + 1]
+        np.add(half[:, na + 1 : b + 3], half[:, na - 1 : b + 1], out=out[:, na : b + 2])
         for s in spans:
             out[rows, s] += mass[rows, s] * u
-        for s in (slice(a, p), slice(r + 1, b + 1)):
+        for s in (slice(a, p), slice(r + 1, b + 1)) if live is not None else ():  # frozen mass
             np.add(out[:, s], mass[:, s], out=out[:, s])
         if two and a - 1 <= shift <= b + 1:  # arrivals at site 0 join the HIT_ZERO row
             out[[NOT_HIT, HIT_ZERO], shift] = zero, out[HIT_ZERO, shift] + out[NOT_HIT, shift]
-        total = np.add.reduce(out[:, a - 1 : b + 2], axis=None)
+        m = out[:, na : b + 2]
+        total = m[0, 0] + 2 * np.add.reduce(m[0, 1:]) if fold else np.add.reduce(m, axis=None)
         if not (abs(total - prev) <= tols[0] and abs(total - 1) <= tols[1]):  # NaN fails too
             raise InvariantError(f"total mass {total!r} after step {t}, {prev!r} before")
         prev, mass, out = total, out, mass
-        yield mass[:, a - 1 : b + 2]
+        yield m
 
 
 def _law(t: int, start: int, m: np.ndarray, mode: str) -> LatticeDistribution:
-    """A copy of one _forward view as a two-row law (a one-row view is HIT_ZERO)."""
-    mass = _zeros((2, m.shape[1]), mode)
-    mass[2 - len(m) :] = m
+    """A copy of one _forward view as a two-row law (a one-row view is HIT_ZERO,
+    a folded one holds sites 0..t and is mirrored onto -t..-1)."""
+    k = 2 * t + 1 - m.shape[1]
+    mass = _zeros((2, 2 * t + 1), mode)
+    mass[2 - len(m) :, k:] = m
+    mass[2 - len(m) :, :k] = m[:, k:0:-1]
     return LatticeDistribution(time=t, offset=start - t, mass=mass, mode=mode)
 
 
 def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=None):
     """Yield the law at times 0..n under the policy (n+1 distributions).
 
-    live, if given, is an inclusive site interval (lo, hi); mass on sites
-    outside it is absorbed there and moves no more (first-passage laws).
+    live, if given, is an inclusive site interval (lo, hi), read by the
+    target rule; mass on sites outside it is absorbed there and moves no
+    more (first-passage laws).
     """
     for t, m in enumerate(_forward(policy, n, start, mode, live)):
         yield _law(t, start, m, mode)
@@ -165,6 +181,10 @@ class ValueTable:
     values: np.ndarray | None = None
 
     def value(self, t: int, x: int) -> float:
+        """V_t(x) for 0 <= t <= n; 0.0 at a site off [-n, n]."""
+        t, x = as_index(t, "t"), as_index(x, "x")
+        if not (0 <= t <= self.n):
+            raise ParameterError(f"t={t} outside [0, {self.n}]")
         if abs(x) > self.n:
             return 0.0
         j = x + self.n
@@ -172,8 +192,6 @@ class ValueTable:
             return float(self.v0[j])
         if self.values is None:
             raise ParameterError("solve was run without keep_values; only t=0 is stored")
-        if not (0 <= t <= self.n):
-            raise ParameterError(f"t={t} outside [0, {self.n}]")
         return float(self.values[t, j])
 
 
@@ -210,7 +228,14 @@ def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int):
     """(t, V_t on [-n, n], a, cap mask on sites a, a+1, ...) for t = n..0, as
     views the next step overwrites. Only the target's light cone [lo - k,
     hi + k], k = n - t, is swept: off it V_t is 0 and u = 0 wins the tie, as
-    in a whole-window sweep with the same operation order, bitwise."""
+    in a whole-window sweep with the same operation order, bitwise.
+
+    A target (-h, h) is folded: V_t is even and site -x would repeat the
+    float operations of site x with its neighbours swapped, so only sites
+    x >= 0 are swept (a = 0), with column -1 a ghost copy of +1. V_t at
+    x < 0 is then stale in the yielded row; the caller mirrors what it keeps.
+    """
+    fold = lo == -hi
     lo, hi = max(lo, -n), min(hi, n)
     pad = np.zeros(2 * n + 3)  # V at site x in column x + n + 1
     if lo <= hi:  # a target wholly outside [-n, n] leaves every value 0
@@ -220,8 +245,10 @@ def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int):
     better = np.greater if objective == MAX else np.less
     yield n, pad[1:-1], lo, mask[:0]
     for t in range(n - 1, -1, -1):
-        a = max(lo - (n - t), -n)
+        a = 0 if fold else max(lo - (n - t), -n)
         w = max(min(hi + (n - t), n) - a + 1, 0)
+        if fold:
+            pad[n] = pad[n + 2]
         v = pad[a + n + 1 : a + n + 1 + w]  # V(x) on the cone; V(x-1), V(x+1) a column aside
         np.add(pad[a + n : a + n + w], pad[a + n + 2 : a + n + 2 + w], out=nb[:w])
         np.multiply(nb[:w], 0.5, out=v0[:w])
@@ -249,15 +276,22 @@ def solve_extremal(
     """
     q_cap, n = _solve_args(q_cap, n, objective)
     lo, hi = as_target(target)
+    fold = lo == -hi  # _backward then sweeps sites x >= 0 only: mirror them onto x < 0
     values = np.zeros((n + 1, 2 * n + 1)) if keep_values else None
     masks = [None] * n
     for t, v, a, mask in _backward(q_cap, n, objective, lo, hi):
         if keep_values:
             values[t] = v
         if t < n:
+            if fold:
+                a, mask = 1 - mask.size, np.concatenate((mask[:0:-1], mask))
             masks[t] = (a, np.packbits(mask).tobytes())
+    v0 = v.copy()
+    if fold:
+        for row in (v0,) if values is None else (v0, *values):
+            row[:n] = row[:n:-1]
     table = ValueTable(
-        n=n, q_cap=q_cap, objective=objective, target=(lo, hi), v0=v.copy(), values=values
+        n=n, q_cap=q_cap, objective=objective, target=(lo, hi), v0=v0, values=values
     )
     bb = BangBangPolicy(n=n, q_cap=q_cap, objective=objective, masks=tuple(masks))
     return table, bb
@@ -275,7 +309,8 @@ def _solve_args(q_cap: float, n: int, objective: str) -> tuple[float, int]:
 
 def _optimal_curve(q_cap: float, horizons, objective: str) -> dict:
     """{m: extremal P(S_m = 0)} per horizon m from one pass to N = max m: the
-    recursion does not depend on t, so V_{N-m}(0) is the solve to m, bitwise."""
+    recursion does not depend on t, so V_{N-m}(0) is the solve to m, bitwise.
+    The target (0, 0) folds the pass, and site 0 is never stale."""
     big = max([_solve_args(q_cap, m, objective)[1] for m in horizons], default=1)
     steps = _backward(float(q_cap), big, objective, 0, 0)
     return {big - t: float(v[big]) for t, v, _, _ in steps if big - t in horizons}

@@ -237,6 +237,21 @@ def flag_reset_times(policy: PolicySpec) -> tuple[int, ...]:
     return tuple(times)
 
 
+def mirror_symmetric(policy: PolicySpec) -> bool:
+    """Whether the stay rule at every step is unchanged by x -> -x.
+
+    Constant, two-zone and fast-until-zero rules are; a schedule is when
+    all its segments are, and a bang-bang table when every row equals its
+    mirror image.
+    """
+    if policy.kind == SCHEDULE:
+        return all(mirror_symmetric(seg.inner_policy) for seg in policy.params["segments"])
+    if policy.kind == BANG_BANG_TABLE:
+        rows = policy.params["rows"]
+        return all(row == tuple((-b, -a) for a, b in reversed(row)) for row in rows)
+    return policy.kind in (CONSTANT, TWO_ZONE, FAST_UNTIL_ZERO)
+
+
 def run_args(policy: PolicySpec, n, start) -> tuple[int, int]:
     """(n, start) as ints for a run of n steps under the policy, else ParameterError."""
     n, start = as_index(n, "n"), as_index(start, "start")

@@ -12,10 +12,12 @@ as test oracles:
 - `evaluate`, `control_grid` and `control_values`: the stay rule at one
   cell, over a window, and per trial.
 - `step_uniforms`: the float uniforms behind the MC bits.
+- `trinomial_return`: the closed-form P(S_n = 0) of the constant walk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,3 +165,26 @@ def step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
     """One uniform in [0, 1) per key for the given step counter."""
     bits = step_bits(keys, step)
     return (bits >> np.uint64(UNIFORM_SHIFT)).astype(np.float64) * _INV53
+
+
+# ---------------------------------------------------------------------------
+# closed form
+
+
+def trinomial_return(n, u):
+    """P(S_n = 0) for the walk that stays put with probability u each step.
+
+    Closed form: sum over k up-steps (and k down-steps) of the trinomial
+    weight n! / (k! k! (n-2k)!) ((1-u)/2)^(2k) u^(n-2k), in logs.
+    """
+    log_move = math.log((1.0 - u) / 2.0)
+    logs = [
+        math.lgamma(n + 1) - 2 * math.lgamma(k + 1) - math.lgamma(n - 2 * k + 1)
+        + 2 * k * log_move + ((n - 2 * k) * math.log(u) if n > 2 * k else 0.0)
+        for k in range(n // 2 + 1)
+        if u > 0 or n == 2 * k
+    ]
+    if not logs:
+        return 0.0
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)

@@ -34,6 +34,7 @@ from ctrlwalk import (
     verify_lemma5_certificate,
     verify_lemma6_certificate,
 )
+from reference import trinomial_return
 
 
 class TestExponentFit:
@@ -60,6 +61,13 @@ class TestExponentFit:
     def test_rejects_non_integer_n(self):
         with pytest.raises(ParameterError, match="n must be an integer"):
             fit_exponent([(128.5, 0.5), (256, 0.4), (512, 0.3)])
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_large_n_fit_of_closed_form(self, q):
+        # the trinomial oracle is O(n) per point, so the fit's asymptotics are
+        # tested to n = 2^20 without an engine
+        fit = fit_exponent([(2**k, trinomial_return(2**k, q)) for k in range(12, 21, 2)])
+        assert fit.n_max == 2**20 and abs(fit.sigma_hat - 0.5) < 1e-4
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ParameterError):
@@ -190,6 +198,14 @@ class TestBandSumIdentity:
         for y in ys:
             assert abs(fast[y] - slow[y]) < 1e-12
 
+    @pytest.mark.parametrize("probe", [band_sum_profile, band_sum_direct])
+    def test_non_integer_sizes_rejected(self, probe):
+        with pytest.raises(ParameterError, match="y must be an integer"):
+            probe(0.5, 4, 2, 10, [1.5])
+        with pytest.raises(ParameterError, match="K must be an integer"):
+            probe(0.5, 4.0, 2, 10, [1])
+        assert probe(0.5, np.int64(4), 2, 10, [np.int32(1)]) == probe(0.5, 4, 2, 10, [1])
+
     def test_calibrate_pinned_result(self):
         cert = calibrate_lemma5(0.5)
         assert (cert["alpha"], cert["beta"], cert["K0"]) == (0.25, 0.25, 4)
@@ -227,6 +243,14 @@ class TestEscapeCalibration:
             got = interior_survival(q, K, s)
             want = interior_survival_absorbing(q, K, s)
             assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda: level_hit_cdf(2.5, 10), lambda: level_hit_cdf(2, 10.9),
+        lambda: interior_survival(0.5, 2.5, 10), lambda: interior_survival(0.5, 2, 3.5),
+    ])
+    def test_non_integer_sizes_rejected(self, call):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call()
 
     def test_level_hit_monotone_in_time(self):
         vals = [level_hit_cdf(6, t) for t in (8, 16, 32, 64, 128)]

@@ -34,6 +34,7 @@ from ctrlwalk import (
     flag_reset_times,
     hit_probability,
     interval_mass,
+    mirror_symmetric,
     multiscale_qto1_schedule,
     point_mass,
     policy_from_json,
@@ -48,9 +49,9 @@ from ctrlwalk import (
     value_table_to_csv,
 )
 from ctrlwalk import lattice
-from ctrlwalk.dp import _forward, _optimal_curve
+from ctrlwalk.dp import _backward, _forward, _optimal_curve
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
-from reference import ControlRow, control_grid, step_distribution
+from reference import ControlRow, control_grid, step_distribution, trinomial_return
 
 
 def grid_optimum(q, n, objective, grid=None, target=(0, 0)):
@@ -121,23 +122,31 @@ def full_window_solve(q_cap, n, objective, target):
     return vnext, values, tuple(rows)
 
 
-def trinomial_return(n, u):
-    """P(S_n = 0) for the walk that stays put with probability u each step.
+def cone_masks(n, target, rows):
+    """The solver's packed cap masks, rebuilt from interval rows: one bit per
+    site of the target's light cone at each step, offset at its left end."""
+    lo, hi = max(target[0], -n), min(target[1], n)
+    masks = []
+    for t, row in enumerate(rows):
+        a = max(lo - (n - t), -n)
+        mask = np.zeros(max(min(hi + (n - t), n) - a + 1, 0), dtype=bool)
+        for x0, x1 in row:
+            mask[x0 - a : x1 - a + 1] = True
+        masks.append((a, np.packbits(mask).tobytes()))
+    return tuple(masks)
 
-    Closed form: sum over k up-steps (and k down-steps) of the trinomial
-    weight n! / (k! k! (n-2k)!) ((1-u)/2)^(2k) u^(n-2k), in logs.
-    """
-    log_move = math.log((1.0 - u) / 2.0)
-    logs = [
-        math.lgamma(n + 1) - 2 * math.lgamma(k + 1) - math.lgamma(n - 2 * k + 1)
-        + 2 * k * log_move + ((n - 2 * k) * math.log(u) if n > 2 * k else 0.0)
-        for k in range(n // 2 + 1)
-        if u > 0 or n == 2 * k
-    ]
-    if not logs:
-        return 0.0
-    top = max(logs)
-    return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+
+def mirrored_row(draw, reach=50):
+    """Sorted disjoint intervals of a stay set S with S = -S."""
+    runs = draw(st.lists(st.tuples(st.integers(0, reach), st.integers(1, 6)), max_size=4))
+    half = set().union(*(range(a, a + w) for a, w in runs))
+    row = []
+    for x in sorted(half | {-x for x in half}):
+        if row and row[-1][1] == x - 1:
+            row[-1][1] = x
+        else:
+            row.append([x, x])
+    return [tuple(iv) for iv in row]
 
 
 def site_rows(draw, lo=-50, hi=50, max_intervals=4):
@@ -154,7 +163,7 @@ def evolution_cases(draw):
     n = draw(st.integers(0, 40))
     start = draw(st.integers(-45, 45))
     mode = draw(st.sampled_from([FLOAT, RATIONAL]))
-    live = draw(st.none() | st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+    live = draw(st.none() | st.tuples(st.integers(-50, 50), st.integers(-50, 50)).map(sorted))
 
     def simple():
         kind = draw(st.sampled_from([CONSTANT, "two-zone", "fast-until-zero"]))
@@ -242,6 +251,41 @@ def site_law_cases(draw):
     width = draw(st.just(0) | st.integers(0, 2 * n + 80))
     target = draw(st.sampled_from([None, lo, (lo, lo + width)]))
     return policy, n, start, target
+
+
+@st.composite
+def folded_cases(draw):
+    """(policy, n, mode, live, target) where the forward pass folds: a
+    mirror-symmetric policy without flag resets, run from 0 under no live
+    window or a symmetric one. n takes 0, 1, the horizon and the steps
+    around schedule breakpoints; live windows reach past the walk's window."""
+    q = draw(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99))
+    kind = draw(st.sampled_from(
+        ["constant", "fast-until-zero", "two-zone", "schedule-localization", "bang-bang", "solved"]
+    ))
+    if kind == "bang-bang":
+        horizon = draw(st.integers(1, 40))
+        policy = bang_bang_table_policy(q, horizon, [mirrored_row(draw) for _ in range(horizon)])
+    elif kind == "solved":  # a solve at a symmetric target replays as a symmetric table
+        horizon, h = draw(st.integers(1, 40)), draw(st.integers(0, 45))
+        objective = draw(st.sampled_from([MAX, MIN]))
+        policy = solve_extremal(q, horizon, objective, (-h, h), keep_values=False)[1].as_policy()
+    elif kind == "two-zone":
+        horizon, policy = 120, two_zone_policy(q, draw(st.integers(0, 12)))
+    else:
+        horizon = draw(st.integers(64, 200)) if kind == "schedule-localization" else 120
+        policy = sweep_policy(kind, q, horizon, {"K0": draw(st.integers(1, 2))} if
+                              kind == "schedule-localization" else {})
+    cuts = {0, 1, horizon} | {
+        min(max(seg.t_start + d, 0), horizon)
+        for seg in policy.params.get("segments", ()) for d in (-1, 0, 1)
+    }
+    n = draw(st.sampled_from(sorted(cuts)) | st.integers(0, horizon))
+    mode = draw(st.sampled_from([FLOAT, RATIONAL])) if n <= 24 else FLOAT
+    live = draw(st.none() | st.integers(0, n + 5).map(lambda h: (-h, h)))
+    lo = draw(st.integers(-n - 3, n + 3))
+    target = (lo, lo + draw(st.integers(0, 2 * n + 6)))
+    return policy, n, mode, live, target
 
 
 class TestSiteLawOneRow:
@@ -363,6 +407,98 @@ class TestEvolveAgainstPerCellOracle:
             assert got.mass.tobytes() == want.mass.tobytes()
 
 
+class TestMirrorFold:
+    """Both kernels fold a mirror-symmetric run onto sites x >= 0; the
+    folded path must equal the per-cell and whole-window oracles bitwise."""
+
+    @given(folded_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_forward_matches_per_cell_oracle(self, case):
+        policy, n, mode, live, target = case
+        assert mirror_symmetric(policy) and not flag_reset_times(policy)
+        shapes = [m.shape for m in _forward(policy, n, 0, mode, live)]
+        assert shapes == [(1, t + 1) for t in range(n + 1)]  # folded at every step
+        got = list(evolve_trace(policy, n, 0, mode, live))
+        want = list(per_cell_trace(policy, n, 0, mode, live))
+        final = evolve(policy, n, 0, mode, live)
+        for g, w in zip([*got, final], [*want, want[-1]]):
+            assert (g.time, g.offset, g.mode) == (w.time, w.offset, w.mode)
+            if mode == RATIONAL:
+                assert g.mass.shape == w.mass.shape and (g.mass == w.mass).all()
+            else:
+                assert g.mass.tobytes() == w.mass.tobytes()
+        if mode == FLOAT and live is None:
+            want_p = float(interval_mass(want[-1], *target))
+            assert hit_probability(policy, n, 0, target).hex() == want_p.hex()
+
+    @given(
+        st.sampled_from([0.0, 0.5, 0.9, 0.95]) | st.floats(0.0, 0.99),
+        st.integers(1, 60),
+        st.sampled_from([MAX, MIN]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_backward_matches_full_window(self, q, n, objective, data):
+        h = data.draw(st.integers(0, n + 20))  # h > n: the target covers the window
+        v0, values, rows = full_window_solve(q, n, objective, (-h, h))
+        table, bb = solve_extremal(q, n, objective, target=(-h, h))
+        assert table.v0.tobytes() == v0.tobytes()
+        assert table.values.tobytes() == values.tobytes()
+        assert bb.rows == rows
+        assert bb.masks == cone_masks(n, (-h, h), rows)
+        lean, lean_bb = solve_extremal(q, n, objective, target=(-h, h), keep_values=False)
+        assert lean.v0.tobytes() == v0.tobytes() and lean_bb == bb
+
+    @given(
+        st.sampled_from([0.0, 0.5, 0.95]) | st.floats(0.0, 0.99),
+        st.integers(1, 30),
+        st.sampled_from([MAX, MIN]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_optimal_curve_matches_full_window(self, q, big, objective):
+        curve = _optimal_curve(q, range(1, big + 1), objective)
+        for m, p in curve.items():
+            assert p == full_window_solve(q, m, objective, (0, 0))[0][m]
+
+
+class TestMirrorFoldGuard:
+    """Which runs fold: the second _forward view is (1, 2) when folded, and a
+    folded _backward step starts its cone at site 0."""
+
+    @staticmethod
+    def second_view(policy, n, start=0, live=None):
+        views = _forward(policy, n, start, FLOAT, live)
+        next(views)
+        return next(views).shape
+
+    @pytest.mark.parametrize("kind", ["constant", "fast-until-zero", "two-zone",
+                                      "schedule-localization"])
+    def test_exact_workload_kinds_fold(self, kind):
+        policy = sweep_policy(kind, 0.9, 512, {})
+        assert mirror_symmetric(policy)
+        assert self.second_view(policy, 512) == (1, 2)
+        assert self.second_view(policy, 512, live=(-3, 3)) == (1, 2)
+
+    def test_asymmetric_runs_do_not_fold(self):
+        lazy = constant_policy(0.5, 0.5)
+        assert self.second_view(lazy, 4, start=3) == (2, 3)
+        assert self.second_view(lazy, 4, start=0, live=(-2, 3)) == (1, 3)
+        table = bang_bang_table_policy(0.5, 2, [((0, 1),), ()])
+        assert not mirror_symmetric(table) and self.second_view(table, 2) == (1, 3)
+        resetting = schedule_policy(0.9, multiscale_qto1_schedule(0.9, 2, 40))
+        assert mirror_symmetric(resetting) and flag_reset_times(resetting)
+        assert self.second_view(resetting, 40) == (2, 3)
+
+    @pytest.mark.parametrize("target, a, width", [
+        ((0, 0), 0, 2), ((-3, 3), 0, 5), ((-50, 50), 0, 9), ((-1, 2), -2, 6), ((2, 2), 1, 3),
+    ])
+    def test_backward_folds_symmetric_targets(self, target, a, width):
+        steps = _backward(0.5, 8, MAX, *target)
+        next(steps)
+        t, _, first, mask = next(steps)
+        assert (t, first, mask.size) == (7, a, width)
+
+
 class TestKeptChecks:
     ENGINES = {
         FLOAT: lambda p: evolve(p, 3, mode=FLOAT),
@@ -480,6 +616,11 @@ class TestEvolveDriver:
         with pytest.raises(ParameterError):
             as_target(bad)
 
+    @pytest.mark.parametrize("live", [(-2.5, 3), (0,), (3, 1), "ab"])
+    def test_bad_live_window_rejected(self, live):
+        with pytest.raises(ParameterError):
+            evolve(constant_policy(0.5, 0.5), 4, live=live)
+
     def test_rational_horizon_capped(self):
         p = constant_policy(0.5, 0.5)
         with pytest.raises(ParameterError):
@@ -569,6 +710,16 @@ class TestValueTable:
         assert table.value(0, 0) > 0
         with pytest.raises(ParameterError):
             table.value(3, 1)
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_time_checked_before_site(self, keep):
+        table, _ = solve_extremal(0.5, 4, MAX, keep_values=keep)
+        for t, x in ((7, 99), (-1, 0), (5, 0), (2, 1.5), (1.0, 0), (0, np.float64(1))):
+            with pytest.raises(ParameterError):
+                table.value(t, x)
+        assert table.value(0, 99) == table.value(0, -5) == 0.0
+        if keep:
+            assert table.value(2, 99) == 0.0 and table.value(np.int64(4), np.int32(0)) == 1.0
 
     def test_csv_export(self):
         table, bb = solve_extremal(0.5, 3, MAX)

@@ -11,12 +11,14 @@ from ctrlwalk import (
     AdmissibilityError,
     DegenerateScheduleError,
     ParameterError,
+    PolicySpec,
     ScheduleSegment,
     bang_bang_table_policy,
     constant_policy,
     fast_until_zero_policy,
     flag_reset_times,
     horizon,
+    mirror_symmetric,
     multiscale_localization_schedule,
     multiscale_qto1_schedule,
     policy_from_json,
@@ -195,6 +197,19 @@ class TestSchedules:
         assert horizon(constant_policy(0.5, 0.5)) is None
         segs = multiscale_localization_schedule(0.5, 0.25, 0.5, 2, 64)
         assert horizon(schedule_policy(0.5, segs)) == 64
+
+    def test_mirror_symmetric(self):
+        lazy, band = constant_policy(0.5, 0.3), two_zone_policy(0.5, 3)
+        for p in (lazy, band, fast_until_zero_policy(0.5),
+                  schedule_policy(0.5, multiscale_localization_schedule(0.5, 0.25, 0.5, 2, 64)),
+                  schedule_policy(0.5, multiscale_qto1_schedule(0.5, 4, 64)),
+                  bang_bang_table_policy(0.5, 3, [((-2, -1), (1, 2)), ((0, 0),), ()])):
+            assert mirror_symmetric(p) is True
+        lopsided = bang_bang_table_policy(0.5, 2, [((-1, 1),), ((-2, -1), (1, 3))])
+        assert mirror_symmetric(lopsided) is False
+        mixed = [ScheduleSegment(0, 1, lazy), ScheduleSegment(1, 2, lopsided)]
+        assert mirror_symmetric(schedule_policy(0.5, mixed)) is False
+        assert mirror_symmetric(PolicySpec("unknown", 0.5, {})) is False
 
     def test_evaluate_beyond_horizon_rejected(self):
         p = schedule_policy(0.5, multiscale_localization_schedule(0.5, 0.25, 0.5, 2, 64))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .dp import MAX, _forward, _optimal_curve, evolve, hit_probability, solve_extremal
+from .dp import MAX, _forward, _forward_curve, _optimal_curve, evolve, solve_extremal
 from .errors import CalibrationError, ParameterError, as_index
 from .lattice import FLOAT, _as_mode_value, interval_mass
 from .montecarlo import estimate_hit
@@ -137,18 +137,16 @@ def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: di
         "ci_low": None,
         "ci_high": None,
     }
+    if method == "exact":  # every exact point is read off the sweep's curve
+        rec["p"] = curve[n]
+        return rec
     if policy_kind == "optimal":
-        if method == "exact":  # every exact point comes from one backward pass
-            rec["p"] = curve[n]
-            return rec
         _, bb = solve_extremal(q_cap, n, params.get("objective", MAX), keep_values=False)
         pol = bb.as_policy()
     else:
         pol = sweep_policy(policy_kind, q_cap, n, params)
 
-    if method == "exact":
-        rec["p"] = hit_probability(pol, n)
-    elif method == "mc":
+    if method == "mc":
         est = estimate_hit(
             pol,
             n,
@@ -163,6 +161,15 @@ def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: di
     return rec
 
 
+def _exact_curve(policy_kind: str, q_cap: float, grid: list, params: dict) -> dict:
+    """{n: exact P(S_n = 0)} over the grid: the optimum from one backward pass,
+    a built policy from one forward pass per distinct policy, so every n
+    shares one pass unless the policy scales with n."""
+    if policy_kind == "optimal":
+        return _optimal_curve(q_cap, grid, params.get("objective", MAX))
+    return _forward_curve((n, sweep_policy(policy_kind, q_cap, n, params)) for n in grid)
+
+
 def exponent_sweep(
     policy_kind: str,
     q_cap: float,
@@ -175,8 +182,7 @@ def exponent_sweep(
     params = dict(params or {})
     check_sweep_params(policy_kind, params, ("seed", "trials") if method == "mc" else ())
     grid = [as_index(n, "n") for n in n_grid]
-    one_pass = policy_kind == "optimal" and method == "exact"
-    curve = _optimal_curve(q_cap, grid, params.get("objective", MAX)) if one_pass else None
+    curve = _exact_curve(policy_kind, q_cap, grid, params) if method == "exact" else None
     records = [_sweep_point(policy_kind, q_cap, n, method, params, curve) for n in grid]
     kwargs = {} if min_n is None else {"min_n": min_n}
     fit = fit_exponent([(r["n"], r["p"]) for r in records], **kwargs)

@@ -32,30 +32,30 @@ from .lattice import (
 )
 from .policies import (
     PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times,
-    mirror_symmetric, run_args,
+    mirror_symmetric, rule_change_times, run_args,
 )
 
 MAX = "max"
 MIN = "min"
 
 
-def as_target(target) -> tuple[int, int]:
+def as_target(target, name: str = "target") -> tuple[int, int]:
     """Normalize a target spec to an inclusive site interval (lo, hi).
 
     A target is None (site 0), one integral site, numpy integers included
-    and bools not, or a (lo, hi) pair of them.
+    and bools not, or a (lo, hi) pair of them. Errors call it name.
     """
     if target is None:
         return (0, 0)
     if np.ndim(target) == 0:
-        site = as_index(target, "target site")
+        site = as_index(target, f"{name} site")
         return (site, site)
     try:
-        lo, hi = (as_index(v, "target") for v in target)
+        lo, hi = (as_index(v, name) for v in target)
     except ValueError:  # a non-integer (ParameterError), or not two items
-        raise ParameterError(f"target must be a site or a (lo, hi) pair, got {target!r}") from None
+        raise ParameterError(f"{name} must be a site or a (lo, hi) pair, got {target!r}") from None
     if lo > hi:
-        raise ParameterError(f"empty target interval [{lo}, {hi}]")
+        raise ParameterError(f"empty {name} interval [{lo}, {hi}]")
     return (lo, hi)
 
 
@@ -80,8 +80,8 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     n, start = run_args(policy, n, start)
     if mode == RATIONAL and n > RATIONAL_MAX_STEPS:
         raise ParameterError(f"rational mode runs at most {RATIONAL_MAX_STEPS} steps, got n={n}")
-    live = None if live is None else as_target(live)
-    resets = set(flag_reset_times(policy))
+    live = None if live is None else as_target(live, "live")
+    resets, changes = set(flag_reset_times(policy)), set(rule_change_times(policy, n))
     two = start != 0 or bool(resets)
     fold = not two and (live is None or live[0] == -live[1]) and mirror_symmetric(policy)
     c0, shift = n + 1, n + 1 - start
@@ -97,20 +97,28 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
         if t in resets:
             d = LatticeDistribution(t, a - shift, mass[:, a : b + 1], mode)
             mass[:, a : b + 1] = reset_hit_flags(d).mass
-        u, hit_only, intervals = _stay_region(policy, t)
-        hit_only = hit_only and two
-        u = _as_mode_value(u, mode)
-        f = (1 - u) * one_half  # each neighbour's share of moving mass on a stay span
+        if t in changes:
+            u, hit_only, intervals = _stay_region(policy, t)
+            hit_only = hit_only and two
+            u = _as_mode_value(u, mode)
+            f = (1 - u) * one_half  # each neighbour's share of moving mass on a stay span
+            rows = slice(HIT_ZERO, None) if hit_only else slice(None)
+            whole = intervals is None and not hit_only
+            # the columns the stay spans can cover; spans change only with the live ones among them
+            reach = (range(0) if u == 0 or intervals == () else range(2 * n + 3) if intervals is None
+                     else range(intervals[0][0] + shift, intervals[-1][1] + shift + 1))
+            spanned = None
         p = max(a, lo)  # live columns [p, r], the rest is frozen
         r = max(min(b, hi), p - 1)
-        rows = slice(HIT_ZERO, None) if hit_only else slice(None)
-        spans = [] if u == 0 else [slice(p, r + 1)] if intervals is None else [
-            slice(max(x0 + shift, p), min(x1 + shift, r) + 1)
-            for x0, x1 in intervals if x1 + shift >= p and x0 + shift <= r
-        ]
-        if len(spans) > 1:  # many stay intervals (bang-bang tables): one gather
-            spans = [np.concatenate([np.arange(s.start, s.stop) for s in spans])]
-        whole = intervals is None and not hit_only
+        clip = range(max(reach.start, p), min(reach.stop, r + 1))  # all empty ranges are equal
+        if clip != spanned:
+            spanned = clip
+            spans = [] if u == 0 else [slice(p, r + 1)] if intervals is None else [
+                slice(max(x0 + shift, p), min(x1 + shift, r) + 1)
+                for x0, x1 in intervals if x1 + shift >= p and x0 + shift <= r
+            ]
+            if len(spans) > 1:  # many stay intervals (bang-bang tables): one gather
+                spans = [np.concatenate([np.arange(s.start, s.stop) for s in spans])]
         np.multiply(mass[:, p : r + 1], f if whole else one_half, out=half[:, p : r + 1])
         for s in () if whole else spans:
             half[rows, s] = mass[rows, s] * f
@@ -314,6 +322,21 @@ def _optimal_curve(q_cap: float, horizons, objective: str) -> dict:
     big = max([_solve_args(q_cap, m, objective)[1] for m in horizons], default=1)
     steps = _backward(float(q_cap), big, objective, 0, 0)
     return {big - t: float(v[big]) for t, v, _, _ in steps if big - t in horizons}
+
+
+def _forward_curve(runs) -> dict:
+    """{m: P(S_m = 0) from 0} per (m, policy) run, from one _forward pass per
+    distinct policy to its largest m: step t does the same elementwise
+    operations whatever the run's length, so each law is the run's to m, bitwise."""
+    policies, horizons = [], []  # distinct policies in order of first run, and their m
+    for m, policy in runs:
+        if policy not in policies:
+            policies.append(policy)
+            horizons.append(set())
+        horizons[policies.index(policy)].add(run_args(policy, m, 0)[0])
+    return {t: float(interval_mass(_law(t, 0, v, FLOAT), 0, 0))
+            for policy, ms in zip(policies, horizons)
+            for t, v in enumerate(_forward(policy, max(ms), 0, FLOAT, None)) if t in ms}
 
 
 def extract_region(bb: BangBangPolicy) -> dict:

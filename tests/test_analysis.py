@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctrlwalk
 from ctrlwalk import (
@@ -34,6 +36,8 @@ from ctrlwalk import (
     verify_lemma5_certificate,
     verify_lemma6_certificate,
 )
+from ctrlwalk import dp
+from ctrlwalk.dp import _forward
 from reference import trinomial_return
 
 
@@ -131,6 +135,85 @@ class TestSweeps:
             exponent_sweep("constant", 0.9, [16, 32, 64], params={"seed": 3})
         with pytest.raises(ParameterError, match="objective"):
             exponent_sweep("constant", 0.9, [16, 32, 64], params={"objective": "max"})
+
+
+def per_point_sweep(kind, q, grid, params, min_n):
+    """The exact sweep one evolution per grid point: (records' p, fit)."""
+    ps = [hit_probability(sweep_policy(kind, q, n, params), n) for n in grid]
+    return ps, fit_exponent(list(zip(grid, ps)), min_n=min_n)
+
+
+def outcome(sweep):
+    """What a sweep gives: every p and fit field as float.hex, or the error's type and text."""
+    try:
+        ps, fit = sweep()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    fields = (fit.sigma_hat, fit.intercept, fit.r_squared, *fit.residuals)
+    return [p.hex() for p in ps], [v.hex() for v in fields], fit.points
+
+
+@st.composite
+def sweep_cases(draw):
+    """(kind, q, grid, params) with grids from n = 0, some of them bad."""
+    kind = draw(st.sampled_from(["constant", "fast-until-zero", "two-zone", "schedule-qto1"]))
+    q = draw(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.95))
+    params = {}
+    if kind == "constant" and draw(st.booleans()):
+        u = draw(st.floats(0.0, q) | st.sampled_from([q + 0.01, -0.1]))  # the last two escape
+        params["u_value"] = u
+    if kind == "two-zone" and draw(st.booleans()):
+        params["band"] = draw(st.integers(0, 12))
+    grid = {0}
+    if kind == "schedule-qto1":  # a schedule scaled to each n, so one pass per n; n > A
+        params["A"] = draw(st.integers(1, 3))
+        grid = {params["A"] + draw(st.sampled_from([1, 1, 1, 0]))}
+    grid = sorted(draw(st.sets(st.integers(min(grid) + 1, 160), min_size=3, max_size=6)) | grid)
+    bad = draw(st.sampled_from([None, None, "negative", "unsorted"]))
+    if bad == "negative":
+        grid.insert(draw(st.integers(0, len(grid))), -draw(st.integers(1, 5)))
+    elif bad == "unsorted":
+        grid = draw(st.permutations(grid))
+    return kind, q, grid, params
+
+
+class TestOnePassSweep:
+    """An exact sweep shares one forward pass among grid points with equal policies."""
+
+    @given(sweep_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_records_equal_per_point_evolution(self, case):
+        kind, q, grid, params = case
+        got = outcome(lambda: _ps_fit(exponent_sweep(kind, q, grid, params=params, min_n=1)))
+        want = outcome(lambda: per_point_sweep(kind, q, grid, params, 1))
+        assert got == want
+
+    @pytest.mark.parametrize("kind, params, passes", [
+        ("constant", {}, 1), ("fast-until-zero", {}, 1), ("two-zone", {"band": 4}, 1),
+        ("two-zone", {}, 3), ("schedule-qto1", {}, 3),
+    ])
+    def test_one_pass_per_distinct_policy(self, monkeypatch, kind, params, passes):
+        runs = []
+
+        def counted(policy, n, *args):
+            runs.append(n)
+            return _forward(policy, n, *args)
+
+        monkeypatch.setattr(dp, "_forward", counted)
+        records, _ = exponent_sweep(kind, 0.9, [128, 256, 512], params=params)
+        assert len(runs) == passes and max(runs) == 512 and len(records) == 3
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_constant_curve_matches_trinomial_oracle(self, q):
+        records, _ = exponent_sweep("constant", q, [512, 1024, 2048, 4096, 8192])
+        for r in records:
+            want = trinomial_return(r["n"], q)
+            assert abs(r["p"] - want) <= 1e-10 * want
+
+
+def _ps_fit(result):
+    records, fit = result
+    return [r["p"] for r in records], fit
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -16,6 +16,7 @@ from ctrlwalk import (
     MAX,
     MIN,
     RATIONAL,
+    SCHEDULE,
     AdmissibilityError,
     InvariantError,
     ParameterError,
@@ -35,6 +36,7 @@ from ctrlwalk import (
     hit_probability,
     interval_mass,
     mirror_symmetric,
+    multiscale_localization_schedule,
     multiscale_qto1_schedule,
     point_mass,
     policy_from_json,
@@ -48,8 +50,9 @@ from ctrlwalk import (
     two_zone_policy,
     value_table_to_csv,
 )
-from ctrlwalk import lattice
+from ctrlwalk import dp, lattice
 from ctrlwalk.dp import _backward, _forward, _optimal_curve
+from ctrlwalk.policies import _stay_region
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
 from reference import ControlRow, control_grid, step_distribution, trinomial_return
 
@@ -173,6 +176,19 @@ def evolution_cases(draw):
             return two_zone_policy(q, draw(st.integers(0, 12)))
         return fast_until_zero_policy(q)
 
+    def schedule(end, depth):
+        # breakpoints in (0, end) put fast-until-zero segments, and so flag
+        # resets, in the middle of the run; an inner schedule restates times
+        # from 0 and may run past its segment's end
+        cuts = sorted(draw(st.sets(st.integers(1, end - 1), max_size=3))) if end > 1 else []
+        bounds = [0, *cuts, end]
+        segments = [
+            ScheduleSegment(a, b, schedule(b + draw(st.integers(0, 2)), depth - 1)
+                            if depth and draw(st.booleans()) else simple())
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        return schedule_policy(q, segments)
+
     kind = draw(st.sampled_from(["simple", "schedule", "bang-bang"]))
     if kind == "simple":
         policy = simple()
@@ -180,13 +196,8 @@ def evolution_cases(draw):
         n = max(n, 1)
         policy = bang_bang_table_policy(q, n, [site_rows(draw) for _ in range(n)])
     else:
-        # breakpoints in (0, n) put fast-until-zero segments, and so flag
-        # resets, in the middle of the run
         n = max(n, 1)
-        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
-        bounds = [0, *cuts, n]
-        segments = [ScheduleSegment(a, b, simple()) for a, b in zip(bounds, bounds[1:])]
-        policy = schedule_policy(q, segments)
+        policy = schedule(n, 1)
     return policy, n, start, mode, live
 
 
@@ -530,6 +541,65 @@ class TestKeptChecks:
             evolve(two_zone_policy(0.5, 1), 2, start=4)
 
 
+class TestStayRuleLookups:
+    """_forward resolves the stay rule only at steps where it may change."""
+
+    @staticmethod
+    def lookups(monkeypatch, policy, n, start=0, live=None):
+        steps = []
+
+        def counted(pol, t):
+            steps.append(t)
+            return _stay_region(pol, t)
+
+        monkeypatch.setattr(dp, "_stay_region", counted)
+        evolve(policy, n, start, live=live)
+        return steps
+
+    @pytest.mark.parametrize(
+        "policy", [constant_policy(0.9, 0.4), two_zone_policy(0.9, 3), fast_until_zero_policy(0.9)]
+    )
+    @pytest.mark.parametrize("start, live", [(0, None), (5, None), (0, (-2, 7))])
+    def test_one_lookup_per_run_for_homogeneous_kinds(self, monkeypatch, policy, start, live):
+        assert self.lookups(monkeypatch, policy, 64, start, live) == [0]
+
+    @pytest.mark.parametrize("segments", [
+        multiscale_localization_schedule(0.9, 0.5, 0.25, 4, 512),
+        multiscale_qto1_schedule(0.9, 2, 200),
+    ])
+    def test_one_lookup_per_schedule_segment(self, monkeypatch, segments):
+        policy = schedule_policy(0.9, segments)
+        n = segments[-1].t_end
+        assert self.lookups(monkeypatch, policy, n) == [s.t_start for s in segments]
+
+    def test_nested_schedule_segments_counted(self, monkeypatch):
+        inner = schedule_policy(0.9, [ScheduleSegment(0, 20, two_zone_policy(0.9, 2)),
+                                      ScheduleSegment(20, 50, fast_until_zero_policy(0.9))])
+        outer = schedule_policy(0.9, [ScheduleSegment(0, 50, inner),
+                                      ScheduleSegment(50, 80, constant_policy(0.9, 0.1))])
+        assert self.lookups(monkeypatch, outer, 80) == [0, 20, 50]
+
+    def test_one_lookup_per_step_for_a_table(self, monkeypatch):
+        _, bb = solve_extremal(0.8, 40, MAX, keep_values=False)
+        assert self.lookups(monkeypatch, bb.as_policy(), 40) == list(range(40))
+
+    def test_later_inadmissible_segment_raises_at_its_first_step(self):
+        # built by hand: schedule_policy would refuse an inner cap above its own
+        bad = PolicySpec(CONSTANT, 0.9, {"u_value": 0.7})
+        segments = (ScheduleSegment(0, 3, constant_policy(0.5, 0.5)), ScheduleSegment(3, 6, bad))
+        policy = PolicySpec(SCHEDULE, 0.5, {"segments": segments})
+        assert evolve(policy, 3).mass.sum() == 1.0
+        with pytest.raises(AdmissibilityError, match="escapes \\[0, 0.5\\] at step 3"):
+            evolve(policy, 6)
+
+    def test_inner_schedule_horizon_checked_where_it_ends(self):
+        inner = schedule_policy(0.5, [ScheduleSegment(0, 5, constant_policy(0.5, 0.5))])
+        policy = schedule_policy(0.5, [ScheduleSegment(0, 8, inner)])
+        evolve(policy, 5)
+        with pytest.raises(ParameterError, match="step 5 outside policy horizon \\[0, 5\\)"):
+            evolve(policy, 8)
+
+
 class TestConstantLazinessClosedForm:
     @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("n", [1, 2, 17, 4096])
@@ -616,10 +686,16 @@ class TestEvolveDriver:
         with pytest.raises(ParameterError):
             as_target(bad)
 
-    @pytest.mark.parametrize("live", [(-2.5, 3), (0,), (3, 1), "ab"])
-    def test_bad_live_window_rejected(self, live):
-        with pytest.raises(ParameterError):
+    @pytest.mark.parametrize("live, message", [
+        ((-2.5, 3), "live must be a site or a (lo, hi) pair, got (-2.5, 3)"),
+        ((0,), "live must be a site or a (lo, hi) pair, got (0,)"),
+        ((3, 1), "empty live interval [3, 1]"),
+        ("ab", "live site must be an integer, got 'ab'"),
+    ])
+    def test_bad_live_window_rejected(self, live, message):
+        with pytest.raises(ParameterError) as err:
             evolve(constant_policy(0.5, 0.5), 4, live=live)
+        assert str(err.value) == message
 
     def test_rational_horizon_capped(self):
         p = constant_policy(0.5, 0.5)

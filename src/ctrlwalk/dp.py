@@ -39,12 +39,17 @@ MAX = "max"
 MIN = "min"
 
 
-def as_target(target, name: str = "target") -> tuple[int, int]:
+def as_target(target) -> tuple[int, int]:
     """Normalize a target spec to an inclusive site interval (lo, hi).
 
     A target is None (site 0), one integral site, numpy integers included
-    and bools not, or a (lo, hi) pair of them. Errors call it name.
+    and bools not, or a (lo, hi) pair of them.
     """
+    return _site_interval(target, "target")
+
+
+def _site_interval(target, name: str) -> tuple[int, int]:
+    """as_target for any site-interval argument; its errors call the argument name."""
     if target is None:
         return (0, 0)
     if np.ndim(target) == 0:
@@ -80,8 +85,8 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     n, start = run_args(policy, n, start)
     if mode == RATIONAL and n > RATIONAL_MAX_STEPS:
         raise ParameterError(f"rational mode runs at most {RATIONAL_MAX_STEPS} steps, got n={n}")
-    live = None if live is None else as_target(live, "live")
-    resets, changes = set(flag_reset_times(policy)), set(rule_change_times(policy, n))
+    live = None if live is None else _site_interval(live, "live")
+    resets, changes = set(flag_reset_times(policy)), set(rule_change_times(policy, 0, n))
     two = start != 0 or bool(resets)
     fold = not two and (live is None or live[0] == -live[1]) and mirror_symmetric(policy)
     c0, shift = n + 1, n + 1 - start

@@ -237,18 +237,14 @@ def flag_reset_times(policy: PolicySpec) -> tuple[int, ...]:
     return tuple(times)
 
 
-def rule_change_times(policy: PolicySpec, n: int) -> list[int]:
-    """The steps t < n at which _stay_region may give a rule other than at t - 1.
+def rule_change_times(policy: PolicySpec, t0: int, t1: int) -> list[int]:
+    """The steps t in [t0, t1) at which _stay_region may give another rule than at t - 1.
 
-    Step 0 and every step of a bang-bang table; for a schedule, each start
-    of a segment's range (nested schedules included) and the end of an
-    inner schedule's horizon, where _stay_region raises. Every other kind
-    keeps one rule.
+    t0 and every step of a bang-bang table; for a schedule, each start of
+    a segment's range (nested schedules included) and the end of an inner
+    schedule's horizon, where _stay_region raises. Every other kind keeps
+    one rule.
     """
-    return _rule_times(policy, 0, n)
-
-
-def _rule_times(policy: PolicySpec, t0: int, t1: int) -> list[int]:
     if t0 >= t1:
         return []
     if policy.kind == BANG_BANG_TABLE:
@@ -260,7 +256,7 @@ def _rule_times(policy: PolicySpec, t0: int, t1: int) -> list[int]:
     # _segment_at can only change where t crosses a segment start
     cuts = sorted({t0, end, *(s.t_start for s in policy.params["segments"] if t0 < s.t_start < end)})
     times = [t for a, b in zip(cuts, cuts[1:])
-             for t in _rule_times(_segment_at(policy, a).inner_policy, a, b)]
+             for t in rule_change_times(_segment_at(policy, a).inner_policy, a, b)]
     return times + [hz] if hz < t1 else times
 
 

@@ -686,16 +686,18 @@ class TestEvolveDriver:
         with pytest.raises(ParameterError):
             as_target(bad)
 
-    @pytest.mark.parametrize("live, message", [
-        ((-2.5, 3), "live must be a site or a (lo, hi) pair, got (-2.5, 3)"),
-        ((0,), "live must be a site or a (lo, hi) pair, got (0,)"),
-        ((3, 1), "empty live interval [3, 1]"),
-        ("ab", "live site must be an integer, got 'ab'"),
-    ])
-    def test_bad_live_window_rejected(self, live, message):
+    LIVE_ERRORS = {
+        (-2.5, 3): "live must be a site or a (lo, hi) pair, got (-2.5, 3)",
+        (0,): "live must be a site or a (lo, hi) pair, got (0,)",
+        (3, 1): "empty live interval [3, 1]",
+        "ab": "live site must be an integer, got 'ab'",
+    }
+
+    @pytest.mark.parametrize("live", list(LIVE_ERRORS))
+    def test_bad_live_window_rejected(self, live):
         with pytest.raises(ParameterError) as err:
             evolve(constant_policy(0.5, 0.5), 4, live=live)
-        assert str(err.value) == message
+        assert str(err.value) == self.LIVE_ERRORS[live]
 
     def test_rational_horizon_capped(self):
         p = constant_policy(0.5, 0.5)

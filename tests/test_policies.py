@@ -202,16 +202,16 @@ class TestSchedules:
     def test_rule_change_times(self):
         lazy, band = constant_policy(0.5, 0.3), two_zone_policy(0.5, 3)
         for p in (lazy, band, fast_until_zero_policy(0.5)):
-            assert rule_change_times(p, 9) == [0] and rule_change_times(p, 0) == []
+            assert rule_change_times(p, 0, 9) == [0] and rule_change_times(p, 0, 0) == []
         table = bang_bang_table_policy(0.5, 7, [((0, 0),), (), ((-1, 1),)] * 2 + [()])
-        assert rule_change_times(table, 3) == [0, 1, 2]
+        assert rule_change_times(table, 0, 3) == [0, 1, 2]
         inner = schedule_policy(0.5, [ScheduleSegment(0, 2, lazy), ScheduleSegment(2, 5, band)])
         outer = schedule_policy(0.5, [ScheduleSegment(0, 4, inner), ScheduleSegment(4, 7, table)])
         # the inner schedule's segment starts, then each step of the table
-        assert rule_change_times(outer, 7) == [0, 2, 4, 5, 6]
-        assert rule_change_times(outer, 3) == [0, 2]
+        assert rule_change_times(outer, 0, 7) == [0, 2, 4, 5, 6]
+        assert rule_change_times(outer, 0, 3) == [0, 2]
         short = schedule_policy(0.5, [ScheduleSegment(0, 6, inner)])
-        assert rule_change_times(short, 6) == [0, 2, 5]  # the inner horizon ends at 5
+        assert rule_change_times(short, 0, 6) == [0, 2, 5]  # the inner horizon ends at 5
 
     def test_mirror_symmetric(self):
         lazy, band = constant_policy(0.5, 0.3), two_zone_policy(0.5, 3)

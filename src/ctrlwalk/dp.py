@@ -76,6 +76,9 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     per-cell oracle step_distribution in tests/reference.py, so laws agree
     bitwise. _stay_region holds u in [0, 1], which keeps every factor
     non-negative, so no mass can turn negative and only the total is checked.
+    It is asked only at policies.rule_change_times, the steps where the rule
+    may change, and each rule's clipped stay spans are rebuilt only while
+    live columns join them.
 
     One row under a mirror-symmetric policy and live window is folded: site
     -x would repeat the float operations of site x with its two neighbours
@@ -95,6 +98,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     mass[:, c0] = point_mass(start, mode=mode).mass[:, 0] if two else prev
     lo, hi = (c0 - n, c0 + n) if live is None else (live[0] + shift, live[1] + shift)
     tols = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
+    last = range(max(c0 if fold else c0 - n + 1, lo), min(c0 + n - 1, hi) + 1)  # live at step n-1
     yield mass[:, c0 : c0 + 1]
     for t in range(n):
         a, b = (c0 if fold else c0 - t), c0 + t  # swept columns: sites -t..t, or 0..t
@@ -109,15 +113,15 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
             f = (1 - u) * one_half  # each neighbour's share of moving mass on a stay span
             rows = slice(HIT_ZERO, None) if hit_only else slice(None)
             whole = intervals is None and not hit_only
-            # the columns the stay spans can cover; spans change only with the live ones among them
-            reach = (range(0) if u == 0 or intervals == () else range(2 * n + 3) if intervals is None
-                     else range(intervals[0][0] + shift, intervals[-1][1] + shift + 1))
+            # the columns the stay spans cover by the last step: the spans change only
+            # while live columns join them, and not once all are live
+            reach = _meet(last, range(0) if u == 0 or intervals == () else last if intervals is None
+                          else range(intervals[0][0] + shift, intervals[-1][1] + shift + 1))
             spanned = None
         p = max(a, lo)  # live columns [p, r], the rest is frozen
         r = max(min(b, hi), p - 1)
-        clip = range(max(reach.start, p), min(reach.stop, r + 1))  # all empty ranges are equal
-        if clip != spanned:
-            spanned = clip
+        if spanned != reach and (clip := _meet(reach, range(p, r + 1))) != spanned:
+            spanned = clip  # all empty ranges are equal
             spans = [] if u == 0 else [slice(p, r + 1)] if intervals is None else [
                 slice(max(x0 + shift, p), min(x1 + shift, r) + 1)
                 for x0, x1 in intervals if x1 + shift >= p and x0 + shift <= r
@@ -128,7 +132,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
         for s in () if whole else spans:
             half[rows, s] = mass[rows, s] * f
         if fold:
-            half[:, c0 - 1] = half[:, c0 + 1]
+            half[0, c0 - 1] = half[0, c0 + 1]  # a folded run has one row
         np.add(half[:, na + 1 : b + 3], half[:, na - 1 : b + 1], out=out[:, na : b + 2])
         for s in spans:
             out[rows, s] += mass[rows, s] * u
@@ -142,6 +146,10 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
             raise InvariantError(f"total mass {total!r} after step {t}, {prev!r} before")
         prev, mass, out = total, out, mass
         yield m
+
+
+def _meet(x: range, y: range) -> range:
+    return range(max(x.start, y.start), min(x.stop, y.stop))
 
 
 def _law(t: int, start: int, m: np.ndarray, mode: str) -> LatticeDistribution:

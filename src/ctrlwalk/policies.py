@@ -254,7 +254,8 @@ def rule_change_times(policy: PolicySpec, t0: int, t1: int) -> list[int]:
         return [t0]
     end = min(hz, t1)
     # _segment_at can only change where t crosses a segment start
-    cuts = sorted({t0, end, *(s.t_start for s in policy.params["segments"] if t0 < s.t_start < end)})
+    starts = (s.t_start for s in policy.params["segments"])
+    cuts = sorted({t0, end, *(t for t in starts if t0 < t < end)})
     times = [t for a, b in zip(cuts, cuts[1:])
              for t in rule_change_times(_segment_at(policy, a).inner_policy, a, b)]
     return times + [hz] if hz < t1 else times

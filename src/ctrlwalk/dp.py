@@ -340,14 +340,19 @@ def _optimal_curve(q_cap: float, horizons, objective: str) -> dict:
 def _forward_curve(runs) -> dict:
     """{m: P(S_m = 0) from 0} per (m, policy) run, from one _forward pass per
     distinct policy to its largest m: step t does the same elementwise
-    operations whatever the run's length, so each law is the run's to m, bitwise."""
+    operations whatever the run's length, so each law is the run's to m, bitwise.
+
+    Site t is the last column of the view at time t, so site 0 is column
+    -1 - t; summing its rows adds NOT_HIT to HIT_ZERO as interval_mass does,
+    without copying the law out.
+    """
     policies, horizons = [], []  # distinct policies in order of first run, and their m
     for m, policy in runs:
         if policy not in policies:
             policies.append(policy)
             horizons.append(set())
         horizons[policies.index(policy)].add(run_args(policy, m, 0)[0])
-    return {t: float(interval_mass(_law(t, 0, v, FLOAT), 0, 0))
+    return {t: float(v[:, -1 - t].sum())
             for policy, ms in zip(policies, horizons)
             for t, v in enumerate(_forward(policy, max(ms), 0, FLOAT, None)) if t in ms}
 

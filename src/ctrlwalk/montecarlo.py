@@ -9,6 +9,8 @@ so results are reproducible and shardable. One uniform drives each step:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,25 +143,22 @@ def _advance(x: np.ndarray, keys: np.ndarray, t: int, u: float, where, buf) -> N
     x += move
 
 
-def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=None):
+def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=None, entr=None):
     """Step the caller's int64 sites x n times in place: the one step loop.
 
     Walk j draws the bits of keys[j], keys broadcast against x. After each
-    step this yields the visited-0 flags and, given a family (x then 1-D),
-    the entrance table so far, else None. Barrier tracking keeps each walk's
-    next stage with that stage's radius and band start, and updates only
-    the walks that enter a stage.
+    step this yields the visited-0 flags. Given a family (x then 1-D), the
+    caller's entrance table entr, from _entrance_table, is filled in as
+    walks enter stages. Barrier tracking keeps each walk's next stage with
+    that stage's radius and band start, and updates only the walks that
+    enter a stage.
     """
-    if family is not None and family.n != n:
-        raise ParameterError(f"family horizon {family.n} != n={n}")
     flag = x == 0
     resets = set(flag_reset_times(policy))
     buf = _buffers(keys, x.shape)
     lo, hi = int(x.min()), int(x.max())
 
-    entr = None
     if family is not None:
-        entr = np.full((x.size, family.N0), -1, dtype=np.int64)
         # pads: a walk past the last stage gets radius -1 and never enters again
         rad = np.array(family.radii + (-1,), dtype=np.int64)
         bs = np.array(family.band_starts + (n,), dtype=np.int64)
@@ -181,7 +180,65 @@ def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=No
                 stage[idx] = k + 1
                 radius[idx] = rad[k + 1]
                 band[idx] = bs[k + 1]
-        yield flag, entr
+        yield flag
+
+
+def _entrance_table(family: BarrierFamily | None, n: int, trials: int) -> np.ndarray | None:
+    """A blank (-1) entrance table for trials walks of n steps, None without a family."""
+    if family is None:
+        return None
+    if family.n != n:
+        raise ParameterError(f"family horizon {family.n} != n={n}")
+    return np.full((trials, family.N0), -1, dtype=np.int64)
+
+
+# trials a thread must step at least, so that numpy's work on each step
+# outweighs the contention of the threads' per-step Python code for the GIL
+_MIN_SHARD = 16384
+
+
+def _core_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_shards(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family, entr):
+    """_walk over x in one contiguous shard per core, shard 0 on this thread.
+
+    Walks never interact and each draws from its own key, so every shard's
+    sites and entrance rows are bitwise those of one unsplit walk. Every
+    thread is joined before the lowest shard's exception is raised; a
+    failing shard stops the others at their next step.
+    """
+    k = max(1, min(_core_count(), x.size // _MIN_SHARD))
+    cuts = [x.size * i // k for i in range(k + 1)]
+    failed = threading.Event()
+    errors = [None] * k
+
+    def drive(i):
+        a, b = cuts[i], cuts[i + 1]
+        rows = None if entr is None else entr[a:b]
+        try:
+            for _ in _walk(policy, n, x[a:b], keys[a:b], family, rows):
+                if failed.is_set():
+                    return
+        except BaseException as exc:  # re-raised by the caller after every join
+            errors[i] = exc
+            failed.set()
+
+    threads = [threading.Thread(target=drive, args=(i,)) for i in range(1, k)]
+    for th in threads:
+        th.start()
+    try:
+        drive(0)
+    finally:
+        for th in threads:
+            th.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def run_batch(
@@ -197,16 +254,17 @@ def run_batch(
 
     Entrance times follow the strict chain rule: stage i can only be entered
     after stage i-1, at most one stage per time step, never at t=0. A -1 in
-    the entrance table means the stage was not reached by time n.
+    the entrance table means the stage was not reached by time n. Large
+    batches run one contiguous shard of trials per core, with results
+    bitwise equal to a single-threaded run.
     """
     keys = trial_keys(seed, trials, base=trial_base)
     if trials < 1:
         raise ParameterError("need at least one trial")
     n, start = run_args(policy, n, start)
     x = np.full(trials, start, dtype=np.int64)
-    entr = None
-    for _, entr in _walk(policy, n, x, keys, family):
-        pass
+    entr = _entrance_table(family, n, trials)
+    _run_shards(policy, n, x, keys, family, entr)
     return TrajectoryBatch(policy=policy, n=n, start=start, trials=trials, seed=seed, final=x,
                            entrances=entr, family=family)
 
@@ -228,8 +286,8 @@ def sample_path(
     n, start = run_args(policy, n, start)
     x = np.full(1, start, dtype=np.int64)
     path = np.full(n + 1, start, dtype=np.int64)
-    entr = None
-    for t, (_, entr) in enumerate(_walk(policy, n, x, keys, family), 1):
+    entr = _entrance_table(family, n, 1)
+    for t, _ in enumerate(_walk(policy, n, x, keys, family, entr), 1):
         path[t] = x[0]
     return path, None if entr is None else entr[0]
 
@@ -441,7 +499,7 @@ def lemma_ori_check(
     keys = trial_keys(seed, trials)
     x = np.repeat(starts[:, None], trials, axis=1)
     exited = np.zeros(x.shape, dtype=bool)
-    for flag, _ in _walk(fast_until_zero_policy(q_cap), steps, x, keys):
+    for flag in _walk(fast_until_zero_policy(q_cap), steps, x, keys):
         exited |= flag & (np.abs(x) >= K)
 
     contain = (np.abs(x) <= K).mean(axis=1)

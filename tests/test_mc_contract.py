@@ -10,13 +10,18 @@ A digest is the first 16 hex digits of the sha256 of the array's bytes.
 
 import hashlib
 import math
+import sys
+import threading
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from ctrlwalk import (
+    AdmissibilityError,
     ParameterError,
+    PolicySpec,
+    ScheduleSegment,
     barrier_family,
     constant_policy,
     fast_until_zero_policy,
@@ -28,7 +33,8 @@ from ctrlwalk import (
     sweep_policy,
     two_zone_policy,
 )
-from ctrlwalk.montecarlo import _advance, _buffers, _step_bounds
+from ctrlwalk import montecarlo
+from ctrlwalk.montecarlo import _MIN_SHARD, _advance, _buffers, _step_bounds
 from ctrlwalk.rng import _STEP
 from reference import step_uniforms
 
@@ -154,6 +160,77 @@ LEMMA_CALLS = {
 def test_probe_result_pins(name):
     res = LEMMA_CALLS[name]()
     assert hashlib.sha256(repr(astuple(res)).encode()).hexdigest()[:16] == LEMMA_PINS[name]
+
+
+# ---------------------------------------------------------------------------
+# sharded batches: one contiguous shard of trials per core
+
+
+SHARD_N = 64
+SHARD_TRIALS = 2 * _MIN_SHARD + 37
+
+
+@pytest.fixture
+def three_cores(monkeypatch):
+    """Report 3 cores, so a batch of SHARD_TRIALS splits in 2 on any machine,
+    and record the size of every walk as it starts and as it runs out.
+    Threads switch every 10 µs meanwhile, to interleave the shards finely."""
+    monkeypatch.setattr(montecarlo, "_core_count", lambda: 3)
+    walk, log = montecarlo._walk, {"started": [], "finished": []}
+
+    def spy(policy, n, x, *args):
+        log["started"].append(x.size)
+        yield from walk(policy, n, x, *args)
+        log["finished"].append(x.size)
+
+    monkeypatch.setattr(montecarlo, "_walk", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield log
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("start", [0, -3])
+@pytest.mark.parametrize("kind", ["bang-bang", "fast-until-zero"])
+def test_sharded_batch_equals_joined_pieces(three_cores, kind, start):
+    if kind == "bang-bang":
+        policy = solve_extremal(0.9, SHARD_N, "max", target=0, keep_values=False)[1].as_policy()
+    else:
+        policy = fast_until_zero_policy(0.9)
+    family = barrier_family(SHARD_N)
+    whole = run_batch(policy, SHARD_N, start=start, trials=SHARD_TRIALS, seed=SEED, family=family)
+    # both shards ran to the end before run_batch returned
+    assert sorted(three_cores["finished"]) == [SHARD_TRIALS // 2, SHARD_TRIALS - SHARD_TRIALS // 2]
+    pieces = [run_batch(policy, SHARD_N, start=start, trials=min(_MIN_SHARD, SHARD_TRIALS - a),
+                        seed=SEED, family=family, trial_base=a)
+              for a in range(0, SHARD_TRIALS, _MIN_SHARD)]
+    assert three_cores["started"][2:] == [_MIN_SHARD, _MIN_SHARD, 37]  # each piece ran unsplit
+    assert np.array_equal(whole.final, np.concatenate([p.final for p in pieces]))
+    assert np.array_equal(whole.entrances, np.concatenate([p.entrances for p in pieces]))
+
+
+def test_sharded_batch_raises_the_shard_error(three_cores):
+    # built directly: schedule_policy and constant_policy would reject the
+    # second segment's stay probability, which exceeds the cap from step 8
+    over = PolicySpec("constant", 0.5, {"u_value": 0.7})
+    policy = PolicySpec("schedule", 0.5, {"segments": (
+        ScheduleSegment(0, 8, constant_policy(0.5, 0.5)), ScheduleSegment(8, SHARD_N, over))})
+    before = threading.active_count()
+    with pytest.raises(AdmissibilityError, match="at step 8"):
+        run_batch(policy, SHARD_N, trials=SHARD_TRIALS, seed=SEED)
+    assert len(three_cores["started"]) == 2 and not three_cores["finished"]
+    assert threading.active_count() == before
+
+
+def test_family_horizon_checked_before_any_walk(three_cores):
+    policy, family = constant_policy(0.5, 0.5), barrier_family(2 * SHARD_N)
+    for call in (lambda: run_batch(policy, SHARD_N, trials=SHARD_TRIALS, family=family),
+                 lambda: sample_path(policy, SHARD_N, family=family)):
+        with pytest.raises(ParameterError, match=f"family horizon {2 * SHARD_N} != n={SHARD_N}"):
+            call()
+    assert three_cores["started"] == []
 
 
 # ---------------------------------------------------------------------------

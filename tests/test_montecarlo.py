@@ -127,6 +127,25 @@ class TestBatches:
         assert np.array_equal(run_batch(p, 16, trials=np.int64(50), seed=np.uint64(7)).final, want)
         assert np.array_equal(trial_keys(np.int32(7), 3), trial_keys(7, 3))
 
+    def test_trial_indices_outside_counter_space_rejected(self):
+        # trial indices are uint64 counters: a range leaving [0, 2^64) is a
+        # parameter error, not a numpy overflow
+        p = constant_policy(0.5, 0.5)
+        for call in (
+            lambda: trial_keys(3, 1, base=-1),
+            lambda: trial_keys(3, 2, base=MASK),
+            lambda: trial_keys(3, 1, base=MASK + 1),
+            lambda: run_batch(p, 8, trials=10, trial_base=-1),
+            lambda: run_batch(p, 8, trials=10, trial_base=MASK - 8),
+            lambda: sample_path(p, 8, trial=-1),
+            lambda: sample_path(p, 8, trial=MASK + 1),
+        ):
+            with pytest.raises(ParameterError, match=r"must lie in \[0, 2\^64\)"):
+                call()
+        top = trial_keys(3, 2, base=MASK - 1)  # the last two indices are still valid
+        assert np.array_equal(top, [trial_keys(3, 1, base=MASK - 1)[0], trial_keys(3, 1, base=MASK)[0]])
+        assert np.array_equal(sample_path(p, 8, trial=MASK)[0][-1:], run_batch(p, 8, trial_base=MASK).final)
+
     def test_start_offset(self):
         batch = run_batch(constant_policy(0.5, 0.5), 10, start=7, trials=100, seed=1)
         assert np.all(np.abs(batch.final - 7) <= 10)
@@ -297,6 +316,19 @@ class TestAgainstExact:
 
     N, Q, TRIALS, SEED = 512, 0.9, 10000, 11
     TARGETS = (0, (3, 5), (-300, -200), (-530, -500))
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    @pytest.mark.parametrize("m", [64, 256])
+    def test_bang_bang_optimum_within_z_bound(self, q, m):
+        # the optimal policy's hit rate against sup P(S_m = 0) = V_0(0); the
+        # trial count is above the shard threshold, so the batch runs sharded
+        # on a machine with more than one core
+        trials = 40_000
+        table, bb = solve_extremal(q, m, "max", target=0, keep_values=False)
+        best = table.value(0, 0)
+        est = estimate_hit(bb.as_policy(), m, trials=trials, seed=self.SEED)
+        se = math.sqrt(best * (1 - best) / trials)
+        assert abs(est.p_hat - best) <= 4.5 * se, (est.p_hat, best)
 
     @pytest.mark.parametrize(
         "kind",

@@ -45,7 +45,9 @@ def trial_keys(seed: int, trials: int, base: int = 0) -> np.ndarray:
     """Independent per-trial stream keys for trial indices base..base+trials-1."""
     s = np.uint64(as_index(seed, "seed") & _MASK)
     base, trials = as_index(base, "trial base"), as_index(trials, "trials")
-    if base < 0 or base + max(trials, 0) > _MASK + 1:
+    if trials < 0:
+        raise ParameterError(f"trials must be >= 0, got {trials}")
+    if base < 0 or base + trials > _MASK + 1:
         raise ParameterError(f"trial indices {base}..{base + trials - 1} must lie in [0, 2^64)")
     idx = np.arange(base, base + trials, dtype=np.uint64)
     with np.errstate(over="ignore"):

@@ -142,6 +142,8 @@ class TestBatches:
         ):
             with pytest.raises(ParameterError, match=r"must lie in \[0, 2\^64\)"):
                 call()
+        with pytest.raises(ParameterError, match="trials must be >= 0"):
+            trial_keys(3, -1)
         top = trial_keys(3, 2, base=MASK - 1)  # the last two indices are still valid
         assert np.array_equal(top, [trial_keys(3, 1, base=MASK - 1)[0], trial_keys(3, 1, base=MASK)[0]])
         assert np.array_equal(sample_path(p, 8, trial=MASK)[0][-1:], run_batch(p, 8, trial_base=MASK).final)

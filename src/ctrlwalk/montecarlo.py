@@ -193,8 +193,10 @@ def _entrance_table(family: BarrierFamily | None, n: int, trials: int) -> np.nda
 
 
 # trials a thread must step at least, so that numpy's work on each step
-# outweighs the contention of the threads' per-step Python code for the GIL
-_MIN_SHARD = 16384
+# outweighs the contention of the threads' per-step Python code for the GIL;
+# on 2 cores, 2 shards of 16-25K trials were no faster than one walk (up to
+# 64% slower) and 2 shards of 32,768 were 11-21% faster
+_MIN_SHARD = 32768
 
 
 def _core_count() -> int:
@@ -233,9 +235,13 @@ def _run_shards(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, fam
         th.start()
     try:
         drive(0)
-    finally:
         for th in threads:
             th.join()
+    except BaseException:  # a Ctrl-C outside the walk: stop the shards, then wait for them
+        failed.set()
+        for th in threads:
+            th.join()
+        raise
     for exc in errors:
         if exc is not None:
             raise exc

@@ -224,6 +224,39 @@ def test_sharded_batch_raises_the_shard_error(three_cores):
     assert threading.active_count() == before
 
 
+def test_interrupted_join_stops_the_shards(three_cores, monkeypatch):
+    # a Ctrl-C while the caller waits for a lagging shard stops that shard at
+    # its next step instead of leaving it to walk to the end
+    caller, steps, joined = threading.current_thread(), [], []
+    lagged, go = threading.Event(), threading.Event()
+    stay, join = montecarlo.stay_set, threading.Thread.join
+
+    def lagging(policy, t, *args, **kwargs):
+        if threading.current_thread() is not caller:
+            steps.append(t)
+            if t == 1:
+                lagged.set()
+                go.wait(10)
+        return stay(policy, t, *args, **kwargs)
+
+    def interrupted(self, timeout=None):
+        if not joined:  # the Ctrl-C lands while shard 1 lags in its step 1
+            joined.append(self)
+            lagged.wait(10)
+            raise KeyboardInterrupt
+        go.set()
+        join(self, timeout)
+
+    monkeypatch.setattr(montecarlo, "stay_set", lagging)
+    monkeypatch.setattr(threading.Thread, "join", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(constant_policy(0.5, 0.5), SHARD_N, trials=SHARD_TRIALS, seed=SEED)
+    go.set()
+    join(joined[0])
+    assert steps == [0, 1]
+    assert three_cores["finished"] == [SHARD_TRIALS // 2]  # shard 0 alone ran out
+
+
 def test_family_horizon_checked_before_any_walk(three_cores):
     policy, family = constant_policy(0.5, 0.5), barrier_family(2 * SHARD_N)
     for call in (lambda: run_batch(policy, SHARD_N, trials=SHARD_TRIALS, family=family),

@@ -30,6 +30,7 @@ from ctrlwalk import (
     two_zone_policy,
     wilson_interval,
 )
+from ctrlwalk.montecarlo import _MIN_SHARD
 from reference import step_uniforms
 
 MASK = (1 << 64) - 1
@@ -322,10 +323,10 @@ class TestAgainstExact:
     @pytest.mark.parametrize("q", [0.5, 0.9])
     @pytest.mark.parametrize("m", [64, 256])
     def test_bang_bang_optimum_within_z_bound(self, q, m):
-        # the optimal policy's hit rate against sup P(S_m = 0) = V_0(0); the
-        # trial count is above the shard threshold, so the batch runs sharded
-        # on a machine with more than one core
-        trials = 40_000
+        # the optimal policy's hit rate against sup P(S_m = 0) = V_0(0); two
+        # shards' worth of trials, so the batch runs sharded on a machine
+        # with more than one core
+        trials = 2 * _MIN_SHARD
         table, bb = solve_extremal(q, m, "max", target=0, keep_values=False)
         best = table.value(0, 0)
         est = estimate_hit(bb.as_policy(), m, trials=trials, seed=self.SEED)

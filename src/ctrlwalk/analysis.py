@@ -21,6 +21,7 @@ from .lattice import FLOAT, _as_mode_value, interval_mass
 from .montecarlo import estimate_hit
 from .policies import (
     PolicySpec,
+    _check_cap,
     constant_policy,
     fast_until_zero_policy,
     multiscale_localization_schedule,
@@ -145,19 +146,15 @@ def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: di
         pol = bb.as_policy()
     else:
         pol = sweep_policy(policy_kind, q_cap, n, params)
-
-    if method == "mc":
-        est = estimate_hit(
-            pol,
-            n,
-            trials=params.get("trials", defaults.MC_TRIALS),
-            seed=params.get("seed", 0) + n,
-        )
-        rec["p"] = est.p_hat
-        rec["ci_low"] = est.ci_low
-        rec["ci_high"] = est.ci_high
-    else:
-        raise ParameterError(f"method must be 'exact' or 'mc', got {method!r}")
+    est = estimate_hit(
+        pol,
+        n,
+        trials=params.get("trials", defaults.MC_TRIALS),
+        seed=params.get("seed", 0) + n,
+    )
+    rec["p"] = est.p_hat
+    rec["ci_low"] = est.ci_low
+    rec["ci_high"] = est.ci_high
     return rec
 
 
@@ -179,6 +176,8 @@ def exponent_sweep(
     min_n: int | None = None,
 ) -> tuple[list[dict], ExponentFit]:
     """Hit probability per n plus the power-law fit over the grid."""
+    if method not in ("exact", "mc"):
+        raise ParameterError(f"method must be 'exact' or 'mc', got {method!r}")
     params = dict(params or {})
     check_sweep_params(policy_kind, params, ("seed", "trials") if method == "mc" else ())
     grid = [as_index(n, "n") for n in n_grid]
@@ -399,7 +398,7 @@ def interior_survival(q_cap: float, K: int, s: int) -> float:
     sites: eigenvalues q + (1-q) cos(pi j / 2K), eigenvectors
     sin(pi j (x+K) / 2K), started from the delta at 0.
     """
-    K, s = as_index(K, "K"), as_index(s, "s")
+    q_cap, K, s = _check_cap(q_cap), as_index(K, "K"), as_index(s, "s")
     if K < 1:
         raise ParameterError("K must be >= 1")
     if s <= 0:

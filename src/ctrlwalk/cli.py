@@ -48,9 +48,9 @@ from .dp import (
     solve_extremal,
     value_table_to_csv,
 )
-from .errors import CalibrationError, InvariantError, ParameterError
+from .errors import CalibrationError, InvariantError, ParameterError, as_index
 from .lattice import FLOAT, RATIONAL, interval_mass, to_snapshot
-from .montecarlo import barrier_diagnostics, estimate_hit, hit_estimate, lemma0_check, run_batch
+from .montecarlo import barrier_diagnostics, hit_estimate, lemma0_check, run_batch
 from .policies import policy_from_json, policy_to_json
 
 OUT_DIR_ENV = "CTRLWALK_OUT_DIR"
@@ -68,10 +68,33 @@ _POLICY_KEYS = {
     "n": ("n", int),
 }
 
-# defaults of the keys several subcommands declare, applied where declared
-_DEFAULTS = {
-    "start": 0, "mode": FLOAT, "objective": MAX, "method": "exact",
-    "trials": MC_TRIALS, "beta": 0.0,
+# every flag once, by its config key: add_argument keywords, plus the default
+# a subcommand applies where it declares the flag (the echoed config omits it)
+_FLAGS = {
+    "policy": {"help": "kind:k=v,... or file:PATH"},
+    "policy_kind": {},
+    "q": {"type": float},
+    "n": {"type": int},
+    "n_grid": {},
+    "start": {"type": int, "default": 0},
+    "target": {"help": "site or lo:hi"},
+    "mode": {"choices": [FLOAT, RATIONAL], "default": FLOAT},
+    "objective": {"choices": [MAX, MIN], "default": MAX},
+    "method": {"choices": ["exact", "mc"], "default": "exact"},
+    "trials": {"type": int, "default": MC_TRIALS},
+    "beta": {"type": float, "default": 0.0},
+    "min_n": {"type": int},
+    "cutoff": {"type": int},
+    "params": {"help": "JSON object with extra policy parameters"},
+    "h": {"type": int},
+    "delta": {"type": float},
+    "ell": {"type": int},
+    "band": {"type": int},
+    "window": {"type": int},
+    "eps": {"type": float},
+    "seed": {"type": int},
+    "values_csv": {}, "region_json": {}, "boundary_csv": {}, "dump_final": {}, "csv": {},
+    "cert": {}, "t_grid": {}, "out": {}, "config": {},
 }
 
 # the runs that sample and so need --seed: (command, its method or what)
@@ -188,8 +211,8 @@ def _cmd_solve(cfg):
     n, q, objective = cfg["n"], cfg["q"], cfg["objective"]
     target = _parse_target(cfg.get("target"))
     keep = bool(cfg.get("values_csv"))  # the value table is only ever read by the CSV export
-    if not keep and ("cutoff" in cfg or cfg.get("keep_values")):
-        raise ParameterError("--keep-values and --cutoff only apply with --values-csv")
+    if not keep and "cutoff" in cfg:
+        raise ParameterError("--cutoff only applies with --values-csv")
     table, bb = solve_extremal(q, n, objective, target=target, keep_values=keep)
     region = extract_region(bb)
     if cfg.get("values_csv"):
@@ -221,16 +244,13 @@ def _cmd_simulate(cfg):
     n, start, seed, trials = cfg["n"], cfg["start"], cfg["seed"], cfg["trials"]
     policy = parse_policy(cfg["policy"], n=n)
     target = _parse_target(cfg.get("target"))
-    if cfg.get("dump_final"):  # one batch gives both the estimate and the dump
-        batch = run_batch(policy, n, start=start, trials=trials, seed=seed)
-        est = hit_estimate(batch.final, *target)
+    final = run_batch(policy, n, start=start, trials=trials, seed=seed).final
+    est = hit_estimate(final, *target)
+    if cfg.get("dump_final"):
         with _open_out(cfg["dump_final"]) as fh:
             w = csv.writer(fh)
             w.writerow(["trial", "final"])
-            for i, v in enumerate(batch.final):
-                w.writerow([i, int(v)])
-    else:
-        est = estimate_hit(policy, n, start=start, target=target, trials=trials, seed=seed)
+            w.writerows(enumerate(final.tolist()))
     payload = {
         "n": n,
         "start": start,
@@ -392,14 +412,15 @@ def _cmd_verify(cfg):
 
     if what == "heatkernel":
         q, band = cfg["q"], cfg.get("band", 16)
+        chain = ChainSpec(q, band)
         tg = _grid(cfg.get("t_grid", [2**k for k in range(4, 13)]))
-        prof = heat_kernel_profile(ChainSpec(q, band), tg)
+        ts = sorted({as_index(t, "time in t_grid") for t in tg})
+        if not ts or ts[-1] // 2 not in ts:  # the check compares the top octave's ends
+            raise ParameterError(f"t_grid must hold half its largest time, got {ts}")
+        prof = heat_kernel_profile(chain, ts)
         running = dict(prof["running_max"])
-        ts = sorted(running)
-        top, half = ts[-1], ts[-1] // 2
-        ref = running.get(half)
-        growth = None if not ref else running[top] / ref - 1.0
-        ok = growth is not None and growth < 0.01
+        growth = running[ts[-1]] / running[ts[-1] // 2] - 1.0
+        ok = growth < 0.01
         payload = {
             "q": q, "band": band, "t_grid": ts, "probes": list(prof["probes"]),
             "per_t": [[t, v] for t, v in prof["per_t"]],
@@ -438,92 +459,35 @@ _COMMANDS = {
 # argument wiring
 
 
+# subcommand -> (help, positional `what` choices, flags before --seed/--out/--config)
+_SUBCOMMANDS = {
+    "evolve": ("exact law of the walk under a policy", "", "policy n start target mode"),
+    "solve": ("extremal hit probability over capped controls", "",
+              "q n objective target values_csv region_json boundary_csv cutoff"),
+    "region": ("bang-bang region of the extremal control", "",
+               "q n objective target boundary_csv"),
+    "simulate": ("Monte Carlo hit estimate with CI", "",
+                 "policy n start target trials dump_final"),
+    "exponent": ("hit-probability sweep and power-law fit", "",
+                 "policy_kind q n_grid method trials min_n csv params"),
+    "barriers": ("barrier-entrance diagnostics", "", "policy n beta trials start"),
+    "verify": ("statistical and structural checks",
+               "lemma0 lemma5 lemma6 reversibility heatkernel",
+               "q h delta ell trials cert band window mode t_grid"),
+    "calibrate": ("search parameter witnesses", "lemma5 lemma6", "q eps"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ctrlwalk", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--config")
-
-    p = sub.add_parser("evolve", help="exact law of the walk under a policy")
-    p.add_argument("--policy", help="kind:k=v,... or file:PATH")
-    p.add_argument("--n", type=int)
-    p.add_argument("--start", type=int)
-    p.add_argument("--target", help="site or lo:hi")
-    p.add_argument("--mode", choices=[FLOAT, RATIONAL])
-    common(p)
-
-    p = sub.add_parser("solve", help="extremal hit probability over capped controls")
-    p.add_argument("--q", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--objective", choices=[MAX, MIN])
-    p.add_argument("--target")
-    p.add_argument("--keep-values", dest="keep_values", action="store_const", const=True)
-    p.add_argument("--values-csv", dest="values_csv")
-    p.add_argument("--region-json", dest="region_json")
-    p.add_argument("--boundary-csv", dest="boundary_csv")
-    p.add_argument("--cutoff", type=int)
-    common(p)
-
-    p = sub.add_parser("region", help="bang-bang region of the extremal control")
-    p.add_argument("--q", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--objective", choices=[MAX, MIN])
-    p.add_argument("--target")
-    p.add_argument("--boundary-csv", dest="boundary_csv")
-    common(p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo hit estimate with CI")
-    p.add_argument("--policy")
-    p.add_argument("--n", type=int)
-    p.add_argument("--start", type=int)
-    p.add_argument("--target")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--dump-final", dest="dump_final")
-    common(p)
-
-    p = sub.add_parser("exponent", help="hit-probability sweep and power-law fit")
-    p.add_argument("--policy-kind", dest="policy_kind")
-    p.add_argument("--q", type=float)
-    p.add_argument("--n-grid", dest="n_grid")
-    p.add_argument("--method", choices=["exact", "mc"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--min-n", dest="min_n", type=int)
-    p.add_argument("--csv")
-    p.add_argument("--params", help="JSON object with extra policy parameters")
-    common(p)
-
-    p = sub.add_parser("barriers", help="barrier-entrance diagnostics")
-    p.add_argument("--policy")
-    p.add_argument("--n", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--start", type=int)
-    common(p)
-
-    p = sub.add_parser("verify", help="statistical and structural checks")
-    p.add_argument("what", choices=["lemma0", "lemma5", "lemma6", "reversibility", "heatkernel"])
-    p.add_argument("--q", type=float)
-    p.add_argument("--h", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--cert")
-    p.add_argument("--band", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--mode", choices=[FLOAT, RATIONAL])
-    p.add_argument("--t-grid", dest="t_grid")
-    common(p)
-
-    p = sub.add_parser("calibrate", help="search parameter witnesses")
-    p.add_argument("what", choices=["lemma5", "lemma6"])
-    p.add_argument("--q", type=float)
-    p.add_argument("--eps", type=float)
-    common(p)
-
+    for name, (text, what, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if what:
+            p.add_argument("what", choices=what.split())
+        for key in [*keys.split(), "seed", "out", "config"]:  # None marks a flag not given
+            p.add_argument("--" + key.replace("_", "-"), **{**_FLAGS[key], "default": None})
     return top
 
 
@@ -547,8 +511,8 @@ def _typed(action: argparse.Action, value):
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[dict, dict]:
     """(echo, cfg). echo holds the keys given, flags over the config file's.
-    cfg holds them typed by their flags, over the shared defaults of the
-    keys the subcommand declares; undeclared keys pass through."""
+    cfg holds them typed by their flags, over the defaults of the flags the
+    subcommand declares; undeclared keys pass through."""
     echo = {}
     if args.config:
         with open(args.config) as fh:
@@ -558,7 +522,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     flags = vars(args).items()
     echo.update((k, v) for k, v in flags if k not in ("command", "config") and v is not None)
     actions = {a.dest: a for a in parser._actions}
-    cfg = {k: v for k, v in _DEFAULTS.items() if k in actions}
+    cfg = {k: f["default"] for k, f in _FLAGS.items() if k in actions and "default" in f}
     cfg.update((k, _typed(actions[k], v) if k in actions else v) for k, v in echo.items())
     return echo, cfg
 

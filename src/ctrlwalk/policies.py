@@ -162,9 +162,7 @@ def multiscale_localization_schedule(
             f"finest phase starts at T_{L}={breakpoints[L]} <= 0; lower alpha or L"
         )
 
-    segments = []
-    if breakpoints[L] > 0:
-        segments.append(ScheduleSegment(0, breakpoints[L], constant_policy(q_cap, q_cap)))
+    segments = [ScheduleSegment(0, breakpoints[L], constant_policy(q_cap, q_cap))]
     for ell in range(L, 0, -1):
         t0, t1 = breakpoints[ell], breakpoints[ell - 1]
         if t0 >= t1:
@@ -206,8 +204,6 @@ def multiscale_qto1_schedule(q_cap: float, A: int, n: int) -> list[ScheduleSegme
         if t0 >= t1:
             continue
         segments.append(ScheduleSegment(t0, t1, fast_until_zero_policy(q_cap)))
-    if not segments:
-        raise DegenerateScheduleError("schedule collapsed to nothing")
     return segments
 
 

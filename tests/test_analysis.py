@@ -36,7 +36,7 @@ from ctrlwalk import (
     verify_lemma5_certificate,
     verify_lemma6_certificate,
 )
-from ctrlwalk import dp
+from ctrlwalk import analysis, dp
 from ctrlwalk.dp import _forward
 from reference import trinomial_return
 
@@ -127,6 +127,13 @@ class TestSweeps:
     def test_non_integer_grid_rejected(self, kind):
         with pytest.raises(ParameterError, match="must be an integer"):
             exponent_sweep(kind, 0.5, [128.7, 256, 512])
+
+    def test_unknown_method_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "solve_extremal", lambda *a, **k: calls.append(a))
+        with pytest.raises(ParameterError, match="bogus"):
+            exponent_sweep("optimal", 0.5, [16, 32, 64], method="bogus")
+        assert calls == []
 
     def test_params_the_kind_does_not_read_rejected(self):
         with pytest.raises(ParameterError, match="bnd"):
@@ -333,6 +340,15 @@ class TestEscapeCalibration:
     ])
     def test_non_integer_sizes_rejected(self, call):
         with pytest.raises(ParameterError, match="must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: interior_survival(1.5, 4, 10), lambda: interior_survival(-0.5, 4, 10),
+        lambda: interior_survival(float("nan"), 4, 10), lambda: interior_survival(1.0, 4, 0),
+        lambda: early_exit_probability(1.5, 2, 2),
+    ])
+    def test_cap_outside_unit_interval_rejected(self, call):
+        with pytest.raises(ParameterError, match="q_cap must lie in"):
             call()
 
     def test_level_hit_monotone_in_time(self):

@@ -194,9 +194,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("extra", [["--keep-values"], ["--cutoff", "3"]])
     def test_solve_value_options_need_values_csv(self, capsys, extra):
+        # --keep-values no longer exists; --cutoff still needs --values-csv
         code = run_command(["solve", "--q", "0.5", "--n", "2", *extra])
         assert code == 2
-        assert "--values-csv" in capsys.readouterr().err
+        named = "arguments: --keep-values" if "--keep-values" in extra else "--values-csv"
+        assert named in capsys.readouterr().err
 
     def test_solve_negative_cutoff_is_exit_2(self, capsys, tmp_path):
         argv = ["solve", "--q", "0.5", "--n", "2", "--values-csv", str(tmp_path / "v.csv"),
@@ -367,8 +369,7 @@ class TestEvolveAndSolve:
 
     def test_values_csv_past_the_window(self, capsys, tmp_path):
         v = tmp_path / "v.csv"
-        argv = ["solve", "--q", "0.5", "--n", "2", "--keep-values", "--values-csv", str(v),
-                "--cutoff", "3"]
+        argv = ["solve", "--q", "0.5", "--n", "2", "--values-csv", str(v), "--cutoff", "3"]
         assert run(capsys, argv)[0] == 0
         rows = [line.split(",") for line in v.read_text().splitlines()[1:]]
         assert len(rows) == 3 * 7
@@ -507,6 +508,13 @@ class TestVerifyAndCalibrate:
         rec = record_from(out)
         assert code == 0
         assert rec["payload"]["top_octave_growth"] < 0.01
+
+    @pytest.mark.parametrize("grid", ["16,32,100", "1", "64,256"])
+    def test_heatkernel_grid_without_half_its_top_is_exit_2(self, capsys, grid):
+        argv = ["verify", "heatkernel", "--q", "0.5", "--band", "4", "--t-grid", grid]
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "t_grid" in err
 
     def test_heatkernel_band_zero_is_kept(self, capsys):
         code, out = run(

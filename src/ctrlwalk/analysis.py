@@ -44,6 +44,7 @@ class ExponentFit:
     min_n: int  # exclusion cutoff applied to the input
     n_min: int  # smallest n used
     n_max: int  # largest n used
+    local_slopes: tuple  # (n1, n2, -log(p2/p1)/log(n2/n1)) per consecutive pair used
 
 
 def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
@@ -86,6 +87,8 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
         min_n=min_n,
         n_min=kept[0][0],
         n_max=kept[-1][0],
+        local_slopes=tuple((n1, n2, -math.log(p2 / p1) / math.log(n2 / n1))
+                           for (n1, p1), (n2, p2) in zip(kept, kept[1:])),
     )
 
 
@@ -130,16 +133,9 @@ def sweep_policy(policy_kind: str, q_cap: float, n: int, params: dict) -> Policy
 
 
 def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: dict, curve) -> dict:
-    rec = {
-        "policy_kind": policy_kind,
-        "q": q_cap,
-        "n": n,
-        "method": method,
-        "ci_low": None,
-        "ci_high": None,
-    }
+    rec = {"policy_kind": policy_kind, "q": q_cap, "n": n, "method": method, "ci_low": None, "ci_high": None}
     if method == "exact":  # every exact point is read off the sweep's curve
-        rec["p"] = curve[n]
+        rec["p"], rec["error_bound"] = curve[n]
         return rec
     if policy_kind == "optimal":
         _, bb = solve_extremal(q_cap, n, params.get("objective", MAX), keep_values=False)
@@ -152,19 +148,21 @@ def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: di
         trials=params.get("trials", defaults.MC_TRIALS),
         seed=params.get("seed", 0) + n,
     )
-    rec["p"] = est.p_hat
-    rec["ci_low"] = est.ci_low
-    rec["ci_high"] = est.ci_high
+    rec["p"], rec["ci_low"], rec["ci_high"] = est.p_hat, est.ci_low, est.ci_high
     return rec
 
 
-def _exact_curve(policy_kind: str, q_cap: float, grid: list, params: dict) -> dict:
-    """{n: exact P(S_n = 0)} over the grid: the optimum from one backward pass,
-    a built policy from one forward pass per distinct policy, so every n
-    shares one pass unless the policy scales with n."""
+def _exact_curve(policy_kind: str, q_cap: float, grid: list, params: dict, min_n: int) -> dict:
+    """{n: (exact P(S_n = 0), certified error bound)} over the grid from one
+    pass per distinct policy (the optimum: one backward pass). A curve checks
+    every point before any pass; the grid is checked last."""
+    def checked(points):
+        yield from points
+        fit_exponent([(n, 1.0) for n in grid], min_n)  # the fit's checks that read only n
+
     if policy_kind == "optimal":
-        return _optimal_curve(q_cap, grid, params.get("objective", MAX))
-    return _forward_curve((n, sweep_policy(policy_kind, q_cap, n, params)) for n in grid)
+        return _optimal_curve(q_cap, checked(grid), params.get("objective", MAX))
+    return _forward_curve(checked((n, sweep_policy(policy_kind, q_cap, n, params)) for n in grid))
 
 
 def exponent_sweep(
@@ -181,10 +179,12 @@ def exponent_sweep(
     params = dict(params or {})
     check_sweep_params(policy_kind, params, ("seed", "trials") if method == "mc" else ())
     grid = [as_index(n, "n") for n in n_grid]
-    curve = _exact_curve(policy_kind, q_cap, grid, params) if method == "exact" else None
+    min_n = defaults.MIN_FIT_N if min_n is None else min_n
+    if method == "mc":  # the fit's checks that read only n; the exact curve makes them too
+        fit_exponent([(n, 1.0) for n in grid], min_n)
+    curve = _exact_curve(policy_kind, q_cap, grid, params, min_n) if method == "exact" else None
     records = [_sweep_point(policy_kind, q_cap, n, method, params, curve) for n in grid]
-    kwargs = {} if min_n is None else {"min_n": min_n}
-    fit = fit_exponent([(r["n"], r["p"]) for r in records], **kwargs)
+    fit = fit_exponent([(r["n"], r["p"]) for r in records], min_n)
     return records, fit
 
 

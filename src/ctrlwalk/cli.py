@@ -322,6 +322,7 @@ def _cmd_exponent(cfg, echo, out):
         "n_max": fit.n_max,
         "min_n_cutoff": fit.min_n,
         "points": [list(p) for p in fit.points],
+        "local_slopes": [list(s) for s in fit.local_slopes],
     }
     if cfg.get("csv"):
         with _open_out(cfg["csv"]) as fh:

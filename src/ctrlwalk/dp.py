@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +73,15 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     flagged, so the NOT_HIT row would stay zero. The one row is then the
     HIT_ZERO row, every step's stay rule holds on all of it, and nothing is
     folded at site 0. Otherwise R = 2, one row per visited-0 flag. Buffers
-    sized once hold column site + shift, zero off the window and, in half,
-    off the live columns. Each step follows the operation order of the
-    per-cell oracle step_distribution in tests/reference.py, so laws agree
-    bitwise. _stay_region holds u in [0, 1], which keeps every factor
-    non-negative, so no mass can turn negative and only the total is checked.
-    It is asked only at policies.rule_change_times, the steps where the rule
-    may change, and each rule's clipped stay spans are rebuilt only while
-    live columns join them.
+    sized once hold column site + shift, zero off the window. Each step
+    follows the operation order of the per-cell oracle step_distribution in
+    tests/reference.py, so laws agree bitwise. _stay_region holds u in
+    [0, 1], so no mass can turn negative and only the total is checked.
+
+    Steps run in epochs cut at each policies.rule_change_times step (the
+    only ones that ask for the stay rule), flag reset and quarter of t. An
+    epoch slices its views once and sweeps the live columns its last step
+    can reach and the absorbing ones (zeros beyond the law stay zero).
 
     One row under a mirror-symmetric policy and live window is folded: site
     -x would repeat the float operations of site x with its two neighbours
@@ -93,63 +96,59 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     two = start != 0 or bool(resets)
     fold = not two and (live is None or live[0] == -live[1]) and mirror_symmetric(policy)
     c0, shift = n + 1, n + 1 - start
-    mass, out, half = (_zeros((1 + two, 2 * n + 3), mode) for _ in range(3))
+    bufs = _zeros((1 + two, 2 * n + 3), mode), _zeros((1 + two, 2 * n + 3), mode)
+    terms = _zeros((2, 1 + two, 2 * n + 3), mode)  # each neighbour's share, and the stay term
     one_half, zero, prev = (_as_mode_value(v, mode) for v in (0.5, 0, 1))
-    mass[:, c0] = point_mass(start, mode=mode).mass[:, 0] if two else prev
+    bufs[0][:, c0] = point_mass(start, mode=mode).mass[:, 0] if two else prev
     lo, hi = (c0 - n, c0 + n) if live is None else (live[0] + shift, live[1] + shift)
+    if not lo <= c0 <= hi:  # a start off the live window never moves: no column is live
+        lo, hi = c0 + 1, c0
     tols = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
-    last = range(max(c0 if fold else c0 - n + 1, lo), min(c0 + n - 1, hi) + 1)  # live at step n-1
-    yield mass[:, c0 : c0 + 1]
-    for t in range(n):
-        a, b = (c0 if fold else c0 - t), c0 + t  # swept columns: sites -t..t, or 0..t
-        na = a if fold else a - 1  # the next law's first column
-        if t in resets:
-            d = LatticeDistribution(t, a - shift, mass[:, a : b + 1], mode)
-            mass[:, a : b + 1] = reset_hit_flags(d).mass
-        if t in changes:
-            u, hit_only, intervals = _stay_region(policy, t)
-            hit_only = hit_only and two
+    cuts = sorted({*resets, *changes, n})
+    yield bufs[0][:, c0 : c0 + 1]
+    t1 = 0
+    while t1 < n:
+        t0, t1 = t1, min(cuts[bisect_right(cuts, t1)], t1 + max(16, t1 // 4))
+        if t0 in resets:
+            law = bufs[t0 % 2][:, c0 - t0 : c0 + t0 + 1]
+            law[...] = reset_hit_flags(LatticeDistribution(t0, start - t0, law, mode)).mass
+        if t0 in changes:
+            u, hit_only, intervals = _stay_region(policy, t0)
             u = _as_mode_value(u, mode)
             f = (1 - u) * one_half  # each neighbour's share of moving mass on a stay span
-            rows = slice(HIT_ZERO, None) if hit_only else slice(None)
-            whole = intervals is None and not hit_only
-            # the columns the stay spans cover by the last step: the spans change only
-            # while live columns join them, and not once all are live
-            reach = _meet(last, range(0) if u == 0 or intervals == () else last if intervals is None
-                          else range(intervals[0][0] + shift, intervals[-1][1] + shift + 1))
-            spanned = None
-        p = max(a, lo)  # live columns [p, r], the rest is frozen
-        r = max(min(b, hi), p - 1)
-        if spanned != reach and (clip := _meet(reach, range(p, r + 1))) != spanned:
-            spanned = clip  # all empty ranges are equal
-            spans = [] if u == 0 else [slice(p, r + 1)] if intervals is None else [
-                slice(max(x0 + shift, p), min(x1 + shift, r) + 1)
-                for x0, x1 in intervals if x1 + shift >= p and x0 + shift <= r
-            ]
-            if len(spans) > 1:  # many stay intervals (bang-bang tables): one gather
-                spans = [np.concatenate([np.arange(s.start, s.stop) for s in spans])]
-        np.multiply(mass[:, p : r + 1], f if whole else one_half, out=half[:, p : r + 1])
-        for s in () if whole else spans:
-            half[rows, s] = mass[rows, s] * f
-        if fold:
-            half[0, c0 - 1] = half[0, c0 + 1]  # a folded run has one row
-        np.add(half[:, na + 1 : b + 3], half[:, na - 1 : b + 1], out=out[:, na : b + 2])
-        for s in spans:
-            out[rows, s] += mass[rows, s] * u
-        for s in (slice(a, p), slice(r + 1, b + 1)) if live is not None else ():  # frozen mass
-            np.add(out[:, s], mass[:, s], out=out[:, s])
-        if two and a - 1 <= shift <= b + 1:  # arrivals at site 0 join the HIT_ZERO row
-            out[[NOT_HIT, HIT_ZERO], shift] = zero, out[HIT_ZERO, shift] + out[NOT_HIT, shift]
-        m = out[:, na : b + 2]
-        total = m[0, 0] + 2 * np.add.reduce(m[0, 1:]) if fold else np.add.reduce(m, axis=None)
-        if not (abs(total - prev) <= tols[0] and abs(total - 1) <= tols[1]):  # NaN fails too
-            raise InvariantError(f"total mass {total!r} after step {t}, {prev!r} before")
-        prev, mass, out = total, out, mass
-        yield m
-
-
-def _meet(x: range, y: range) -> range:
-    return range(max(x.start, y.start), min(x.stop, y.stop))
+            rows = slice(HIT_ZERO, None) if hit_only and two else slice(None)
+        # live columns [p, r] hold the law before each step, out columns [na, r + 1] take it
+        p, r = max(c0 if fold else c0 - t1 + 1, lo), min(c0 + t1 - 1, hi)
+        na = p if fold else p - 1
+        frozen = [x for x in (lo - 1, hi + 1) if na <= x <= r + 1]  # these stay with probability 1
+        a, b = min([p, *frozen]), max([r, *frozen])  # the swept columns
+        fu = _zeros((2, 1 + two, b + 1 - a), mode)  # each swept cell's factors for both terms
+        fu[0] = one_half
+        for x0, x1 in [(p - shift, r - shift)] if intervals is None else intervals:
+            x0 = max(x0 + shift, p) - a  # the stay span's swept cells, clipped to [p, r]
+            cells = slice(x0, max(x0, min(x1 + shift, r) + 1 - a))
+            fu[0, rows, cells], fu[1, rows, cells] = f, u
+        fu[:, :, [x - a for x in frozen]] = [[[zero]], [[1]]]  # they move nothing and keep all
+        merge = two and na <= shift <= r + 1  # arrivals at site 0 join the HIT_ZERO row
+        ones = np.ones(r + 1 - na if fold else r + 2 - na, bufs[0].dtype)
+        both, stays = terms[:, :, a : b + 1], terms[1, :, a : b + 1]
+        h_hi, h_lo = terms[0, :, na + 1 : r + 3], terms[0, :, na - 1 : r + 1]
+        views = [(src[:, a : b + 1], dst[:, a : b + 1], dst[:, na : r + 2], merge and dst[:, shift], dst)
+                 for src, dst in (bufs, bufs[::-1])]
+        for t in range(t0, t1):
+            s_swept, d_swept, d_out, d_zero, dst = views[t % 2]
+            np.multiply(s_swept, fu, out=both)
+            if fold:
+                terms[0, 0, c0 - 1] = terms[0, 0, c0 + 1]  # a folded run has one row
+            np.add(h_hi, h_lo, out=d_out)
+            np.add(d_swept, stays, out=d_swept)
+            if merge:
+                d_zero[[NOT_HIT, HIT_ZERO]] = zero, d_zero[HIT_ZERO] + d_zero[NOT_HIT]
+            total = d_out[0, 0] + 2 * d_out[0, 1:].dot(ones) if fold else (d_out @ ones).sum()
+            if not (abs(total - prev) <= tols[0] and abs(total - 1) <= tols[1]):  # NaN fails too
+                raise InvariantError(f"total mass {total!r} after step {t}, {prev!r} before")
+            prev = total
+            yield dst[:, c0 : c0 + t + 2] if fold else dst[:, c0 - t - 1 : c0 + t + 2]
 
 
 def _law(t: int, start: int, m: np.ndarray, mode: str) -> LatticeDistribution:
@@ -245,11 +244,14 @@ def _mask_to_intervals(mask: np.ndarray, offset: int) -> tuple:
     return tuple((int(idx[s]) + offset, int(idx[e]) + offset) for s, e in zip(starts, ends))
 
 
-def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int):
-    """(t, V_t on [-n, n], a, cap mask on sites a, a+1, ...) for t = n..0, as
-    views the next step overwrites. Only the target's light cone [lo - k,
-    hi + k], k = n - t, is swept: off it V_t is 0 and u = 0 wins the tie, as
-    in a whole-window sweep with the same operation order, bitwise.
+def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int, radius=None, masks=True):
+    """(t, V_t on [-r, r], a, cap mask on sites a, a+1, ...) for t = n..0, as
+    views the next step overwrites; r = radius, n by default (a smaller one
+    counts leaving [-r, r] as a miss), and masks=False leaves masks empty.
+    Only the target's light cone [lo - k, hi + k], k = n - t, is masked: off
+    it V_t is 0 and u = 0 wins the tie, as in a whole-window sweep with the
+    same operation order, bitwise. As in _forward, each epoch (a quarter of
+    k) sweeps its last step's cone with views sliced once.
 
     A target (-h, h) is folded: V_t is even and site -x would repeat the
     float operations of site x with its neighbours swapped, so only sites
@@ -257,28 +259,35 @@ def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int):
     x < 0 is then stale in the yielded row; the caller mirrors what it keeps.
     """
     fold = lo == -hi
-    lo, hi = max(lo, -n), min(hi, n)
-    pad = np.zeros(2 * n + 3)  # V at site x in column x + n + 1
-    if lo <= hi:  # a target wholly outside [-n, n] leaves every value 0
-        pad[lo + n + 1 : hi + n + 2] = 1.0
-    nb, v0, vq, mask = (np.empty(2 * n + 1, dt) for dt in (float, float, float, bool))
-    scale = (1.0 - q_cap) * 0.5
-    better = np.greater if objective == MAX else np.less
+    r = radius or n
+    lo, hi = max(lo, -r), min(hi, r)
+    pad = np.zeros(2 * r + 3)  # V at site x in column x + r + 1
+    if lo <= hi:  # a target wholly outside [-r, r] leaves every value 0
+        pad[lo + r + 1 : hi + r + 2] = 1.0
+    nb, mask, terms = np.empty(2 * r + 1), np.empty(2 * r + 1, bool), np.empty((2, 2 * r + 1))
+    factors = np.array([[0.5], [(1.0 - q_cap) * 0.5]])  # V(x-1) + V(x+1) under u = 0 and u = q_cap
+    better, pick = (np.greater, np.maximum) if objective == MAX else (np.less, np.minimum)
+    cone = (lambda k: (0, min(hi + k, r) + 1)) if fold else (
+        lambda k: (max(lo - k, -r), max(min(hi + k, r) - max(lo - k, -r) + 1, 0)))
     yield n, pad[1:-1], lo, mask[:0]
-    for t in range(n - 1, -1, -1):
-        a = 0 if fold else max(lo - (n - t), -n)
-        w = max(min(hi + (n - t), n) - a + 1, 0)
-        if fold:
-            pad[n] = pad[n + 2]
-        v = pad[a + n + 1 : a + n + 1 + w]  # V(x) on the cone; V(x-1), V(x+1) a column aside
-        np.add(pad[a + n : a + n + w], pad[a + n + 2 : a + n + 2 + w], out=nb[:w])
-        np.multiply(nb[:w], 0.5, out=v0[:w])
-        np.multiply(nb[:w], scale, out=vq[:w])
-        np.add(vq[:w], np.multiply(v, q_cap, out=nb[:w]), out=vq[:w])
-        better(vq[:w], v0[:w], out=mask[:w])
-        np.copyto(v, v0[:w])
-        np.copyto(v, vq[:w], where=mask[:w])
-        yield t, pad[1:-1], a, mask[:w]
+    t1 = n
+    while t1 > 0:
+        t0, t1 = t1, max(t1 - max(16, (n - t1) // 4), 0)
+        a, w = cone(n - t1)
+        v, left, right = (pad[a + r + d : a + r + d + w] for d in (1, 0, 2))  # V(x), V(x -+ 1)
+        nbw, tw, mw = nb[:w], terms[:, :w], mask[:w]
+        v0, vq = tw
+        for t in range(t0 - 1, t1 - 1, -1):
+            if fold:
+                pad[r] = pad[r + 2]
+            np.add(left, right, out=nbw)
+            np.multiply(nbw, factors, out=tw)
+            np.add(vq, np.multiply(v, q_cap, out=nbw), out=vq)
+            if masks:
+                better(vq, v0, out=mw)
+            pick(vq, v0, out=v)  # the cap where it is strictly better, as the mask says
+            at, wt = cone(n - t)
+            yield t, pad[1:-1], at, mw[at - a : at - a + wt] if masks else mask[:0]
 
 
 def solve_extremal(
@@ -328,33 +337,63 @@ def _solve_args(q_cap: float, n: int, objective: str) -> tuple[float, int]:
     return q_cap, n
 
 
+_EPS, _CERT = 2.0**-70, 2.0**-60  # a curve pass's tail, and a kept point's bound / p
+
+
+def _certified(points, horizons) -> dict:
+    """{m: (p, error bound)} per horizon m; points(ms, radius) reads each m in
+    ms off one pass to max(ms) that absorbs paths leaving [-radius, radius]
+    (None: untruncated). By Azuma-Hoeffding the walk, a martingale with steps
+    of at most 1 under any control, leaves [-R, R] by step N with probability
+    <= 2 exp(-R^2/2N): R is sized for _EPS, enough for p >= 2^-10. A point with
+    bound > _CERT * p is read again off a pass twice as wide or sized for p."""
+    curve, todo, eps, radius = {}, set(horizons), _EPS, 0
+    while todo:
+        big = max(todo)
+        radius = max(math.ceil(math.sqrt(2 * big * math.log(2 / eps))) if eps else big, 2 * radius)
+        got = points(todo, radius if radius < big else None)
+        curve.update((m, pb) for m, pb in got.items() if pb[1] <= _CERT * pb[0])
+        todo -= curve.keys()
+        eps = min([_CERT * got[m][0] for m in todo], default=0.0)
+    return curve
+
+
 def _optimal_curve(q_cap: float, horizons, objective: str) -> dict:
-    """{m: extremal P(S_m = 0)} per horizon m from one pass to N = max m: the
-    recursion does not depend on t, so V_{N-m}(0) is the solve to m, bitwise.
-    The target (0, 0) folds the pass, and site 0 is never stale."""
-    big = max([_solve_args(q_cap, m, objective)[1] for m in horizons], default=1)
-    steps = _backward(float(q_cap), big, objective, 0, 0)
-    return {big - t: float(v[big]) for t, v, _, _ in steps if big - t in horizons}
+    """{m: (extremal P(S_m = 0), Azuma's bound)} per horizon m from one pass to
+    N = max m: the recursion does not depend on t, so V_{N-m}(0) is the solve
+    to m, bitwise when untruncated. The target (0, 0) folds the pass."""
+    def points(ms, radius):
+        big, r = max(ms), radius or max(ms)
+        steps = _backward(float(q_cap), big, objective, 0, 0, radius, masks=False)
+        return {big - t: (float(v[r]), 2 * math.exp(-r * r / (2 * (big - t))) if big - t > r else 0.0)
+                for t, v, _, _ in steps if big - t in ms}
+
+    return _certified(points, {_solve_args(q_cap, m, objective)[1] for m in horizons})
 
 
 def _forward_curve(runs) -> dict:
-    """{m: P(S_m = 0) from 0} per (m, policy) run, from one _forward pass per
-    distinct policy to its largest m: step t does the same elementwise
-    operations whatever the run's length, so each law is the run's to m, bitwise.
-
-    Site t is the last column of the view at time t, so site 0 is column
-    -1 - t; summing its rows adds NOT_HIT to HIT_ZERO as interval_mass does,
-    without copying the law out.
-    """
+    """{m: (P(S_m = 0) from 0, error bound)} per (m, policy) run, from one
+    _forward pass per distinct policy to its largest m: step t does the same
+    elementwise operations whatever the run's length, so each law is the
+    run's to m, bitwise when untruncated. The bound is the mass absorbed at
+    +-(R + 1) by step m. Site x >= 0 is column x - t - 1 of a view at t."""
     policies, horizons = [], []  # distinct policies in order of first run, and their m
     for m, policy in runs:
         if policy not in policies:
             policies.append(policy)
             horizons.append(set())
         horizons[policies.index(policy)].add(run_args(policy, m, 0)[0])
-    return {t: float(v[:, -1 - t].sum())
-            for policy, ms in zip(policies, horizons)
-            for t, v in enumerate(_forward(policy, max(ms), 0, FLOAT, None)) if t in ms}
+
+    def points(policy, ms, radius):
+        got, r = {}, radius or max(ms)
+        for t, v in enumerate(_forward(policy, max(ms), 0, FLOAT, radius and (-r, r))):
+            if t in ms:  # a folded view holds site R + 1 for both ends
+                ends = [r - t, -r - t - 2] if v.shape[1] > t + 1 else [r - t] * 2
+                got[t] = float(v[:, -1 - t].sum()), float(v[:, ends].sum()) if t > r else 0.0
+        return got
+
+    return {m: pb for policy, ms in zip(policies, horizons)
+            for m, pb in _certified(functools.partial(points, policy), ms).items()}
 
 
 def extract_region(bb: BangBangPolicy) -> dict:

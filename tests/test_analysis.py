@@ -56,6 +56,18 @@ class TestExponentFit:
         assert fit.points[0][0] == 128
         assert len(fit.points) == 4
 
+    def test_local_slopes_of_the_constant_curve(self):
+        _, fit = exponent_sweep("constant", 0.9, [512, 1024, 2048, 4096, 8192])
+        assert [(n1, n2) for n1, n2, _ in fit.local_slopes] == [
+            (512, 1024), (1024, 2048), (2048, 4096), (4096, 8192)]
+        for (n1, p1), (n2, p2), (_, _, slope) in zip(fit.points, fit.points[1:], fit.local_slopes):
+            assert slope == -math.log(p2 / p1) / math.log(n2 / n1)
+            assert abs(slope - 0.5) <= 0.01
+
+    def test_local_slopes_use_kept_points_only(self):
+        fit = fit_exponent([(n, n**-0.25) for n in (16, 128, 256, 512)], min_n=128)
+        assert [(n1, n2) for n1, n2, _ in fit.local_slopes] == [(128, 256), (256, 512)]
+
     def test_needs_three_points_after_cutoff(self):
         with pytest.raises(ParameterError):
             fit_exponent([(256, 0.5), (512, 0.4)])
@@ -127,6 +139,35 @@ class TestSweeps:
     def test_non_integer_grid_rejected(self, kind):
         with pytest.raises(ParameterError, match="must be an integer"):
             exponent_sweep(kind, 0.5, [128.7, 256, 512])
+
+    BAD_GRIDS = [  # (grid, min_n, message)
+        ([8192, 512, 1024], None, "strictly increasing"),
+        ([64, 128, 16384], 1000, "only 1 points at n >= 1000"),
+        ([512, 1024], None, "at least 3 points"),
+    ]
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    @pytest.mark.parametrize("kind", ["constant", "optimal"])
+    @pytest.mark.parametrize("grid, min_n, message", BAD_GRIDS)
+    def test_bad_grid_rejected_before_any_pass(self, monkeypatch, kind, method, grid, min_n,
+                                               message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pass ran")
+
+        for name in ("_forward", "_backward"):
+            monkeypatch.setattr(dp, name, refuse)
+        params = {"seed": 1} if method == "mc" else {}
+        with pytest.raises(ParameterError, match=message):
+            exponent_sweep(kind, 0.9, grid, method=method, params=params, min_n=min_n)
+
+    def test_exact_records_carry_their_error_bound(self):
+        # R = 113 at n = 128 (the band scales with n, so one pass per point)
+        records, _ = exponent_sweep("two-zone", 0.5, [16, 32, 64, 128], min_n=16)
+        assert [r["error_bound"] for r in records[:3]] == [0.0] * 3  # R >= n: untruncated
+        assert 0.0 < records[3]["error_bound"] <= dp._CERT * records[3]["p"]
+        records, _ = exponent_sweep("constant", 0.5, [128, 256, 512], method="mc",
+                                    params={"seed": 1, "trials": 100})
+        assert all("error_bound" not in r for r in records)
 
     def test_unknown_method_rejected_before_any_solve(self, monkeypatch):
         calls = []

@@ -21,6 +21,7 @@ from ctrlwalk import (
     solve_extremal,
     sweep_policy,
 )
+from ctrlwalk import dp
 from ctrlwalk.cli import _build_parser, _subcommands, parse_policy, run_command
 
 
@@ -641,8 +642,11 @@ class TestExponentCommand:
             assert line["command"] == "exponent"
             assert set(line["payload"]) >= {"policy_kind", "q", "n", "p", "method"}
         fit = lines[-1]["payload"]["fit"]
-        assert set(fit) >= {"sigma_hat", "intercept", "r2", "n_min", "n_max"}
+        assert set(fit) >= {"sigma_hat", "intercept", "r2", "n_min", "n_max", "local_slopes"}
         assert 0.4 < fit["sigma_hat"] < 0.6
+        assert [s[:2] for s in fit["local_slopes"]] == [[128, 256], [256, 512], [512, 1024]]
+        assert all(line["payload"]["error_bound"] <= 2.0**-60 * line["payload"]["p"]
+                   for line in lines[:-1])
         header = cs.read_text().splitlines()[0]
         assert header == "policy_kind,q,n,p,method,ci_low,ci_high"
 
@@ -670,6 +674,23 @@ class TestExponentCommand:
         for r in points:
             bb = solve_extremal(0.9, r["n"], "max", keep_values=False)[1]
             assert r["p"] == estimate_hit(bb.as_policy(), r["n"], trials=300, seed=2 + r["n"]).p_hat
+
+    @pytest.mark.parametrize("grid, extra, message", [
+        ("8192,512,1024", [], "strictly increasing"),
+        ("64,128,16384", ["--min-n", "1000"], "only 1 points at n >= 1000"),
+        ("512,1024", [], "at least 3 points"),
+    ])
+    @pytest.mark.parametrize("kind", ["constant", "optimal"])
+    def test_bad_grid_is_exit_2_before_any_pass(self, capsys, monkeypatch, kind, grid, extra,
+                                                 message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pass ran")
+
+        for name in ("_forward", "_backward"):
+            monkeypatch.setattr(dp, name, refuse)
+        argv = ["exponent", "--policy-kind", kind, "--q", "0.9", "--n-grid", grid]
+        assert run_command(argv + extra) == 2
+        assert message in capsys.readouterr().err
 
     def test_mc_method_needs_seed(self, capsys):
         code = run_command(

@@ -371,7 +371,7 @@ class TestSolverAgainstFullWindow:
     def test_one_pass_curve_equals_per_n_solves(self, q, big, objective):
         curve = _optimal_curve(q, range(1, big + 1), objective)
         assert sorted(curve) == list(range(1, big + 1))
-        for m, p in curve.items():
+        for m, (p, _) in curve.items():
             assert p == solve_extremal(q, m, objective, keep_values=False)[0].value(0, 0)
 
     @given(st.floats(0.01, 0.99), st.integers(6, 60), st.data())
@@ -468,7 +468,7 @@ class TestMirrorFold:
     @settings(max_examples=30, deadline=None)
     def test_optimal_curve_matches_full_window(self, q, big, objective):
         curve = _optimal_curve(q, range(1, big + 1), objective)
-        for m, p in curve.items():
+        for m, (p, _) in curve.items():
             assert p == full_window_solve(q, m, objective, (0, 0))[0][m]
 
 
@@ -508,6 +508,78 @@ class TestMirrorFoldGuard:
         next(steps)
         t, _, first, mask = next(steps)
         assert (t, first, mask.size) == (7, a, width)
+
+
+def spy(monkeypatch, name):
+    """The positional arguments of every call to dp.<name> from now on."""
+    calls, real = [], getattr(dp, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dp, name, spied)
+    return calls
+
+
+class TestTruncatedCurves:
+    """The curve passes absorb paths beyond the Azuma radius R = 635 of N =
+    4096 and keep a point only with a certified error bound; every kept
+    point equals the untruncated one bitwise."""
+
+    GRID = [512, 1024, 2048, 4096]
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("kind", ["constant", "fast-until-zero", "two-zone",
+                                      "schedule-localization"])
+    def test_forward_curve_equals_untruncated_pass(self, monkeypatch, kind, q):
+        passes = spy(monkeypatch, "_forward")
+        records, _ = exponent_sweep(kind, q, self.GRID)
+        lives = [args[4] for args in passes]
+        assert (-635, 635) in lives and None not in lives
+        for r in records:
+            want = hit_probability(sweep_policy(kind, q, r["n"], {}), r["n"])  # one whole pass per n
+            assert r["p"].hex() == want.hex()
+            assert 0.0 <= r["error_bound"] <= dp._CERT * r["p"]
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95])
+    def test_optimal_curve_equals_per_n_solves(self, monkeypatch, q):
+        passes = spy(monkeypatch, "_backward")
+        curve = _optimal_curve(q, self.GRID, MAX)
+        assert [args[5] for args in passes] == [635]
+        for m, (p, bound) in curve.items():
+            assert p == solve_extremal(q, m, MAX, keep_values=False)[0].value(0, 0)
+            assert bound == (0.0 if m <= 635 else 2 * math.exp(-(635**2) / (2 * m)))
+            assert bound <= dp._CERT * p
+
+    def test_min_curve_falls_back_to_untruncated_pass(self, monkeypatch):
+        passes = spy(monkeypatch, "_backward")
+        curve = _optimal_curve(0.9, self.GRID, MIN)
+        assert [args[5] for args in passes] == [635, None]  # p = 0 cannot be certified
+        for m, (p, bound) in curve.items():
+            assert p == solve_extremal(0.9, m, MIN, keep_values=False)[0].value(0, 0)
+            assert bound == 0.0
+
+    def test_failed_certificate_reads_points_again(self, monkeypatch):
+        monkeypatch.setattr(dp, "_EPS", 0.5)  # R = 107 at N = 4096: far too narrow
+        forward, backward = spy(monkeypatch, "_forward"), spy(monkeypatch, "_backward")
+        records, _ = exponent_sweep("constant", 0.5, self.GRID)
+        curve = _optimal_curve(0.9, self.GRID, MAX)
+        radii = [live and live[1] for *_, live in forward], [args[5] for args in backward]
+        for first, wider in radii:  # one narrow pass, then one that certifies what it missed
+            assert first == 107 and wider > 107
+        for r in records:
+            want = hit_probability(constant_policy(0.5, 0.5), r["n"])
+            assert r["p"].hex() == want.hex() and r["error_bound"] <= dp._CERT * r["p"]
+        for m, (p, bound) in curve.items():
+            assert p == solve_extremal(0.9, m, MAX, keep_values=False)[0].value(0, 0)
+            assert bound <= dp._CERT * p
+
+    def test_short_passes_are_untruncated(self, monkeypatch):
+        passes = spy(monkeypatch, "_forward")
+        records, _ = exponent_sweep("constant", 0.9, [16, 32, 64], min_n=16)
+        assert [args[4] for args in passes] == [None]  # R = 77 > 64
+        assert [r["error_bound"] for r in records] == [0.0] * 3
 
 
 class TestKeptChecks:

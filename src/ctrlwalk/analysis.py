@@ -17,7 +17,7 @@ import numpy as np
 from . import defaults
 from .dp import MAX, _forward, _forward_curve, _optimal_curve, evolve, solve_extremal
 from .errors import CalibrationError, ParameterError, as_index
-from .lattice import FLOAT, _as_mode_value, interval_mass
+from .lattice import FLOAT, RATIONAL, _as_mode_value, interval_mass
 from .montecarlo import estimate_hit
 from .policies import (
     PolicySpec,
@@ -60,10 +60,8 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
         if n2 <= n1:
             raise ParameterError("n values must be strictly increasing")
     for n, p in pts:
-        if p <= 0:
-            raise ParameterError(
-                f"p={p} at n={n} is not positive; check target parity before fitting"
-            )
+        if not 0 < p < math.inf:  # NaN fails too
+            raise ParameterError(f"p={p} at n={n} is not positive and finite; check target parity")
     kept = [(n, p) for n, p in pts if n >= min_n]
     if len(kept) < 3:
         raise ParameterError(f"only {len(kept)} points at n >= {min_n}; need 3")
@@ -206,6 +204,8 @@ class ChainSpec:
 
     def __post_init__(self):
         two_zone_policy(self.q_cap, self.band_halfwidth)  # ParameterError on a bad cap or band
+        if self.mode not in (FLOAT, RATIONAL):
+            raise ParameterError(f"unknown numeric mode {self.mode!r}")
 
     def _inside(self, x: int) -> bool:
         return abs(x) <= self.band_halfwidth
@@ -227,6 +227,7 @@ class ChainSpec:
 
 def reversibility_check(chain: ChainSpec, K_window: int):
     """Max |pi(x) k(x,y) - pi(y) k(y,x)| over pairs inside [-K, K]."""
+    K_window = as_index(K_window, "window")
     if K_window < 0:
         raise ParameterError(f"window must be >= 0, got {K_window}")
     worst = _as_mode_value(0, chain.mode)

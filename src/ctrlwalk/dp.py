@@ -79,9 +79,9 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     [0, 1], so no mass can turn negative and only the total is checked.
 
     Steps run in epochs cut at each policies.rule_change_times step (the
-    only ones that ask for the stay rule), flag reset and quarter of t. An
-    epoch slices its views once and sweeps the live columns its last step
-    can reach and the absorbing ones (zeros beyond the law stay zero).
+    only ones that ask for the stay rule; flag resets are among them) and
+    quarter of t. An epoch slices its views once and sweeps the live columns
+    its last step can reach and the absorbing ones (zeros beyond stay zero).
 
     One row under a mirror-symmetric policy and live window is folded: site
     -x would repeat the float operations of site x with its two neighbours
@@ -104,7 +104,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     if not lo <= c0 <= hi:  # a start off the live window never moves: no column is live
         lo, hi = c0 + 1, c0
     tols = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
-    cuts = sorted({*resets, *changes, n})
+    cuts = sorted({*changes, n})
     yield bufs[0][:, c0 : c0 + 1]
     t1 = 0
     while t1 < n:

@@ -148,8 +148,8 @@ def reset_hit_flags(d: LatticeDistribution) -> LatticeDistribution:
     return LatticeDistribution(time=d.time, offset=d.offset, mass=new, mode=d.mode)
 
 
-def to_snapshot(d: LatticeDistribution, flag_split: bool = True) -> dict:
-    """JSON-ready snapshot: {time, offset, mass, flag_split}."""
+def to_snapshot(d: LatticeDistribution) -> dict:
+    """JSON-ready snapshot: {time, offset, mass, flag_split}, one mass row per flag."""
 
     def enc(row):
         if d.mode == RATIONAL:
@@ -159,8 +159,8 @@ def to_snapshot(d: LatticeDistribution, flag_split: bool = True) -> dict:
     snap = {
         "time": d.time,
         "offset": d.offset,
-        "mass": [enc(d.mass[0]), enc(d.mass[1])] if flag_split else enc(d.site_mass()),
-        "flag_split": flag_split,
+        "mass": [enc(d.mass[0]), enc(d.mass[1])],
+        "flag_split": True,
     }
     if d.mode == RATIONAL:
         snap["mode"] = RATIONAL

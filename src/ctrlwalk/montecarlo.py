@@ -19,15 +19,16 @@ from .defaults import MC_TRIALS
 from .dp import as_target
 from .errors import ParameterError, as_index
 from .policies import (
-    PolicySpec, constant_policy, fast_until_zero_policy, flag_reset_times, run_args, stay_set,
+    PolicySpec, _check_cap, constant_policy, fast_until_zero_policy, flag_reset_times, run_args,
+    stay_set,
 )
 from .rng import UNIFORM_SHIFT, step_bits, trial_keys
 
 
 def wilson_interval(k: int, m: int, z: float = 1.96) -> tuple[float, float]:
     """95% (by default) score interval for k successes out of m."""
-    if m < 1:
-        raise ParameterError("need at least one trial")
+    if not 0 <= k <= m or m < 1:
+        raise ParameterError(f"need 0 <= k <= m and m >= 1, got k={k}, m={m}")
     p = k / m
     z2 = z * z
     denom = 1.0 + z2 / m
@@ -421,7 +422,7 @@ def lemma0_check(
     ell >= 24*h^2/delta and 1 - q_cap >= delta, which is the regime where
     the estimate should stay above 1/6.
     """
-    h, ell = as_index(h, "h"), as_index(ell, "ell")
+    q_cap, h, ell = _check_cap(q_cap), as_index(h, "h"), as_index(ell, "ell")
     delta = float(delta)
     if h < 1 or trials < 1:
         raise ParameterError("need h >= 1 and trials >= 1")
@@ -494,7 +495,7 @@ def lemma_ori_check(
     separately: never reaching 0 at all, and drifting back out to |x| >= K
     after reaching it.
     """
-    A, K = as_index(A, "A"), as_index(K, "K")
+    q_cap, A, K = _check_cap(q_cap), as_index(A, "A"), as_index(K, "K")
     if K < 1 or A < 1:
         raise ParameterError("need K >= 1 and A >= 1")
     if trials < 1:

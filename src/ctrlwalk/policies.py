@@ -9,7 +9,6 @@ finite horizon.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,25 +75,26 @@ def fast_until_zero_policy(q_cap: float) -> PolicySpec:
 
 
 def schedule_policy(q_cap: float, segments: Sequence[ScheduleSegment]) -> PolicySpec:
-    """Wrap a segment list into one policy over [0, t_end_of_last)."""
+    """Wrap a segment list into one policy over [0, t_end_of_last).
+
+    Integer segment ranges tile it in order. A schedule nested in a segment
+    keeps the outer step times and rules only within that segment.
+    """
     q_cap = _check_cap(q_cap)
-    segs = tuple(segments)
-    if not segs:
-        raise DegenerateScheduleError("empty schedule")
-    prev_end = segs[0].t_start
-    if prev_end != 0:
-        raise DegenerateScheduleError(f"schedule starts at {prev_end}, expected 0")
-    for seg in segs:
-        if seg.t_start != prev_end:
-            raise DegenerateScheduleError(
-                f"gap or overlap at t={seg.t_start} (previous segment ends {prev_end})"
-            )
-        if seg.t_end <= seg.t_start:
-            raise DegenerateScheduleError(f"empty segment [{seg.t_start}, {seg.t_end})")
+    segs, prev_end = [], 0
+    for seg in segments:
+        t0, t1 = as_index(seg.t_start, "t_start"), as_index(seg.t_end, "t_end")
+        if t0 != prev_end:
+            raise DegenerateScheduleError(f"segment starts at t={t0}, expected {prev_end}")
+        if t1 <= t0:
+            raise DegenerateScheduleError(f"empty segment [{t0}, {t1})")
         if seg.inner_policy.q_cap > q_cap:
             raise AdmissibilityError("inner policy exceeds the schedule cap")
-        prev_end = seg.t_end
-    return PolicySpec(SCHEDULE, q_cap, {"segments": segs})
+        segs.append(ScheduleSegment(t0, t1, seg.inner_policy))
+        prev_end = t1
+    if not segs:
+        raise DegenerateScheduleError("empty schedule")
+    return PolicySpec(SCHEDULE, q_cap, {"segments": tuple(segs)})
 
 
 def bang_bang_table_policy(q_cap: float, n: int, rows: Sequence[Sequence[tuple]]) -> PolicySpec:
@@ -216,60 +216,62 @@ def horizon(policy: PolicySpec) -> int | None:
     return None
 
 
+def _leaves(policy: PolicySpec, t0: int, t1: int):
+    """Yield (a, b, leaf) in time order for each maximal step range [a, b) of
+    [t0, t1) that one non-schedule policy, the leaf, rules. A nested schedule
+    is resolved in the outer times, clipped to its segment. A range outside
+    a schedule's horizon yields that schedule, which _stay_region refuses.
+    """
+    if policy.kind != SCHEDULE:
+        if t0 < t1:
+            yield t0, t1, policy
+        return
+    segs = policy.params["segments"]
+    if t0 < min(0, t1):
+        yield t0, min(0, t1), policy
+    for seg in segs:
+        a, b = max(seg.t_start, t0), min(seg.t_end, t1)
+        if a < b:
+            yield from _leaves(seg.inner_policy, a, b)
+    if segs[-1].t_end < t1:
+        yield max(segs[-1].t_end, t0), t1, policy
+
+
 def flag_reset_times(policy: PolicySpec) -> tuple[int, ...]:
     """Times at which evolution drivers must restart the visited-0 flag.
 
-    Each schedule segment whose inner policy reads the flag measures hitting
-    times from its own start, so the flag is reset there (t=0 needs none:
-    fresh distributions already carry correct flags).
+    A fast-until-zero leaf of a schedule, nested or not, measures hitting
+    times from the step where it takes over, so the flag is reset there
+    (t=0 needs none: fresh distributions already carry correct flags).
     """
-    if policy.kind != SCHEDULE:
-        return ()
-    times = [
-        seg.t_start
-        for seg in policy.params["segments"]
-        if seg.inner_policy.kind == FAST_UNTIL_ZERO and seg.t_start > 0
-    ]
-    return tuple(times)
+    leaves = _leaves(policy, 0, horizon(policy) or 1)
+    return tuple(a for a, _, leaf in leaves if leaf.kind == FAST_UNTIL_ZERO and a > 0)
 
 
 def rule_change_times(policy: PolicySpec, t0: int, t1: int) -> list[int]:
     """The steps t in [t0, t1) at which _stay_region may give another rule than at t - 1.
 
-    t0 and every step of a bang-bang table; for a schedule, each start of
-    a segment's range (nested schedules included) and the end of an inner
-    schedule's horizon, where _stay_region raises. Every other kind keeps
-    one rule.
+    The start of each range that one leaf policy rules (see _leaves; past a
+    horizon, where _stay_region raises, too) and every step of a bang-bang
+    table. Every flag reset before t1 is among them.
     """
-    if t0 >= t1:
-        return []
-    if policy.kind == BANG_BANG_TABLE:
-        return list(range(t0, t1))
-    hz = horizon(policy)
-    if policy.kind != SCHEDULE or t0 >= hz:
-        return [t0]
-    end = min(hz, t1)
-    # _segment_at can only change where t crosses a segment start
-    starts = (s.t_start for s in policy.params["segments"])
-    cuts = sorted({t0, end, *(t for t in starts if t0 < t < end)})
-    times = [t for a, b in zip(cuts, cuts[1:])
-             for t in rule_change_times(_segment_at(policy, a).inner_policy, a, b)]
-    return times + [hz] if hz < t1 else times
+    return [t for a, b, leaf in _leaves(policy, t0, t1)
+            for t in (range(a, b) if leaf.kind == BANG_BANG_TABLE else (a,))]
 
 
 def mirror_symmetric(policy: PolicySpec) -> bool:
     """Whether the stay rule at every step is unchanged by x -> -x.
 
-    Constant, two-zone and fast-until-zero rules are; a schedule is when
-    all its segments are, and a bang-bang table when every row equals its
-    mirror image.
+    Every leaf must be: constant, two-zone and fast-until-zero rules are,
+    and a bang-bang table when each row it rules equals its mirror image.
     """
-    if policy.kind == SCHEDULE:
-        return all(mirror_symmetric(seg.inner_policy) for seg in policy.params["segments"])
-    if policy.kind == BANG_BANG_TABLE:
-        rows = policy.params["rows"]
-        return all(row == tuple((-b, -a) for a, b in reversed(row)) for row in rows)
-    return policy.kind in (CONSTANT, TWO_ZONE, FAST_UNTIL_ZERO)
+    def symmetric(a, b, leaf):
+        if leaf.kind == BANG_BANG_TABLE:
+            return all(row == tuple((-y, -x) for x, y in reversed(row))
+                       for row in leaf.params["rows"][a:b])
+        return leaf.kind in (CONSTANT, TWO_ZONE, FAST_UNTIL_ZERO)
+
+    return all(symmetric(*piece) for piece in _leaves(policy, 0, horizon(policy) or 1))
 
 
 def run_args(policy: PolicySpec, n, start) -> tuple[int, int]:
@@ -283,32 +285,18 @@ def run_args(policy: PolicySpec, n, start) -> tuple[int, int]:
     return n, start
 
 
-def _check_horizon(policy: PolicySpec, t: int):
-    hz = horizon(policy)
-    if hz is not None and not (0 <= t < hz):
-        raise ParameterError(f"step {t} outside policy horizon [0, {hz})")
-
-
-def _segment_at(policy: PolicySpec, t: int) -> ScheduleSegment:
-    segs = policy.params["segments"]
-    starts = [s.t_start for s in segs]
-    i = bisect_right(starts, t) - 1
-    return segs[i]
-
-
 def _stay_region(policy: PolicySpec, t: int):
     """The stay rule of every kind at step t: (u, hit_only, intervals).
 
     The stay probability is u on the sorted inclusive site intervals
     (None: every site), only in the HIT_ZERO row when hit_only, and 0
-    elsewhere. Schedules resolve to the policy of the segment holding t.
-    A u outside [0, min(q_cap, 1)] of the policy raises, for every engine.
+    elsewhere. Schedules resolve to the leaf that rules step t (_leaves). A t
+    past a horizon or a u outside [0, min(q_cap, 1)] raises, for every engine.
     """
-    inner = policy
-    _check_horizon(inner, t)
-    while inner.kind == SCHEDULE:
-        inner = _segment_at(inner, t).inner_policy
-        _check_horizon(inner, t)
+    _, _, inner = next(_leaves(policy, t, t + 1))
+    hz = horizon(inner)
+    if hz is not None and not 0 <= t < hz:
+        raise ParameterError(f"step {t} outside policy horizon [0, {hz})")
     kind, u = inner.kind, inner.q_cap
     hit_only, intervals = kind == FAST_UNTIL_ZERO, None
     if kind == CONSTANT:
@@ -361,14 +349,8 @@ def policy_to_json(policy: PolicySpec) -> dict:
     """JSON form: kind, q_cap and the builder's keyword arguments."""
     obj = {"kind": policy.kind, "q_cap": policy.q_cap, **policy.params}
     if policy.kind == SCHEDULE:
-        obj["segments"] = [
-            {
-                "t_start": s.t_start,
-                "t_end": s.t_end,
-                "inner": policy_to_json(s.inner_policy),
-            }
-            for s in policy.params["segments"]
-        ]
+        obj["segments"] = [{"t_start": s.t_start, "t_end": s.t_end, "inner": policy_to_json(s.inner_policy)}
+                           for s in policy.params["segments"]]
     return obj
 
 

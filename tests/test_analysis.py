@@ -29,12 +29,15 @@ from ctrlwalk import (
     hit_probability,
     interior_survival,
     interior_survival_absorbing,
+    lemma0_check,
+    lemma_ori_check,
     level_hit_cdf,
     level_hit_cdf_absorbing,
     reversibility_check,
     sweep_policy,
     verify_lemma5_certificate,
     verify_lemma6_certificate,
+    wilson_interval,
 )
 from ctrlwalk import analysis, dp
 from ctrlwalk.dp import _forward
@@ -423,3 +426,29 @@ class TestEscapeCalibration:
     def test_unreachable_eps_raises(self):
         with pytest.raises(CalibrationError):
             calibrate_lemma6(1e-9)
+
+
+class TestBadLibraryInputs:
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: wilson_interval(5, 3), id="wilson-k-above-m"),
+        pytest.param(lambda: wilson_interval(-1, 3), id="wilson-k-negative"),
+        pytest.param(lambda: wilson_interval(0, 0), id="wilson-no-trials"),
+        pytest.param(lambda: fit_exponent([(128, 0.5), (256, math.nan), (512, 0.3)]), id="fit-nan"),
+        pytest.param(lambda: fit_exponent([(128, 0.5), (256, math.inf), (512, 0.3)]), id="fit-inf"),
+        pytest.param(lambda: lemma0_check("1.5", 1, 0.5, 48, trials=10), id="lemma0-cap-string"),
+        pytest.param(lambda: lemma0_check(math.nan, 1, 0.5, 48, trials=10), id="lemma0-cap-nan"),
+        pytest.param(lambda: lemma_ori_check("1.5", 1, 2, trials=10), id="lemma-ori-cap-string"),
+        pytest.param(lambda: ChainSpec(0.5, 2, mode="bogus"), id="chain-mode"),
+        pytest.param(lambda: reversibility_check(ChainSpec(0.5, 2), 2.5), id="window-float"),
+        pytest.param(lambda: reversibility_check(ChainSpec(0.5, 2), "3"), id="window-string"),
+    ])
+    def test_parameter_error(self, call):
+        with pytest.raises(ParameterError):
+            call()
+
+    def test_probe_caps_read_as_floats_first(self):
+        # the cap is read as the policy builders read it, before any other check
+        a, b = lemma0_check("0.5", 1, 0.5, 48, trials=50), lemma0_check(0.5, 1, 0.5, 48, trials=50)
+        assert a == b and a.q_cap == 0.5 and isinstance(a.q_cap, float)
+        a, b = lemma_ori_check("0.5", 1, 2, trials=10), lemma_ori_check(0.5, 1, 2, trials=10)
+        assert a == b and isinstance(a.q_cap, float)

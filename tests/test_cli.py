@@ -134,6 +134,16 @@ class TestExitCodes:
         assert run_command(["evolve", "--policy", f"file:{path}", "--n", "4"]) == 2
         assert "band_halfwidth must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_end", [5.5, "5"])
+    def test_non_integer_schedule_time_in_policy_file_is_exit_2(self, capsys, tmp_path, t_end):
+        inner = {"kind": "constant", "q_cap": 0.5, "u_value": 0.5}
+        pol = {"kind": "schedule", "q_cap": 0.5,
+               "segments": [{"t_start": 0, "t_end": t_end, "inner": inner}]}
+        path = tmp_path / "pol.json"
+        path.write_text(json.dumps(pol))
+        assert run_command(["evolve", "--policy", f"file:{path}", "--n", "5"]) == 2
+        assert "t_end must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", [[5], [0, 2, 9]])
     def test_config_target_not_a_pair_is_exit_2(self, capsys, tmp_path, target):
         cfg = tmp_path / "cfg.json"

@@ -52,7 +52,7 @@ from ctrlwalk import (
 )
 from ctrlwalk import dp, lattice
 from ctrlwalk.dp import _backward, _forward, _optimal_curve
-from ctrlwalk.policies import _stay_region
+from ctrlwalk.policies import _stay_region, rule_change_times
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
 from reference import ControlRow, control_grid, step_distribution, trinomial_return
 
@@ -416,6 +416,80 @@ class TestEvolveAgainstPerCellOracle:
             got = evolve(p, 40, start)
             want = list(per_cell_trace(p, 40, start))[-1]
             assert got.mass.tobytes() == want.mass.tobytes()
+
+
+@st.composite
+def flat_schedules(draw):
+    """(q, hz, segments, single): a flat segment list over [0, hz) from a
+    multiscale builder or built by hand from constant, two-zone,
+    fast-until-zero and bang-bang table pieces; single is one policy ruling
+    [0, hz): the one piece's policy, or the list as a schedule."""
+    q = draw(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99))
+    kind = draw(st.sampled_from(["schedule-localization", "schedule-qto1", "pieces", "pieces"]))
+    if kind != "pieces":
+        hz = draw(st.integers(64, 100) if kind == "schedule-localization" else st.integers(5, 60))
+        params = {"K0": draw(st.integers(1, 2)), "A": draw(st.integers(1, 4))}
+        segments = list(sweep_policy(kind, q, hz, params).params["segments"])
+        return q, hz, segments, schedule_policy(q, segments)
+    hz = draw(st.integers(1, 40))
+    bounds = [0, *sorted(draw(st.sets(st.integers(1, hz - 1), max_size=3))), hz] if hz > 1 else [0, 1]
+
+    def piece(a, b):
+        kind = draw(st.sampled_from([CONSTANT, "two-zone", FAST_UNTIL_ZERO, "bang-bang"]))
+        if kind == CONSTANT:
+            return constant_policy(q, draw(st.sampled_from([0.0, q]) | st.floats(0.0, q)))
+        if kind == "two-zone":
+            return two_zone_policy(q, draw(st.integers(0, 6)))
+        if kind == FAST_UNTIL_ZERO:
+            return fast_until_zero_policy(q)
+        # a table reads absolute times: rows before its segment are never read
+        return bang_bang_table_policy(q, b, [()] * a + [site_rows(draw, -8, 8) for _ in range(a, b)])
+
+    segments = [ScheduleSegment(a, b, piece(a, b)) for a, b in zip(bounds, bounds[1:])]
+    single = segments[0].inner_policy if len(segments) == 1 else schedule_policy(q, segments)
+    return q, hz, segments, single
+
+
+def assert_same_walk(got, want, n, start):
+    """Two policies give the same resets, rule changes, law and samples, bitwise."""
+    assert flag_reset_times(got) == flag_reset_times(want)
+    assert rule_change_times(got, 0, n) == rule_change_times(want, 0, n)
+    a, b = evolve(got, n, start), evolve(want, n, start)
+    assert (a.offset, a.mass.tobytes()) == (b.offset, b.mass.tobytes())
+    batch = [run_batch(p, n, start, trials=200, seed=17).final for p in (got, want)]
+    assert batch[0].tobytes() == batch[1].tobytes()
+    paths = [sample_path(p, n, start, seed=5, trial=3)[0] for p in (got, want)]
+    assert np.array_equal(*paths)
+
+
+class TestNestedSchedulesEqualFlat:
+    """A schedule nested in a segment rules that segment as the flat list would."""
+
+    @given(flat_schedules(), st.integers(-6, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_one_segment_wrapper_is_the_policy(self, case, start):
+        q, hz, _, single = case
+        assert_same_walk(schedule_policy(q, [ScheduleSegment(0, hz, single)]), single, hz, start)
+
+    @given(flat_schedules().filter(lambda case: case[1] > 1), st.integers(-6, 6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_two_wrapped_halves_equal_the_split_list(self, case, start, data):
+        q, hz, segments, _ = case
+        c = data.draw(st.integers(1, hz - 1), label="cut")
+        inner = schedule_policy(q, segments)
+        wrapped = schedule_policy(q, [ScheduleSegment(0, c, inner), ScheduleSegment(c, hz, inner)])
+        split = [part for s in segments for part in (
+            (ScheduleSegment(s.t_start, c, s.inner_policy), ScheduleSegment(c, s.t_end, s.inner_policy))
+            if s.t_start < c < s.t_end else (s,))]
+        assert_same_walk(wrapped, schedule_policy(q, split), hz, start)
+
+    def test_wrapped_qto1_keeps_its_resets(self):
+        p = schedule_policy(0.9, multiscale_qto1_schedule(0.9, 4, 256))
+        wrapped = schedule_policy(0.9, [ScheduleSegment(0, 256, p)])
+        assert flag_reset_times(wrapped) == flag_reset_times(p) == (172, 236, 252)
+        assert hit_probability(wrapped, 256) == hit_probability(p, 256)
+        assert round(hit_probability(wrapped, 256), 5) == 0.29558
+        assert estimate_hit(wrapped, 256, trials=4000, seed=3) == estimate_hit(p, 256, trials=4000, seed=3)
 
 
 class TestMirrorFold:

@@ -206,10 +206,14 @@ class TestResetAndSnapshots:
         assert all(a == b for a, b in zip(back.mass.flat, d.mass.flat))
 
     def test_combined_snapshot_cannot_reload(self):
+        # to_snapshot always writes both flag rows; a combined one is outside input
         d = walk(4, 0.5)
-        snap = to_snapshot(d, flag_split=False)
-        with pytest.raises(ParameterError):
+        snap = {**to_snapshot(d), "mass": [float(v) for v in d.site_mass()], "flag_split": False}
+        with pytest.raises(ParameterError, match="combined snapshots"):
             from_snapshot(snap)
+
+    def test_snapshot_keeps_flag_split_key(self):
+        assert to_snapshot(walk(4, 0.5))["flag_split"] is True
 
 
 class TestValidation:

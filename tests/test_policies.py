@@ -97,6 +97,13 @@ class TestBuilders:
         pytest.param(lambda: multiscale_localization_schedule(0.9, 0.5, 0.5, 4, 512.5), id="loc-T"),
         pytest.param(lambda: multiscale_qto1_schedule(0.9, 4.5, 512), id="qto1-A"),
         pytest.param(lambda: multiscale_qto1_schedule(0.9, 4, 512.5), id="qto1-n"),
+        pytest.param(lambda: schedule_policy(
+            0.5, [ScheduleSegment(0, 5.5, constant_policy(0.5, 0.5))]), id="schedule-t_end"),
+        pytest.param(lambda: schedule_policy(
+            0.5, [ScheduleSegment(0, "5", constant_policy(0.5, 0.5))]), id="schedule-t_end-string"),
+        pytest.param(lambda: schedule_policy(0.5, [ScheduleSegment(0, 2, constant_policy(0.5, 0.5)),
+                                                   ScheduleSegment(2.0, 4, constant_policy(0.5, 0.5))]),
+                     id="schedule-t_start"),
     ])
     def test_non_integer_sizes_rejected(self, build):
         with pytest.raises(ParameterError, match="must be an integer"):
@@ -137,6 +144,11 @@ class TestSchedules:
                 0.5,
                 [ScheduleSegment(0, 5, inner), ScheduleSegment(6, 8, inner)],
             )
+
+    def test_segment_times_read_as_ints(self):
+        p = schedule_policy(0.5, [ScheduleSegment(np.int64(0), np.int32(4), constant_policy(0.5, 0.5))])
+        seg = p.params["segments"][0]
+        assert (type(seg.t_start), type(seg.t_end)) == (int, int) and horizon(p) == 4
 
     def test_inner_cap_bounded_by_outer(self):
         from ctrlwalk import ScheduleSegment
@@ -212,6 +224,20 @@ class TestSchedules:
         assert rule_change_times(outer, 0, 3) == [0, 2]
         short = schedule_policy(0.5, [ScheduleSegment(0, 6, inner)])
         assert rule_change_times(short, 0, 6) == [0, 2, 5]  # the inner horizon ends at 5
+
+    def test_nested_leaves_keep_their_resets(self):
+        lazy, fast = constant_policy(0.5, 0.3), fast_until_zero_policy(0.5)
+        inner = schedule_policy(0.5, [ScheduleSegment(0, 2, lazy), ScheduleSegment(2, 9, fast)])
+        outer = schedule_policy(0.5, [ScheduleSegment(0, 4, inner), ScheduleSegment(4, 7, fast),
+                                      ScheduleSegment(7, 9, inner)])
+        # the inner fast phase takes over at 2 and again at 7, where its segment starts
+        assert flag_reset_times(outer) == (2, 4, 7)
+        assert rule_change_times(outer, 0, 9) == [0, 2, 4, 7]
+
+    def test_mirror_symmetric_reads_only_ruled_rows(self):
+        lopsided_late = bang_bang_table_policy(0.5, 4, [((-1, 1),)] * 2 + [((0, 3),)] * 2)
+        head = schedule_policy(0.5, [ScheduleSegment(0, 2, lopsided_late)])
+        assert mirror_symmetric(head) and not mirror_symmetric(lopsided_late)
 
     def test_mirror_symmetric(self):
         lazy, band = constant_policy(0.5, 0.3), two_zone_policy(0.5, 3)

@@ -217,8 +217,8 @@ def horizon(policy: PolicySpec) -> int | None:
 
 
 def _leaves(policy: PolicySpec, t0: int, t1: int):
-    """Yield (a, b, leaf) in time order for each maximal step range [a, b) of
-    [t0, t1) that one non-schedule policy, the leaf, rules. A nested schedule
+    """Yield (a, b, leaf) in time order for each step range [a, b) of [t0, t1)
+    that one segment's non-schedule policy, the leaf, rules. A nested schedule
     is resolved in the outer times, clipped to its segment. A range outside
     a schedule's horizon yields that schedule, which _stay_region refuses.
     """

@@ -9,8 +9,10 @@ so results are reproducible and shardable. One uniform drives each step:
 from __future__ import annotations
 
 import math
+import mmap
+import numbers
 import os
-import threading
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,16 +21,19 @@ from .defaults import MC_TRIALS
 from .dp import as_target
 from .errors import ParameterError, as_index
 from .policies import (
-    PolicySpec, _check_cap, constant_policy, fast_until_zero_policy, flag_reset_times, run_args,
-    stay_set,
+    FAST_UNTIL_ZERO, PolicySpec, _check_cap, _leaves, constant_policy, fast_until_zero_policy,
+    flag_reset_times, run_args, stay_set,
 )
 from .rng import UNIFORM_SHIFT, step_bits, trial_keys
 
 
 def wilson_interval(k: int, m: int, z: float = 1.96) -> tuple[float, float]:
     """95% (by default) score interval for k successes out of m."""
+    k, m = as_index(k, "k"), as_index(m, "m")
     if not 0 <= k <= m or m < 1:
         raise ParameterError(f"need 0 <= k <= m and m >= 1, got k={k}, m={m}")
+    if not (isinstance(z, numbers.Real) and 0 < z < math.inf):
+        raise ParameterError(f"z must be finite and > 0, got {z!r}")
     p = k / m
     z2 = z * z
     denom = 1.0 + z2 / m
@@ -145,58 +150,53 @@ def _advance(x: np.ndarray, keys: np.ndarray, t: int, u: float, where, buf) -> N
 
 
 def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=None, entr=None):
-    """Step the caller's int64 sites x n times in place: the one step loop.
+    """Step the caller's integer sites x n times in place: the one step loop.
 
     Walk j draws the bits of keys[j], keys broadcast against x. After each
-    step this yields the visited-0 flags. Given a family (x then 1-D), the
-    caller's entrance table entr, from _entrance_table, is filled in as
-    walks enter stages. Barrier tracking keeps each walk's next stage with
-    that stage's radius and band start, and updates only the walks that
-    enter a stage.
+    step this yields the visited-0 flags, or None when no fast-until-zero
+    leaf of the policy reads them. Given a family (x then 1-D), the
+    caller's int64 entrance table entr is filled in as walks enter stages.
+    Barrier tracking keeps each walk's next stage and that stage's radius,
+    -1 until the stage's band opens, and updates only the walks that enter.
     """
-    flag = x == 0
-    resets = set(flag_reset_times(policy))
+    tracked = any(leaf.kind == FAST_UNTIL_ZERO for _, _, leaf in _leaves(policy, 0, n))
+    flag = x == 0 if tracked else None
+    resets = set(flag_reset_times(policy)) if tracked else ()
     buf = _buffers(keys, x.shape)
     lo, hi = int(x.min()), int(x.max())
 
     if family is not None:
         # pads: a walk past the last stage gets radius -1 and never enters again
-        rad = np.array(family.radii + (-1,), dtype=np.int64)
-        bs = np.array(family.band_starts + (n,), dtype=np.int64)
-        stage = np.zeros(x.size, dtype=np.int64)  # 0-based index of next stage
-        radius = np.full(x.size, rad[0])
-        band = np.full(x.size, bs[0])
+        rad = np.array(family.radii + (-1,), dtype=x.dtype)
+        bs = np.array(family.band_starts + (n + 1,), dtype=np.int64)
+        first, opens = family.band_starts[0], {b: k for k, b in enumerate(family.band_starts)}
+        stage = np.zeros(x.size, dtype=np.intp)  # 0-based index of next stage
+        radius = np.full(x.size, -1, dtype=x.dtype)
 
     for t in range(n):
         if t in resets:
             np.equal(x, 0, out=flag)
         u, where = stay_set(policy, t, x, flag, sites=(lo - t, hi + t))
         _advance(x, keys, t, u, where, buf)
-        flag |= x == 0
-        if family is not None and t + 1 >= bs[0]:
-            idx = np.flatnonzero((np.abs(x) <= radius) & (band <= t + 1))
+        if tracked:
+            flag |= x == 0
+        if family is not None and t + 1 >= first:
+            if t + 1 in opens:
+                k = opens[t + 1]
+                radius[stage == k] = rad[k]
+            idx = np.flatnonzero(np.abs(x) <= radius)
             if idx.size:
                 k = stage[idx]
                 entr[idx, k] = t + 1
                 stage[idx] = k + 1
-                radius[idx] = rad[k + 1]
-                band[idx] = bs[k + 1]
+                radius[idx] = np.where(bs[k + 1] <= t + 1, rad[k + 1], -1)
         yield flag
 
 
-def _entrance_table(family: BarrierFamily | None, n: int, trials: int) -> np.ndarray | None:
-    """A blank (-1) entrance table for trials walks of n steps, None without a family."""
-    if family is None:
-        return None
-    if family.n != n:
-        raise ParameterError(f"family horizon {family.n} != n={n}")
-    return np.full((trials, family.N0), -1, dtype=np.int64)
-
-
-# trials a thread must step at least, so that numpy's work on each step
-# outweighs the contention of the threads' per-step Python code for the GIL;
-# on 2 cores, 2 shards of 16-25K trials were no faster than one walk (up to
-# 64% slower) and 2 shards of 32,768 were 11-21% faster
+# trials a shard must step at least. Set when shards were threads, which
+# contended for the GIL: on 2 cores, 2 threads of 16-25K trials were no faster
+# than one walk. Forked shards of 4,096 trials already beat one walk there
+# (1,024 steps), so the bound is conservative; CLI-sized batches stay unsplit.
 _MIN_SHARD = 32768
 
 
@@ -207,45 +207,118 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_shards(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family, entr):
-    """_walk over x in one contiguous shard per core, shard 0 on this thread.
+def _fork(shard, i: int):
+    """Run shard(i) in a forked child: (pid, read end of the pipe that carries its report).
 
-    Walks never interact and each draws from its own key, so every shard's
-    sites and entrance rows are bitwise those of one unsplit walk. Every
-    thread is joined before the lowest shard's exception is raised; a
-    failing shard stops the others at their next step.
+    shard returns None or the exception that stopped it, which the child
+    sends back pickled, or as a RuntimeError with its repr when it does not
+    survive pickling. The child leaves through os._exit: no atexit handler
+    runs and no inherited stdio buffer is flushed a second time.
     """
-    k = max(1, min(_core_count(), x.size // _MIN_SHARD))
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            exc = shard(i)
+            if exc is not None:
+                try:
+                    data = pickle.dumps(exc)
+                    pickle.loads(data)
+                except BaseException:
+                    data = pickle.dumps(RuntimeError(f"shard {i} raised {exc!r}"))
+                with open(w, "wb") as fh:
+                    fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _reap(children, stop) -> list[int]:
+    """Wait for every child and return their exit codes.
+
+    A Ctrl-C meanwhile sets the stop byte and the wait goes on; the first
+    such interrupt is raised after the last child is reaped.
+    """
+    codes, interrupt = [], None
+    for pid, report in children:
+        report.close()  # a child still writing its report gets EPIPE rather than block
+        while True:
+            try:
+                codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+                break
+            except ChildProcessError:  # reaped already
+                codes.append(0)
+                break
+            except KeyboardInterrupt as exc:
+                stop[0] = 1
+                interrupt = interrupt or exc
+    if interrupt is not None:
+        raise interrupt
+    return codes
+
+
+def _run_shards(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family, entr):
+    """_walk over x in one contiguous shard per core, shard 0 in this process.
+
+    Shards 1..k-1 run in forked children, so x and entr must live in a
+    shared mapping (run_batch puts them there); each shard writes its own
+    views. Walks never interact and each draws from its own key, so every
+    shard's sites and entrance rows are bitwise those of one unsplit walk.
+    One shared stop byte, read by every shard once per step, is set by a
+    failing shard and by this process on any exception. Every child is
+    reaped before the lowest shard's exception is raised.
+    """
+    k = max(1, min(_core_count(), x.size // _MIN_SHARD)) if hasattr(os, "fork") else 1
     cuts = [x.size * i // k for i in range(k + 1)]
-    failed = threading.Event()
-    errors = [None] * k
+    stop = np.frombuffer(mmap.mmap(-1, 1), dtype=np.uint8)
 
     def drive(i):
         a, b = cuts[i], cuts[i + 1]
         rows = None if entr is None else entr[a:b]
         try:
             for _ in _walk(policy, n, x[a:b], keys[a:b], family, rows):
-                if failed.is_set():
-                    return
-        except BaseException as exc:  # re-raised by the caller after every join
-            errors[i] = exc
-            failed.set()
+                if stop[0]:
+                    break
+        except BaseException as exc:  # raised by the caller after every child is reaped
+            stop[0] = 1
+            return exc
+        return None
 
-    threads = [threading.Thread(target=drive, args=(i,)) for i in range(1, k)]
-    for th in threads:
-        th.start()
+    children = []
     try:
-        drive(0)
-        for th in threads:
-            th.join()
-    except BaseException:  # a Ctrl-C outside the walk: stop the shards, then wait for them
-        failed.set()
-        for th in threads:
-            th.join()
+        for i in range(1, k):
+            children.append(_fork(drive, i))
+        errors = [drive(0)] + [pickle.loads(data) if (data := report.read()) else None
+                               for _, report in children]
+    except BaseException:  # a Ctrl-C outside the walk, or a report that does not load
+        stop[0] = 1
         raise
+    finally:
+        codes = _reap(children, stop)
+    for i, code in enumerate(codes, 1):
+        if errors[i] is None and code != 0:
+            errors[i] = RuntimeError(f"shard {i} ended with exit code {code} and no report")
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def _stages(family: BarrierFamily | None, n: int) -> int:
+    """Entrance-table columns for a walk of n steps: the family's N0, 0 without one."""
+    if family is None:
+        return 0
+    if family.n != n:
+        raise ParameterError(f"family horizon {family.n} != n={n}")
+    return family.N0
 
 
 def run_batch(
@@ -262,18 +335,27 @@ def run_batch(
     Entrance times follow the strict chain rule: stage i can only be entered
     after stage i-1, at most one stage per time step, never at t=0. A -1 in
     the entrance table means the stage was not reached by time n. Large
-    batches run one contiguous shard of trials per core, with results
-    bitwise equal to a single-threaded run.
+    batches run one contiguous shard of trials per core, in forked
+    processes, with results bitwise equal to a single-process run. The
+    entrance table is a view of the mapping those processes shared.
     """
     keys = trial_keys(seed, trials, base=trial_base)
     if trials < 1:
         raise ParameterError("need at least one trial")
     n, start = run_args(policy, n, start)
-    x = np.full(trials, start, dtype=np.int64)
-    entr = _entrance_table(family, n, trials)
+    cols = _stages(family, n)
+    # int16 sites when no walk can leave (-2^15, 2^15); final is int64 either way
+    dtype = np.dtype(np.int16 if abs(start) + n < 2**15 else np.int64)
+    shared = mmap.mmap(-1, trials * (8 * cols + dtype.itemsize))
+    entr = np.frombuffer(shared, dtype=np.int64, count=trials * cols).reshape(trials, cols)
+    x = np.frombuffer(shared, dtype=dtype, count=trials, offset=entr.nbytes)
+    entr.fill(-1)
+    x.fill(start)
+    if family is None:
+        entr = None
     _run_shards(policy, n, x, keys, family, entr)
-    return TrajectoryBatch(policy=policy, n=n, start=start, trials=trials, seed=seed, final=x,
-                           entrances=entr, family=family)
+    return TrajectoryBatch(policy=policy, n=n, start=start, trials=trials, seed=seed,
+                           final=x.astype(np.int64), entrances=entr, family=family)
 
 
 def sample_path(
@@ -293,7 +375,7 @@ def sample_path(
     n, start = run_args(policy, n, start)
     x = np.full(1, start, dtype=np.int64)
     path = np.full(n + 1, start, dtype=np.int64)
-    entr = _entrance_table(family, n, 1)
+    entr = None if family is None else np.full((1, _stages(family, n)), -1, dtype=np.int64)
     for t, _ in enumerate(_walk(policy, n, x, keys, family, entr), 1):
         path[t] = x[0]
     return path, None if entr is None else entr[0]

@@ -44,7 +44,10 @@ class ScheduleSegment:
 
 
 def _check_cap(q_cap: float) -> float:
-    q_cap = float(q_cap)
+    try:
+        q_cap = float(q_cap)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"q_cap must be a number, got {q_cap!r}") from None
     if not (0.0 <= q_cap < 1.0):
         raise ParameterError(f"q_cap must lie in [0, 1), got {q_cap}")
     return q_cap
@@ -338,7 +341,7 @@ def stay_set(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray, sites=
         edges[a[keep] - lo] = 1
         edges[b[keep] - lo + 1] -= 1  # after the starts: an interval may end where the next begins
         row = np.cumsum(edges, dtype=np.int8).view(bool)
-        where = np.take(row, x - lo)
+        where = np.take(row, np.subtract(x, lo, dtype=np.intp))  # x may be int16
     if hit_only:
         flag = np.asarray(flag, dtype=bool)
         where = flag if where is None else where & flag

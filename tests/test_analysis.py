@@ -21,9 +21,11 @@ from ctrlwalk import (
     band_sum_profile,
     calibrate_lemma5,
     calibrate_lemma6,
+    constant_policy,
     early_exit_probability,
     escape_probability,
     exponent_sweep,
+    fast_until_zero_policy,
     fit_exponent,
     heat_kernel_profile,
     hit_probability,
@@ -35,6 +37,7 @@ from ctrlwalk import (
     level_hit_cdf_absorbing,
     reversibility_check,
     sweep_policy,
+    two_zone_policy,
     verify_lemma5_certificate,
     verify_lemma6_certificate,
     wilson_interval,
@@ -438,6 +441,10 @@ class TestBadLibraryInputs:
         pytest.param(lambda: lemma0_check("1.5", 1, 0.5, 48, trials=10), id="lemma0-cap-string"),
         pytest.param(lambda: lemma0_check(math.nan, 1, 0.5, 48, trials=10), id="lemma0-cap-nan"),
         pytest.param(lambda: lemma_ori_check("1.5", 1, 2, trials=10), id="lemma-ori-cap-string"),
+        pytest.param(lambda: constant_policy("abc", 0), id="cap-not-a-number"),
+        pytest.param(lambda: two_zone_policy(None, 1), id="cap-none"),
+        pytest.param(lambda: fast_until_zero_policy(10**400), id="cap-overflows-float"),
+        pytest.param(lambda: lemma_ori_check([0.5], 1, 2, trials=10), id="lemma-ori-cap-list"),
         pytest.param(lambda: ChainSpec(0.5, 2, mode="bogus"), id="chain-mode"),
         pytest.param(lambda: reversibility_check(ChainSpec(0.5, 2), 2.5), id="window-float"),
         pytest.param(lambda: reversibility_check(ChainSpec(0.5, 2), "3"), id="window-string"),

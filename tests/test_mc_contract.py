@@ -10,8 +10,12 @@ A digest is the first 16 hex digits of the sha256 of the array's bytes.
 
 import hashlib
 import math
+import mmap
+import os
+import signal
+import subprocess
 import sys
-import threading
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -22,6 +26,7 @@ from ctrlwalk import (
     ParameterError,
     PolicySpec,
     ScheduleSegment,
+    bang_bang_table_policy,
     barrier_family,
     constant_policy,
     fast_until_zero_policy,
@@ -35,7 +40,8 @@ from ctrlwalk import (
 )
 from ctrlwalk import montecarlo
 from ctrlwalk.montecarlo import _MIN_SHARD, _advance, _buffers, _step_bounds
-from ctrlwalk.rng import _STEP
+from ctrlwalk.policies import stay_set
+from ctrlwalk.rng import _STEP, trial_keys
 from reference import step_uniforms
 
 N = 512
@@ -163,33 +169,52 @@ def test_probe_result_pins(name):
 
 
 # ---------------------------------------------------------------------------
-# sharded batches: one contiguous shard of trials per core
+# sharded batches: one contiguous shard of trials per core, shards 1.. forked
 
 
 SHARD_N = 64
 SHARD_TRIALS = 2 * _MIN_SHARD + 37
 
 
+def assert_no_children():
+    """Every forked shard has been reaped: this process has no child left."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def three_cores(monkeypatch):
-    """Report 3 cores, so a batch of SHARD_TRIALS splits in 2 on any machine,
-    and record the size of every walk as it starts and as it runs out.
-    Threads switch every 10 µs meanwhile, to interleave the shards finely."""
+    """Report 3 cores, so a batch of SHARD_TRIALS splits in 2 on any machine.
+    Record the size of every walk in this process as it starts and as it
+    runs out, and the pid of every fork."""
     monkeypatch.setattr(montecarlo, "_core_count", lambda: 3)
-    walk, log = montecarlo._walk, {"started": [], "finished": []}
+    walk, fork, log = montecarlo._walk, os.fork, {"started": [], "finished": [], "forked": []}
 
     def spy(policy, n, x, *args):
         log["started"].append(x.size)
         yield from walk(policy, n, x, *args)
         log["finished"].append(x.size)
 
+    def forked():
+        pid = fork()
+        if pid:
+            log["forked"].append(pid)
+        return pid
+
     monkeypatch.setattr(montecarlo, "_walk", spy)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield log
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(os, "fork", forked)
+    return log
+
+
+def shared_bytes(size):
+    """size zero bytes that this process and its forks share."""
+    return np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8)
+
+
+def wait_for(byte, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not byte[0] and time.monotonic() < deadline:
+        time.sleep(1e-3)
 
 
 @pytest.mark.parametrize("start", [0, -3])
@@ -201,14 +226,28 @@ def test_sharded_batch_equals_joined_pieces(three_cores, kind, start):
         policy = fast_until_zero_policy(0.9)
     family = barrier_family(SHARD_N)
     whole = run_batch(policy, SHARD_N, start=start, trials=SHARD_TRIALS, seed=SEED, family=family)
-    # both shards ran to the end before run_batch returned
-    assert sorted(three_cores["finished"]) == [SHARD_TRIALS // 2, SHARD_TRIALS - SHARD_TRIALS // 2]
+    assert_no_children()
+    # shard 0 ran to its end here, shard 1 in one forked child
+    assert three_cores["started"] == three_cores["finished"] == [SHARD_TRIALS // 2]
+    assert len(three_cores["forked"]) == 1
     pieces = [run_batch(policy, SHARD_N, start=start, trials=min(_MIN_SHARD, SHARD_TRIALS - a),
                         seed=SEED, family=family, trial_base=a)
               for a in range(0, SHARD_TRIALS, _MIN_SHARD)]
-    assert three_cores["started"][2:] == [_MIN_SHARD, _MIN_SHARD, 37]  # each piece ran unsplit
+    assert three_cores["started"][1:] == [_MIN_SHARD, _MIN_SHARD, 37]  # each piece ran unsplit
+    assert len(three_cores["forked"]) == 1
+    # the child's half matches too, so it ran to its end and wrote the shared views
+    assert whole.final.dtype == np.int64
     assert np.array_equal(whole.final, np.concatenate([p.final for p in pieces]))
     assert np.array_equal(whole.entrances, np.concatenate([p.entrances for p in pieces]))
+
+
+def test_without_fork_a_batch_runs_in_one_shard(three_cores, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    policy = fast_until_zero_policy(0.9)
+    whole = run_batch(policy, SHARD_N, trials=SHARD_TRIALS, seed=SEED)
+    assert three_cores["started"] == three_cores["finished"] == [SHARD_TRIALS]
+    monkeypatch.undo()
+    assert np.array_equal(whole.final, run_batch(policy, SHARD_N, trials=SHARD_TRIALS, seed=SEED).final)
 
 
 def test_sharded_batch_raises_the_shard_error(three_cores):
@@ -217,44 +256,127 @@ def test_sharded_batch_raises_the_shard_error(three_cores):
     over = PolicySpec("constant", 0.5, {"u_value": 0.7})
     policy = PolicySpec("schedule", 0.5, {"segments": (
         ScheduleSegment(0, 8, constant_policy(0.5, 0.5)), ScheduleSegment(8, SHARD_N, over))})
-    before = threading.active_count()
     with pytest.raises(AdmissibilityError, match="at step 8"):
         run_batch(policy, SHARD_N, trials=SHARD_TRIALS, seed=SEED)
-    assert len(three_cores["started"]) == 2 and not three_cores["finished"]
-    assert threading.active_count() == before
+    assert_no_children()
+    assert three_cores["started"] == [SHARD_TRIALS // 2] and not three_cores["finished"]
+    assert len(three_cores["forked"]) == 1
 
 
-def test_interrupted_join_stops_the_shards(three_cores, monkeypatch):
-    # a Ctrl-C while the caller waits for a lagging shard stops that shard at
-    # its next step instead of leaving it to walk to the end
-    caller, steps, joined = threading.current_thread(), [], []
-    lagged, go = threading.Event(), threading.Event()
-    stay, join = montecarlo.stay_set, threading.Thread.join
+class Unloadable(Exception):
+    def __init__(self, a, b):  # pickles as Unloadable(message), which does not load
+        super().__init__(f"{a} {b}")
 
-    def lagging(policy, t, *args, **kwargs):
-        if threading.current_thread() is not caller:
-            steps.append(t)
-            if t == 1:
-                lagged.set()
-                go.wait(10)
+
+CHILD_ERRORS = {
+    "pickled": lambda: AdmissibilityError("from the child"),
+    "unpicklable": lambda: ValueError("from the child", lambda: None),
+    "unloadable": lambda: Unloadable("from the", "child"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHILD_ERRORS))
+def test_child_shard_error_reaches_the_caller(three_cores, monkeypatch, kind):
+    # only the forked shard fails, so its exception must come through the pipe;
+    # one that does not survive pickling arrives as a RuntimeError with its repr
+    caller, stay = os.getpid(), montecarlo.stay_set
+
+    def failing(policy, t, *args, **kwargs):
+        if t == 3 and os.getpid() != caller:
+            raise CHILD_ERRORS[kind]()
         return stay(policy, t, *args, **kwargs)
 
-    def interrupted(self, timeout=None):
-        if not joined:  # the Ctrl-C lands while shard 1 lags in its step 1
-            joined.append(self)
-            lagged.wait(10)
+    monkeypatch.setattr(montecarlo, "stay_set", failing)
+    with pytest.raises(Exception) as info:
+        run_batch(constant_policy(0.5, 0.5), SHARD_N, trials=SHARD_TRIALS, seed=SEED)
+    assert_no_children()
+    if kind == "pickled":
+        assert type(info.value) is AdmissibilityError and str(info.value) == "from the child"
+    else:
+        assert type(info.value) is RuntimeError
+        assert str(info.value).startswith(f"shard 1 raised {type(CHILD_ERRORS[kind]()).__name__}(")
+        assert "from the" in str(info.value)
+
+
+def test_child_that_dies_without_a_report_fails_the_batch(three_cores, monkeypatch):
+    # a shard killed outside Python leaves its half of the sites unwalked
+    caller, stay = os.getpid(), montecarlo.stay_set
+
+    def killed(policy, t, *args, **kwargs):
+        if t == 3 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return stay(policy, t, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "stay_set", killed)
+    with pytest.raises(RuntimeError, match="shard 1 ended with exit code -9 and no report"):
+        run_batch(constant_policy(0.5, 0.5), SHARD_N, trials=SHARD_TRIALS, seed=SEED)
+    assert_no_children()
+
+
+def test_interrupted_wait_stops_the_shards(three_cores, monkeypatch):
+    # a Ctrl-C while the caller waits for a lagging shard stops that shard at
+    # its next step instead of leaving it to walk to the end
+    caller, stay, fork, reap = os.getpid(), montecarlo.stay_set, montecarlo._fork, montecarlo._reap
+    stepped, lagged, go = shared_bytes(SHARD_N), shared_bytes(1), shared_bytes(1)
+
+    def lagging(policy, t, *args, **kwargs):
+        if os.getpid() != caller:
+            stepped[t] = 1
+            if t == 1:
+                lagged[0] = 1
+                wait_for(go)
+        return stay(policy, t, *args, **kwargs)
+
+    class Interrupted:
+        """A report pipe whose read lands a Ctrl-C while shard 1 lags in its step 1."""
+
+        def __init__(self, report):
+            self.report = report
+
+        def read(self):
+            wait_for(lagged)
             raise KeyboardInterrupt
-        go.set()
-        join(self, timeout)
+
+        def close(self):
+            self.report.close()
+
+    def interrupted_fork(shard, i):
+        pid, report = fork(shard, i)
+        return pid, Interrupted(report)
+
+    def reap_after_go(children, stop):  # the stop byte is set by now
+        go[0] = 1
+        return reap(children, stop)
 
     monkeypatch.setattr(montecarlo, "stay_set", lagging)
-    monkeypatch.setattr(threading.Thread, "join", interrupted)
+    monkeypatch.setattr(montecarlo, "_fork", interrupted_fork)
+    monkeypatch.setattr(montecarlo, "_reap", reap_after_go)
     with pytest.raises(KeyboardInterrupt):
         run_batch(constant_policy(0.5, 0.5), SHARD_N, trials=SHARD_TRIALS, seed=SEED)
-    go.set()
-    join(joined[0])
-    assert steps == [0, 1]
+    assert_no_children()
+    assert np.flatnonzero(stepped).tolist() == [0, 1]
     assert three_cores["finished"] == [SHARD_TRIALS // 2]  # shard 0 alone ran out
+
+
+def test_child_output_is_not_repeated():
+    # a forked shard leaves through os._exit, so the caller's unflushed
+    # stdout buffer, which the child inherits, is written once
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    code = (
+        "import os\n"
+        "from ctrlwalk import constant_policy, montecarlo\n"
+        "montecarlo._core_count = lambda: 2\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "print('before the fork')\n"
+        "b = montecarlo.run_batch(constant_policy(0.5, 0.5), 8, trials=2 * montecarlo._MIN_SHARD)\n"
+        "print('forks', len(forks), 'trials', b.final.size)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # keep stdout buffered
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"before the fork\nforks 1 trials {2 * _MIN_SHARD}\n"
 
 
 def test_family_horizon_checked_before_any_walk(three_cores):
@@ -263,7 +385,48 @@ def test_family_horizon_checked_before_any_walk(three_cores):
                  lambda: sample_path(policy, SHARD_N, family=family)):
         with pytest.raises(ParameterError, match=f"family horizon {2 * SHARD_N} != n={SHARD_N}"):
             call()
-    assert three_cores["started"] == []
+    assert three_cores["started"] == [] and three_cores["forked"] == []
+
+
+DTYPE_N = 6
+
+
+@pytest.mark.parametrize("start, dtype", [
+    (32767 - DTYPE_N, np.int16), (32768 - DTYPE_N, np.int64),
+    (DTYPE_N - 32767, np.int16), (DTYPE_N - 32768, np.int64),
+])
+def test_site_dtype_edge_matches_int64_walk(monkeypatch, start, dtype):
+    # sites run as int16 while no walk can reach +-2^15; a table row around
+    # the start takes the gather path of the stay rule
+    rows = [((start - 2, start), (start + 2, start + 3))] * DTYPE_N
+    policy, family = bang_bang_table_policy(0.5, DTYPE_N, rows), barrier_family(DTYPE_N)
+    trials = 4096
+    keys = trial_keys(SEED, trials)
+    x = np.full(trials, start, dtype=np.int64)
+    entr = np.full((trials, family.N0), -1, dtype=np.int64)
+    for _ in montecarlo._walk(policy, DTYPE_N, x, keys, family, entr):
+        pass
+    walk, dtypes = montecarlo._walk, []
+
+    def spy(policy, n, x, *args):
+        dtypes.append(x.dtype)
+        return walk(policy, n, x, *args)
+
+    monkeypatch.setattr(montecarlo, "_walk", spy)
+    batch = run_batch(policy, DTYPE_N, start=start, trials=trials, seed=SEED, family=family)
+    assert dtypes == [dtype] and batch.final.dtype == np.int64
+    assert np.abs(batch.final).max() == abs(start) + DTYPE_N  # some walk reached the edge
+    assert np.array_equal(batch.final, x)
+    assert np.array_equal(batch.entrances, entr)
+
+
+def test_table_gather_on_int16_sites_past_int16_span():
+    # an int16 site minus the low end of a wide site range leaves int16
+    policy = bang_bang_table_policy(0.5, 1, [((-20000, -19990), (19990, 20000))])
+    x = np.array([-20000, -19995, 0, 19995, 20000, 19989], dtype=np.int16)
+    wheres = [stay_set(policy, 0, x.astype(dt), None, sites=(-20000, 20000))[1]
+              for dt in (np.int16, np.int64)]
+    assert wheres[0].tolist() == wheres[1].tolist() == [True, True, False, True, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,16 @@ class TestEstimates:
         lo, hi = wilson_interval(50, 50)
         assert hi == 1.0 and lo > 0.9
 
+    @pytest.mark.parametrize("args, kwargs", [
+        ((2.5, 3), {}), ((2, 3.0), {}), ((True, 3), {}), ((1, 3), {"z": -1}), ((1, 3), {"z": 0}),
+        ((1, 3), {"z": math.nan}), ((1, 3), {"z": math.inf}), ((1, 3), {"z": "2"}),
+    ])
+    def test_wilson_rejects_bad_inputs(self, args, kwargs):
+        # each once gave a number: (2.5, 3) read (0.310, 0.982), z=-1 an
+        # interval with its low end above its high end, z=nan (0, 1)
+        with pytest.raises(ParameterError):
+            wilson_interval(*args, **kwargs)
+
     def test_estimate_against_exact(self):
         p = constant_policy(0.5, 0.5)
         exact = hit_probability(p, 100)

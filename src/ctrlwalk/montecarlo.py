@@ -166,7 +166,7 @@ def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=No
     lo, hi = int(x.min()), int(x.max())
 
     if family is not None:
-        # pads: a walk past the last stage gets radius -1 and never enters again
+        # pads: past the last stage a walk's radius stays -1 and no band opens
         rad = np.array(family.radii + (-1,), dtype=x.dtype)
         bs = np.array(family.band_starts + (n + 1,), dtype=np.int64)
         first, opens = family.band_starts[0], {b: k for k, b in enumerate(family.band_starts)}

@@ -319,8 +319,9 @@ def stay_set(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray, sites=
     """The stay rule at step t for samplers, as the set of trials that may stay.
 
     Returns (u, where): the stay probability is u where the boolean mask
-    `where` holds and 0 elsewhere; where=None means every trial. sites is
-    an inclusive (lo, hi) range holding every entry of x; it is computed
+    `where` holds and 0 elsewhere; where=None means every trial. flag, the
+    visited-0 flags, is read only by a fast-until-zero rule. sites is an
+    inclusive (lo, hi) range holding every entry of x; it is computed
     from x when not given.
     """
     u, hit_only, intervals = _stay_region(policy, t)

@@ -247,7 +247,22 @@ def test_without_fork_a_batch_runs_in_one_shard(three_cores, monkeypatch):
     whole = run_batch(policy, SHARD_N, trials=SHARD_TRIALS, seed=SEED)
     assert three_cores["started"] == three_cores["finished"] == [SHARD_TRIALS]
     monkeypatch.undo()
-    assert np.array_equal(whole.final, run_batch(policy, SHARD_N, trials=SHARD_TRIALS, seed=SEED).final)
+    again = run_batch(policy, SHARD_N, trials=SHARD_TRIALS, seed=SEED)
+    assert np.array_equal(whole.final, again.final)
+
+
+def test_more_shards_than_cores_equal_one_walk(three_cores, monkeypatch):
+    # 4 shards, 3 of them forked, on a machine of any size
+    n, trials, family = 16, 4 * _MIN_SHARD + 5, barrier_family(16)
+    monkeypatch.setattr(montecarlo, "_core_count", lambda: 4)
+    whole = run_batch(fast_until_zero_policy(0.9), n, trials=trials, seed=SEED, family=family)
+    assert_no_children()
+    assert len(three_cores["forked"]) == 3
+    monkeypatch.setattr(montecarlo, "_core_count", lambda: 1)
+    one = run_batch(fast_until_zero_policy(0.9), n, trials=trials, seed=SEED, family=family)
+    assert len(three_cores["forked"]) == 3
+    assert np.array_equal(whole.final, one.final)
+    assert np.array_equal(whole.entrances, one.entrances)
 
 
 def test_sharded_batch_raises_the_shard_error(three_cores):

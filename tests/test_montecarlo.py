@@ -176,8 +176,8 @@ class TestEstimates:
         ((1, 3), {"z": math.nan}), ((1, 3), {"z": math.inf}), ((1, 3), {"z": "2"}),
     ])
     def test_wilson_rejects_bad_inputs(self, args, kwargs):
-        # each once gave a number: (2.5, 3) read (0.310, 0.982), z=-1 an
-        # interval with its low end above its high end, z=nan (0, 1)
+        # without these checks (2.5, 3) read (0.310, 0.982), z=-1 gave an
+        # interval with its low end above its high end, and z=nan gave (0, 1)
         with pytest.raises(ParameterError):
             wilson_interval(*args, **kwargs)
 

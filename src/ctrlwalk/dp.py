@@ -244,14 +244,26 @@ def _mask_to_intervals(mask: np.ndarray, offset: int) -> tuple:
     return tuple((int(idx[s]) + offset, int(idx[e]) + offset) for s, e in zip(starts, ends))
 
 
+_EPOCH = 64  # steps per _backward epoch; one of L steps sweeps about L^2 cells off the support
+
+
 def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int, radius=None, masks=True):
     """(t, V_t on [-r, r], a, cap mask on sites a, a+1, ...) for t = n..0, as
     views the next step overwrites; r = radius, n by default (a smaller one
     counts leaving [-r, r] as a miss), and masks=False leaves masks empty.
     Only the target's light cone [lo - k, hi + k], k = n - t, is masked: off
     it V_t is 0 and u = 0 wins the tie, as in a whole-window sweep with the
-    same operation order, bitwise. As in _forward, each epoch (a quarter of
-    k) sweeps its last step's cone with views sliced once.
+    same operation order, bitwise.
+
+    Steps run in epochs of _EPOCH steps with views sliced once. An epoch of L
+    steps sweeps only [first - L, last + L], clipped to its last step's cone,
+    where first and last are the row's outermost nonzero sites at its start.
+    V_t(x) reads V_{t+1} at x - 1, x and x + 1 only; where all three are
+    +0.0 (underflow makes many such cells inside the cone) the step gives
+    +0.0 and u = 0 wins the tie. So the support grows at most one site per
+    side per step, a skipped cell equals a swept one bitwise, and an epoch
+    with no support (a target off [-r, r]) makes no ufunc call. The mask
+    buffer is cleared once per epoch, so a skipped cell reads False.
 
     A target (-h, h) is folded: V_t is even and site -x would repeat the
     float operations of site x with its neighbours swapped, so only sites
@@ -270,24 +282,30 @@ def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int, radius=Non
     cone = (lambda k: (0, min(hi + k, r) + 1)) if fold else (
         lambda k: (max(lo - k, -r), max(min(hi + k, r) - max(lo - k, -r) + 1, 0)))
     yield n, pad[1:-1], lo, mask[:0]
+    s0, s1 = (lo, hi) if lo <= hi else (0, -1)  # sites off [s0, s1] hold V = +0.0
     t1 = n
     while t1 > 0:
-        t0, t1 = t1, max(t1 - max(16, (n - t1) // 4), 0)
+        t0, t1 = t1, max(t1 - _EPOCH, 0)
         a, w = cone(n - t1)
-        v, left, right = (pad[a + r + d : a + r + d + w] for d in (1, 0, 2))  # V(x), V(x -+ 1)
-        nbw, tw, mw = nb[:w], terms[:, :w], mask[:w]
+        nz, steps = np.flatnonzero(pad[s0 + r + 1 : s1 + r + 2]), t0 - t1
+        s0, s1 = (max(s0 + nz[0] - steps, a), min(s0 + nz[-1] + steps, a + w - 1)) if nz.size else (0, -1)
+        sw = s1 + 1 - s0  # the swept sites s0..s1
+        v, left, right = (pad[s0 + r + d : s0 + r + d + sw] for d in (1, 0, 2))  # V(x), V(x -+ 1)
+        nbw, tw, mw = nb[:sw], terms[:, :sw], mask[s0 - a : s0 - a + sw]
         v0, vq = tw
+        mask[:w] = False
         for t in range(t0 - 1, t1 - 1, -1):
-            if fold:
-                pad[r] = pad[r + 2]
-            np.add(left, right, out=nbw)
-            np.multiply(nbw, factors, out=tw)
-            np.add(vq, np.multiply(v, q_cap, out=nbw), out=vq)
-            if masks:
-                better(vq, v0, out=mw)
-            pick(vq, v0, out=v)  # the cap where it is strictly better, as the mask says
+            if sw:
+                if fold:
+                    pad[r] = pad[r + 2]
+                np.add(left, right, out=nbw)
+                np.multiply(nbw, factors, out=tw)
+                np.add(vq, np.multiply(v, q_cap, out=nbw), out=vq)
+                if masks:
+                    better(vq, v0, out=mw)
+                pick(vq, v0, out=v)  # the cap where it is strictly better, as the mask says
             at, wt = cone(n - t)
-            yield t, pad[1:-1], at, mw[at - a : at - a + wt] if masks else mask[:0]
+            yield t, pad[1:-1], at, mask[at - a : at - a + wt] if masks else mask[:0]
 
 
 def solve_extremal(

@@ -22,6 +22,14 @@ def as_index(value, name: str) -> int:
     raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def as_real(value, name: str) -> float:
+    """float(value), with float()'s own errors raised as ParameterError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} must be a number, got {value!r}") from None
+
+
 class AdmissibilityError(ParameterError):
     """A control value escapes [0, q_cap]."""
 

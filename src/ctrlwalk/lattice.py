@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvariantError, ParameterError
+from .errors import InvariantError, ParameterError, as_index
 
 # flag row indices
 NOT_HIT = 0
@@ -121,7 +121,11 @@ def point_mass(x: int, flag: int | None = None, mode: str = FLOAT) -> LatticeDis
 
 
 def interval_mass(d: LatticeDistribution, a: int, b: int, flag: int | None = None):
-    """Total mass on sites a..b inclusive (0 if the window is missed)."""
+    """Total mass on sites a..b inclusive (0 if the window is missed), on both
+    flag rows or on the one flag (NOT_HIT or HIT_ZERO) names."""
+    a, b = as_index(a, "a"), as_index(b, "b")
+    if flag is not None and as_index(flag, "flag") not in (NOT_HIT, HIT_ZERO):
+        raise ParameterError(f"flag must be None, NOT_HIT or HIT_ZERO, got {flag!r}")
     lo = max(a, d.offset)
     hi = min(b, d.offset + d.width - 1)
     if lo > hi:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .defaults import MC_TRIALS
 from .dp import as_target
-from .errors import ParameterError, as_index
+from .errors import ParameterError, as_index, as_real
 from .policies import (
     FAST_UNTIL_ZERO, PolicySpec, _check_cap, _leaves, constant_policy, fast_until_zero_policy,
     flag_reset_times, run_args, stay_set,
@@ -61,7 +61,7 @@ class BarrierFamily:
 
 def barrier_family(n: int, beta_exp: float = 0.0) -> BarrierFamily:
     n = as_index(n, "n")
-    beta_exp = float(beta_exp)
+    beta_exp = as_real(beta_exp, "beta_exp")
     if n < 2:
         raise ParameterError("horizon must be >= 2")
     if beta_exp < 0:
@@ -505,7 +505,7 @@ def lemma0_check(
     the estimate should stay above 1/6.
     """
     q_cap, h, ell = _check_cap(q_cap), as_index(h, "h"), as_index(ell, "ell")
-    delta = float(delta)
+    delta = as_real(delta, "delta")
     if h < 1 or trials < 1:
         raise ParameterError("need h >= 1 and trials >= 1")
     if not (0.0 < delta <= 1.0):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, DegenerateScheduleError, ParameterError, as_index
+from .errors import AdmissibilityError, DegenerateScheduleError, ParameterError, as_index, as_real
 
 CONSTANT = "constant"
 TWO_ZONE = "two-zone"
@@ -44,10 +44,7 @@ class ScheduleSegment:
 
 
 def _check_cap(q_cap: float) -> float:
-    try:
-        q_cap = float(q_cap)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"q_cap must be a number, got {q_cap!r}") from None
+    q_cap = as_real(q_cap, "q_cap")
     if not (0.0 <= q_cap < 1.0):
         raise ParameterError(f"q_cap must lie in [0, 1), got {q_cap}")
     return q_cap
@@ -56,7 +53,7 @@ def _check_cap(q_cap: float) -> float:
 def constant_policy(q_cap: float, u_value: float) -> PolicySpec:
     """Same stay probability everywhere. u_value=0 is the simple walk."""
     q_cap = _check_cap(q_cap)
-    u_value = float(u_value)
+    u_value = as_real(u_value, "u_value")
     if not (0.0 <= u_value <= q_cap):
         raise AdmissibilityError(f"u_value {u_value} escapes [0, {q_cap}]")
     return PolicySpec(CONSTANT, q_cap, {"u_value": u_value})
@@ -136,12 +133,11 @@ def multiscale_localization_schedule(
     Rounding slack lands in the earliest (longest) phase.
     """
     q_cap = _check_cap(q_cap)
-    alpha = float(alpha)
-    beta = float(beta)
+    alpha, beta = as_real(alpha, "alpha"), as_real(beta, "beta")
     K0, T = as_index(K0, "K0"), as_index(T, "T")
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    if alpha <= 0 or K0 < 1:
+    if not alpha > 0 or K0 < 1:  # NaN fails too
         raise ParameterError("alpha must be > 0 and K0 >= 1")
     if T <= alpha * K0 * K0:
         raise ParameterError(f"horizon {T} too short: need T > alpha*K0^2")

@@ -18,6 +18,7 @@ from ctrlwalk import (
     ChainSpec,
     ParameterError,
     band_sum_direct,
+    barrier_family,
     band_sum_profile,
     calibrate_lemma5,
     calibrate_lemma6,
@@ -35,6 +36,7 @@ from ctrlwalk import (
     lemma_ori_check,
     level_hit_cdf,
     level_hit_cdf_absorbing,
+    multiscale_localization_schedule,
     reversibility_check,
     sweep_policy,
     two_zone_policy,
@@ -448,6 +450,15 @@ class TestBadLibraryInputs:
         pytest.param(lambda: ChainSpec(0.5, 2, mode="bogus"), id="chain-mode"),
         pytest.param(lambda: reversibility_check(ChainSpec(0.5, 2), 2.5), id="window-float"),
         pytest.param(lambda: reversibility_check(ChainSpec(0.5, 2), "3"), id="window-string"),
+        pytest.param(lambda: multiscale_localization_schedule(0.5, math.nan, 0.5, 1, 1024),
+                     id="schedule-alpha-nan"),
+        pytest.param(lambda: multiscale_localization_schedule(0.5, "a", 0.5, 1, 1024),
+                     id="schedule-alpha-string"),
+        pytest.param(lambda: multiscale_localization_schedule(0.5, 1.0, "b", 1, 1024),
+                     id="schedule-beta-string"),
+        pytest.param(lambda: constant_policy(0.5, "a"), id="constant-u-string"),
+        pytest.param(lambda: barrier_family(16, "x"), id="barrier-beta-string"),
+        pytest.param(lambda: lemma0_check(0.5, 1, "d", 48, trials=10), id="lemma0-delta-string"),
     ])
     def test_parameter_error(self, call):
         with pytest.raises(ParameterError):

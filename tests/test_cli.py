@@ -89,6 +89,11 @@ class TestExitCodes:
         code = run_command(["evolve", "--policy", "constant:u=0.5", "--n", "4"])
         assert code == 2
 
+    def test_nan_schedule_alpha_is_a_parameter_error(self, capsys):
+        argv = ["evolve", "--policy", "schedule-localization:q=0.5,alpha=nan", "--n", "1024"]
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err == "error: alpha must be > 0 and K0 >= 1\n"
+
     def test_unknown_policy_key_rejected(self, capsys):
         code = run_command(["evolve", "--policy", "constant:q=0.5,uu=0.1", "--n", "4"])
         assert code == 2

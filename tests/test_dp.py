@@ -91,17 +91,20 @@ def per_cell_trace(policy, n, start, mode=FLOAT, live=None):
         yield d
 
 
-def full_window_solve(q_cap, n, objective, target):
-    """Reference backward sweep over every site of [-n, n] at every step.
+def full_window_solve(q_cap, n, objective, target, radius=None):
+    """Reference backward sweep over every site of [-r, r] at every step; r =
+    radius, n by default (a smaller one counts leaving [-r, r] as a miss).
 
-    The same operation order as the solver, with no light cone: returns v0,
-    all values and the cap rows as run-length intervals found site by site.
+    The same operation order as the solver, with no light cone and no
+    support pruning: returns v0, all values and the cap rows as run-length
+    intervals found site by site.
     """
     lo, hi = target
-    width = 2 * n + 1
+    r = radius or n
+    width = 2 * r + 1
     vnext = np.zeros(width)
-    if max(lo, -n) <= min(hi, n):
-        vnext[max(lo, -n) + n : min(hi, n) + n + 1] = 1.0
+    if max(lo, -r) <= min(hi, r):
+        vnext[max(lo, -r) + r : min(hi, r) + r + 1] = 1.0
     values = np.zeros((n + 1, width))
     values[n] = vnext
     scale = (1.0 - q_cap) * 0.5
@@ -116,10 +119,10 @@ def full_window_solve(q_cap, n, objective, target):
         vnext = np.where(mask, vq, v0)
         runs = []
         for j in range(width):
-            if mask[j] and runs and runs[-1][1] == j - n - 1:
-                runs[-1][1] = j - n
+            if mask[j] and runs and runs[-1][1] == j - r - 1:
+                runs[-1][1] = j - r
             elif mask[j]:
-                runs.append([j - n, j - n])
+                runs.append([j - r, j - r])
         rows[t] = tuple((a, b) for a, b in runs)
         values[t] = vnext
     return vnext, values, tuple(rows)
@@ -199,6 +202,28 @@ def evolution_cases(draw):
         n = max(n, 1)
         policy = schedule(n, 1)
     return policy, n, start, mode, live
+
+
+@st.composite
+def dominance_cases(draw):
+    """(policy, n, start, target) over every builder: the constant, two-zone,
+    fast-until-zero, nested schedule and bang-bang table kinds of
+    evolution_cases, and both multiscale schedules run to their horizon or
+    next to a breakpoint. Starts reach past [-n, n]; the target lies inside,
+    straddles or misses the window around the start."""
+    if draw(st.booleans()):
+        policy, n, start, _, _ = draw(evolution_cases())
+        n = max(n, 1)
+    else:
+        kind = draw(st.sampled_from(["schedule-localization", "schedule-qto1"]))
+        q, horizon = draw(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99)), draw(st.integers(16, 48))
+        policy = sweep_policy(kind, q, horizon, {"K0": 1, "A": draw(st.integers(1, 4))})
+        n = draw(st.sampled_from(sorted({horizon} | {
+            min(max(seg.t_start + d, 1), horizon) for seg in policy.params["segments"] for d in (-1, 0, 1)
+        })))
+        start = draw(st.integers(-n - 10, n + 10))
+    lo = start + draw(st.integers(-n - 10, n + 10))
+    return policy, n, start, (lo, lo + draw(st.just(0) | st.integers(0, 2 * n + 20)))
 
 
 @st.composite
@@ -350,8 +375,50 @@ class TestSolverAgainstFullWindow:
         assert table.v0.tobytes() == v0.tobytes()
         assert table.values.tobytes() == values.tobytes()
         assert bb.rows == rows
+        assert bb.masks == cone_masks(n, as_target(target), rows)
         lean, lean_bb = solve_extremal(q, n, objective, target=target, keep_values=False)
         assert lean.v0.tobytes() == v0.tobytes() and lean_bb == bb
+
+    @staticmethod
+    def inside_cone(row, lo, hi, gap):
+        """Whether the row's nonzero sites (row[j] is site j - r) lie more than
+        gap sites inside the light cone [lo, hi] on one side: the sweep then
+        skips cells of the cone."""
+        r = len(row) // 2
+        nz = np.flatnonzero(row) - r
+        lo, hi = max(lo, -r), min(hi, r)
+        return nz.size == 0 or nz[0] - lo > gap or hi - nz[-1] > gap
+
+    # underflow to +0.0 leaves V_t's nonzero support strictly inside the cone:
+    # min solves (a parity comb of zeros, and every site zero from some t on
+    # at q = 0.9), max solves past n = 1075 (2^-k underflows), targets off the
+    # window (no support at all) and folded targets (-h, h)
+    @pytest.mark.parametrize("q, n, objective, target", [
+        (0.9, 600, MIN, 0),
+        (0.95, 500, MIN, (3, 9)),
+        (0.5, 1300, MAX, (2, 30)),
+        (0.9, 300, MAX, (400, 420)),
+        (0.5, 200, MIN, (-500, -301)),
+        (0.9, 600, MIN, (-7, 7)),
+        (0.0, 1300, MAX, (-3, 3)),
+    ])
+    def test_pruned_solves_match_bitwise(self, q, n, objective, target):
+        lo, hi = as_target(target)
+        v0, values, rows = full_window_solve(q, n, objective, (lo, hi))
+        assert self.inside_cone(values[0], lo - n, hi + n, dp._EPOCH)
+        table, bb = solve_extremal(q, n, objective, target=target)
+        assert table.v0.tobytes() == v0.tobytes()
+        assert table.values.tobytes() == values.tobytes()
+        assert bb.rows == rows
+        assert bb.masks == cone_masks(n, (lo, hi), rows)
+
+    @pytest.mark.parametrize("q, big, radius", [(0.9, 900, 500), (0.95, 700, 350)])
+    def test_pruned_truncated_curve_pass_matches_bitwise(self, q, big, radius):
+        # the pass _optimal_curve runs: target (0, 0), folded, no masks
+        _, values, _ = full_window_solve(q, big, MIN, (0, 0), radius)
+        assert self.inside_cone(values[0], -big, big, dp._EPOCH)
+        for t, v, _, mask in _backward(q, big, MIN, 0, 0, radius, masks=False):
+            assert v[radius:].tobytes() == values[t, radius:].tobytes() and mask.size == 0
 
     @given(dp_cases())
     @settings(max_examples=200, deadline=None)
@@ -389,6 +456,21 @@ class TestSolverAgainstFullWindow:
             for r in records:
                 want = solve_extremal(q, r["n"], objective, keep_values=False)[0].value(0, 0)
                 assert r["p"] == want
+
+
+class TestDominance:
+    """Every policy lies between the extremal solves, read in translated form:
+    P_start(S_n in T) under any capped control is bounded by the solves for
+    the target T - start, read at site 0."""
+
+    @given(dominance_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_policy_lies_between_extremal_solves(self, case):
+        policy, n, start, (lo, hi) = case
+        p = hit_probability(policy, n, start, (lo, hi))
+        low, high = (solve_extremal(policy.q_cap, n, objective, (lo - start, hi - start),
+                                    keep_values=False)[0].value(0, 0) for objective in (MIN, MAX))
+        assert low <= p * (1 + 1e-12) and p <= high * (1 + 1e-12)
 
 
 class TestEvolveAgainstPerCellOracle:

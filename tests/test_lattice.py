@@ -181,6 +181,19 @@ class TestIntervalMass:
         d = point_mass(0)
         assert interval_mass(d, 3, -3) == 0.0
 
+    @pytest.mark.parametrize("a, b, flag", [
+        (0.5, 3, None), (0, 3.0, None), ("0", 3, None), (True, 3, None),
+        (-8, 9, -1), (-8, 9, 2), (-8, 9, 5), (-8, 9, True), (-8, 9, False), (-8, 9, 1.0),
+    ])
+    def test_bad_ends_and_flags_rejected(self, a, b, flag):
+        with pytest.raises(ParameterError):
+            interval_mass(walk(8, 0.5, start=1), a, b, flag)
+
+    def test_numpy_integer_ends_and_flags_accepted(self):
+        d = walk(8, 0.5, start=1)
+        got = interval_mass(d, np.int64(-8), np.int32(9), np.int8(HIT_ZERO))
+        assert got == interval_mass(d, -8, 9, HIT_ZERO)
+
 
 class TestResetAndSnapshots:
     def test_reset_reflags_origin_only(self):

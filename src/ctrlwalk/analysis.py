@@ -16,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .dp import MAX, _forward, _forward_curve, _optimal_curve, evolve, solve_extremal
-from .errors import CalibrationError, ParameterError, as_index
+from .errors import CalibrationError, ParameterError, as_index, as_real
 from .lattice import FLOAT, RATIONAL, _as_mode_value, interval_mass
 from .montecarlo import estimate_hit
 from .policies import (
@@ -54,6 +54,7 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
     transients bias the slope); the cutoff is recorded in the result.
     """
     pts = [(as_index(n, "n"), float(p)) for n, p in points]
+    min_n = as_index(min_n, "min_n")
     if len(pts) < 3:
         raise ParameterError("need at least 3 points")
     for (n1, _), (n2, _) in zip(pts, pts[1:]):
@@ -61,7 +62,8 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
             raise ParameterError("n values must be strictly increasing")
     for n, p in pts:
         if not 0 < p < math.inf:  # NaN fails too
-            raise ParameterError(f"p={p} at n={n} is not positive and finite; check target parity")
+            raise ParameterError(f"p={p} at n={n} is not positive and finite; check target "
+                                 "parity, or whether a fast-decaying curve underflowed float64")
     kept = [(n, p) for n, p in pts if n >= min_n]
     if len(kept) < 3:
         raise ParameterError(f"only {len(kept)} points at n >= {min_n}; need 3")
@@ -177,7 +179,7 @@ def exponent_sweep(
     params = dict(params or {})
     check_sweep_params(policy_kind, params, ("seed", "trials") if method == "mc" else ())
     grid = [as_index(n, "n") for n in n_grid]
-    min_n = defaults.MIN_FIT_N if min_n is None else min_n
+    min_n = defaults.MIN_FIT_N if min_n is None else as_index(min_n, "min_n")
     if method == "mc":  # the fit's checks that read only n; the exact curve makes them too
         fit_exponent([(n, 1.0) for n in grid], min_n)
     curve = _exact_curve(policy_kind, q_cap, grid, params, min_n) if method == "exact" else None
@@ -287,9 +289,15 @@ def band_sum_profile(q_cap: float, K: int, band: int, t: int, ys) -> dict:
 
     Detailed balance turns the column sum into a single evolution from y:
         (1/(1-q)) * [P_y(in [-K, K]) - q * P_y(in [-band, band])].
+    The identity needs the band inside [-K, K] and y inside the band.
     """
     pol = two_zone_policy(q_cap, band)
-    K, ys = as_index(K, "K"), [as_index(y, "y") for y in ys]
+    K, ys, band = as_index(K, "K"), [as_index(y, "y") for y in ys], pol.params["band_halfwidth"]
+    if band > K:
+        raise ParameterError(f"band={band} exceeds K={K}; the identity needs the band inside [-K, K]")
+    for y in ys:
+        if abs(y) > band:
+            raise ParameterError(f"y={y} lies outside the band [-{band}, {band}]")
     out = {}
     for y in ys:
         d = evolve(pol, t, y)
@@ -303,6 +311,8 @@ def band_sum_direct(q_cap: float, K: int, band: int, t: int, ys) -> dict:
     """Same column sums by brute force: one evolution per start x in [-K, K]."""
     pol = two_zone_policy(q_cap, band)
     K, ys = as_index(K, "K"), [as_index(y, "y") for y in ys]
+    if K < 0:
+        raise ParameterError(f"K must be >= 0, got {K}")
     total = {y: 0.0 for y in ys}
     for x in range(-K, K + 1):
         d = evolve(pol, t, x)
@@ -320,6 +330,7 @@ def calibrate_lemma5(q_cap: float) -> dict:
     worst margin is positive wins; eps is 90% of that margin. The returned
     certificate carries every evaluated sum for bit-exact replay.
     """
+    q_cap = as_real(q_cap, "q_cap")
     if not (0.0 < q_cap < 1.0):
         raise ParameterError(f"q_cap must lie in (0, 1), got {q_cap}")
     best_margin = -math.inf
@@ -377,12 +388,17 @@ def verify_lemma5_certificate(cert: dict) -> dict:
 # exit/containment calibration (free escape, lazy containment)
 
 
-def level_hit_cdf(a: int, t: int) -> float:
-    """P(simple walk from 0 reaches level a within t steps), by reflection."""
-    from scipy.stats import binom  # imported here: it costs about a second per process
+def _level_args(a, t) -> tuple[int, int]:
     a, t = as_index(a, "level"), as_index(t, "t")
     if a < 1:
         raise ParameterError("level must be >= 1")
+    return a, t
+
+
+def level_hit_cdf(a: int, t: int) -> float:
+    """P(simple walk from 0 reaches level a within t steps), by reflection."""
+    from scipy.stats import binom  # imported here: it costs about a second per process
+    a, t = _level_args(a, t)
     if t < a:
         return 0.0
     m = t + a
@@ -422,6 +438,7 @@ def level_hit_cdf_absorbing(a: int, t: int) -> float:
 
     The walk cannot get below -t, so the live interval starts there.
     """
+    a, t = _level_args(a, t)
     d = evolve(constant_policy(0.0, 0.0), t, live=(-t, a - 1))
     return float(interval_mass(d, a, a))
 
@@ -459,6 +476,7 @@ def calibrate_lemma6(eps: float) -> dict:
     until the early-exit probability P(hit +-K before A*K^2) clears eps/2 at
     every K. Both stages use exact closed forms of the respective walks.
     """
+    eps = as_real(eps, "eps")
     if not (0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
     half = eps / 2.0

@@ -217,8 +217,9 @@ class ValueTable:
 
 @dataclass(frozen=True)
 class BangBangPolicy:
-    """Where the extremal control picks the cap, per t: masks as (site offset,
-    packed bits), and rows, built on first read, as inclusive site intervals."""
+    """Where the extremal control picks the cap: masks holds one (first t,
+    steps, site offset, width, packed bits) entry per _backward epoch, t
+    ascending, and rows, built on first read, the inclusive site intervals per t."""
 
     n: int
     q_cap: float
@@ -227,8 +228,9 @@ class BangBangPolicy:
 
     @functools.cached_property
     def rows(self) -> tuple:
-        return tuple(_mask_to_intervals(np.unpackbits(np.frombuffer(bits, np.uint8)), offset)
-                     for offset, bits in self.masks)
+        return tuple(_mask_to_intervals(mask, offset) for _, steps, offset, width, bits in self.masks
+                     for mask in np.unpackbits(np.frombuffer(bits, np.uint8).reshape(steps, -1),
+                                               axis=1, count=width))
 
     def as_policy(self) -> PolicySpec:
         return bang_bang_table_policy(self.q_cap, self.n, self.rows)
@@ -247,28 +249,29 @@ def _mask_to_intervals(mask: np.ndarray, offset: int) -> tuple:
 _EPOCH = 64  # steps per _backward epoch; one of L steps sweeps about L^2 cells off the support
 
 
-def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int, radius=None, masks=True):
-    """(t, V_t on [-r, r], a, cap mask on sites a, a+1, ...) for t = n..0, as
-    views the next step overwrites; r = radius, n by default (a smaller one
-    counts leaving [-r, r] as a miss), and masks=False leaves masks empty.
-    Only the target's light cone [lo - k, hi + k], k = n - t, is masked: off
-    it V_t is 0 and u = 0 wins the tie, as in a whole-window sweep with the
-    same operation order, bitwise.
+def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int, radius=None, masks=None):
+    """(t, V_t on [-r, r]) for t = n..0, as views the next step overwrites; r =
+    radius, n by default (a smaller one counts leaving [-r, r] as a miss).
 
     Steps run in epochs of _EPOCH steps with views sliced once. An epoch of L
-    steps sweeps only [first - L, last + L], clipped to its last step's cone,
-    where first and last are the row's outermost nonzero sites at its start.
-    V_t(x) reads V_{t+1} at x - 1, x and x + 1 only; where all three are
-    +0.0 (underflow makes many such cells inside the cone) the step gives
-    +0.0 and u = 0 wins the tie. So the support grows at most one site per
-    side per step, a skipped cell equals a swept one bitwise, and an epoch
-    with no support (a target off [-r, r]) makes no ufunc call. The mask
-    buffer is cleared once per epoch, so a skipped cell reads False.
+    steps sweeps only the sites [s0, s1] = [first - L, last + L], clipped to
+    [-r, r], where first and last are the row's outermost nonzero sites at its
+    start. V_t(x) reads V_{t+1} at x - 1, x and x + 1 only; where all three are
+    +0.0 (off the target's light cone, and in many cells inside it, where V
+    has underflowed) the step gives +0.0 and u = 0 wins the tie. So the
+    support grows at most one site per side per step, a skipped cell equals
+    the cell of a whole-window sweep with the same operation order bitwise,
+    and an epoch with no support (a target off [-r, r]) makes no ufunc call.
+
+    masks, if a list, gets one (t1, L, s0, s1 + 1 - s0, bits) entry per epoch,
+    latest epoch first: bits packs (np.packbits(..., axis=1)) the cap masks of
+    steps t1..t1 + L - 1 on the swept sites, one row per step.
 
     A target (-h, h) is folded: V_t is even and site -x would repeat the
     float operations of site x with its neighbours swapped, so only sites
-    x >= 0 are swept (a = 0), with column -1 a ghost copy of +1. V_t at
+    x >= 0 are swept (s0 = 0), with column -1 a ghost copy of +1. V_t at
     x < 0 is then stale in the yielded row; the caller mirrors what it keeps.
+    The mask blocks come mirrored, on sites -s1..s1.
     """
     fold = lo == -hi
     r = radius or n
@@ -276,24 +279,21 @@ def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int, radius=Non
     pad = np.zeros(2 * r + 3)  # V at site x in column x + r + 1
     if lo <= hi:  # a target wholly outside [-r, r] leaves every value 0
         pad[lo + r + 1 : hi + r + 2] = 1.0
-    nb, mask, terms = np.empty(2 * r + 1), np.empty(2 * r + 1, bool), np.empty((2, 2 * r + 1))
+    nb, terms = np.empty(2 * r + 1), np.empty((2, 2 * r + 1))
     factors = np.array([[0.5], [(1.0 - q_cap) * 0.5]])  # V(x-1) + V(x+1) under u = 0 and u = q_cap
     better, pick = (np.greater, np.maximum) if objective == MAX else (np.less, np.minimum)
-    cone = (lambda k: (0, min(hi + k, r) + 1)) if fold else (
-        lambda k: (max(lo - k, -r), max(min(hi + k, r) - max(lo - k, -r) + 1, 0)))
-    yield n, pad[1:-1], lo, mask[:0]
+    yield n, pad[1:-1]
     s0, s1 = (lo, hi) if lo <= hi else (0, -1)  # sites off [s0, s1] hold V = +0.0
     t1 = n
     while t1 > 0:
         t0, t1 = t1, max(t1 - _EPOCH, 0)
-        a, w = cone(n - t1)
-        nz, steps = np.flatnonzero(pad[s0 + r + 1 : s1 + r + 2]), t0 - t1
-        s0, s1 = (max(s0 + nz[0] - steps, a), min(s0 + nz[-1] + steps, a + w - 1)) if nz.size else (0, -1)
+        nz, steps = s0 + np.flatnonzero(pad[s0 + r + 1 : s1 + r + 2]), t0 - t1  # the nonzero sites
+        s0, s1 = ((0 if fold else max(int(nz[0]) - steps, -r), min(int(nz[-1]) + steps, r))
+                  if nz.size else (0, -1))
         sw = s1 + 1 - s0  # the swept sites s0..s1
         v, left, right = (pad[s0 + r + d : s0 + r + d + sw] for d in (1, 0, 2))  # V(x), V(x -+ 1)
-        nbw, tw, mw = nb[:sw], terms[:, :sw], mask[s0 - a : s0 - a + sw]
+        nbw, tw, block = nb[:sw], terms[:, :sw], np.empty((steps, sw), bool)
         v0, vq = tw
-        mask[:w] = False
         for t in range(t0 - 1, t1 - 1, -1):
             if sw:
                 if fold:
@@ -301,11 +301,15 @@ def _backward(q_cap: float, n: int, objective: str, lo: int, hi: int, radius=Non
                 np.add(left, right, out=nbw)
                 np.multiply(nbw, factors, out=tw)
                 np.add(vq, np.multiply(v, q_cap, out=nbw), out=vq)
-                if masks:
-                    better(vq, v0, out=mw)
+                if masks is not None:
+                    better(vq, v0, out=block[t - t1])
                 pick(vq, v0, out=v)  # the cap where it is strictly better, as the mask says
-            at, wt = cone(n - t)
-            yield t, pad[1:-1], at, mask[at - a : at - a + wt] if masks else mask[:0]
+            yield t, pad[1:-1]
+        if masks is not None:
+            if fold:
+                block = np.concatenate((block[:, :0:-1], block), axis=1)
+            bits = np.packbits(block, axis=1).tobytes()
+            masks.append((t1, steps, -s1 if fold else s0, block.shape[1], bits))
 
 
 def solve_extremal(
@@ -326,14 +330,10 @@ def solve_extremal(
     lo, hi = as_target(target)
     fold = lo == -hi  # _backward then sweeps sites x >= 0 only: mirror them onto x < 0
     values = np.zeros((n + 1, 2 * n + 1)) if keep_values else None
-    masks = [None] * n
-    for t, v, a, mask in _backward(q_cap, n, objective, lo, hi):
+    masks = []
+    for t, v in _backward(q_cap, n, objective, lo, hi, masks=masks):
         if keep_values:
             values[t] = v
-        if t < n:
-            if fold:
-                a, mask = 1 - mask.size, np.concatenate((mask[:0:-1], mask))
-            masks[t] = (a, np.packbits(mask).tobytes())
     v0 = v.copy()
     if fold:
         for row in (v0,) if values is None else (v0, *values):
@@ -341,7 +341,7 @@ def solve_extremal(
     table = ValueTable(
         n=n, q_cap=q_cap, objective=objective, target=(lo, hi), v0=v0, values=values
     )
-    bb = BangBangPolicy(n=n, q_cap=q_cap, objective=objective, masks=tuple(masks))
+    bb = BangBangPolicy(n=n, q_cap=q_cap, objective=objective, masks=tuple(masks[::-1]))
     return table, bb
 
 
@@ -382,9 +382,9 @@ def _optimal_curve(q_cap: float, horizons, objective: str) -> dict:
     to m, bitwise when untruncated. The target (0, 0) folds the pass."""
     def points(ms, radius):
         big, r = max(ms), radius or max(ms)
-        steps = _backward(float(q_cap), big, objective, 0, 0, radius, masks=False)
+        steps = _backward(float(q_cap), big, objective, 0, 0, radius)
         return {big - t: (float(v[r]), 2 * math.exp(-r * r / (2 * (big - t))) if big - t > r else 0.0)
-                for t, v, _, _ in steps if big - t in ms}
+                for t, v in steps if big - t in ms}
 
     return _certified(points, {_solve_args(q_cap, m, objective)[1] for m in horizons})
 

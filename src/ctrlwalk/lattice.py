@@ -105,12 +105,19 @@ class LatticeDistribution:
         return self.mass[0].sum(), self.mass[1].sum()
 
 
+def _check_flag(flag):
+    if flag is not None and as_index(flag, "flag") not in (NOT_HIT, HIT_ZERO):
+        raise ParameterError(f"flag must be None, NOT_HIT or HIT_ZERO, got {flag!r}")
+    return flag
+
+
 def point_mass(x: int, flag: int | None = None, mode: str = FLOAT) -> LatticeDistribution:
     """Unit mass at site x, time 0.
 
     The default flag is HIT_ZERO when x == 0 (the walk starts on 0) and
     NOT_HIT otherwise.
     """
+    x, flag = as_index(x, "x"), _check_flag(flag)
     if flag is None:
         flag = HIT_ZERO if x == 0 else NOT_HIT
     if flag == NOT_HIT and x == 0:
@@ -123,9 +130,7 @@ def point_mass(x: int, flag: int | None = None, mode: str = FLOAT) -> LatticeDis
 def interval_mass(d: LatticeDistribution, a: int, b: int, flag: int | None = None):
     """Total mass on sites a..b inclusive (0 if the window is missed), on both
     flag rows or on the one flag (NOT_HIT or HIT_ZERO) names."""
-    a, b = as_index(a, "a"), as_index(b, "b")
-    if flag is not None and as_index(flag, "flag") not in (NOT_HIT, HIT_ZERO):
-        raise ParameterError(f"flag must be None, NOT_HIT or HIT_ZERO, got {flag!r}")
+    a, b, flag = as_index(a, "a"), as_index(b, "b"), _check_flag(flag)
     lo = max(a, d.offset)
     hi = min(b, d.offset + d.width - 1)
     if lo > hi:
@@ -172,13 +177,21 @@ def to_snapshot(d: LatticeDistribution) -> dict:
 
 
 def from_snapshot(snap: dict) -> LatticeDistribution:
+    """The law a to_snapshot dict holds; a malformed one raises ParameterError."""
     if not snap.get("flag_split", False):
         raise ParameterError("combined snapshots drop the history split; cannot reload")
+    missing = sorted({"time", "offset", "mass"} - snap.keys())
+    if missing:
+        raise ParameterError(f"snapshot lacks {', '.join(missing)}")
     mode = snap.get("mode", FLOAT)
-    rows = snap["mass"]
-    width = len(rows[0])
-    mass = _zeros((2, width), mode)
-    for f in (NOT_HIT, HIT_ZERO):
-        for j, v in enumerate(rows[f]):
-            mass[f, j] = Fraction(v) if mode == RATIONAL else float(v)
-    return LatticeDistribution(time=snap["time"], offset=snap["offset"], mass=mass, mode=mode)
+    time, offset = as_index(snap["time"], "time"), as_index(snap["offset"], "offset")
+    if time < 0:
+        raise ParameterError(f"snapshot time must be >= 0, got {time}")
+    try:
+        rows = [[_as_mode_value(v, mode) for v in row] for row in snap["mass"]]
+    except (TypeError, ValueError, OverflowError):
+        rows = []  # fails the shape check below
+    if len(rows) != 2 or len(rows[0]) != len(rows[1]):
+        raise ParameterError("snapshot mass must be two rows of numbers of one width")
+    mass = np.array(rows, object if mode == RATIONAL else np.float64)
+    return LatticeDistribution(time=time, offset=offset, mass=mass, mode=mode)

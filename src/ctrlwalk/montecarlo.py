@@ -505,7 +505,7 @@ def lemma0_check(
     the estimate should stay above 1/6.
     """
     q_cap, h, ell = _check_cap(q_cap), as_index(h, "h"), as_index(ell, "ell")
-    delta = as_real(delta, "delta")
+    delta, trials = as_real(delta, "delta"), as_index(trials, "trials")
     if h < 1 or trials < 1:
         raise ParameterError("need h >= 1 and trials >= 1")
     if not (0.0 < delta <= 1.0):
@@ -578,6 +578,7 @@ def lemma_ori_check(
     after reaching it.
     """
     q_cap, A, K = _check_cap(q_cap), as_index(A, "A"), as_index(K, "K")
+    trials = as_index(trials, "trials")
     if K < 1 or A < 1:
         raise ParameterError("need K >= 1 and A >= 1")
     if trials < 1:

@@ -102,6 +102,12 @@ class TestExponentFit:
         with pytest.raises(ParameterError, match="[Pp]arity|even"):
             fit_exponent(pts)
 
+    def test_underflowed_curve_names_underflow(self):
+        # the q = 0.9 min row of target (0, 0) is all +0.0 in float64 from
+        # step 323 on, so every point reads 0.0 though n is even
+        with pytest.raises(ParameterError, match="p=0.0 at n=512 .*parity.*underflow"):
+            exponent_sweep("optimal", 0.9, [512, 1024, 2048], params={"objective": "min"}, min_n=1)
+
     def test_flat_data_fits_zero_slope(self):
         fit = fit_exponent([(n, 0.25) for n in (128, 256, 512)])
         assert fit.sigma_hat == 0.0
@@ -337,6 +343,29 @@ class TestBandSumIdentity:
         for y in ys:
             assert abs(fast[y] - slow[y]) < 1e-12
 
+    @given(st.floats(0.0, 0.95), st.integers(0, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_identity_matches_brute_force_on_its_domain(self, q, K, data):
+        # band = K and |y| = band are the domain's edges
+        band = data.draw(st.sampled_from([0, K]) | st.integers(0, K))
+        t = data.draw(st.integers(0, 12))
+        ys = sorted(data.draw(st.sets(st.sampled_from([-band, band]) | st.integers(-band, band),
+                                      min_size=1)))
+        fast, slow = band_sum_profile(q, K, band, t, ys), band_sum_direct(q, K, band, t, ys)
+        assert list(fast) == list(slow) == ys
+        for y in ys:
+            assert abs(fast[y] - slow[y]) <= 1e-12
+
+    @pytest.mark.parametrize("probe, K, band, y, message", [
+        (band_sum_profile, 3, 1, 2, "outside the band"),  # the direct sum reads 0.5, the identity 1.0
+        (band_sum_profile, 1, 3, 0, "exceeds K"),  # the direct sum reads 0.7109, the identity 0.4297
+        (band_sum_profile, -1, 1, 0, "exceeds K"),
+        (band_sum_direct, -1, 1, 0, "K must be >= 0"),
+    ])
+    def test_outside_the_identity_refused(self, probe, K, band, y, message):
+        with pytest.raises(ParameterError, match=message):
+            probe(0.5, K, band, 4, [y])
+
     @pytest.mark.parametrize("probe", [band_sum_profile, band_sum_direct])
     def test_non_integer_sizes_rejected(self, probe):
         with pytest.raises(ParameterError, match="y must be an integer"):
@@ -459,6 +488,16 @@ class TestBadLibraryInputs:
         pytest.param(lambda: constant_policy(0.5, "a"), id="constant-u-string"),
         pytest.param(lambda: barrier_family(16, "x"), id="barrier-beta-string"),
         pytest.param(lambda: lemma0_check(0.5, 1, "d", 48, trials=10), id="lemma0-delta-string"),
+        pytest.param(lambda: calibrate_lemma5("a"), id="lemma5-cap-string"),
+        pytest.param(lambda: calibrate_lemma6("a"), id="lemma6-eps-string"),
+        pytest.param(lambda: lemma0_check(0.5, 1, 0.5, 48, trials="5"), id="lemma0-trials-string"),
+        pytest.param(lambda: lemma_ori_check(0.5, 1, 2, trials="3"), id="lemma-ori-trials-string"),
+        pytest.param(lambda: fit_exponent([(128, 0.5), (256, 0.4), (512, 0.3)], min_n="a"),
+                     id="fit-min-n-string"),
+        pytest.param(lambda: exponent_sweep("constant", 0.5, [16, 32, 64], min_n=1.5),
+                     id="sweep-min-n-float"),
+        pytest.param(lambda: level_hit_cdf_absorbing(0, 5), id="absorbing-level-zero"),
+        pytest.param(lambda: level_hit_cdf_absorbing(1.5, 5), id="absorbing-level-float"),
     ])
     def test_parameter_error(self, call):
         with pytest.raises(ParameterError):

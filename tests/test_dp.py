@@ -128,18 +128,9 @@ def full_window_solve(q_cap, n, objective, target, radius=None):
     return vnext, values, tuple(rows)
 
 
-def cone_masks(n, target, rows):
-    """The solver's packed cap masks, rebuilt from interval rows: one bit per
-    site of the target's light cone at each step, offset at its left end."""
-    lo, hi = max(target[0], -n), min(target[1], n)
-    masks = []
-    for t, row in enumerate(rows):
-        a = max(lo - (n - t), -n)
-        mask = np.zeros(max(min(hi + (n - t), n) - a + 1, 0), dtype=bool)
-        for x0, x1 in row:
-            mask[x0 - a : x1 - a + 1] = True
-        masks.append((a, np.packbits(mask).tobytes()))
-    return tuple(masks)
+def int_ends(rows):
+    """Whether every interval end is a Python int, as the region records print them."""
+    return all(type(end) is int for row in rows for iv in row for end in iv)
 
 
 def mirrored_row(draw, reach=50):
@@ -374,8 +365,7 @@ class TestSolverAgainstFullWindow:
         table, bb = solve_extremal(q, n, objective, target=target)
         assert table.v0.tobytes() == v0.tobytes()
         assert table.values.tobytes() == values.tobytes()
-        assert bb.rows == rows
-        assert bb.masks == cone_masks(n, as_target(target), rows)
+        assert bb.rows == rows and int_ends(bb.rows)
         lean, lean_bb = solve_extremal(q, n, objective, target=target, keep_values=False)
         assert lean.v0.tobytes() == v0.tobytes() and lean_bb == bb
 
@@ -410,15 +400,31 @@ class TestSolverAgainstFullWindow:
         assert table.v0.tobytes() == v0.tobytes()
         assert table.values.tobytes() == values.tobytes()
         assert bb.rows == rows
-        assert bb.masks == cone_masks(n, (lo, hi), rows)
 
     @pytest.mark.parametrize("q, big, radius", [(0.9, 900, 500), (0.95, 700, 350)])
     def test_pruned_truncated_curve_pass_matches_bitwise(self, q, big, radius):
         # the pass _optimal_curve runs: target (0, 0), folded, no masks
         _, values, _ = full_window_solve(q, big, MIN, (0, 0), radius)
         assert self.inside_cone(values[0], -big, big, dp._EPOCH)
-        for t, v, _, mask in _backward(q, big, MIN, 0, 0, radius, masks=False):
-            assert v[radius:].tobytes() == values[t, radius:].tobytes() and mask.size == 0
+        for t, v in _backward(q, big, MIN, 0, 0, radius):
+            assert v[radius:].tobytes() == values[t, radius:].tobytes()
+
+    # epochs of _EPOCH = 64 steps: one short epoch, exactly one, one plus a
+    # step, two plus a step; a folded target, one across 0, one off the window
+    @pytest.mark.parametrize("n, epochs", [
+        (1, [(0, 1)]), (63, [(0, 63)]), (64, [(0, 64)]), (65, [(0, 1), (1, 64)]),
+        (129, [(0, 1), (1, 64), (65, 64)]),
+    ])
+    @pytest.mark.parametrize("target", ["centre", "across", "off"])
+    @pytest.mark.parametrize("objective", [MAX, MIN])
+    def test_epoch_edges_match_bitwise(self, n, epochs, target, objective):
+        target = {"centre": (0, 0), "across": (-3, 5), "off": (n + 2, n + 4)}[target]
+        v0, values, rows = full_window_solve(0.9, n, objective, target)
+        table, bb = solve_extremal(0.9, n, objective, target=target)
+        assert table.v0.tobytes() == v0.tobytes()
+        assert table.values.tobytes() == values.tobytes()
+        assert bb.rows == rows and int_ends(bb.rows)
+        assert [(t, steps) for t, steps, *_ in bb.masks] == epochs
 
     @given(dp_cases())
     @settings(max_examples=200, deadline=None)
@@ -611,8 +617,7 @@ class TestMirrorFold:
         table, bb = solve_extremal(q, n, objective, target=(-h, h))
         assert table.v0.tobytes() == v0.tobytes()
         assert table.values.tobytes() == values.tobytes()
-        assert bb.rows == rows
-        assert bb.masks == cone_masks(n, (-h, h), rows)
+        assert bb.rows == rows and int_ends(bb.rows)
         lean, lean_bb = solve_extremal(q, n, objective, target=(-h, h), keep_values=False)
         assert lean.v0.tobytes() == v0.tobytes() and lean_bb == bb
 
@@ -630,7 +635,8 @@ class TestMirrorFold:
 
 class TestMirrorFoldGuard:
     """Which runs fold: the second _forward view is (1, 2) when folded, and a
-    folded _backward step starts its cone at site 0."""
+    folded _backward epoch sweeps from site 0 and hands over a mirrored mask
+    block."""
 
     @staticmethod
     def second_view(policy, n, start=0, live=None):
@@ -656,14 +662,23 @@ class TestMirrorFoldGuard:
         assert mirror_symmetric(resetting) and flag_reset_times(resetting)
         assert self.second_view(resetting, 40) == (2, 3)
 
-    @pytest.mark.parametrize("target, a, width", [
-        ((0, 0), 0, 2), ((-3, 3), 0, 5), ((-50, 50), 0, 9), ((-1, 2), -2, 6), ((2, 2), 1, 3),
+    # n = 100: the first epoch runs steps 36..99 and sweeps 64 sites past the
+    # target on each side, clipped to [-100, 100]
+    @pytest.mark.parametrize("target, offset, width, folded", [
+        pytest.param((0, 0), -64, 129, True, id="origin"),
+        pytest.param((-3, 3), -67, 135, True, id="symmetric"),
+        pytest.param((-50, 50), -100, 201, True, id="symmetric-clipped"),
+        pytest.param((-1, 2), -65, 132, False, id="across"),
+        pytest.param((2, 2), -62, 129, False, id="one-site"),
     ])
-    def test_backward_folds_symmetric_targets(self, target, a, width):
-        steps = _backward(0.5, 8, MAX, *target)
-        next(steps)
-        t, _, first, mask = next(steps)
-        assert (t, first, mask.size) == (7, a, width)
+    def test_backward_folds_symmetric_targets(self, target, offset, width, folded):
+        blocks = []
+        steps = _backward(0.5, 100, MAX, *target, masks=blocks)
+        first = next(steps)[1].copy()
+        for t, v in steps:
+            if t == 36:  # a folded sweep leaves sites x < -1 as they started
+                assert (v[:99] == first[:99]).all() == folded
+        assert blocks[0][:4] == (36, 64, offset, width)
 
 
 def spy(monkeypatch, name):

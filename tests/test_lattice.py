@@ -64,6 +64,17 @@ class TestPointMass:
         d = point_mass(5, flag=HIT_ZERO)
         assert d.mass_at(5, HIT_ZERO) == 1.0
 
+    @pytest.mark.parametrize("x, flag", [
+        (1.5, None), ("1", None), (True, None), (0, 5), (3, -1), (3, True), (3, 1.0),
+    ])
+    def test_bad_site_and_flag_rejected(self, x, flag):
+        with pytest.raises(ParameterError):
+            point_mass(x, flag)
+
+    def test_numpy_integer_site_and_flag_accepted(self):
+        d = point_mass(np.int64(5), np.int8(HIT_ZERO))
+        assert type(d.offset) is int and d.offset == 5 and d.mass_at(5, HIT_ZERO) == 1.0
+
 
 class TestStep:
     def test_lazy_half_matches_binomial(self):
@@ -223,6 +234,27 @@ class TestResetAndSnapshots:
         d = walk(4, 0.5)
         snap = {**to_snapshot(d), "mass": [float(v) for v in d.site_mass()], "flag_split": False}
         with pytest.raises(ParameterError, match="combined snapshots"):
+            from_snapshot(snap)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"offset": "a"}, "offset must be an integer"),
+        ({"time": -3}, "time must be >= 0"),
+        ({"time": 1.0}, "time must be an integer"),
+        ({"mass": [[1.0, 0.0], [0.0]]}, "two rows"),  # was zero-filled
+        ({"mass": [[0.0], [0.0, 1.0]]}, "two rows"),
+        ({"mass": [[1.0, 0.0]]}, "two rows"),
+        ({"mass": [[1.0, "a"], [0.0, 0.0]]}, "two rows of numbers"),
+        ({"mass": [[1.0, None], [0.0, 0.0]]}, "two rows of numbers"),
+        ({"mass": 1.0}, "two rows of numbers"),
+        ({"time": None}, "lacks time"),
+        ({"offset": None}, "lacks offset"),
+        ({"mass": None}, "lacks mass"),
+    ])
+    def test_malformed_snapshot_rejected(self, change, message):
+        snap = {"time": 1, "offset": -1, "mass": [[0.5, 0.0], [0.0, 0.5]], "flag_split": True}
+        assert from_snapshot(snap).offset == -1  # None in change drops the key
+        snap = {k: v for k, v in {**snap, **change}.items() if v is not None}
+        with pytest.raises(ParameterError, match=message):
             from_snapshot(snap)
 
     def test_snapshot_keeps_flag_split_key(self):

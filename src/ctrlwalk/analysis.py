@@ -10,6 +10,7 @@ parameter witnesses for the band-sum and exit/containment inequalities.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,38 +368,22 @@ def calibrate_lemma5(q_cap: float) -> dict:
     )
 
 
-def verify_lemma5_certificate(cert: dict) -> dict:
-    """Replay every certificate sum and compare bitwise; also re-check eps."""
-    groups = {}
-    for e in cert["entries"]:
-        groups.setdefault((e["K"], e["band"], e["t"]), []).append(e)
-    max_diff = 0.0
-    all_exceed = True
-    for (K, band, t), entries in groups.items():
-        fresh = band_sum_profile(cert["q_cap"], K, band, t, [e["y"] for e in entries])
-        for e in entries:
-            diff = abs(fresh[e["y"]] - e["sum"])
-            max_diff = max(max_diff, diff)
-            if not fresh[e["y"]] > 1.0 + cert["eps"]:
-                all_exceed = False
-    return {"max_diff": max_diff, "all_exceed": all_exceed, "entries": len(cert["entries"])}
-
-
 # ---------------------------------------------------------------------------
 # exit/containment calibration (free escape, lazy containment)
 
 
-def _level_args(a, t) -> tuple[int, int]:
-    a, t = as_index(a, "level"), as_index(t, "t")
-    if a < 1:
-        raise ParameterError("level must be >= 1")
-    return a, t
+def _count(value, name: str, low: int) -> int:
+    """value read by as_index; ParameterError naming it if below low."""
+    value = as_index(value, name)
+    if value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def level_hit_cdf(a: int, t: int) -> float:
     """P(simple walk from 0 reaches level a within t steps), by reflection."""
     from scipy.stats import binom  # imported here: it costs about a second per process
-    a, t = _level_args(a, t)
+    a, t = _count(a, "level", 1), _count(t, "t", 0)
     if t < a:
         return 0.0
     m = t + a
@@ -415,10 +400,8 @@ def interior_survival(q_cap: float, K: int, s: int) -> float:
     sites: eigenvalues q + (1-q) cos(pi j / 2K), eigenvectors
     sin(pi j (x+K) / 2K), started from the delta at 0.
     """
-    q_cap, K, s = _check_cap(q_cap), as_index(K, "K"), as_index(s, "s")
-    if K < 1:
-        raise ParameterError("K must be >= 1")
-    if s <= 0:
+    q_cap, K, s = _check_cap(q_cap), _count(K, "K", 1), _count(s, "s", 0)
+    if s == 0:
         return 1.0
     j = np.arange(1, 2 * K, dtype=np.float64)
     lam = q_cap + (1.0 - q_cap) * np.cos(np.pi * j / (2 * K))
@@ -438,24 +421,27 @@ def level_hit_cdf_absorbing(a: int, t: int) -> float:
 
     The walk cannot get below -t, so the live interval starts there.
     """
-    a, t = _level_args(a, t)
+    a, t = _count(a, "level", 1), _count(t, "t", 0)
     d = evolve(constant_policy(0.0, 0.0), t, live=(-t, a - 1))
     return float(interval_mass(d, a, a))
 
 
 def interior_survival_absorbing(q_cap: float, K: int, s: int) -> float:
     """Dual route for interior_survival: freeze all mass at |x| >= K."""
+    q_cap, K, s = _check_cap(q_cap), _count(K, "K", 1), _count(s, "s", 0)
     d = evolve(constant_policy(q_cap, q_cap), s, live=(-K + 1, K - 1))
     return float(interval_mass(d, -K + 1, K - 1))
 
 
 def escape_probability(A: int, K: int) -> float:
     """P(free walk has NOT reached level 2K within A*K^2 steps)."""
+    A, K = _count(A, "A", 1), _count(K, "K", 1)
     return 1.0 - level_hit_cdf(2 * K, A * K * K)
 
 
 def early_exit_probability(q_cap: float, A: int, K: int) -> float:
     """P(lazy-q walk from 0 hits -K or +K strictly before A*K^2 steps)."""
+    A, K = _count(A, "A", 1), _count(K, "K", 1)
     return 1.0 - interior_survival(q_cap, K, A * K * K - 1)
 
 
@@ -498,17 +484,114 @@ def calibrate_lemma6(eps: float) -> dict:
     }
 
 
-def verify_lemma6_certificate(cert: dict) -> dict:
-    """Recompute both probability families for the stored (A, q); bitwise."""
-    A = cert["A"]
-    q = cert["q"]
-    eps = cert["eps"]
-    max_diff = 0.0
-    ok = True
+# ---------------------------------------------------------------------------
+# certificates: read by one checked reader, replayed, cross-checked and judged
+
+
+CROSS_CHECK_TOL = 1e-12  # the most two routes to one number may differ by
+
+
+def _finite(value, name: str) -> float:
+    """A certificate number: a finite real that is not a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        number = as_real(value, name)
+        if math.isfinite(number):
+            return number
+    raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
+def _certificate(cert, fields: dict, where: str = "certificate") -> dict:
+    """{field: reader(cert[field], field)}; ParameterError if cert is not an
+    object or lacks a field."""
+    if not isinstance(cert, dict):
+        raise ParameterError(f"{where} must be a JSON object, got {type(cert).__name__}")
+    missing = sorted(set(fields) - cert.keys())
+    if missing:
+        raise ParameterError(f"{where} lacks {', '.join(missing)}")
+    return {k: read(cert[k], k) for k, read in fields.items()}
+
+
+def _band_sum_entries(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ParameterError(f"{name} must be a list, got {value!r}")
+    fields = {"K": as_index, "band": as_index, "t": as_index, "y": as_index, "sum": _finite}
+    return [_certificate(e, fields, f"{name}[{i}]") for i, e in enumerate(value)]
+
+
+def _by_scale(value, name: str) -> dict:
+    """{K: number} from a {"K": number} table; each key must be the canonical
+    decimal of its K and name a scale no other key names, so no stored value
+    is hidden by another key for the same scale."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{name} must be an object, got {value!r}")
+    table = {}
+    for key, v in value.items():
+        try:
+            K = int(key) if isinstance(key, str) else as_index(key, name)
+        except ValueError:
+            K = None
+        if K is None or str(K) != str(key):
+            raise ParameterError(f"{name} key {key!r} is not an integer in canonical form")
+        if K in table:
+            raise ParameterError(f"{name} names K={K} twice")
+        table[K] = _finite(v, f"{name}[{key!r}]")
+    return table
+
+
+def verify_lemma5_certificate(cert) -> dict:
+    """Replay a calibrate_lemma5 certificate: pass needs every sum bitwise
+    (max_diff == 0.0) and above 1 + eps (all_exceed), and the K0 sums within
+    CROSS_CHECK_TOL of a direct summation (direct_sum_max_diff).
+    """
+    c = _certificate(cert, {"q_cap": _finite, "eps": _finite, "K0": as_index,
+                            "entries": _band_sum_entries})
+    groups = {}
+    for e in c["entries"]:
+        groups.setdefault((e["K"], e["band"], e["t"]), []).append(e)
+    if not any(K == c["K0"] for K, _, _ in groups):
+        raise ParameterError(f"certificate has no entry at K0={c['K0']}")
+    max_diff, all_exceed, cross = 0.0, True, 0.0
+    for (K, band, t), entries in groups.items():
+        ys = [e["y"] for e in entries]
+        fresh = band_sum_profile(c["q_cap"], K, band, t, ys)
+        for e in entries:
+            max_diff = max(max_diff, abs(fresh[e["y"]] - e["sum"]))
+            all_exceed &= fresh[e["y"]] > 1.0 + c["eps"]
+        if K == c["K0"]:
+            direct = band_sum_direct(c["q_cap"], K, band, t, ys)
+            cross = max(cross, *(abs(direct[e["y"]] - e["sum"]) for e in entries))
+    return {
+        "max_diff": max_diff,
+        "all_exceed": all_exceed,
+        "entries": len(c["entries"]),
+        "direct_sum_max_diff": cross,
+        "pass": max_diff == 0.0 and all_exceed and cross <= CROSS_CHECK_TOL,
+    }
+
+
+def verify_lemma6_certificate(cert) -> dict:
+    """Replay a calibrate_lemma6 certificate: pass needs both families bitwise
+    (max_diff == 0.0) and below eps/2 (all_below), and both closed forms within
+    CROSS_CHECK_TOL of absorbing evolution at K = 8, t = 4K^2.
+    """
+    c = _certificate(cert, {"eps": _finite, "A": as_index, "q": _finite,
+                            "escape_by_K": _by_scale, "early_exit_by_K": _by_scale})
+    A, q = c["A"], c["q"]
+    max_diff, all_below = 0.0, True
     for key, prob in (("escape_by_K", lambda K: escape_probability(A, K)),
                       ("early_exit_by_K", lambda K: early_exit_probability(q, A, K))):
-        for K_str, v in cert[key].items():
-            fresh = prob(int(K_str))
+        for K, v in c[key].items():
+            fresh = prob(K)
             max_diff = max(max_diff, abs(fresh - v))
-            ok &= fresh < eps / 2.0
-    return {"max_diff": max_diff, "all_below": bool(ok)}
+            all_below &= fresh < c["eps"] / 2.0
+    K, t = 8, 256
+    escape = abs(level_hit_cdf(2 * K, t) - level_hit_cdf_absorbing(2 * K, t))
+    exit_ = abs(interior_survival(q, K, t) - interior_survival_absorbing(q, K, t))
+    return {
+        "max_diff": max_diff,
+        "all_below": all_below,
+        "absorbing_cross_check_escape": escape,
+        "absorbing_cross_check_exit": exit_,
+        "pass": max_diff == 0.0 and all_below and all(
+            d <= CROSS_CHECK_TOL for d in (escape, exit_)),
+    }

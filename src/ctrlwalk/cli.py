@@ -22,16 +22,11 @@ import numpy as np
 from . import __version__
 from .analysis import (
     ChainSpec,
-    band_sum_direct,
     calibrate_lemma5,
     calibrate_lemma6,
     check_sweep_params,
     exponent_sweep,
     heat_kernel_profile,
-    interior_survival,
-    interior_survival_absorbing,
-    level_hit_cdf,
-    level_hit_cdf_absorbing,
     reversibility_check,
     sweep_policy,
     verify_lemma5_certificate,
@@ -100,6 +95,8 @@ _FLAGS = {
 # the runs that sample and so need --seed: (command, its method or what)
 _SAMPLING_RUNS = {("simulate", None), ("barriers", None), ("exponent", "mc"), ("verify", "lemma0")}
 _VARIANT_KEY = {"exponent": "method", "verify": "what"}
+# verify targets that replay a calibration certificate; each returns its verdict as "pass"
+_CERTIFICATE_CHECKS = {"lemma5": verify_lemma5_certificate, "lemma6": verify_lemma6_certificate}
 
 
 def _plain(x):
@@ -346,9 +343,13 @@ def _cmd_exponent(cfg, echo, out):
 
 def _cmd_verify(cfg):
     what = cfg["what"]
-    if what in ("lemma5", "lemma6"):
+    if what in _CERTIFICATE_CHECKS:
         with open(_resolve_out(cfg["cert"])) as fh:
             cert = json.load(fh)
+        rep = _CERTIFICATE_CHECKS[what](cert)
+        ok = rep.pop("pass")
+        return {"replay_max_diff": rep.pop("max_diff"), **rep}, "exact", ok
+
     if what == "lemma0":
         res = lemma0_check(
             cfg["q"], cfg["h"], cfg["delta"], cfg["ell"], trials=cfg["trials"], seed=cfg["seed"]
@@ -361,43 +362,6 @@ def _cmd_verify(cfg):
         }
         ok = not res.violation
         return payload, {"method": "mc", "seed": cfg["seed"], "trials": res.trials}, ok
-
-    if what == "lemma5":
-        rep = verify_lemma5_certificate(cert)
-        K0 = cert["K0"]
-        k0_entries = [e for e in cert["entries"] if e["K"] == K0]
-        direct = band_sum_direct(
-            cert["q_cap"], K0, k0_entries[0]["band"], k0_entries[0]["t"],
-            [e["y"] for e in k0_entries],
-        )
-        cross = max(abs(direct[e["y"]] - e["sum"]) for e in k0_entries)
-        payload = {
-            "replay_max_diff": rep["max_diff"],
-            "all_exceed": rep["all_exceed"],
-            "entries": rep["entries"],
-            "direct_sum_max_diff": cross,
-        }
-        ok = rep["all_exceed"] and rep["max_diff"] == 0.0 and cross <= 1e-12
-        return payload, "exact", ok
-
-    if what == "lemma6":
-        rep = verify_lemma6_certificate(cert)
-        # small-scale dual route: absorbing evolution vs both closed forms
-        k_small = 8
-        t_small = 4 * k_small * k_small
-        d1 = abs(level_hit_cdf(2 * k_small, t_small) - level_hit_cdf_absorbing(2 * k_small, t_small))
-        d2 = abs(
-            interior_survival(cert["q"], k_small, t_small)
-            - interior_survival_absorbing(cert["q"], k_small, t_small)
-        )
-        payload = {
-            "replay_max_diff": rep["max_diff"],
-            "all_below": rep["all_below"],
-            "absorbing_cross_check_escape": d1,
-            "absorbing_cross_check_exit": d2,
-        }
-        ok = rep["all_below"] and rep["max_diff"] == 0.0 and d1 <= 1e-12 and d2 <= 1e-12
-        return payload, "exact", ok
 
     if what == "reversibility":
         q, band, mode = cfg["q"], cfg["band"], cfg["mode"]

@@ -93,7 +93,8 @@ class LatticeDistribution:
         return self.mass[0] + self.mass[1]
 
     def mass_at(self, x: int, flag: int | None = None):
-        j = x - self.offset
+        """Mass at site x (0 off the window), summed over both flags unless flag names one."""
+        j, flag = as_index(x, "x") - self.offset, _check_flag(flag)
         if j < 0 or j >= self.width:
             return _as_mode_value(0, self.mode)
         if flag is None:

@@ -197,12 +197,9 @@ def multiscale_qto1_schedule(q_cap: float, A: int, n: int) -> list[ScheduleSegme
     segments = []
     if breakpoints[L] > 0:
         segments.append(ScheduleSegment(0, breakpoints[L], constant_policy(q_cap, 0.0)))
-    for ell in range(L, -1, -1):
-        t0 = breakpoints[ell]
+    for ell in range(L, -1, -1):  # A*4^ell <= n, so T_ell < T_{ell-1}: no phase is empty
         t1 = breakpoints[ell - 1] if ell > 0 else n
-        if t0 >= t1:
-            continue
-        segments.append(ScheduleSegment(t0, t1, fast_until_zero_policy(q_cap)))
+        segments.append(ScheduleSegment(breakpoints[ell], t1, fast_until_zero_policy(q_cap)))
     return segments
 
 

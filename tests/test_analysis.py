@@ -1,5 +1,8 @@
 """Exponent fits, chain structure checks, closed-form calibrations."""
 
+import copy
+import functools
+import json
 import math
 import os
 import subprocess
@@ -16,7 +19,10 @@ from ctrlwalk import (
     RATIONAL,
     CalibrationError,
     ChainSpec,
+    LatticeDistribution,
     ParameterError,
+    PolicySpec,
+    ScheduleSegment,
     band_sum_direct,
     barrier_family,
     band_sum_profile,
@@ -25,6 +31,7 @@ from ctrlwalk import (
     constant_policy,
     early_exit_probability,
     escape_probability,
+    evolve,
     exponent_sweep,
     fast_until_zero_policy,
     fit_exponent,
@@ -37,7 +44,11 @@ from ctrlwalk import (
     level_hit_cdf,
     level_hit_cdf_absorbing,
     multiscale_localization_schedule,
+    multiscale_qto1_schedule,
     reversibility_check,
+    run_batch,
+    schedule_policy,
+    solve_extremal,
     sweep_policy,
     two_zone_policy,
     verify_lemma5_certificate,
@@ -387,12 +398,14 @@ class TestBandSumIdentity:
         rep = verify_lemma5_certificate(cert)
         assert rep["max_diff"] == 0.0
         assert rep["all_exceed"]
+        assert rep["direct_sum_max_diff"] <= 1e-12 and rep["pass"] is True
 
     def test_tampered_certificate_caught(self):
         cert = calibrate_lemma5(0.5)
         cert["entries"][0]["sum"] += 1e-9
         rep = verify_lemma5_certificate(cert)
         assert rep["max_diff"] > 0.0
+        assert rep["all_exceed"] and rep["pass"] is False  # every sum still clears 1 + eps
 
     def test_hopeless_grid_raises(self, monkeypatch):
         for name, grid in (("L5_ALPHAS", (0.25,)), ("L5_BETAS", (0.25,)), ("L5_K0S", (4,))):
@@ -456,10 +469,157 @@ class TestEscapeCalibration:
         rep = verify_lemma6_certificate(cert)
         assert rep["max_diff"] == 0.0
         assert rep["all_below"]
+        assert rep["absorbing_cross_check_escape"] <= 1e-12
+        assert rep["absorbing_cross_check_exit"] <= 1e-12 and rep["pass"] is True
 
     def test_unreachable_eps_raises(self):
         with pytest.raises(CalibrationError):
             calibrate_lemma6(1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _written(lemma):
+    return calibrate_lemma5(0.5) if lemma == 5 else calibrate_lemma6(0.2)
+
+
+def _cert(lemma):
+    """A fresh copy of the certificate calibrate writes for lemma 5 (q 0.5) or 6 (eps 0.2)."""
+    return copy.deepcopy(_written(lemma))
+
+
+_VERIFY = {5: verify_lemma5_certificate, 6: verify_lemma6_certificate}
+
+
+def _set(*path, value):
+    """A change to a certificate: the item at path (keys and indices) set to value."""
+    def change(cert):
+        for key in path[:-1]:
+            cert = cert[key]
+        cert[path[-1]] = value
+    return change
+
+
+def _drop(*path):
+    def change(cert):
+        for key in path[:-1]:
+            cert = cert[key]
+        del cert[path[-1]]
+    return change
+
+
+class TestCertificates:
+    """verify_lemma5_certificate and verify_lemma6_certificate read, replay and judge."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_every_lemma5_certificate_replays(self, q):
+        cert = calibrate_lemma5(q)
+        for c in (cert, json.loads(json.dumps(cert))):  # as returned and as stored
+            rep = verify_lemma5_certificate(c)
+            assert rep["max_diff"] == 0.0 and rep["pass"] is True
+            assert list(rep) == ["max_diff", "all_exceed", "entries", "direct_sum_max_diff", "pass"]
+
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.25, 0.5])
+    def test_every_lemma6_certificate_replays(self, eps):
+        cert = calibrate_lemma6(eps)
+        for c in (cert, json.loads(json.dumps(cert))):
+            rep = verify_lemma6_certificate(c)
+            assert rep["max_diff"] == 0.0 and rep["pass"] is True
+            assert list(rep) == ["max_diff", "all_below", "absorbing_cross_check_escape",
+                                 "absorbing_cross_check_exit", "pass"]
+
+    def test_sum_past_its_bound_fails(self):
+        cert = _cert(5)
+        cert["eps"] = cert["min_margin"]  # the worst sum no longer exceeds 1 + eps
+        rep = verify_lemma5_certificate(cert)
+        assert rep["max_diff"] == 0.0 and not rep["all_exceed"] and rep["pass"] is False
+
+    def test_probability_past_its_bound_fails(self):
+        cert = _cert(6)
+        cert["eps"] = 2 * max(cert["escape_by_K"].values())
+        rep = verify_lemma6_certificate(cert)
+        assert rep["max_diff"] == 0.0 and not rep["all_below"] and rep["pass"] is False
+
+    def test_tampered_lemma6_value_fails(self):
+        cert = _cert(6)
+        cert["early_exit_by_K"]["64"] *= 1.0 + 1e-9
+        rep = verify_lemma6_certificate(cert)
+        assert rep["max_diff"] > 0.0 and rep["all_below"] and rep["pass"] is False
+
+    def test_direct_sum_cross_check_judged(self, monkeypatch):
+        direct = analysis.band_sum_direct
+        monkeypatch.setattr(analysis, "band_sum_direct",
+                            lambda *a: {y: v + 2e-12 for y, v in direct(*a).items()})
+        rep = verify_lemma5_certificate(_cert(5))
+        assert rep["max_diff"] == 0.0 and rep["all_exceed"]
+        assert rep["direct_sum_max_diff"] > 1e-12 and rep["pass"] is False
+
+    @pytest.mark.parametrize("name, key", [
+        ("level_hit_cdf_absorbing", "absorbing_cross_check_escape"),
+        ("interior_survival_absorbing", "absorbing_cross_check_exit"),
+    ])
+    def test_absorbing_cross_checks_judged(self, monkeypatch, name, key):
+        route = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *a: route(*a) + 2e-12)
+        rep = verify_lemma6_certificate(_cert(6))
+        assert rep["max_diff"] == 0.0 and rep["all_below"]
+        assert rep[key] > 1e-12 and rep["pass"] is False
+
+    @pytest.mark.parametrize("lemma, change, message", [
+        pytest.param(5, None, "certificate must be a JSON object", id="5-not-an-object"),
+        pytest.param(6, None, "certificate must be a JSON object", id="6-not-an-object"),
+        pytest.param(5, _drop("entries"), "certificate lacks entries", id="5-missing-entries"),
+        pytest.param(5, _drop("K0"), "certificate lacks K0", id="5-missing-K0"),
+        pytest.param(5, _drop("entries", 0, "sum"), r"entries\[0\] lacks sum", id="5-missing-sum"),
+        pytest.param(6, _drop("escape_by_K"), "certificate lacks escape_by_K", id="6-missing-table"),
+        pytest.param(6, _drop("q"), "certificate lacks q", id="6-missing-q"),
+        pytest.param(5, _set("entries", 0, "K", value=4.5), "K must be an integer", id="5-K-float"),
+        pytest.param(5, _set("entries", 0, "band", value="1"), "band must be an integer",
+                     id="5-band-string"),
+        pytest.param(5, _set("entries", 0, "t", value=True), "t must be an integer", id="5-t-bool"),
+        pytest.param(5, _set("entries", 0, "y", value=None), "y must be an integer", id="5-y-null"),
+        pytest.param(5, _set("K0", value=4.0), "K0 must be an integer", id="5-K0-float"),
+        pytest.param(5, _set("K0", value=5), "no entry at K0=5", id="5-no-entry-at-K0"),
+        pytest.param(5, _set("entries", value={"K": 4}), "entries must be a list",
+                     id="5-entries-not-a-list"),
+        pytest.param(5, _set("entries", 1, value=[1, 2]), r"entries\[1\] must be a JSON object",
+                     id="5-entry-not-an-object"),
+        pytest.param(5, _set("entries", 0, "sum", value="1.5"), "sum must be a finite number",
+                     id="5-sum-string"),
+        pytest.param(5, _set("entries", 0, "sum", value=math.nan), "sum must be a finite number",
+                     id="5-sum-nan"),
+        pytest.param(5, _set("q_cap", value="abc"), "q_cap must be a finite number",
+                     id="5-cap-string"),
+        pytest.param(5, _set("eps", value=None), "eps must be a finite number", id="5-eps-null"),
+        pytest.param(5, _set("q_cap", value=1.0), "q_cap must lie in", id="5-cap-one"),
+        pytest.param(6, _set("escape_by_K", "x", value=0.1), "escape_by_K key 'x' is not an integer",
+                     id="6-key-not-an-integer"),
+        pytest.param(6, _set("escape_by_K", "064", value=0.1),
+                     "escape_by_K key '064' is not an integer in canonical form",
+                     id="6-key-not-canonical"),
+        pytest.param(6, _set("early_exit_by_K", " 64", value=0.1), "is not an integer in canonical form",
+                     id="6-key-padded"),
+        pytest.param(6, _set("escape_by_K", 64, value=0.1), "escape_by_K names K=64 twice",
+                     id="6-key-repeated"),
+        pytest.param(6, _set("early_exit_by_K", "64", value="0.1"), "must be a finite number",
+                     id="6-value-string"),
+        pytest.param(6, _set("early_exit_by_K", "64", value=math.inf), "must be a finite number",
+                     id="6-value-inf"),
+        pytest.param(6, _set("escape_by_K", value=[0.1]), "escape_by_K must be an object",
+                     id="6-table-not-an-object"),
+        pytest.param(6, _set("escape_by_K", "0", value=0.1), "K must be >= 1", id="6-scale-zero"),
+        pytest.param(6, _set("A", value=256.0), "A must be an integer", id="6-A-float"),
+        pytest.param(6, _set("A", value=0), "A must be >= 1", id="6-A-zero"),
+        pytest.param(6, _set("q", value=1.0), "q_cap must lie in", id="6-cap-one"),
+    ])
+    def test_malformed_certificate_rejected(self, lemma, change, message):
+        cert, verify = _cert(lemma), _VERIFY[lemma]
+        assert verify(cert)["pass"] is True
+        if change is None:
+            cert = [cert]
+        else:
+            change(cert)
+        with pytest.raises(ParameterError, match=message):
+            verify(cert)
 
 
 class TestBadLibraryInputs:
@@ -498,10 +658,71 @@ class TestBadLibraryInputs:
                      id="sweep-min-n-float"),
         pytest.param(lambda: level_hit_cdf_absorbing(0, 5), id="absorbing-level-zero"),
         pytest.param(lambda: level_hit_cdf_absorbing(1.5, 5), id="absorbing-level-float"),
+        pytest.param(lambda: solve_extremal(0.5, 0), id="solve-n-zero"),
+        pytest.param(lambda: solve_extremal(0.5, 4, "median"), id="solve-objective"),
+        pytest.param(lambda: heat_kernel_profile(ChainSpec(0.5, 2), [0, 4]), id="heat-kernel-t-zero"),
+        pytest.param(lambda: calibrate_lemma5(0.0), id="lemma5-cap-zero"),
+        pytest.param(lambda: calibrate_lemma5(1.0), id="lemma5-cap-one"),
+        pytest.param(lambda: calibrate_lemma6(1.0), id="lemma6-eps-one"),
+        pytest.param(lambda: interior_survival(0.5, 0, 3), id="survival-K-zero"),
+        pytest.param(lambda: barrier_family(64, -0.5), id="barrier-beta-negative"),
+        pytest.param(lambda: lemma0_check(0.5, 1, 1.5, 48), id="lemma0-delta-above-one"),
+        pytest.param(lambda: lemma_ori_check(0.5, 0, 2, trials=10), id="lemma-ori-K-zero"),
+        pytest.param(lambda: lemma_ori_check(0.5, 1, 0, trials=10), id="lemma-ori-A-zero"),
+        pytest.param(lambda: lemma_ori_check(0.5, 1, 2, trials=0), id="lemma-ori-no-trials"),
+        pytest.param(lambda: schedule_policy(0.5, [ScheduleSegment(0, 0, constant_policy(0.5, 0.5))]),
+                     id="schedule-empty-segment"),
+        pytest.param(lambda: multiscale_localization_schedule(0.5, 1.0, 1.0, 1, 1024),
+                     id="schedule-beta-one"),
+        pytest.param(lambda: multiscale_localization_schedule(0.5, 1.0, 0.5, 4, 8),
+                     id="schedule-horizon-short"),
+        pytest.param(lambda: multiscale_qto1_schedule(0.5, 0, 64), id="qto1-A-zero"),
+        pytest.param(lambda: evolve(PolicySpec("warp", 0.5, {}), 4), id="evolve-unknown-kind"),
+        pytest.param(lambda: run_batch(PolicySpec("warp", 0.5, {}), 4, trials=4, seed=1),
+                     id="batch-unknown-kind"),
+        pytest.param(lambda: LatticeDistribution(0, 0, np.ones((1, 1))), id="law-one-row"),
+        pytest.param(lambda: LatticeDistribution(0, 0, np.array([[0.0], [1.0]]), mode="float32"),
+                     id="law-mode"),
     ])
     def test_parameter_error(self, call):
         with pytest.raises(ParameterError):
             call()
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: escape_probability(-1, 2), "A must be >= 1", id="escape-A-negative"),
+        pytest.param(lambda: escape_probability(1.5, 2), "A must be an integer", id="escape-A-float"),
+        pytest.param(lambda: escape_probability(1, 0), "K must be >= 1", id="escape-K-zero"),
+        pytest.param(lambda: escape_probability(1, "2"), "K must be an integer", id="escape-K-string"),
+        pytest.param(lambda: early_exit_probability(0.5, -1, 2), "A must be >= 1",
+                     id="early-exit-A-negative"),
+        pytest.param(lambda: early_exit_probability(0.5, 2, 0), "K must be >= 1",
+                     id="early-exit-K-zero"),
+        pytest.param(lambda: early_exit_probability(0.5, 2.0, 2), "A must be an integer",
+                     id="early-exit-A-float"),
+        pytest.param(lambda: level_hit_cdf(1, -1), "t must be >= 0", id="level-t-negative"),
+        pytest.param(lambda: level_hit_cdf_absorbing(1, -1), "t must be >= 0",
+                     id="absorbing-level-t-negative"),
+        pytest.param(lambda: level_hit_cdf(0, 5), "level must be >= 1", id="level-zero"),
+        pytest.param(lambda: interior_survival(0.5, 2, -3), "s must be >= 0", id="survival-s-negative"),
+        pytest.param(lambda: interior_survival_absorbing(0.5, 2, -3), "s must be >= 0",
+                     id="absorbing-survival-s-negative"),
+        pytest.param(lambda: interior_survival_absorbing(0.5, 0, 3), "K must be >= 1",
+                     id="absorbing-survival-K-zero"),
+        pytest.param(lambda: interior_survival_absorbing(0.5, 2.5, 3), "K must be an integer",
+                     id="absorbing-survival-K-float"),
+        pytest.param(lambda: interior_survival_absorbing(0.5, 2, 3.5), "s must be an integer",
+                     id="absorbing-survival-s-float"),
+        pytest.param(lambda: interior_survival_absorbing(1.0, 2, 3), "q_cap must lie in",
+                     id="absorbing-survival-cap-one"),
+    ])
+    def test_closed_forms_name_their_argument(self, call, message):
+        # escape_probability(-1, 2) read 1.0, early_exit_probability(0.5, -1, 2) 0.0,
+        # level_hit_cdf(1, -1) 0.0 and interior_survival(0.5, 2, -3) 1.0
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+    def test_survival_over_no_steps_is_one(self):
+        assert interior_survival(0.5, 2, 0) == interior_survival_absorbing(0.5, 2, 0) == 1.0
 
     def test_probe_caps_read_as_floats_first(self):
         # the cap is read as the policy builders read it, before any other check

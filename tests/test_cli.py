@@ -493,6 +493,8 @@ class TestVerifyAndCalibrate:
         assert code == 0
         assert rec["payload"]["replay_max_diff"] == 0.0
         assert rec["payload"]["direct_sum_max_diff"] <= 1e-12
+        assert list(rec["payload"]) == [
+            "replay_max_diff", "all_exceed", "entries", "direct_sum_max_diff"]
 
     def test_lemma6_end_to_end(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
@@ -506,6 +508,27 @@ class TestVerifyAndCalibrate:
         rec = record_from(out)
         assert code == 0
         assert rec["payload"]["replay_max_diff"] == 0.0
+        assert list(rec["payload"]) == [
+            "replay_max_diff", "all_below", "absorbing_cross_check_escape",
+            "absorbing_cross_check_exit"]
+
+    @pytest.mark.parametrize("what, cert, message", [
+        ("lemma5", [1, 2], "certificate must be a JSON object"),
+        ("lemma6", "cert", "certificate must be a JSON object"),
+        ("lemma5", {"q_cap": 0.5, "eps": 0.1, "K0": 4}, "certificate lacks entries"),
+        ("lemma5", {"q_cap": 0.5, "eps": 0.1, "K0": 4,
+                    "entries": [{"K": 4, "band": 1, "t": 4, "y": 0.5, "sum": 1.2}]},
+         "y must be an integer"),
+        ("lemma6", {"A": 1, "q": 0.5, "eps": 0.1, "escape_by_K": {"x": 0.1},
+                    "early_exit_by_K": {}}, "escape_by_K key 'x' is not an integer"),
+        ("lemma6", {"A": 1, "q": 0.5, "eps": 0.1, "escape_by_K": {"4": "0.1"},
+                    "early_exit_by_K": {}}, "must be a finite number"),
+    ])
+    def test_malformed_certificate_is_exit_2(self, capsys, tmp_path, what, cert, message):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        assert run_command(["verify", what, "--cert", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_reversibility(self, capsys):
         code, out = run(

@@ -70,10 +70,15 @@ class TestPointMass:
     def test_bad_site_and_flag_rejected(self, x, flag):
         with pytest.raises(ParameterError):
             point_mass(x, flag)
+        with pytest.raises(ParameterError):  # a law reads a site as point_mass does
+            point_mass(0).mass_at(x, flag)
+        with pytest.raises(ParameterError):  # was an IndexError
+            point_mass(0).mass_at(0.5)
 
     def test_numpy_integer_site_and_flag_accepted(self):
         d = point_mass(np.int64(5), np.int8(HIT_ZERO))
         assert type(d.offset) is int and d.offset == 5 and d.mass_at(5, HIT_ZERO) == 1.0
+        assert d.mass_at(np.int64(5), np.int8(HIT_ZERO)) == 1.0 and d.mass_at(np.int32(4)) == 0.0
 
 
 class TestStep:
@@ -274,6 +279,9 @@ class TestValidation:
         m[0, 0] = 0.5
         with pytest.raises(InvariantError):
             LatticeDistribution(time=0, offset=1, mass=m, mode=FLOAT)
+        half = np.array([[Fraction(1, 2)], [Fraction(0)]], dtype=object)
+        with pytest.raises(InvariantError, match="total mass is 1/2"):
+            LatticeDistribution(time=0, offset=1, mass=half, mode=RATIONAL)
 
     def test_control_above_cap_rejected(self):
         d = point_mass(1)

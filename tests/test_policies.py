@@ -181,6 +181,23 @@ class TestSchedules:
         assert bands == sorted(bands, reverse=True)
         assert bands[-1] == 4
 
+    def test_localization_skips_empty_phases(self):
+        # at beta = 0.9 the floors of neighbouring breakpoints coincide 27 times
+        segs = multiscale_localization_schedule(0.5, 0.001, 0.9, 1, 1000)
+        assert segs[0].t_start == 0 and segs[-1].t_end == 1000
+        assert all(a.t_end == b.t_start for a, b in zip(segs, segs[1:]))
+        assert all(s.t_start < s.t_end for s in segs)
+        schedule_policy(0.5, segs)
+
+    def test_qto1_phases_tile_the_horizon(self):
+        # A*4^L <= n keeps every phase nonempty, so the builder skips none
+        for A in (1, 2, 3, 4, 7, 39):
+            for n in range(A + 1, 1200):
+                segs = multiscale_qto1_schedule(0.5, A, n)
+                assert segs[0].t_start == 0 and segs[-1].t_end == n
+                assert all(a.t_end == b.t_start for a, b in zip(segs, segs[1:]))
+                assert all(s.t_start < s.t_end for s in segs)
+
     def test_qto1_shape(self):
         # n = A*4^L exactly: the refinement budget consumes the whole horizon,
         # every segment is a search-then-stick phase, lengths telescope by 4

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import defaults
 from .dp import MAX, _forward, _forward_curve, _optimal_curve, evolve, solve_extremal
-from .errors import CalibrationError, ParameterError, as_index, as_real
+from .errors import CalibrationError, ParameterError, as_count, as_index, as_real
 from .lattice import FLOAT, RATIONAL, _as_mode_value, interval_mass
 from .montecarlo import estimate_hit
 from .policies import (
@@ -54,7 +54,7 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
     Points with n below min_n are dropped before fitting (pre-asymptotic
     transients bias the slope); the cutoff is recorded in the result.
     """
-    pts = [(as_index(n, "n"), float(p)) for n, p in points]
+    pts = [(as_count(n, "n", 1), float(p)) for n, p in points]
     min_n = as_index(min_n, "min_n")
     if len(pts) < 3:
         raise ParameterError("need at least 3 points")
@@ -111,6 +111,7 @@ def check_sweep_params(policy_kind: str, params: dict, extra=()) -> None:
 
 def sweep_policy(policy_kind: str, q_cap: float, n: int, params: dict) -> PolicySpec:
     """Builtin policy for one sweep point; schedule kinds scale with n."""
+    n = as_count(n, "n")
     if policy_kind == "constant":
         return constant_policy(q_cap, params.get("u_value", q_cap))
     if policy_kind == "two-zone":
@@ -230,9 +231,7 @@ class ChainSpec:
 
 def reversibility_check(chain: ChainSpec, K_window: int):
     """Max |pi(x) k(x,y) - pi(y) k(y,x)| over pairs inside [-K, K]."""
-    K_window = as_index(K_window, "window")
-    if K_window < 0:
-        raise ParameterError(f"window must be >= 0, got {K_window}")
+    K_window = as_count(K_window, "window")
     worst = _as_mode_value(0, chain.mode)
     for x in range(-K_window, K_window + 1):
         for y in (x, x + 1):
@@ -252,8 +251,8 @@ def heat_kernel_profile(chain: ChainSpec, t_grid) -> dict:
     empirical bound constant. Exact evolution under the matching two-zone
     policy from HK_PROBE_FACTORS x band; use even t to dodge parity oscillation.
     """
-    t_grid = sorted({as_index(t, "time in t_grid") for t in t_grid})
-    if not t_grid or t_grid[0] < 1:
+    t_grid = sorted({as_count(t, "time in t_grid", 1) for t in t_grid})
+    if not t_grid:
         raise ParameterError("t_grid must contain positive times")
     probes = tuple(sorted({int(f * chain.band_halfwidth) for f in defaults.HK_PROBE_FACTORS}))
     pol = two_zone_policy(chain.q_cap, chain.band_halfwidth)
@@ -311,15 +310,18 @@ def band_sum_profile(q_cap: float, K: int, band: int, t: int, ys) -> dict:
 def band_sum_direct(q_cap: float, K: int, band: int, t: int, ys) -> dict:
     """Same column sums by brute force: one evolution per start x in [-K, K]."""
     pol = two_zone_policy(q_cap, band)
-    K, ys = as_index(K, "K"), [as_index(y, "y") for y in ys]
-    if K < 0:
-        raise ParameterError(f"K must be >= 0, got {K}")
+    K, ys = as_count(K, "K"), [as_index(y, "y") for y in ys]
     total = {y: 0.0 for y in ys}
     for x in range(-K, K + 1):
         d = evolve(pol, t, x)
         for y in ys:
             total[y] += float(d.mass_at(y))
     return total
+
+
+def _lemma5_scales(alpha: float, beta: float, K0: int) -> list:
+    """(K, band floor(beta*K), horizon round(alpha*K^2)) at K = K0, 2*K0, 4*K0."""
+    return [(K, int(math.floor(beta * K)), int(round(alpha * K * K))) for K in (K0, 2 * K0, 4 * K0)]
 
 
 def calibrate_lemma5(q_cap: float) -> dict:
@@ -341,9 +343,7 @@ def calibrate_lemma5(q_cap: float) -> dict:
             for alpha in defaults.L5_ALPHAS:
                 entries = []
                 margin = math.inf
-                for K in (K0, 2 * K0, 4 * K0):
-                    band = int(math.floor(beta * K))
-                    t = int(round(alpha * K * K))
+                for K, band, t in _lemma5_scales(alpha, beta, K0):
                     ys = range(-band, band + 1)
                     sums = band_sum_profile(q_cap, K, band, t, ys)
                     for y, s in sums.items():
@@ -372,18 +372,10 @@ def calibrate_lemma5(q_cap: float) -> dict:
 # exit/containment calibration (free escape, lazy containment)
 
 
-def _count(value, name: str, low: int) -> int:
-    """value read by as_index; ParameterError naming it if below low."""
-    value = as_index(value, name)
-    if value < low:
-        raise ParameterError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
 def level_hit_cdf(a: int, t: int) -> float:
     """P(simple walk from 0 reaches level a within t steps), by reflection."""
     from scipy.stats import binom  # imported here: it costs about a second per process
-    a, t = _count(a, "level", 1), _count(t, "t", 0)
+    a, t = as_count(a, "level", 1), as_count(t, "t")
     if t < a:
         return 0.0
     m = t + a
@@ -400,7 +392,7 @@ def interior_survival(q_cap: float, K: int, s: int) -> float:
     sites: eigenvalues q + (1-q) cos(pi j / 2K), eigenvectors
     sin(pi j (x+K) / 2K), started from the delta at 0.
     """
-    q_cap, K, s = _check_cap(q_cap), _count(K, "K", 1), _count(s, "s", 0)
+    q_cap, K, s = _check_cap(q_cap), as_count(K, "K", 1), as_count(s, "s")
     if s == 0:
         return 1.0
     j = np.arange(1, 2 * K, dtype=np.float64)
@@ -421,27 +413,27 @@ def level_hit_cdf_absorbing(a: int, t: int) -> float:
 
     The walk cannot get below -t, so the live interval starts there.
     """
-    a, t = _count(a, "level", 1), _count(t, "t", 0)
+    a, t = as_count(a, "level", 1), as_count(t, "t")
     d = evolve(constant_policy(0.0, 0.0), t, live=(-t, a - 1))
     return float(interval_mass(d, a, a))
 
 
 def interior_survival_absorbing(q_cap: float, K: int, s: int) -> float:
     """Dual route for interior_survival: freeze all mass at |x| >= K."""
-    q_cap, K, s = _check_cap(q_cap), _count(K, "K", 1), _count(s, "s", 0)
+    q_cap, K, s = _check_cap(q_cap), as_count(K, "K", 1), as_count(s, "s")
     d = evolve(constant_policy(q_cap, q_cap), s, live=(-K + 1, K - 1))
     return float(interval_mass(d, -K + 1, K - 1))
 
 
 def escape_probability(A: int, K: int) -> float:
     """P(free walk has NOT reached level 2K within A*K^2 steps)."""
-    A, K = _count(A, "A", 1), _count(K, "K", 1)
+    A, K = as_count(A, "A", 1), as_count(K, "K", 1)
     return 1.0 - level_hit_cdf(2 * K, A * K * K)
 
 
 def early_exit_probability(q_cap: float, A: int, K: int) -> float:
     """P(lazy-q walk from 0 hits -K or +K strictly before A*K^2 steps)."""
-    A, K = _count(A, "A", 1), _count(K, "K", 1)
+    A, K = as_count(A, "A", 1), as_count(K, "K", 1)
     return 1.0 - interior_survival(q_cap, K, A * K * K - 1)
 
 
@@ -538,18 +530,39 @@ def _by_scale(value, name: str) -> dict:
     return table
 
 
+def _scale_list(value, name: str) -> list:
+    """A non-empty list of scales K >= 1."""
+    if not isinstance(value, list) or not value:
+        raise ParameterError(f"{name} must be a non-empty list, got {value!r}")
+    return [as_count(K, name, 1) for K in value]
+
+
 def verify_lemma5_certificate(cert) -> dict:
     """Replay a calibrate_lemma5 certificate: pass needs every sum bitwise
     (max_diff == 0.0) and above 1 + eps (all_exceed), and the K0 sums within
-    CROSS_CHECK_TOL of a direct summation (direct_sum_max_diff).
+    CROSS_CHECK_TOL of a direct summation (direct_sum_max_diff). The entries
+    must be those calibrate_lemma5 writes for the certificate's alpha, beta
+    and K0: each y of each scale's band, once, and no other.
     """
     c = _certificate(cert, {"q_cap": _finite, "eps": _finite, "K0": as_index,
                             "entries": _band_sum_entries})
+    alpha, beta = _certificate(cert, {"alpha": _finite, "beta": _finite}).values()
     groups = {}
     for e in c["entries"]:
         groups.setdefault((e["K"], e["band"], e["t"]), []).append(e)
-    if not any(K == c["K0"] for K, _, _ in groups):
-        raise ParameterError(f"certificate has no entry at K0={c['K0']}")
+    try:
+        scales = _lemma5_scales(alpha, beta, c["K0"])
+    except OverflowError:
+        raise ParameterError(f"alpha={alpha}, beta={beta} and K0={c['K0']} give no finite scales") from None
+    for label, (K, band, t) in zip(("K0", "2K0", "4K0"), scales):
+        ys = sorted(e["y"] for e in groups.get((K, band, t), ()))
+        if ys != list(range(-band, band + 1)):
+            raise ParameterError(f"certificate has no entry at {label}={K} (band={band}, t={t}) for "
+                                 f"each y in [-{band}, {band}], or has one twice")
+    extra = set(groups) - set(scales)
+    if extra:
+        raise ParameterError(f"certificate has entries at (K, band, t) = {min(extra)}, not a scale "
+                             f"of its alpha, beta and K0")
     max_diff, all_exceed, cross = 0.0, True, 0.0
     for (K, band, t), entries in groups.items():
         ys = [e["y"] for e in entries]
@@ -572,10 +585,12 @@ def verify_lemma5_certificate(cert) -> dict:
 def verify_lemma6_certificate(cert) -> dict:
     """Replay a calibrate_lemma6 certificate: pass needs both families bitwise
     (max_diff == 0.0) and below eps/2 (all_below), and both closed forms within
-    CROSS_CHECK_TOL of absorbing evolution at K = 8, t = 4K^2.
+    CROSS_CHECK_TOL of absorbing evolution at K = 8, t = 4K^2. Each table must
+    name exactly the certificate's scales Ks.
     """
     c = _certificate(cert, {"eps": _finite, "A": as_index, "q": _finite,
                             "escape_by_K": _by_scale, "early_exit_by_K": _by_scale})
+    Ks = _certificate(cert, {"Ks": _scale_list})["Ks"]
     A, q = c["A"], c["q"]
     max_diff, all_below = 0.0, True
     for key, prob in (("escape_by_K", lambda K: escape_probability(A, K)),
@@ -584,6 +599,8 @@ def verify_lemma6_certificate(cert) -> dict:
             fresh = prob(K)
             max_diff = max(max_diff, abs(fresh - v))
             all_below &= fresh < c["eps"] / 2.0
+        if set(c[key]) != set(Ks):
+            raise ParameterError(f"{key} must name exactly the scales Ks={Ks}, got {sorted(c[key])}")
     K, t = 8, 256
     escape = abs(level_hit_cdf(2 * K, t) - level_hit_cdf_absorbing(2 * K, t))
     exit_ = abs(interior_survival(q, K, t) - interior_survival_absorbing(q, K, t))

@@ -113,6 +113,20 @@ def _resolve_out(path: str) -> str:
     return path
 
 
+def _load_json(path: str):
+    """The JSON value a file holds; a key repeated in one object raises ParameterError."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParameterError(f"{path} repeats key {key!r}")
+            obj[key] = value
+        return obj
+
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=unique)
+
+
 def _grid(value):
     """--n-grid and --t-grid: a comma list such as "128,256" as ints; a JSON list as it is."""
     return [int(v) for v in value.split(",") if v] if isinstance(value, str) else value
@@ -132,8 +146,7 @@ def parse_policy(spec, n: int | None = None):
     if not isinstance(spec, str):
         raise ParameterError(f"cannot parse policy from {spec!r}")
     if spec.startswith("file:"):
-        with open(spec[5:]) as fh:
-            return policy_from_json(json.load(fh))
+        return policy_from_json(_load_json(spec[5:]))
     kind, _, rest = spec.partition(":")
     params = {}
     for item in filter(None, rest.split(",")):
@@ -344,9 +357,7 @@ def _cmd_exponent(cfg, echo, out):
 def _cmd_verify(cfg):
     what = cfg["what"]
     if what in _CERTIFICATE_CHECKS:
-        with open(_resolve_out(cfg["cert"])) as fh:
-            cert = json.load(fh)
-        rep = _CERTIFICATE_CHECKS[what](cert)
+        rep = _CERTIFICATE_CHECKS[what](_load_json(_resolve_out(cfg["cert"])))
         ok = rep.pop("pass")
         return {"replay_max_diff": rep.pop("max_diff"), **rep}, "exact", ok
 
@@ -480,8 +491,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     subcommand declares; undeclared keys pass through."""
     echo = {}
     if args.config:
-        with open(args.config) as fh:
-            echo = json.load(fh)
+        echo = _load_json(args.config)
         if not isinstance(echo, dict):
             raise ParameterError("config file must hold a flat JSON object")
     flags = vars(args).items()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .errors import InvariantError, ParameterError, as_index
+from .errors import InvariantError, ParameterError, as_count, as_index
 from .lattice import (
     FLOAT,
     HIT_ZERO,
@@ -347,9 +347,7 @@ def solve_extremal(
 
 def _solve_args(q_cap: float, n: int, objective: str) -> tuple[float, int]:
     q_cap = _check_cap(q_cap)
-    n = as_index(n, "n")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = as_count(n, "n", 1)
     if objective not in (MAX, MIN):
         raise ParameterError(f"objective must be {MAX!r} or {MIN!r}")
     return q_cap, n
@@ -434,9 +432,7 @@ def value_table_to_csv(table: ValueTable, fh, cutoff: int | None = None) -> int:
     """Write (t, x, value) rows with |x| <= cutoff, 0.0 off [-n, n]; returns the row count."""
     if table.values is None:
         raise ParameterError("value export needs keep_values=True")
-    cutoff = table.n if cutoff is None else as_index(cutoff, "cutoff")
-    if cutoff < 0:
-        raise ParameterError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = table.n if cutoff is None else as_count(cutoff, "cutoff")
     writer = csv.writer(fh)
     writer.writerow(["t", "x", "value"])
     count = 0

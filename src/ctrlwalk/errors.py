@@ -3,6 +3,10 @@
 The CLI maps these onto process exit codes: parameter problems (including
 admissibility and degenerate schedules) exit 2, calibration failures exit 3,
 and detected invariant violations exit 4.
+
+Arguments are read through three checked readers: as_index (an integer),
+as_count (an integer of at least some bound) and as_real (a number). Each
+refuses a bad value with ParameterError naming the argument.
 """
 
 import operator
@@ -20,6 +24,14 @@ def as_index(value, name: str) -> int:
     except TypeError:
         pass
     raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def as_count(value, name: str, low: int = 0) -> int:
+    """as_index(value, name), refused with ParameterError naming it if below low."""
+    value = as_index(value, name)
+    if value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def as_real(value, name: str) -> float:

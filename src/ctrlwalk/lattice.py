@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvariantError, ParameterError, as_index
+from .errors import InvariantError, ParameterError, as_count, as_index
 
 # flag row indices
 NOT_HIT = 0
@@ -94,12 +94,8 @@ class LatticeDistribution:
 
     def mass_at(self, x: int, flag: int | None = None):
         """Mass at site x (0 off the window), summed over both flags unless flag names one."""
-        j, flag = as_index(x, "x") - self.offset, _check_flag(flag)
-        if j < 0 or j >= self.width:
-            return _as_mode_value(0, self.mode)
-        if flag is None:
-            return self.mass[0, j] + self.mass[1, j]
-        return self.mass[flag, j]
+        x = as_index(x, "x")
+        return interval_mass(self, x, x, flag)
 
     def flag_totals(self):
         """(never-visited-0 mass, visited-0 mass)."""
@@ -185,9 +181,7 @@ def from_snapshot(snap: dict) -> LatticeDistribution:
     if missing:
         raise ParameterError(f"snapshot lacks {', '.join(missing)}")
     mode = snap.get("mode", FLOAT)
-    time, offset = as_index(snap["time"], "time"), as_index(snap["offset"], "offset")
-    if time < 0:
-        raise ParameterError(f"snapshot time must be >= 0, got {time}")
+    time, offset = as_count(snap["time"], "time"), as_index(snap["offset"], "offset")
     try:
         rows = [[_as_mode_value(v, mode) for v in row] for row in snap["mass"]]
     except (TypeError, ValueError, OverflowError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .defaults import MC_TRIALS
 from .dp import as_target
-from .errors import ParameterError, as_index, as_real
+from .errors import ParameterError, as_count, as_index, as_real
 from .policies import (
     FAST_UNTIL_ZERO, PolicySpec, _check_cap, _leaves, constant_policy, fast_until_zero_policy,
     flag_reset_times, run_args, stay_set,
@@ -29,9 +29,9 @@ from .rng import UNIFORM_SHIFT, step_bits, trial_keys
 
 def wilson_interval(k: int, m: int, z: float = 1.96) -> tuple[float, float]:
     """95% (by default) score interval for k successes out of m."""
-    k, m = as_index(k, "k"), as_index(m, "m")
-    if not 0 <= k <= m or m < 1:
-        raise ParameterError(f"need 0 <= k <= m and m >= 1, got k={k}, m={m}")
+    k, m = as_count(k, "k"), as_count(m, "m", 1)
+    if k > m:
+        raise ParameterError(f"need k <= m, got k={k}, m={m}")
     if not (isinstance(z, numbers.Real) and 0 < z < math.inf):
         raise ParameterError(f"z must be finite and > 0, got {z!r}")
     p = k / m
@@ -60,10 +60,7 @@ class BarrierFamily:
 
 
 def barrier_family(n: int, beta_exp: float = 0.0) -> BarrierFamily:
-    n = as_index(n, "n")
-    beta_exp = as_real(beta_exp, "beta_exp")
-    if n < 2:
-        raise ParameterError("horizon must be >= 2")
+    n, beta_exp = as_count(n, "n", 2), as_real(beta_exp, "beta_exp")
     if beta_exp < 0:
         raise ParameterError("beta_exp must be >= 0")
     window = float(n) ** beta_exp
@@ -339,9 +336,8 @@ def run_batch(
     processes, with results bitwise equal to a single-process run. The
     entrance table is a view of the mapping those processes shared.
     """
+    trials = as_count(trials, "trials", 1)
     keys = trial_keys(seed, trials, base=trial_base)
-    if trials < 1:
-        raise ParameterError("need at least one trial")
     n, start = run_args(policy, n, start)
     cols = _stages(family, n)
     # int16 sites when no walk can leave (-2^15, 2^15); final is int64 either way
@@ -504,10 +500,8 @@ def lemma0_check(
     ell >= 24*h^2/delta and 1 - q_cap >= delta, which is the regime where
     the estimate should stay above 1/6.
     """
-    q_cap, h, ell = _check_cap(q_cap), as_index(h, "h"), as_index(ell, "ell")
-    delta, trials = as_real(delta, "delta"), as_index(trials, "trials")
-    if h < 1 or trials < 1:
-        raise ParameterError("need h >= 1 and trials >= 1")
+    q_cap, h, ell = _check_cap(q_cap), as_count(h, "h", 1), as_index(ell, "ell")
+    delta, trials = as_real(delta, "delta"), as_count(trials, "trials", 1)
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     if ell < 24.0 * h * h / delta:
@@ -577,12 +571,8 @@ def lemma_ori_check(
     separately: never reaching 0 at all, and drifting back out to |x| >= K
     after reaching it.
     """
-    q_cap, A, K = _check_cap(q_cap), as_index(A, "A"), as_index(K, "K")
-    trials = as_index(trials, "trials")
-    if K < 1 or A < 1:
-        raise ParameterError("need K >= 1 and A >= 1")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
+    q_cap, A, K = _check_cap(q_cap), as_count(A, "A", 1), as_count(K, "K", 1)
+    trials = as_count(trials, "trials", 1)
     steps = A * K * K
     starts = np.arange(-2 * K, 2 * K + 1, dtype=np.int64)
 

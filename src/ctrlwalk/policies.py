@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, DegenerateScheduleError, ParameterError, as_index, as_real
+from .errors import AdmissibilityError, DegenerateScheduleError, ParameterError, as_count, as_index, as_real
 
 CONSTANT = "constant"
 TWO_ZONE = "two-zone"
@@ -62,9 +62,7 @@ def constant_policy(q_cap: float, u_value: float) -> PolicySpec:
 def two_zone_policy(q_cap: float, band_halfwidth: int) -> PolicySpec:
     """Slow (u=q_cap) at |x| <= band_halfwidth, free (u=0) outside."""
     q_cap = _check_cap(q_cap)
-    band = as_index(band_halfwidth, "band_halfwidth")
-    if band < 0:
-        raise ParameterError(f"band_halfwidth must be >= 0, got {band}")
+    band = as_count(band_halfwidth, "band_halfwidth")
     return PolicySpec(TWO_ZONE, q_cap, {"band_halfwidth": band})
 
 
@@ -104,8 +102,8 @@ def bang_bang_table_policy(q_cap: float, n: int, rows: Sequence[Sequence[tuple]]
     the output format of the exact optimizer.
     """
     q_cap = _check_cap(q_cap)
-    n = as_index(n, "n")
-    if n < 1 or len(rows) != n:
+    n = as_count(n, "n", 1)
+    if len(rows) != n:
         raise ParameterError(f"need one interval row per step, got {len(rows)} for n={n}")
     frozen_rows = []
     for t, row in enumerate(rows):
@@ -134,11 +132,11 @@ def multiscale_localization_schedule(
     """
     q_cap = _check_cap(q_cap)
     alpha, beta = as_real(alpha, "alpha"), as_real(beta, "beta")
-    K0, T = as_index(K0, "K0"), as_index(T, "T")
+    K0, T = as_count(K0, "K0", 1), as_index(T, "T")
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    if not alpha > 0 or K0 < 1:  # NaN fails too
-        raise ParameterError("alpha must be > 0 and K0 >= 1")
+    if not alpha > 0:  # NaN fails too
+        raise ParameterError(f"alpha must be > 0, got {alpha}")
     if T <= alpha * K0 * K0:
         raise ParameterError(f"horizon {T} too short: need T > alpha*K0^2")
 
@@ -181,9 +179,7 @@ def multiscale_qto1_schedule(q_cap: float, A: int, n: int) -> list[ScheduleSegme
     phase that reaches time 0 form a free (u=0) prefix.
     """
     q_cap = _check_cap(q_cap)
-    A, n = as_index(A, "A"), as_index(n, "n")
-    if A < 1:
-        raise ParameterError(f"A must be >= 1, got {A}")
+    A, n = as_count(A, "A", 1), as_index(n, "n")
     if n <= A:
         raise DegenerateScheduleError(f"horizon n={n} must exceed A={A}")
 
@@ -272,9 +268,7 @@ def mirror_symmetric(policy: PolicySpec) -> bool:
 
 def run_args(policy: PolicySpec, n, start) -> tuple[int, int]:
     """(n, start) as ints for a run of n steps under the policy, else ParameterError."""
-    n, start = as_index(n, "n"), as_index(start, "start")
-    if n < 0:
-        raise ParameterError("n must be >= 0")
+    n, start = as_count(n, "n"), as_index(start, "start")
     hz = horizon(policy)
     if hz is not None and hz < n:
         raise ParameterError(f"policy horizon {hz} shorter than n={n}")

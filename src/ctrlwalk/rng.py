@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, as_index
+from .errors import ParameterError, as_count, as_index
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SALT = np.uint64(0xD1B54A32D192ED03)
@@ -44,9 +44,7 @@ def mix64(z, out=None) -> np.ndarray:
 def trial_keys(seed: int, trials: int, base: int = 0) -> np.ndarray:
     """Independent per-trial stream keys for trial indices base..base+trials-1."""
     s = np.uint64(as_index(seed, "seed") & _MASK)
-    base, trials = as_index(base, "trial base"), as_index(trials, "trials")
-    if trials < 0:
-        raise ParameterError(f"trials must be >= 0, got {trials}")
+    base, trials = as_index(base, "trial base"), as_count(trials, "trials")
     if base < 0 or base + trials > _MASK + 1:
         raise ParameterError(f"trial indices {base}..{base + trials - 1} must lie in [0, 2^64)")
     idx = np.arange(base, base + trials, dtype=np.uint64)

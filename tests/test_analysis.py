@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import io
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from ctrlwalk import (
     PolicySpec,
     ScheduleSegment,
     band_sum_direct,
+    bang_bang_table_policy,
     barrier_family,
     band_sum_profile,
     calibrate_lemma5,
@@ -35,6 +37,7 @@ from ctrlwalk import (
     exponent_sweep,
     fast_until_zero_policy,
     fit_exponent,
+    from_snapshot,
     heat_kernel_profile,
     hit_probability,
     interior_survival,
@@ -50,7 +53,9 @@ from ctrlwalk import (
     schedule_policy,
     solve_extremal,
     sweep_policy,
+    trial_keys,
     two_zone_policy,
+    value_table_to_csv,
     verify_lemma5_certificate,
     verify_lemma6_certificate,
     wilson_interval,
@@ -507,6 +512,14 @@ def _drop(*path):
     return change
 
 
+def _append(*path, value):
+    def change(cert):
+        for key in path:
+            cert = cert[key]
+        cert.append(value)
+    return change
+
+
 class TestCertificates:
     """verify_lemma5_certificate and verify_lemma6_certificate read, replay and judge."""
 
@@ -526,6 +539,20 @@ class TestCertificates:
             assert rep["max_diff"] == 0.0 and rep["pass"] is True
             assert list(rep) == ["max_diff", "all_below", "absorbing_cross_check_escape",
                                  "absorbing_cross_check_exit", "pass"]
+
+    def test_certificate_without_its_scales_refused(self):
+        # both passed: a lemma-6 certificate with empty tables, a lemma-5 one with only the K0 sums
+        with pytest.raises(ParameterError, match="certificate lacks Ks"):
+            verify_lemma6_certificate({"A": 1, "q": 0.5, "eps": 0.1, "escape_by_K": {},
+                                       "early_exit_by_K": {}})
+        cert = {**_cert(6), "escape_by_K": {}, "early_exit_by_K": {}}
+        with pytest.raises(ParameterError, match="escape_by_K must name exactly the scales"):
+            verify_lemma6_certificate(cert)
+        cert = _cert(5)
+        cert["entries"] = [e for e in cert["entries"] if e["K"] == cert["K0"]]
+        assert len(cert["entries"]) == 3
+        with pytest.raises(ParameterError, match=r"no entry at 2K0=8 \(band=2, t=16\)"):
+            verify_lemma5_certificate(cert)
 
     def test_sum_past_its_bound_fails(self):
         cert = _cert(5)
@@ -610,6 +637,22 @@ class TestCertificates:
         pytest.param(6, _set("A", value=256.0), "A must be an integer", id="6-A-float"),
         pytest.param(6, _set("A", value=0), "A must be >= 1", id="6-A-zero"),
         pytest.param(6, _set("q", value=1.0), "q_cap must lie in", id="6-cap-one"),
+        pytest.param(5, _drop("alpha"), "certificate lacks alpha", id="5-missing-alpha"),
+        pytest.param(5, _set("alpha", value=1e308), "give no finite scales", id="5-alpha-overflows"),
+        pytest.param(5, _set("beta", value=0.5), r"no entry at K0=4 \(band=2, t=4\)",
+                     id="5-other-beta"),
+        pytest.param(5, _set("entries", 1, "y", value=-1), "no entry at K0=4 .* or has one twice",
+                     id="5-y-twice"),
+        pytest.param(5, _append("entries", value={"K": 32, "band": 8, "t": 256, "y": 0, "sum": 1.5}),
+                     r"entries at \(K, band, t\) = \(32, 8, 256\), not a scale", id="5-extra-scale"),
+        pytest.param(6, _drop("Ks"), "certificate lacks Ks", id="6-missing-Ks"),
+        pytest.param(6, _set("Ks", value=[]), "Ks must be a non-empty list", id="6-Ks-empty"),
+        pytest.param(6, _set("Ks", value=[16, 0]), "Ks must be >= 1, got 0", id="6-Ks-zero"),
+        pytest.param(6, _drop("escape_by_K", "64"), r"escape_by_K must name exactly the scales "
+                     r"Ks=\[16, 64, 256\], got \[16, 256\]", id="6-scale-missing"),
+        pytest.param(6, _set("early_exit_by_K", "32", value=0.01), "early_exit_by_K must name exactly",
+                     id="6-scale-extra"),
+        pytest.param(6, _set("Ks", value=[16, 64]), "escape_by_K must name exactly", id="6-Ks-short"),
     ])
     def test_malformed_certificate_rejected(self, lemma, change, message):
         cert, verify = _cert(lemma), _VERIFY[lemma]
@@ -730,3 +773,80 @@ class TestBadLibraryInputs:
         assert a == b and a.q_cap == 0.5 and isinstance(a.q_cap, float)
         a, b = lemma_ori_check("0.5", 1, 2, trials=10), lemma_ori_check(0.5, 1, 2, trials=10)
         assert a == b and isinstance(a.q_cap, float)
+
+    def test_fit_refuses_a_zero_horizon(self):
+        # min_n = 0 kept n = 0, and the local slope divided by log(4 / 0)
+        with pytest.raises(ParameterError, match="n must be >= 1, got 0"):
+            fit_exponent([(0, 1.0), (4, 0.5), (8, 0.3)], min_n=0)
+
+    def test_sweep_policy_refuses_a_negative_horizon(self):
+        # the two-zone band took sqrt(-1): a math-domain ValueError
+        with pytest.raises(ParameterError, match="n must be >= 0, got -1"):
+            sweep_policy("two-zone", 0.5, -1, {})
+
+
+def _table():
+    return solve_extremal(0.5, 2, keep_values=True)[0]
+
+
+def _snapshot(time):
+    return from_snapshot({"time": time, "offset": 0, "mass": [[0.0], [1.0]], "flag_split": True})
+
+
+# every count argument read by errors.as_count: (call with the count, its name, its least value)
+COUNTS = [
+    pytest.param(lambda v: solve_extremal(0.5, v), "n", 1, id="solve-n"),
+    pytest.param(lambda v: value_table_to_csv(_table(), io.StringIO(), v), "cutoff", 0, id="csv-cutoff"),
+    pytest.param(lambda v: wilson_interval(v, 3), "k", 0, id="wilson-k"),
+    pytest.param(lambda v: wilson_interval(0, v), "m", 1, id="wilson-m"),
+    pytest.param(lambda v: barrier_family(v), "n", 2, id="barrier-n"),
+    pytest.param(lambda v: run_batch(constant_policy(0.5, 0.5), 4, trials=v, seed=1), "trials", 1,
+                 id="batch-trials"),
+    pytest.param(lambda v: lemma0_check(0.5, v, 0.5, 48, trials=10), "h", 1, id="lemma0-h"),
+    pytest.param(lambda v: lemma0_check(0.5, 1, 0.5, 48, trials=v), "trials", 1, id="lemma0-trials"),
+    pytest.param(lambda v: lemma_ori_check(0.5, v, 2, trials=10), "A", 1, id="lemma-ori-A"),
+    pytest.param(lambda v: lemma_ori_check(0.5, 1, v, trials=10), "K", 1, id="lemma-ori-K"),
+    pytest.param(lambda v: lemma_ori_check(0.5, 1, 2, trials=v), "trials", 1, id="lemma-ori-trials"),
+    pytest.param(lambda v: two_zone_policy(0.5, v), "band_halfwidth", 0, id="two-zone-band"),
+    pytest.param(lambda v: bang_bang_table_policy(0.5, v, [()]), "n", 1, id="bang-bang-n"),
+    pytest.param(lambda v: multiscale_localization_schedule(0.5, 0.5, 0.25, v, 1024), "K0", 1,
+                 id="localization-K0"),
+    pytest.param(lambda v: multiscale_qto1_schedule(0.5, v, 64), "A", 1, id="qto1-A"),
+    pytest.param(lambda v: evolve(constant_policy(0.5, 0.5), v), "n", 0, id="run-args-n"),
+    pytest.param(lambda v: trial_keys(0, v), "trials", 0, id="trial-keys-trials"),
+    pytest.param(_snapshot, "time", 0, id="snapshot-time"),
+    pytest.param(lambda v: reversibility_check(ChainSpec(0.5, 2), v), "window", 0, id="window"),
+    pytest.param(lambda v: heat_kernel_profile(ChainSpec(0.5, 2), [v]), "time in t_grid", 1,
+                 id="heat-kernel-t"),
+    pytest.param(lambda v: band_sum_direct(0.5, v, 0, 2, [0]), "K", 0, id="band-sum-direct-K"),
+    pytest.param(lambda v: fit_exponent([(v, 1.0), (4, 0.5), (8, 0.3)], min_n=0), "n", 1, id="fit-n"),
+    pytest.param(lambda v: sweep_policy("two-zone", 0.5, v, {}), "n", 0, id="sweep-n"),
+    pytest.param(lambda v: level_hit_cdf(v, 5), "level", 1, id="level"),
+    pytest.param(lambda v: level_hit_cdf(1, v), "t", 0, id="level-t"),
+    pytest.param(lambda v: level_hit_cdf_absorbing(v, 5), "level", 1, id="absorbing-level"),
+    pytest.param(lambda v: interior_survival(0.5, v, 3), "K", 1, id="survival-K"),
+    pytest.param(lambda v: interior_survival(0.5, 2, v), "s", 0, id="survival-s"),
+    pytest.param(lambda v: interior_survival_absorbing(0.5, 2, v), "s", 0, id="absorbing-survival-s"),
+    pytest.param(lambda v: escape_probability(v, 2), "A", 1, id="escape-A"),
+    pytest.param(lambda v: escape_probability(1, v), "K", 1, id="escape-K"),
+    pytest.param(lambda v: early_exit_probability(0.5, v, 2), "A", 1, id="early-exit-A"),
+    pytest.param(lambda v: early_exit_probability(0.5, 1, v), "K", 1, id="early-exit-K"),
+]
+
+
+class TestCounts:
+    """One reader, one message: a count is an integer of at least its least value."""
+
+    @pytest.mark.parametrize("call, name, low", COUNTS)
+    def test_refused_by_name(self, call, name, low):
+        for value, message in ((True, f"{name} must be an integer, got True"),
+                               (1.5, f"{name} must be an integer, got 1.5"),
+                               (low - 1, f"{name} must be >= {low}, got {low - 1}")):
+            with pytest.raises(ParameterError) as info:
+                call(value)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("call, name, low", COUNTS)
+    def test_least_value_accepted(self, call, name, low):
+        call(low)
+        call(np.int64(low))

@@ -12,6 +12,7 @@ from ctrlwalk import (
     ParameterError,
     __version__,
     calibrate_lemma5,
+    calibrate_lemma6,
     estimate_hit,
     hit_probability,
     multiscale_qto1_schedule,
@@ -92,7 +93,29 @@ class TestExitCodes:
     def test_nan_schedule_alpha_is_a_parameter_error(self, capsys):
         argv = ["evolve", "--policy", "schedule-localization:q=0.5,alpha=nan", "--n", "1024"]
         assert run_command(argv) == 2
-        assert capsys.readouterr().err == "error: alpha must be > 0 and K0 >= 1\n"
+        assert capsys.readouterr().err == "error: alpha must be > 0, got nan\n"
+
+    def test_zero_horizon_in_fit_is_exit_2(self, capsys):
+        # was a ZeroDivisionError traceback from the fit's local slopes
+        argv = ["exponent", "--policy-kind", "constant", "--q", "0.5",
+                "--n-grid", "0,128,256,512", "--min-n", "0"]
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: n must be >= 1, got 0\n" and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["evolve", "--config"], '{"policy": "constant:q=0.5", "n": 4, "n": 6}'),
+        (["evolve", "--n", "4", "--policy"],
+         '{"kind": "constant", "q_cap": 0.5, "u_value": 0.5, "u_value": 0.0}'),
+    ], ids=["config", "policy-file"])
+    def test_repeated_key_in_json_file_is_exit_2(self, capsys, tmp_path, argv, text):
+        # json.load kept the last value: the config ran n = 6, the policy u = 0
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        arg = str(path) if argv[-1] == "--config" else f"file:{path}"
+        assert run_command(argv + [arg]) == 2
+        key = "n" if argv[-1] == "--config" else "u_value"
+        assert capsys.readouterr().err == f"error: {path} repeats key {key!r}\n"
 
     def test_unknown_policy_key_rejected(self, capsys):
         code = run_command(["evolve", "--policy", "constant:q=0.5,uu=0.1", "--n", "4"])
@@ -529,6 +552,17 @@ class TestVerifyAndCalibrate:
         path.write_text(json.dumps(cert))
         assert run_command(["verify", what, "--cert", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_repeated_scale_in_certificate_is_exit_2(self, capsys, tmp_path):
+        # a false "64" before the true one verified with exit 0: json.load kept the last
+        text = json.dumps(calibrate_lemma6(0.2))
+        tampered = text.replace('"escape_by_K": {', '"escape_by_K": {"64": 0.5, ')
+        assert tampered != text
+        path = tmp_path / "cert.json"
+        for body, code in ((text, 0), (tampered, 2)):
+            path.write_text(body)
+            assert run_command(["verify", "lemma6", "--cert", str(path)]) == code
+        assert capsys.readouterr().err.endswith(f"error: {path} repeats key '64'\n")
 
     def test_reversibility(self, capsys):
         code, out = run(

@@ -54,8 +54,8 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
     Points with n below min_n are dropped before fitting (pre-asymptotic
     transients bias the slope); the cutoff is recorded in the result.
     """
-    pts = [(as_count(n, "n", 1), float(p)) for n, p in points]
-    min_n = as_index(min_n, "min_n")
+    pts = [(as_index(n, "n"), float(p)) for n, p in points]
+    min_n = as_count(min_n, "min_n", 1)
     if len(pts) < 3:
         raise ParameterError("need at least 3 points")
     for (n1, _), (n2, _) in zip(pts, pts[1:]):
@@ -544,25 +544,25 @@ def verify_lemma5_certificate(cert) -> dict:
     must be those calibrate_lemma5 writes for the certificate's alpha, beta
     and K0: each y of each scale's band, once, and no other.
     """
-    c = _certificate(cert, {"q_cap": _finite, "eps": _finite, "K0": as_index,
+    c = _certificate(cert, {"q_cap": _finite, "eps": _finite,
+                            "K0": lambda value, name: as_count(value, name, 1),
                             "entries": _band_sum_entries})
+    # alpha and beta are read last, so each earlier field keeps its own refusal
     alpha, beta = _certificate(cert, {"alpha": _finite, "beta": _finite}).values()
+    K0 = c["K0"]
+    if beta < 0:  # every band floor(beta*K) would be negative and hold no y
+        raise ParameterError(f"beta must be >= 0, got {beta}")
+    try:
+        scales = _lemma5_scales(alpha, beta, K0)
+    except OverflowError:
+        raise ParameterError(f"alpha={alpha}, beta={beta} and K0={K0} give no finite scales") from None
+    want = [(K, band, t, y) for K, band, t in scales for y in range(-band, band + 1)]
+    if sorted((e["K"], e["band"], e["t"], e["y"]) for e in c["entries"]) != want:
+        raise ParameterError(f"certificate has no entry at K0={K0}, 2K0 and 4K0 for each y in "
+                             f"[-band, band], once and no other, at (K, band, t) = {scales}")
     groups = {}
     for e in c["entries"]:
         groups.setdefault((e["K"], e["band"], e["t"]), []).append(e)
-    try:
-        scales = _lemma5_scales(alpha, beta, c["K0"])
-    except OverflowError:
-        raise ParameterError(f"alpha={alpha}, beta={beta} and K0={c['K0']} give no finite scales") from None
-    for label, (K, band, t) in zip(("K0", "2K0", "4K0"), scales):
-        ys = sorted(e["y"] for e in groups.get((K, band, t), ()))
-        if ys != list(range(-band, band + 1)):
-            raise ParameterError(f"certificate has no entry at {label}={K} (band={band}, t={t}) for "
-                                 f"each y in [-{band}, {band}], or has one twice")
-    extra = set(groups) - set(scales)
-    if extra:
-        raise ParameterError(f"certificate has entries at (K, band, t) = {min(extra)}, not a scale "
-                             f"of its alpha, beta and K0")
     max_diff, all_exceed, cross = 0.0, True, 0.0
     for (K, band, t), entries in groups.items():
         ys = [e["y"] for e in entries]

@@ -551,7 +551,8 @@ class TestCertificates:
         cert = _cert(5)
         cert["entries"] = [e for e in cert["entries"] if e["K"] == cert["K0"]]
         assert len(cert["entries"]) == 3
-        with pytest.raises(ParameterError, match=r"no entry at 2K0=8 \(band=2, t=16\)"):
+        with pytest.raises(ParameterError, match=r"no entry at K0=4, 2K0 and 4K0 .* = \[\(4, 1, 4\), "
+                                                 r"\(8, 2, 16\), \(16, 4, 64\)\]"):
             verify_lemma5_certificate(cert)
 
     def test_sum_past_its_bound_fails(self):
@@ -639,12 +640,17 @@ class TestCertificates:
         pytest.param(6, _set("q", value=1.0), "q_cap must lie in", id="6-cap-one"),
         pytest.param(5, _drop("alpha"), "certificate lacks alpha", id="5-missing-alpha"),
         pytest.param(5, _set("alpha", value=1e308), "give no finite scales", id="5-alpha-overflows"),
-        pytest.param(5, _set("beta", value=0.5), r"no entry at K0=4 \(band=2, t=4\)",
+        pytest.param(5, _set("beta", value=0.5), r"no entry at K0=4, .* = \[\(4, 2, 4\), ",
                      id="5-other-beta"),
-        pytest.param(5, _set("entries", 1, "y", value=-1), "no entry at K0=4 .* or has one twice",
+        pytest.param(5, _set("entries", 1, "y", value=-1), "no entry at K0=4, .* once and no other",
                      id="5-y-twice"),
         pytest.param(5, _append("entries", value={"K": 32, "band": 8, "t": 256, "y": 0, "sum": 1.5}),
-                     r"entries at \(K, band, t\) = \(32, 8, 256\), not a scale", id="5-extra-scale"),
+                     "no entry at K0=4, .* once and no other", id="5-extra-scale"),
+        # a negative band holds no y, so an empty entry list matched every scale
+        pytest.param(5, lambda c: c.update(beta=-1.0, entries=[]), "beta must be >= 0, got -1.0",
+                     id="5-beta-negative-no-entries"),
+        pytest.param(5, lambda c: c.update(K0=-4, entries=[]), "K0 must be >= 1, got -4",
+                     id="5-K0-negative-no-entries"),
         pytest.param(6, _drop("Ks"), "certificate lacks Ks", id="6-missing-Ks"),
         pytest.param(6, _set("Ks", value=[]), "Ks must be a non-empty list", id="6-Ks-empty"),
         pytest.param(6, _set("Ks", value=[16, 0]), "Ks must be >= 1, got 0", id="6-Ks-zero"),
@@ -776,8 +782,11 @@ class TestBadLibraryInputs:
 
     def test_fit_refuses_a_zero_horizon(self):
         # min_n = 0 kept n = 0, and the local slope divided by log(4 / 0)
-        with pytest.raises(ParameterError, match="n must be >= 1, got 0"):
+        with pytest.raises(ParameterError, match="min_n must be >= 1, got 0"):
             fit_exponent([(0, 1.0), (4, 0.5), (8, 0.3)], min_n=0)
+        # a point below the cutoff is dropped unread, n = 0 as well
+        fit = fit_exponent([(0, 1.0), (128, 0.5), (256, 0.4), (512, 0.3)])
+        assert [n for n, _ in fit.points] == [128, 256, 512]
 
     def test_sweep_policy_refuses_a_negative_horizon(self):
         # the two-zone band took sqrt(-1): a math-domain ValueError
@@ -819,7 +828,8 @@ COUNTS = [
     pytest.param(lambda v: heat_kernel_profile(ChainSpec(0.5, 2), [v]), "time in t_grid", 1,
                  id="heat-kernel-t"),
     pytest.param(lambda v: band_sum_direct(0.5, v, 0, 2, [0]), "K", 0, id="band-sum-direct-K"),
-    pytest.param(lambda v: fit_exponent([(v, 1.0), (4, 0.5), (8, 0.3)], min_n=0), "n", 1, id="fit-n"),
+    pytest.param(lambda v: fit_exponent([(2, 1.0), (4, 0.5), (8, 0.3)], min_n=v), "min_n", 1,
+                 id="fit-min-n"),
     pytest.param(lambda v: sweep_policy("two-zone", 0.5, v, {}), "n", 0, id="sweep-n"),
     pytest.param(lambda v: level_hit_cdf(v, 5), "level", 1, id="level"),
     pytest.param(lambda v: level_hit_cdf(1, v), "t", 0, id="level-t"),

@@ -101,7 +101,7 @@ class TestExitCodes:
                 "--n-grid", "0,128,256,512", "--min-n", "0"]
         assert run_command(argv) == 2
         err = capsys.readouterr().err
-        assert err == "error: n must be >= 1, got 0\n" and "Traceback" not in err
+        assert err == "error: min_n must be >= 1, got 0\n" and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, text", [
         (["evolve", "--config"], '{"policy": "constant:q=0.5", "n": 4, "n": 6}'),

@@ -330,8 +330,15 @@ def calibrate_lemma5(q_cap: float) -> dict:
 
     Scales K0, 2*K0, 4*K0 are checked with band floor(beta*K) and horizon
     round(alpha*K^2), over every target y in the band. First candidate whose
-    worst margin is positive wins; eps is 90% of that margin. The returned
-    certificate carries every evaluated sum for bit-exact replay.
+    worst margin clears its rounding allowance wins; eps is 90% of that
+    margin. The returned certificate carries every evaluated sum for
+    bit-exact replay.
+
+    Rounding allowance: a float step rounds each cell's mass at most 5 times,
+    the interval sums at most 2K + 1 times and the identity 4 more, so a
+    band sum at the largest scale (K, t) is off by at most
+    E = (5t + 2K + 4) * 2^-52 / (1 - q) to first order. The margin must
+    exceed 20E, so the exact margin exceeds 0.95 margin > eps.
     """
     q_cap = as_real(q_cap, "q_cap")
     if not (0.0 < q_cap < 1.0):
@@ -352,7 +359,7 @@ def calibrate_lemma5(q_cap: float) -> dict:
                 if margin > best_margin:
                     best_margin = margin
                     best_candidate = (alpha, beta, K0)
-                if margin > 0:
+                if margin > 20 * (5 * t + 2 * K + 4) * 2.0**-52 / (1.0 - q_cap):  # the last scale's K, t
                     return {
                         "q_cap": q_cap,
                         "alpha": alpha,
@@ -363,7 +370,7 @@ def calibrate_lemma5(q_cap: float) -> dict:
                         "entries": entries,
                     }
     raise CalibrationError(
-        f"no candidate produced positive margin; best was {best_margin:.4g} at "
+        f"no candidate's margin cleared its rounding allowance; the largest was {best_margin:.4g} at "
         f"(alpha, beta, K0) = {best_candidate}"
     )
 
@@ -477,131 +484,94 @@ def calibrate_lemma6(eps: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# certificates: read by one checked reader, replayed, cross-checked and judged
+# certificates: regenerated from their one input, compared, cross-checked and judged
 
 
 CROSS_CHECK_TOL = 1e-12  # the most two routes to one number may differ by
 
 
-def _finite(value, name: str) -> float:
-    """A certificate number: a finite real that is not a bool."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        number = as_real(value, name)
-        if math.isfinite(number):
-            return number
-    raise ParameterError(f"{name} must be a finite number, got {value!r}")
-
-
-def _certificate(cert, fields: dict, where: str = "certificate") -> dict:
-    """{field: reader(cert[field], field)}; ParameterError if cert is not an
-    object or lacks a field."""
+def _regenerated(cert, key: str, calibrate) -> dict:
+    """What calibrate writes for the certificate's one input, cert[key]."""
     if not isinstance(cert, dict):
-        raise ParameterError(f"{where} must be a JSON object, got {type(cert).__name__}")
-    missing = sorted(set(fields) - cert.keys())
-    if missing:
-        raise ParameterError(f"{where} lacks {', '.join(missing)}")
-    return {k: read(cert[k], k) for k, read in fields.items()}
+        raise ParameterError(f"certificate must be a JSON object, got {type(cert).__name__}")
+    if key not in cert:
+        raise ParameterError(f"certificate lacks {key}")
+    try:
+        return calibrate(cert[key])
+    except CalibrationError as exc:  # no certificate exists for this input
+        raise ParameterError(f"no certificate exists for {key}={cert[key]!r}: {exc}") from None
 
 
-def _band_sum_entries(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ParameterError(f"{name} must be a list, got {value!r}")
-    fields = {"K": as_index, "band": as_index, "t": as_index, "y": as_index, "sum": _finite}
-    return [_certificate(e, fields, f"{name}[{i}]") for i, e in enumerate(value)]
+def _brief(value) -> str:  # a table by its kind and length only
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else f"a list of {len(value)}"
+    return repr(value)
 
 
-def _by_scale(value, name: str) -> dict:
-    """{K: number} from a {"K": number} table; each key must be the canonical
-    decimal of its K and name a scale no other key names, so no stored value
-    is hidden by another key for the same scale."""
-    if not isinstance(value, dict):
-        raise ParameterError(f"{name} must be an object, got {value!r}")
-    table = {}
-    for key, v in value.items():
-        try:
-            K = int(key) if isinstance(key, str) else as_index(key, name)
-        except ValueError:
-            K = None
-        if K is None or str(K) != str(key):
-            raise ParameterError(f"{name} key {key!r} is not an integer in canonical form")
-        if K in table:
-            raise ParameterError(f"{name} names K={K} twice")
-        table[K] = _finite(v, f"{name}[{key!r}]")
-    return table
-
-
-def _scale_list(value, name: str) -> list:
-    """A non-empty list of scales K >= 1."""
-    if not isinstance(value, list) or not value:
-        raise ParameterError(f"{name} must be a non-empty list, got {value!r}")
-    return [as_count(K, name, 1) for K in value]
+def _diff(got, want, path: str, writer: str, results, result: bool = False) -> float:
+    """max |got - want| over the result numbers, the values under a key in results:
+    each must be a finite non-bool number. Everything else must equal what writer
+    wrote, with the same type, or ParameterError names the first difference."""
+    container = isinstance(want, (dict, list))
+    if result and not container:
+        if isinstance(got, numbers.Real) and not isinstance(got, bool) and math.isfinite(got):
+            return abs(float(got) - want)
+        raise ParameterError(f"{path} must be a finite number, got {got!r}")
+    if type(got) is not type(want) or (not container and got != want):
+        raise ParameterError(f"{path} is {_brief(got)}; {writer} writes {_brief(want)}")
+    if isinstance(want, dict):
+        missing, extra = [k for k in want if k not in got], [k for k in got if k not in want]
+        if missing:
+            raise ParameterError(f"{path} lacks {', '.join(missing)}")
+        if extra:
+            raise ParameterError(f"{path} holds {extra[0]!r}, which {writer} does not write")
+        items = [(f"{path}.{k}", got[k], w, result or k in results) for k, w in want.items()]
+    elif container:
+        if len(got) != len(want):
+            raise ParameterError(f"{path} holds {len(got)} items; {writer} writes {len(want)}")
+        items = [(f"{path}[{i}]", g, w, result) for i, (g, w) in enumerate(zip(got, want))]
+    else:
+        return 0.0
+    return max((_diff(g, w, p, writer, results, r) for p, g, w, r in items), default=0.0)
 
 
 def verify_lemma5_certificate(cert) -> dict:
-    """Replay a calibrate_lemma5 certificate: pass needs every sum bitwise
-    (max_diff == 0.0) and above 1 + eps (all_exceed), and the K0 sums within
-    CROSS_CHECK_TOL of a direct summation (direct_sum_max_diff). The entries
-    must be those calibrate_lemma5 writes for the certificate's alpha, beta
-    and K0: each y of each scale's band, once, and no other.
+    """Check a calibrate_lemma5 certificate by regenerating it from its q_cap.
+
+    All but eps, min_margin and each entry's sum, which feed max_diff, must be
+    what calibrate_lemma5 writes, else ParameterError. pass needs max_diff ==
+    0.0, every stored sum above 1 + eps (all_exceed), and the stored K0 sums
+    within CROSS_CHECK_TOL of a direct summation (direct_sum_max_diff).
     """
-    c = _certificate(cert, {"q_cap": _finite, "eps": _finite,
-                            "K0": lambda value, name: as_count(value, name, 1),
-                            "entries": _band_sum_entries})
-    # alpha and beta are read last, so each earlier field keeps its own refusal
-    alpha, beta = _certificate(cert, {"alpha": _finite, "beta": _finite}).values()
-    K0 = c["K0"]
-    if beta < 0:  # every band floor(beta*K) would be negative and hold no y
-        raise ParameterError(f"beta must be >= 0, got {beta}")
-    try:
-        scales = _lemma5_scales(alpha, beta, K0)
-    except OverflowError:
-        raise ParameterError(f"alpha={alpha}, beta={beta} and K0={K0} give no finite scales") from None
-    want = [(K, band, t, y) for K, band, t in scales for y in range(-band, band + 1)]
-    if sorted((e["K"], e["band"], e["t"], e["y"]) for e in c["entries"]) != want:
-        raise ParameterError(f"certificate has no entry at K0={K0}, 2K0 and 4K0 for each y in "
-                             f"[-band, band], once and no other, at (K, band, t) = {scales}")
-    groups = {}
-    for e in c["entries"]:
-        groups.setdefault((e["K"], e["band"], e["t"]), []).append(e)
-    max_diff, all_exceed, cross = 0.0, True, 0.0
-    for (K, band, t), entries in groups.items():
-        ys = [e["y"] for e in entries]
-        fresh = band_sum_profile(c["q_cap"], K, band, t, ys)
-        for e in entries:
-            max_diff = max(max_diff, abs(fresh[e["y"]] - e["sum"]))
-            all_exceed &= fresh[e["y"]] > 1.0 + c["eps"]
-        if K == c["K0"]:
-            direct = band_sum_direct(c["q_cap"], K, band, t, ys)
-            cross = max(cross, *(abs(direct[e["y"]] - e["sum"]) for e in entries))
+    fresh = _regenerated(cert, "q_cap", calibrate_lemma5)
+    max_diff = _diff(cert, fresh, "certificate", "calibrate_lemma5", {"eps", "min_margin", "sum"})
+    all_exceed = all(e["sum"] > 1.0 + cert["eps"] for e in cert["entries"])
+    K, band, t = _lemma5_scales(fresh["alpha"], fresh["beta"], fresh["K0"])[0]
+    stored = {e["y"]: e["sum"] for e in cert["entries"] if e["K"] == K}
+    direct = band_sum_direct(fresh["q_cap"], K, band, t, stored)
+    cross = max(abs(direct[y] - s) for y, s in stored.items())
     return {
         "max_diff": max_diff,
         "all_exceed": all_exceed,
-        "entries": len(c["entries"]),
+        "entries": len(fresh["entries"]),
         "direct_sum_max_diff": cross,
         "pass": max_diff == 0.0 and all_exceed and cross <= CROSS_CHECK_TOL,
     }
 
 
 def verify_lemma6_certificate(cert) -> dict:
-    """Replay a calibrate_lemma6 certificate: pass needs both families bitwise
-    (max_diff == 0.0) and below eps/2 (all_below), and both closed forms within
-    CROSS_CHECK_TOL of absorbing evolution at K = 8, t = 4K^2. Each table must
-    name exactly the certificate's scales Ks.
+    """Check a calibrate_lemma6 certificate by regenerating it from its eps.
+
+    All but the values of escape_by_K and early_exit_by_K, which feed max_diff,
+    must be what calibrate_lemma6 writes, else ParameterError. pass needs
+    max_diff == 0.0, every stored value below eps/2 (all_below), and both
+    closed forms within CROSS_CHECK_TOL of absorbing evolution at K = 8, t = 4K^2.
     """
-    c = _certificate(cert, {"eps": _finite, "A": as_index, "q": _finite,
-                            "escape_by_K": _by_scale, "early_exit_by_K": _by_scale})
-    Ks = _certificate(cert, {"Ks": _scale_list})["Ks"]
-    A, q = c["A"], c["q"]
-    max_diff, all_below = 0.0, True
-    for key, prob in (("escape_by_K", lambda K: escape_probability(A, K)),
-                      ("early_exit_by_K", lambda K: early_exit_probability(q, A, K))):
-        for K, v in c[key].items():
-            fresh = prob(K)
-            max_diff = max(max_diff, abs(fresh - v))
-            all_below &= fresh < c["eps"] / 2.0
-        if set(c[key]) != set(Ks):
-            raise ParameterError(f"{key} must name exactly the scales Ks={Ks}, got {sorted(c[key])}")
-    K, t = 8, 256
+    fresh = _regenerated(cert, "eps", calibrate_lemma6)
+    tables = ("escape_by_K", "early_exit_by_K")
+    max_diff = _diff(cert, fresh, "certificate", "calibrate_lemma6", tables)
+    all_below = all(v < cert["eps"] / 2.0 for key in tables for v in cert[key].values())
+    K, t, q = 8, 256, fresh["q"]
     escape = abs(level_hit_cdf(2 * K, t) - level_hit_cdf_absorbing(2 * K, t))
     exit_ = abs(interior_survival(q, K, t) - interior_survival_absorbing(q, K, t))
     return {

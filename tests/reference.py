@@ -13,6 +13,11 @@ as test oracles:
   cell, over a window, and per trial.
 - `step_uniforms`: the float uniforms behind the MC bits.
 - `trinomial_return`: the closed-form P(S_n = 0) of the constant walk.
+- `path_law`: the law after n steps as a sum over all 3^n paths, read from
+  the definitions of the policy kinds alone (no `_leaves`, `_stay_region`
+  or flag rows).
+- `band_sums_exact`: the two-zone column sums of calibrate_lemma5 as exact
+  fractions, by definition rather than through the reversibility identity.
 """
 
 from __future__ import annotations
@@ -188,3 +193,74 @@ def trinomial_return(n, u):
         return 0.0
     top = max(logs)
     return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+
+
+# ---------------------------------------------------------------------------
+# path enumeration
+
+
+def _ruling(policy: PolicySpec, t: int):
+    """(leaf, since): the policy of the innermost schedule segment containing
+    step t, and the step it took over, its segment's start clipped to the
+    segments enclosing it."""
+    since = 0
+    while policy.kind == "schedule":
+        seg = next(s for s in policy.params["segments"] if s.t_start <= t < s.t_end)
+        since, policy = max(since, seg.t_start), seg.inner_policy
+    return policy, since
+
+
+def path_law(policy: PolicySpec, n: int, start: int = 0) -> dict:
+    """{site: P(S_n = site)}: the weights of all 3^n paths from start, summed.
+
+    Step t from site x stays with probability u and moves to each neighbour
+    with (1 - u)/2. The leaf ruling t sets u: constant its u_value; two-zone
+    q_cap on |x| <= band; a bang-bang table q_cap on row t's intervals;
+    fast-until-zero q_cap once the path has visited 0 at or after the step
+    the leaf took over. Every other u is 0.
+    """
+    law = {}
+
+    def walk(path, weight):
+        t, x = len(path) - 1, path[-1]
+        if t == n:
+            law[x] = law.get(x, 0.0) + weight
+            return
+        leaf, since = _ruling(policy, t)
+        if leaf.kind == "constant":
+            u = leaf.params["u_value"]
+        elif leaf.kind == "two-zone":
+            u = leaf.q_cap if abs(x) <= leaf.params["band_halfwidth"] else 0.0
+        elif leaf.kind == "fast-until-zero":
+            u = leaf.q_cap if 0 in path[since:] else 0.0
+        else:
+            u = leaf.q_cap if any(a <= x <= b for a, b in leaf.params["rows"][t]) else 0.0
+        for step, p in ((0, u), (-1, (1 - u) / 2), (1, (1 - u) / 2)):
+            if p:
+                walk([*path, x + step], weight * p)
+
+    walk([start], 1.0)
+    return law
+
+
+# ---------------------------------------------------------------------------
+# exact band sums
+
+
+def band_sums_exact(q_cap: float, K: int, band: int, t: int) -> dict:
+    """{y: sum over x in [-K, K] of P_x(S_t = y)} for y in the band, exactly.
+
+    The two-zone walk (stay q_cap on |x| <= band, else 0) pushes the weight 1
+    on each start in [-K, K] forward t steps in integers: with q_cap = N/D,
+    each step is scaled by 2D, so a stay weighs 2N in the band and 0 outside,
+    and each move D - N in the band and D outside.
+    """
+    N, D = float(q_cap).as_integer_ratio()
+    sites = range(-K - t - 1, K + t + 2)  # the weight never reaches either end
+    stay = [2 * N if abs(x) <= band else 0 for x in sites]
+    move = [D - N if abs(x) <= band else D for x in sites]
+    w = [int(abs(x) <= K) for x in sites]
+    for _ in range(t):
+        w = [0, *(stay[i] * w[i] + move[i - 1] * w[i - 1] + move[i + 1] * w[i + 1]
+                  for i in range(1, len(w) - 1)), 0]
+    return {y: Fraction(w[y - sites[0]], (2 * D) ** t) for y in range(-band, band + 1)}

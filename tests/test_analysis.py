@@ -62,7 +62,7 @@ from ctrlwalk import (
 )
 from ctrlwalk import analysis, dp
 from ctrlwalk.dp import _forward
-from reference import trinomial_return
+from reference import band_sums_exact, trinomial_return
 
 
 class TestExponentFit:
@@ -418,6 +418,25 @@ class TestBandSumIdentity:
         with pytest.raises(CalibrationError):
             calibrate_lemma5(0.01)
 
+    @pytest.mark.parametrize("q", [0.5, 0.99, 0.999, 0.9995, 0.99993])
+    def test_eps_lies_below_the_exact_margin(self, monkeypatch, q):
+        # float rounding once certified eps = 4.28e-12 at q = 0.99993, above the exact margin 3.90e-12.
+        # Each q here is certified by the first candidate, if at all; the others would take seconds.
+        for name, grid in (("L5_ALPHAS", (0.25,)), ("L5_BETAS", (0.25,)), ("L5_K0S", (4,))):
+            monkeypatch.setattr(ctrlwalk.defaults, name, grid)
+        try:
+            cert = calibrate_lemma5(q)
+        except CalibrationError:  # only where rounding could hide the margin
+            assert q > 0.9995
+            return
+        exact = {}
+        for K, band, t in {(e["K"], e["band"], e["t"]) for e in cert["entries"]}:
+            exact.update({(K, y): s for y, s in band_sums_exact(q, K, band, t).items()})
+        assert sorted(exact) == sorted((e["K"], e["y"]) for e in cert["entries"])
+        for e in cert["entries"]:
+            assert abs(e["sum"] - exact[e["K"], e["y"]]) < 1e-12
+        assert cert["eps"] < min(exact.values()) - 1
+
 
 class TestEscapeCalibration:
     def test_level_hit_dual_routes(self):
@@ -495,6 +514,12 @@ def _cert(lemma):
 _VERIFY = {5: verify_lemma5_certificate, 6: verify_lemma6_certificate}
 
 
+@functools.lru_cache(maxsize=None)
+def _written_passes(lemma):
+    """Whether the certificate calibrate writes passes; each case edits one that does."""
+    return _VERIFY[lemma](_cert(lemma))["pass"]
+
+
 def _set(*path, value):
     """A change to a certificate: the item at path (keys and indices) set to value."""
     def change(cert):
@@ -520,8 +545,15 @@ def _append(*path, value):
     return change
 
 
+def _reverse(key):
+    return lambda cert: cert[key].reverse()
+
+
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
 class TestCertificates:
-    """verify_lemma5_certificate and verify_lemma6_certificate read, replay and judge."""
+    """verify_lemma5_certificate and verify_lemma6_certificate regenerate, compare and judge."""
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_every_lemma5_certificate_replays(self, q):
@@ -540,32 +572,44 @@ class TestCertificates:
             assert list(rep) == ["max_diff", "all_below", "absorbing_cross_check_escape",
                                  "absorbing_cross_check_exit", "pass"]
 
+    @pytest.mark.parametrize("name, verify", [("lemma5_q0.5.json", verify_lemma5_certificate),
+                                              ("lemma6_eps0.2.json", verify_lemma6_certificate)])
+    def test_certificates_written_earlier_replay(self, name, verify):
+        # written by calibrate lemma5 --q 0.5 and calibrate lemma6 --eps 0.2 before regeneration
+        with open(os.path.join(_DATA, name)) as fh:
+            rep = verify(json.load(fh))
+        assert rep["max_diff"] == 0.0 and rep["pass"] is True
+
     def test_certificate_without_its_scales_refused(self):
         # both passed: a lemma-6 certificate with empty tables, a lemma-5 one with only the K0 sums
         with pytest.raises(ParameterError, match="certificate lacks Ks"):
             verify_lemma6_certificate({"A": 1, "q": 0.5, "eps": 0.1, "escape_by_K": {},
                                        "early_exit_by_K": {}})
         cert = {**_cert(6), "escape_by_K": {}, "early_exit_by_K": {}}
-        with pytest.raises(ParameterError, match="escape_by_K must name exactly the scales"):
+        with pytest.raises(ParameterError, match="certificate.escape_by_K lacks 16, 64, 256$"):
             verify_lemma6_certificate(cert)
         cert = _cert(5)
         cert["entries"] = [e for e in cert["entries"] if e["K"] == cert["K0"]]
         assert len(cert["entries"]) == 3
-        with pytest.raises(ParameterError, match=r"no entry at K0=4, 2K0 and 4K0 .* = \[\(4, 1, 4\), "
-                                                 r"\(8, 2, 16\), \(16, 4, 64\)\]"):
+        with pytest.raises(ParameterError, match="certificate.entries holds 3 items; calibrate_lemma5 writes 17"):
             verify_lemma5_certificate(cert)
 
     def test_sum_past_its_bound_fails(self):
         cert = _cert(5)
         cert["eps"] = cert["min_margin"]  # the worst sum no longer exceeds 1 + eps
         rep = verify_lemma5_certificate(cert)
-        assert rep["max_diff"] == 0.0 and not rep["all_exceed"] and rep["pass"] is False
+        assert rep["max_diff"] == abs(cert["eps"] - _written(5)["eps"])  # eps is a result field
+        assert rep["max_diff"] > 0.0 and not rep["all_exceed"] and rep["pass"] is False
 
     def test_probability_past_its_bound_fails(self):
         cert = _cert(6)
-        cert["eps"] = 2 * max(cert["escape_by_K"].values())
+        cert["eps"] = 2 * max(cert["escape_by_K"].values())  # another eps: calibrate writes A = 512
+        with pytest.raises(ParameterError, match="certificate.A is 256; calibrate_lemma6 writes 512"):
+            verify_lemma6_certificate(cert)
+        cert = _cert(6)
+        cert["early_exit_by_K"]["64"] = cert["eps"] / 2  # a stored value at its bound
         rep = verify_lemma6_certificate(cert)
-        assert rep["max_diff"] == 0.0 and not rep["all_below"] and rep["pass"] is False
+        assert rep["max_diff"] > 0.0 and not rep["all_below"] and rep["pass"] is False
 
     def test_tampered_lemma6_value_fails(self):
         cert = _cert(6)
@@ -600,73 +644,114 @@ class TestCertificates:
         pytest.param(5, _drop("entries", 0, "sum"), r"entries\[0\] lacks sum", id="5-missing-sum"),
         pytest.param(6, _drop("escape_by_K"), "certificate lacks escape_by_K", id="6-missing-table"),
         pytest.param(6, _drop("q"), "certificate lacks q", id="6-missing-q"),
-        pytest.param(5, _set("entries", 0, "K", value=4.5), "K must be an integer", id="5-K-float"),
-        pytest.param(5, _set("entries", 0, "band", value="1"), "band must be an integer",
-                     id="5-band-string"),
-        pytest.param(5, _set("entries", 0, "t", value=True), "t must be an integer", id="5-t-bool"),
-        pytest.param(5, _set("entries", 0, "y", value=None), "y must be an integer", id="5-y-null"),
-        pytest.param(5, _set("K0", value=4.0), "K0 must be an integer", id="5-K0-float"),
-        pytest.param(5, _set("K0", value=5), "no entry at K0=5", id="5-no-entry-at-K0"),
-        pytest.param(5, _set("entries", value={"K": 4}), "entries must be a list",
+        pytest.param(5, _set("entries", 0, "K", value=4.5),
+                     r"certificate\.entries\[0\]\.K is 4\.5; calibrate_lemma5 writes 4", id="5-K-float"),
+        pytest.param(5, _set("entries", 0, "band", value="1"),
+                     r"certificate\.entries\[0\]\.band is '1'; calibrate_lemma5 writes 1", id="5-band-string"),
+        pytest.param(5, _set("entries", 0, "t", value=True),
+                     r"certificate\.entries\[0\]\.t is True; calibrate_lemma5 writes 4", id="5-t-bool"),
+        pytest.param(5, _set("entries", 0, "y", value=None),
+                     r"certificate\.entries\[0\]\.y is None; calibrate_lemma5 writes -1", id="5-y-null"),
+        pytest.param(5, _set("K0", value=4.0), "certificate.K0 is 4.0; calibrate_lemma5 writes 4",
+                     id="5-K0-float"),
+        pytest.param(5, _set("K0", value=5), "certificate.K0 is 5; calibrate_lemma5 writes 4",
+                     id="5-no-entry-at-K0"),
+        pytest.param(5, _set("entries", value={"K": 4}),
+                     "certificate.entries is an object; calibrate_lemma5 writes a list of 17",
                      id="5-entries-not-a-list"),
-        pytest.param(5, _set("entries", 1, value=[1, 2]), r"entries\[1\] must be a JSON object",
+        pytest.param(5, _set("entries", 1, value=[1, 2]),
+                     r"certificate\.entries\[1\] is a list of 2; calibrate_lemma5 writes an object$",
                      id="5-entry-not-an-object"),
         pytest.param(5, _set("entries", 0, "sum", value="1.5"), "sum must be a finite number",
                      id="5-sum-string"),
         pytest.param(5, _set("entries", 0, "sum", value=math.nan), "sum must be a finite number",
                      id="5-sum-nan"),
-        pytest.param(5, _set("q_cap", value="abc"), "q_cap must be a finite number",
+        pytest.param(5, _set("q_cap", value="abc"), "q_cap must be a number, got 'abc'",
                      id="5-cap-string"),
         pytest.param(5, _set("eps", value=None), "eps must be a finite number", id="5-eps-null"),
         pytest.param(5, _set("q_cap", value=1.0), "q_cap must lie in", id="5-cap-one"),
-        pytest.param(6, _set("escape_by_K", "x", value=0.1), "escape_by_K key 'x' is not an integer",
+        pytest.param(6, _set("escape_by_K", "x", value=0.1),
+                     "certificate.escape_by_K holds 'x', which calibrate_lemma6 does not write",
                      id="6-key-not-an-integer"),
-        pytest.param(6, _set("escape_by_K", "064", value=0.1),
-                     "escape_by_K key '064' is not an integer in canonical form",
+        pytest.param(6, _set("escape_by_K", "064", value=0.1), "certificate.escape_by_K holds '064', which",
                      id="6-key-not-canonical"),
-        pytest.param(6, _set("early_exit_by_K", " 64", value=0.1), "is not an integer in canonical form",
-                     id="6-key-padded"),
-        pytest.param(6, _set("escape_by_K", 64, value=0.1), "escape_by_K names K=64 twice",
+        pytest.param(6, _set("early_exit_by_K", " 64", value=0.1),
+                     "certificate.early_exit_by_K holds ' 64', which", id="6-key-padded"),
+        pytest.param(6, _set("escape_by_K", 64, value=0.1), "certificate.escape_by_K holds 64, which",
                      id="6-key-repeated"),
         pytest.param(6, _set("early_exit_by_K", "64", value="0.1"), "must be a finite number",
                      id="6-value-string"),
         pytest.param(6, _set("early_exit_by_K", "64", value=math.inf), "must be a finite number",
                      id="6-value-inf"),
-        pytest.param(6, _set("escape_by_K", value=[0.1]), "escape_by_K must be an object",
+        pytest.param(6, _set("escape_by_K", value=[0.1]),
+                     "certificate.escape_by_K is a list of 1; calibrate_lemma6 writes an object$",
                      id="6-table-not-an-object"),
-        pytest.param(6, _set("escape_by_K", "0", value=0.1), "K must be >= 1", id="6-scale-zero"),
-        pytest.param(6, _set("A", value=256.0), "A must be an integer", id="6-A-float"),
-        pytest.param(6, _set("A", value=0), "A must be >= 1", id="6-A-zero"),
-        pytest.param(6, _set("q", value=1.0), "q_cap must lie in", id="6-cap-one"),
+        pytest.param(6, _set("escape_by_K", "0", value=0.1), "certificate.escape_by_K holds '0', which",
+                     id="6-scale-zero"),
+        pytest.param(6, _set("A", value=256.0), "certificate.A is 256.0; calibrate_lemma6 writes 256",
+                     id="6-A-float"),
+        pytest.param(6, _set("A", value=0), "certificate.A is 0; calibrate_lemma6 writes 256", id="6-A-zero"),
+        pytest.param(6, _set("q", value=1.0), "certificate.q is 1.0; calibrate_lemma6 writes 0.9990234375",
+                     id="6-cap-one"),
         pytest.param(5, _drop("alpha"), "certificate lacks alpha", id="5-missing-alpha"),
-        pytest.param(5, _set("alpha", value=1e308), "give no finite scales", id="5-alpha-overflows"),
-        pytest.param(5, _set("beta", value=0.5), r"no entry at K0=4, .* = \[\(4, 2, 4\), ",
+        pytest.param(5, _set("alpha", value=1e308), r"certificate\.alpha is 1e\+308; calibrate_lemma5 writes 0.25",
+                     id="5-alpha-overflows"),
+        pytest.param(5, _set("beta", value=0.5), "certificate.beta is 0.5; calibrate_lemma5 writes 0.25",
                      id="5-other-beta"),
-        pytest.param(5, _set("entries", 1, "y", value=-1), "no entry at K0=4, .* once and no other",
-                     id="5-y-twice"),
+        pytest.param(5, _set("entries", 1, "y", value=-1),
+                     r"certificate\.entries\[1\]\.y is -1; calibrate_lemma5 writes 0", id="5-y-twice"),
         pytest.param(5, _append("entries", value={"K": 32, "band": 8, "t": 256, "y": 0, "sum": 1.5}),
-                     "no entry at K0=4, .* once and no other", id="5-extra-scale"),
+                     "certificate.entries holds 18 items; calibrate_lemma5 writes 17", id="5-extra-scale"),
         # a negative band holds no y, so an empty entry list matched every scale
-        pytest.param(5, lambda c: c.update(beta=-1.0, entries=[]), "beta must be >= 0, got -1.0",
-                     id="5-beta-negative-no-entries"),
-        pytest.param(5, lambda c: c.update(K0=-4, entries=[]), "K0 must be >= 1, got -4",
+        pytest.param(5, lambda c: c.update(beta=-1.0, entries=[]),
+                     "certificate.beta is -1.0; calibrate_lemma5 writes 0.25", id="5-beta-negative-no-entries"),
+        pytest.param(5, lambda c: c.update(K0=-4, entries=[]), "certificate.K0 is -4; calibrate_lemma5 writes 4",
                      id="5-K0-negative-no-entries"),
         pytest.param(6, _drop("Ks"), "certificate lacks Ks", id="6-missing-Ks"),
-        pytest.param(6, _set("Ks", value=[]), "Ks must be a non-empty list", id="6-Ks-empty"),
-        pytest.param(6, _set("Ks", value=[16, 0]), "Ks must be >= 1, got 0", id="6-Ks-zero"),
-        pytest.param(6, _drop("escape_by_K", "64"), r"escape_by_K must name exactly the scales "
-                     r"Ks=\[16, 64, 256\], got \[16, 256\]", id="6-scale-missing"),
-        pytest.param(6, _set("early_exit_by_K", "32", value=0.01), "early_exit_by_K must name exactly",
+        pytest.param(6, _set("Ks", value=[]), "certificate.Ks holds 0 items; calibrate_lemma6 writes 3",
+                     id="6-Ks-empty"),
+        pytest.param(6, _set("Ks", value=[16, 0]), "certificate.Ks holds 2 items; calibrate_lemma6 writes 3",
+                     id="6-Ks-zero"),
+        pytest.param(6, _drop("escape_by_K", "64"), "certificate.escape_by_K lacks 64$", id="6-scale-missing"),
+        pytest.param(6, _set("early_exit_by_K", "32", value=0.01),
+                     "certificate.early_exit_by_K holds '32', which calibrate_lemma6 does not write",
                      id="6-scale-extra"),
-        pytest.param(6, _set("Ks", value=[16, 64]), "escape_by_K must name exactly", id="6-Ks-short"),
+        pytest.param(6, _set("Ks", value=[16, 64]), "certificate.Ks holds 2 items; calibrate_lemma6 writes 3",
+                     id="6-Ks-short"),
+        # each of these passed before certificates were regenerated; None: a result field,
+        # so the certificate replays with max_diff > 0 and fails
+        pytest.param(5, _set("eps", value=-0.5), None, id="5-eps-negative"),
+        pytest.param(5, _set("alpha", value=0.251), "certificate.alpha is 0.251; calibrate_lemma5 writes 0.25",
+                     id="5-other-true-alpha"),
+        pytest.param(5, _set("beta", value=0.26), "certificate.beta is 0.26; calibrate_lemma5 writes 0.25",
+                     id="5-other-true-beta"),
+        pytest.param(5, _set("min_margin", value=7.0), None, id="5-min-margin-inflated"),
+        pytest.param(5, _set("note", value=1), "certificate holds 'note', which calibrate_lemma5 does not write",
+                     id="5-extra-key"),
+        pytest.param(5, _reverse("entries"), r"certificate\.entries\[0\]\.K is 16; calibrate_lemma5 writes 4",
+                     id="5-entries-reversed"),
+        pytest.param(6, _set("eps", value=50), r"eps must lie in \(0, 1\), got 50", id="6-eps-fifty"),
+        pytest.param(6, _set("q_level", value=99), "certificate.q_level is 99; calibrate_lemma6 writes 10",
+                     id="6-q-level-unmatched"),
+        pytest.param(6, _set("note", value=1), "certificate holds 'note', which calibrate_lemma6 does not write",
+                     id="6-extra-key"),
+        pytest.param(6, _reverse("Ks"), r"certificate\.Ks\[0\] is 256; calibrate_lemma6 writes 16",
+                     id="6-Ks-reversed"),
+        # an input calibrate finds no certificate for
+        pytest.param(6, _set("eps", value=1e-9), "no certificate exists for eps=1e-09: escape stage",
+                     id="6-eps-unreachable"),
     ])
     def test_malformed_certificate_rejected(self, lemma, change, message):
         cert, verify = _cert(lemma), _VERIFY[lemma]
-        assert verify(cert)["pass"] is True
+        assert _written_passes(lemma) is True
         if change is None:
             cert = [cert]
         else:
             change(cert)
+        if message is None:
+            rep = verify(cert)
+            assert rep["max_diff"] > 0.0 and rep["pass"] is False
+            return
         with pytest.raises(ParameterError, match=message):
             verify(cert)
 

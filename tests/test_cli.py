@@ -204,6 +204,14 @@ class TestExitCodes:
     def test_calibration_failure_is_exit_3(self, capsys):
         assert run_command(["calibrate", "lemma6", "--eps", "1e-9"]) == 3
 
+    def test_margin_hidden_by_rounding_is_exit_3(self, capsys, monkeypatch):
+        # the float margin at q = 0.99993 once gave an eps above the exact margin; the first
+        # candidate alone keeps the search short
+        for name, grid in (("L5_ALPHAS", (0.25,)), ("L5_BETAS", (0.25,)), ("L5_K0S", (4,))):
+            monkeypatch.setattr(ctrlwalk.defaults, name, grid)
+        assert run_command(["calibrate", "lemma5", "--q", "0.99993"]) == 3
+        assert "rounding allowance" in capsys.readouterr().err
+
     def test_verify_failure_is_exit_4(self, capsys, tmp_path):
         cert = calibrate_lemma5(0.5)
         cert["entries"][2]["sum"] += 1e-6
@@ -535,19 +543,23 @@ class TestVerifyAndCalibrate:
             "replay_max_diff", "all_below", "absorbing_cross_check_escape",
             "absorbing_cross_check_exit"]
 
-    @pytest.mark.parametrize("what, cert, message", [
+    @pytest.mark.parametrize("what, cert, message", [  # a function edits what calibrate writes
         ("lemma5", [1, 2], "certificate must be a JSON object"),
         ("lemma6", "cert", "certificate must be a JSON object"),
-        ("lemma5", {"q_cap": 0.5, "eps": 0.1, "K0": 4}, "certificate lacks entries"),
-        ("lemma5", {"q_cap": 0.5, "eps": 0.1, "K0": 4,
-                    "entries": [{"K": 4, "band": 1, "t": 4, "y": 0.5, "sum": 1.2}]},
-         "y must be an integer"),
-        ("lemma6", {"A": 1, "q": 0.5, "eps": 0.1, "escape_by_K": {"x": 0.1},
-                    "early_exit_by_K": {}}, "escape_by_K key 'x' is not an integer"),
-        ("lemma6", {"A": 1, "q": 0.5, "eps": 0.1, "escape_by_K": {"4": "0.1"},
-                    "early_exit_by_K": {}}, "must be a finite number"),
+        pytest.param("lemma5", lambda c: {k: v for k, v in c.items() if k != "entries"},
+                     "certificate lacks entries", id="lemma5-cert2-certificate lacks entries"),
+        pytest.param("lemma5", lambda c: {**c, "entries": [{**c["entries"][0], "y": 0.5}, *c["entries"][1:]]},
+                     "certificate.entries[0].y is 0.5; calibrate_lemma5 writes -1",
+                     id="lemma5-cert3-certificate.entries[0].y is 0.5"),
+        pytest.param("lemma6", lambda c: {**c, "escape_by_K": {"x": 0.1, **c["escape_by_K"]}},
+                     "escape_by_K holds 'x', which calibrate_lemma6 does not write",
+                     id="lemma6-cert4-escape_by_K holds 'x'"),
+        pytest.param("lemma6", lambda c: {**c, "escape_by_K": {**c["escape_by_K"], "16": "0.1"}},
+                     "must be a finite number, got '0.1'", id="lemma6-cert5-must be a finite number"),
     ])
     def test_malformed_certificate_is_exit_2(self, capsys, tmp_path, what, cert, message):
+        if callable(cert):
+            cert = cert(calibrate_lemma5(0.5) if what == "lemma5" else calibrate_lemma6(0.2))
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(cert))
         assert run_command(["verify", what, "--cert", str(path)]) == 2

@@ -3,6 +3,7 @@
 import io
 import math
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ from ctrlwalk import dp, lattice
 from ctrlwalk.dp import _backward, _forward, _optimal_curve
 from ctrlwalk.policies import _stay_region, rule_change_times
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
-from reference import ControlRow, control_grid, step_distribution, trinomial_return
+from reference import ControlRow, control_grid, path_law, step_distribution, trinomial_return
 
 
 def grid_optimum(q, n, objective, grid=None, target=(0, 0)):
@@ -578,6 +579,51 @@ class TestNestedSchedulesEqualFlat:
         assert hit_probability(wrapped, 256) == hit_probability(p, 256)
         assert round(hit_probability(wrapped, 256), 5) == 0.29558
         assert estimate_hit(wrapped, 256, trials=4000, seed=3) == estimate_hit(p, 256, trials=4000, seed=3)
+
+
+def random_policy(rng, q, hz, depth=2):
+    """A random leaf of any kind, or a schedule of up to 4 segments nesting
+    them to the given depth, ruling at least [0, hz). A table or nested
+    schedule reaches at least the end of its segment."""
+    kind = rng.choice(["constant", "two-zone", "fast-until-zero", "table", "schedule"][: 4 + (depth > 0)])
+    if kind == "constant":
+        return constant_policy(q, rng.choice([0.0, q / 2, q]))
+    if kind == "two-zone":
+        return two_zone_policy(q, rng.randint(0, 3))
+    if kind == "fast-until-zero":
+        return fast_until_zero_policy(q)
+    if kind == "table":
+        ends = [sorted(rng.sample(range(-4, 5), 2 * rng.randint(0, 2))) for _ in range(hz)]
+        return bang_bang_table_policy(q, hz, [list(zip(e[::2], e[1::2])) for e in ends])
+    cuts = [0, *sorted(rng.sample(range(1, hz), min(hz - 1, rng.randint(0, 3)))), hz + rng.randint(0, 2)]
+    return schedule_policy(q, [ScheduleSegment(a, b, random_policy(rng, q, b, depth - 1))
+                               for a, b in zip(cuts, cuts[1:])])
+
+
+class TestEvolveAgainstPathOracle:
+    """evolve against reference.path_law, a sum over all 3^n paths that reads
+    each policy kind from its definition and shares no code with the engines."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_nested_schedules(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            n, start, q = rng.randint(1, 7), rng.randint(-3, 3), rng.choice([0.3, 0.5, 0.9])
+            policy = random_policy(rng, q, n)
+            law = evolve(policy, n, start)
+            want = path_law(policy, n, start)
+            sites = range(law.offset, law.offset + law.width)
+            assert set(want) <= set(sites)
+            assert max(abs(float(law.mass_at(x)) - want.get(x, 0.0)) for x in sites) <= 1e-13, policy
+
+    def test_nested_fast_until_zero_measured_from_its_takeover(self):
+        # the inner schedule's second segment takes over at 2 inside the outer segment [2, 4)
+        inner = schedule_policy(0.5, [ScheduleSegment(0, 1, constant_policy(0.5, 0.0)),
+                                      ScheduleSegment(1, 4, fast_until_zero_policy(0.5))])
+        policy = schedule_policy(0.5, [ScheduleSegment(0, 2, constant_policy(0.5, 0.0)),
+                                       ScheduleSegment(2, 4, inner)])
+        law, want = evolve(policy, 4, 0), path_law(policy, 4, 0)
+        assert all(abs(float(law.mass_at(x)) - p) <= 1e-15 for x, p in want.items())
 
 
 class TestMirrorFold:

@@ -354,10 +354,25 @@ def _cmd_exponent(cfg, echo, out):
     return 0
 
 
+def _certificate(obj, what: str):
+    """What verify <what> --cert checks: the payload of a `calibrate <what>` record,
+    or obj itself when it is not a record (holds no "command")."""
+    if not (isinstance(obj, dict) and "command" in obj):
+        return obj
+    config = obj.get("config")
+    made = (obj["command"], config.get("what") if isinstance(config, dict) else None)
+    if made != ("calibrate", what) or "payload" not in obj:
+        name = " ".join(str(v) for v in made if v is not None)
+        raise ParameterError(f"--cert holds a {name} record; verify {what} reads the payload "
+                             f"of a calibrate {what} record, or a bare certificate")
+    return obj["payload"]
+
+
 def _cmd_verify(cfg):
     what = cfg["what"]
     if what in _CERTIFICATE_CHECKS:
-        rep = _CERTIFICATE_CHECKS[what](_load_json(_resolve_out(cfg["cert"])))
+        cert = _certificate(_load_json(_resolve_out(cfg["cert"])), what)
+        rep = _CERTIFICATE_CHECKS[what](cert)
         ok = rep.pop("pass")
         return {"replay_max_diff": rep.pop("max_diff"), **rep}, "exact", ok
 

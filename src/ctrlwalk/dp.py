@@ -356,17 +356,27 @@ def _solve_args(q_cap: float, n: int, objective: str) -> tuple[float, int]:
 _EPS, _CERT = 2.0**-70, 2.0**-60  # a curve pass's tail, and a kept point's bound / p
 
 
-def _certified(points, horizons) -> dict:
+def _radius(n: int, eps: float, v: float) -> int:
+    """A radius R such that a martingale with steps of at most 1 whose step
+    variances sum to at most v leaves [-R, R] within n steps with probability
+    <= eps: the smaller of Azuma-Hoeffding's (2 exp(-R^2/2n)) and
+    Freedman's (2 exp(-R^2/2(v + R/3))). With v = n it is Azuma's."""
+    ln = math.log(2 / eps)
+    return math.ceil(min(math.sqrt(2 * n * ln), ln / 3 + math.sqrt(ln * ln / 9 + 2 * ln * v)))
+
+
+def _certified(points, horizons, variance) -> dict:
     """{m: (p, error bound)} per horizon m; points(ms, radius) reads each m in
     ms off one pass to max(ms) that absorbs paths leaving [-radius, radius]
-    (None: untruncated). By Azuma-Hoeffding the walk, a martingale with steps
-    of at most 1 under any control, leaves [-R, R] by step N with probability
-    <= 2 exp(-R^2/2N): R is sized for _EPS, enough for p >= 2^-10. A point with
-    bound > _CERT * p is read again off a pass twice as wide or sized for p."""
+    (None: untruncated). The walk is a martingale with steps of at most 1
+    under any control, and variance(N) bounds its summed step variances over
+    N steps, so R = _radius(N, _EPS, variance(N)) suffices for p >= 2^-10. A
+    point with bound > _CERT * p is read again off a pass twice as wide or
+    sized for p."""
     curve, todo, eps, radius = {}, set(horizons), _EPS, 0
     while todo:
         big = max(todo)
-        radius = max(math.ceil(math.sqrt(2 * big * math.log(2 / eps))) if eps else big, 2 * radius)
+        radius = max(_radius(big, eps, variance(big)) if eps else big, 2 * radius)
         got = points(todo, radius if radius < big else None)
         curve.update((m, pb) for m, pb in got.items() if pb[1] <= _CERT * pb[0])
         todo -= curve.keys()
@@ -384,22 +394,40 @@ def _optimal_curve(q_cap: float, horizons, objective: str) -> dict:
         return {big - t: (float(v[r]), 2 * math.exp(-r * r / (2 * (big - t))) if big - t > r else 0.0)
                 for t, v in steps if big - t in ms}
 
-    return _certified(points, {_solve_args(q_cap, m, objective)[1] for m in horizons})
+    horizons = {_solve_args(q_cap, m, objective)[1] for m in horizons}
+    return _certified(points, horizons, lambda n: n)  # the controller may pick u = 0 anywhere
 
 
-def _forward_curve(runs) -> dict:
-    """{m: (P(S_m = 0) from 0, error bound)} per (m, policy) run, from one
-    _forward pass per distinct policy to its largest m: step t does the same
-    elementwise operations whatever the run's length, so each law is the
-    run's to m, bitwise when untruncated. The bound is the mass absorbed at
-    +-(R + 1) by step m. Site x >= 0 is column x - t - 1 of a view at t."""
-    policies, horizons = [], []  # distinct policies in order of first run, and their m
+def _passes(runs) -> list:
+    """[(policy, {m})] per distinct policy of the (m, policy) runs, in order
+    of first run: what _forward_curve reads off one pass each."""
+    policies, horizons = [], []
     for m, policy in runs:
         if policy not in policies:
             policies.append(policy)
             horizons.append(set())
         horizons[policies.index(policy)].add(run_args(policy, m, 0)[0])
+    return list(zip(policies, horizons))
 
+
+def _step_variance(policy: PolicySpec, n: int) -> float:
+    """A bound on the summed step variances of n steps from 0: 1 - u per step
+    whose rule holds u at every site and in every row (no intervals, and not
+    hit_only unless the run has one row: no flag reset), 1 per other step."""
+    one_row, cuts = not flag_reset_times(policy), rule_change_times(policy, 0, n) + [n]
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        u, hit_only, intervals = _stay_region(policy, a)
+        total += (b - a) * (1 - u if intervals is None and (one_row or not hit_only) else 1)
+    return total
+
+
+def _forward_curve(passes) -> dict:
+    """{m: (P(S_m = 0) from 0, error bound)} per (policy, {m}) of passes, from
+    one _forward pass per policy to its largest m: step t does the same
+    elementwise operations whatever the run's length, so each law is the
+    run's to m, bitwise when untruncated. The bound is the mass absorbed at
+    +-(R + 1) by step m. Site x >= 0 is column x - t - 1 of a view at t."""
     def points(policy, ms, radius):
         got, r = {}, radius or max(ms)
         for t, v in enumerate(_forward(policy, max(ms), 0, FLOAT, radius and (-r, r))):
@@ -408,8 +436,8 @@ def _forward_curve(runs) -> dict:
                 got[t] = float(v[:, -1 - t].sum()), float(v[:, ends].sum()) if t > r else 0.0
         return got
 
-    return {m: pb for policy, ms in zip(policies, horizons)
-            for m, pb in _certified(functools.partial(points, policy), ms).items()}
+    return {m: pb for policy, ms in passes for m, pb in _certified(
+        functools.partial(points, policy), ms, functools.partial(_step_variance, policy)).items()}
 
 
 def extract_region(bb: BangBangPolicy) -> dict:

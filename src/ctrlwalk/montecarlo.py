@@ -204,13 +204,26 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_cores() -> int:
+    """The cores shards may use: _core_count(), or 1 where there is no fork."""
+    return _core_count() if hasattr(os, "fork") else 1
+
+
+def _outcome(shard, i: int) -> tuple:
+    """(shard(i), None), or (None, the exception it raised)."""
+    try:
+        return shard(i), None
+    except BaseException as exc:  # raised by the caller after every child is reaped
+        return None, exc
+
+
 def _fork(shard, i: int):
     """Run shard(i) in a forked child: (pid, read end of the pipe that carries its report).
 
-    shard returns None or the exception that stopped it, which the child
-    sends back pickled, or as a RuntimeError with its repr when it does not
-    survive pickling. The child leaves through os._exit: no atexit handler
-    runs and no inherited stdio buffer is flushed a second time.
+    The report is _outcome(shard, i) pickled; one that does not survive
+    pickling goes as a RuntimeError with its repr. The child leaves through
+    os._exit: no atexit handler runs and no inherited stdio buffer is flushed
+    a second time.
     """
     r, w = os.pipe()
     try:
@@ -223,15 +236,15 @@ def _fork(shard, i: int):
         code = 1
         try:
             os.close(r)
-            exc = shard(i)
-            if exc is not None:
-                try:
-                    data = pickle.dumps(exc)
-                    pickle.loads(data)
-                except BaseException:
-                    data = pickle.dumps(RuntimeError(f"shard {i} raised {exc!r}"))
-                with open(w, "wb") as fh:
-                    fh.write(data)
+            result, exc = _outcome(shard, i)
+            try:
+                data = pickle.dumps((result, exc))
+                pickle.loads(data)
+            except BaseException:
+                what = f"raised {exc!r}" if exc is not None else f"returned {result!r}"
+                data = pickle.dumps((None, RuntimeError(f"shard {i} {what}")))
+            with open(w, "wb") as fh:
+                fh.write(data)
             code = 0
         finally:
             os._exit(code)
@@ -263,18 +276,45 @@ def _reap(children, stop) -> list[int]:
     return codes
 
 
+def _in_shards(shard, k: int, stop) -> list:
+    """[shard(0), ..., shard(k - 1)], shard 0 in this process and the rest in
+    forked children (_fork), so each returns a picklable result.
+
+    Any exception here (a Ctrl-C, or a report that does not load) sets
+    stop[0], the byte shards may poll. Every child is reaped before the
+    lowest shard's exception is raised.
+    """
+    children = []
+    try:
+        for i in range(1, k):
+            children.append(_fork(shard, i))
+        reports = [_outcome(shard, 0)] + [pickle.loads(data) if (data := report.read()) else None
+                                          for _, report in children]
+    except BaseException:
+        stop[0] = 1
+        raise
+    finally:
+        codes = _reap(children, stop)
+    for i, code in enumerate(codes, 1):
+        if reports[i] is None:
+            reports[i] = None, RuntimeError(f"shard {i} ended with exit code {code} and no report")
+    for _, exc in reports:
+        if exc is not None:
+            raise exc
+    return [result for result, _ in reports]
+
+
 def _run_shards(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family, entr):
-    """_walk over x in one contiguous shard per core, shard 0 in this process.
+    """_walk over x in one contiguous shard per core (_in_shards).
 
     Shards 1..k-1 run in forked children, so x and entr must live in a
     shared mapping (run_batch puts them there); each shard writes its own
     views. Walks never interact and each draws from its own key, so every
     shard's sites and entrance rows are bitwise those of one unsplit walk.
     One shared stop byte, read by every shard once per step, is set by a
-    failing shard and by this process on any exception. Every child is
-    reaped before the lowest shard's exception is raised.
+    failing shard and by this process on any exception.
     """
-    k = max(1, min(_core_count(), x.size // _MIN_SHARD)) if hasattr(os, "fork") else 1
+    k = max(1, min(_fork_cores(), x.size // _MIN_SHARD))
     cuts = [x.size * i // k for i in range(k + 1)]
     stop = np.frombuffer(mmap.mmap(-1, 1), dtype=np.uint8)
 
@@ -285,28 +325,11 @@ def _run_shards(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, fam
             for _ in _walk(policy, n, x[a:b], keys[a:b], family, rows):
                 if stop[0]:
                     break
-        except BaseException as exc:  # raised by the caller after every child is reaped
+        except BaseException:
             stop[0] = 1
-            return exc
-        return None
+            raise
 
-    children = []
-    try:
-        for i in range(1, k):
-            children.append(_fork(drive, i))
-        errors = [drive(0)] + [pickle.loads(data) if (data := report.read()) else None
-                               for _, report in children]
-    except BaseException:  # a Ctrl-C outside the walk, or a report that does not load
-        stop[0] = 1
-        raise
-    finally:
-        codes = _reap(children, stop)
-    for i, code in enumerate(codes, 1):
-        if errors[i] is None and code != 0:
-            errors[i] = RuntimeError(f"shard {i} ended with exit code {code} and no report")
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    _in_shards(drive, k, stop)
 
 
 def _stages(family: BarrierFamily | None, n: int) -> int:

@@ -60,8 +60,9 @@ from ctrlwalk import (
     verify_lemma6_certificate,
     wilson_interval,
 )
-from ctrlwalk import analysis, dp
+from ctrlwalk import analysis, dp, montecarlo
 from ctrlwalk.dp import _forward
+from ctrlwalk.errors import InvariantError
 from reference import band_sums_exact, trinomial_return
 
 
@@ -287,6 +288,82 @@ class TestOnePassSweep:
         for r in records:
             want = trinomial_return(r["n"], q)
             assert abs(r["p"] - want) <= 1e-10 * want
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Report 2 cores and list the pid of every fork this process makes."""
+    monkeypatch.setattr(montecarlo, "_core_count", lambda: 2)
+    fork, pids = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def bits(records):
+    return [(r["n"], r["p"].hex(), r["error_bound"].hex()) for r in records]
+
+
+class TestForkedSweep:
+    """A sweep's passes run in groups of balanced steps, one per core, group 0
+    here and the rest in forked children, when each child has enough steps."""
+
+    GRID = [512, 1024, 2048, 4096, 8192]  # groups of 8192 and 7680 steps
+
+    @pytest.mark.parametrize("kind", ["two-zone", "schedule-localization", "schedule-qto1"])
+    def test_forked_curve_equals_in_process(self, forks, monkeypatch, kind):
+        forked, _ = exponent_sweep(kind, 0.9, self.GRID)
+        assert len(forks) == 1
+        monkeypatch.setattr(montecarlo, "_core_count", lambda: 1)
+        here, _ = exponent_sweep(kind, 0.9, self.GRID)
+        assert len(forks) == 1
+        assert bits(forked) == bits(here)
+
+    @pytest.mark.parametrize("cores, kind, grid", [
+        (1, "two-zone", GRID), (2, "constant", GRID),  # one core; one pass
+        (2, "two-zone", GRID[:-1]),  # a child's 3584 steps are below the floor
+    ])
+    def test_small_sweeps_run_in_process(self, forks, monkeypatch, cores, kind, grid):
+        monkeypatch.setattr(montecarlo, "_core_count", lambda: cores)
+        exponent_sweep(kind, 0.9, grid)
+        assert forks == []
+
+    @pytest.mark.parametrize("horizons, cores, want", [
+        ([512, 1024, 2048, 4096, 8192], 2, [[8192], [4096, 2048, 1024, 512]]),
+        ([512, 1024, 2048, 4096, 8192], 3, [[8192], [4096, 2048, 1024, 512]]),  # a third is short
+        ([4096, 8192, 8192, 4096], 3, [[8192], [8192], [4096, 4096]]),
+        ([4096, 8192], 1, [[4096, 8192]]),
+        ([512, 1024, 2048, 4096], 2, [[512, 1024, 2048, 4096]]),
+    ])
+    def test_pass_groups(self, horizons, cores, want):
+        passes = [(f"policy {i}", {m}) for i, m in enumerate(horizons)]
+        groups = analysis._pass_groups(passes, cores)
+        assert [[max(ms) for _, ms in group] for group in groups] == want
+
+    @pytest.mark.parametrize("error", [InvariantError, ParameterError, KeyboardInterrupt])
+    @pytest.mark.parametrize("where, n", [("child", 4096), ("here", 8192)])
+    def test_pass_error_reaches_the_caller(self, forks, monkeypatch, error, where, n):
+        # group 0 starts with the pass to 8192, the child's group with 4096
+        caller, forward = os.getpid(), dp._forward
+
+        def failing(policy, n, *args):
+            if (os.getpid() != caller) == (where == "child"):
+                raise error(f"pass to {n} failed")
+            return forward(policy, n, *args)
+
+        monkeypatch.setattr(dp, "_forward", failing)
+        with pytest.raises(error) as info:
+            exponent_sweep("two-zone", 0.9, self.GRID)
+        assert type(info.value) is error and str(info.value) == f"pass to {n} failed"
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):  # the child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 def _ps_fit(result):

@@ -543,6 +543,23 @@ class TestVerifyAndCalibrate:
             "replay_max_diff", "all_below", "absorbing_cross_check_escape",
             "absorbing_cross_check_exit"]
 
+    @pytest.mark.parametrize("what, argv", [("lemma5", ["--q", "0.5"]), ("lemma6", ["--eps", "0.2"])])
+    def test_verify_reads_the_calibrate_record(self, capsys, tmp_path, what, argv):
+        path, other = tmp_path / "cert.json", tmp_path / "other.json"
+        assert run_command(["calibrate", what, *argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, out = run(capsys, ["verify", what, "--cert", str(path)])
+        assert code == 0 and record_from(out)["payload"]["replay_max_diff"] == 0.0
+        # a record of another lemma, or of verify itself, is refused
+        wrong = "lemma6" if what == "lemma5" else "lemma5"
+        assert run_command(["verify", wrong, "--cert", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --cert holds a calibrate {what} record; verify {wrong} reads the payload "
+            f"of a calibrate {wrong} record, or a bare certificate\n")
+        assert run_command(["verify", what, "--cert", str(path), "--out", str(other)]) == 0
+        assert run_command(["verify", what, "--cert", str(other)]) == 2
+        assert f"error: --cert holds a verify {what} record;" in capsys.readouterr().err
+
     @pytest.mark.parametrize("what, cert, message", [  # a function edits what calibrate writes
         ("lemma5", [1, 2], "certificate must be a JSON object"),
         ("lemma6", "cert", "certificate must be a JSON object"),

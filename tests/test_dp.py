@@ -51,7 +51,7 @@ from ctrlwalk import (
     two_zone_policy,
     value_table_to_csv,
 )
-from ctrlwalk import dp, lattice
+from ctrlwalk import dp, lattice, montecarlo
 from ctrlwalk.dp import _backward, _forward, _optimal_curve
 from ctrlwalk.policies import _stay_region, rule_change_times
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
@@ -739,12 +739,35 @@ def spy(monkeypatch, name):
     return calls
 
 
+def first_radius(kind, q, n):
+    """ceil(min(sqrt(2nL), L/3 + sqrt(L^2/9 + 2LV))), L = ln(2/2^-70): the first
+    radius of the pass to n, whose steps with u = q at every site and in every
+    row add 1 - q to V and the others 1. A fast-until-zero run from 0 has only
+    flagged mass, so it stays everywhere; a two-zone rule holds only in its band."""
+    if kind in ("constant", "fast-until-zero"):
+        v = n * (1 - q)
+    elif kind == "schedule-localization":  # a constant-lazy phase, then two-zone ones
+        v = sum((s.t_end - s.t_start) * (1 - q if s.inner_policy.kind == CONSTANT else 1)
+                for s in sweep_policy(kind, q, n, {}).params["segments"])
+    else:
+        v = n
+    ln = math.log(2 / 2.0**-70)
+    return math.ceil(min(math.sqrt(2 * n * ln), ln / 3 + math.sqrt(ln * ln / 9 + 2 * ln * v)))
+
+
 class TestTruncatedCurves:
-    """The curve passes absorb paths beyond the Azuma radius R = 635 of N =
-    4096 and keep a point only with a certified error bound; every kept
-    point equals the untruncated one bitwise."""
+    """The curve passes absorb paths beyond a radius R sized for a 2^-70 tail:
+    Azuma's for the optimal curve (R = 635 at N = 4096), the smaller of
+    Azuma's and Freedman's for a forward pass, whose policy bounds the summed
+    step variances. A point is kept only with a certified error bound, and
+    every kept point equals the untruncated one bitwise. One core is
+    reported, so every pass runs in this process, where the spies see it."""
 
     GRID = [512, 1024, 2048, 4096]
+
+    @pytest.fixture(autouse=True)
+    def one_core(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_core_count", lambda: 1)
 
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     @pytest.mark.parametrize("kind", ["constant", "fast-until-zero", "two-zone",
@@ -752,12 +775,30 @@ class TestTruncatedCurves:
     def test_forward_curve_equals_untruncated_pass(self, monkeypatch, kind, q):
         passes = spy(monkeypatch, "_forward")
         records, _ = exponent_sweep(kind, q, self.GRID)
-        lives = [args[4] for args in passes]
-        assert (-635, 635) in lives and None not in lives
+        ns = self.GRID[-1:] if kind in ("constant", "fast-until-zero") else self.GRID
+        want = [(n, (-first_radius(kind, q, n), first_radius(kind, q, n))) for n in ns]
+        assert sorted((args[1], args[4]) for args in passes) == want  # each certified at once
         for r in records:
             want = hit_probability(sweep_policy(kind, q, r["n"], {}), r["n"])  # one whole pass per n
             assert r["p"].hex() == want.hex()
             assert 0.0 <= r["error_bound"] <= dp._CERT * r["p"]
+
+    @pytest.mark.parametrize("policy, v", [
+        (constant_policy(0.9, 0.5), 5.0), (fast_until_zero_policy(0.9), 10 * (1 - 0.9)),  # one row
+        (two_zone_policy(0.9, 3), 10.0),
+        (schedule_policy(0.9, [ScheduleSegment(0, 4, constant_policy(0.9, 0.5)),  # then two rows
+                               ScheduleSegment(4, 10, fast_until_zero_policy(0.9))]), 8.0),
+        (bang_bang_table_policy(0.9, 10, [()] * 10), 10.0),
+    ])
+    def test_step_variance(self, policy, v):
+        assert dp._step_variance(policy, 10) == v
+
+    @pytest.mark.parametrize("kind, params, radius", [
+        ("constant", {}, 301), ("fast-until-zero", {}, 301), ("two-zone", {"band": 45}, 898)])
+    def test_first_radius_at_8192(self, monkeypatch, kind, params, radius):
+        passes = spy(monkeypatch, "_forward")
+        exponent_sweep(kind, 0.9, [2048, 4096, 8192], params=params)
+        assert [args[4] for args in passes] == [(-radius, radius)]
 
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.95])
     def test_optimal_curve_equals_per_n_solves(self, monkeypatch, q):
@@ -778,13 +819,13 @@ class TestTruncatedCurves:
             assert bound == 0.0
 
     def test_failed_certificate_reads_points_again(self, monkeypatch):
-        monkeypatch.setattr(dp, "_EPS", 0.5)  # R = 107 at N = 4096: far too narrow
+        monkeypatch.setattr(dp, "_EPS", 0.5)  # far too narrow at N = 4096: R = 76 (V = 2048), 107
         forward, backward = spy(monkeypatch, "_forward"), spy(monkeypatch, "_backward")
         records, _ = exponent_sweep("constant", 0.5, self.GRID)
         curve = _optimal_curve(0.9, self.GRID, MAX)
         radii = [live and live[1] for *_, live in forward], [args[5] for args in backward]
-        for first, wider in radii:  # one narrow pass, then one that certifies what it missed
-            assert first == 107 and wider > 107
+        for (first, wider), narrow in zip(radii, (76, 107)):  # one narrow pass, then a wider one
+            assert first == narrow and wider > narrow
         for r in records:
             want = hit_probability(constant_policy(0.5, 0.5), r["n"])
             assert r["p"].hex() == want.hex() and r["error_bound"] <= dp._CERT * r["p"]
@@ -794,8 +835,8 @@ class TestTruncatedCurves:
 
     def test_short_passes_are_untruncated(self, monkeypatch):
         passes = spy(monkeypatch, "_forward")
-        records, _ = exponent_sweep("constant", 0.9, [16, 32, 64], min_n=16)
-        assert [args[4] for args in passes] == [None]  # R = 77 > 64
+        records, _ = exponent_sweep("two-zone", 0.9, [16, 32, 64], min_n=16, params={"band": 4})
+        assert [args[4] for args in passes] == [None]  # R = 77 > 64 (Azuma's: V = N)
         assert [r["error_bound"] for r in records] == [0.0] * 3
 
 

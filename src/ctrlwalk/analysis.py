@@ -155,9 +155,10 @@ def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: di
 
 
 # steps each forked pass group must hold. Forking and reaping a child costs
-# about 4 ms on 2 cores, and two-zone and schedule sweeps (q = 0.9) ran slower
-# forked with children of up to 2,304 steps and up to 40% faster from 3,584
-# steps when the second core was free; the floor sits above that crossover
+# 2-4 ms on 2 cores. Two-zone and schedule-localization sweeps (q = 0.9) ran
+# 35-38% faster forked with a child of 4,480 steps in 7 of 8 runs (4% in the
+# other), and anywhere from 33% faster to 28% slower with children of 1,792
+# to 3,584 steps; the floor lies between the two
 _MIN_FORK_STEPS = 4096
 
 
@@ -283,15 +284,12 @@ def heat_kernel_profile(chain: ChainSpec, t_grid) -> dict:
         raise ParameterError("t_grid must contain positive times")
     probes = tuple(sorted({int(f * chain.band_halfwidth) for f in defaults.HK_PROBE_FACTORS}))
     pol = two_zone_policy(chain.q_cap, chain.band_halfwidth)
-    tmax = t_grid[-1]
-    grid = set(t_grid)
     sup = {t: 0.0 for t in t_grid}
     for x0 in probes:
-        for t, m in enumerate(_forward(pol, tmax, x0, FLOAT, None)):
-            if t in grid:
-                peak = float(m.sum(axis=0).max()) * math.sqrt(t)
-                if peak > sup[t]:
-                    sup[t] = peak
+        for t, m in zip(t_grid, _forward(pol, t_grid[-1], x0, FLOAT, None, t_grid)):
+            peak = float(m.sum(axis=0).max()) * math.sqrt(t)
+            if peak > sup[t]:
+                sup[t] = peak
 
     per_t = [(t, sup[t]) for t in t_grid]
     running = []

@@ -66,8 +66,9 @@ def _site_interval(target, name: str) -> tuple[int, int]:
     return (lo, hi)
 
 
-def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
-    """The law at times 0..n as (R, W) views that the next step overwrites.
+def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None):
+    """The law at each time of reads (default 0..n), ascending, as (R, W)
+    views that the next step overwrites.
 
     R = 1 when the walk starts on 0 and no flag reset follows: all mass is
     flagged, so the NOT_HIT row would stay zero. The one row is then the
@@ -76,12 +77,14 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     sized once hold column site + shift, zero off the window. Each step
     follows the operation order of the per-cell oracle step_distribution in
     tests/reference.py, so laws agree bitwise. _stay_region holds u in
-    [0, 1], so no mass can turn negative and only the total is checked.
+    [0, 1], so no mass can turn negative and only the total is checked, in
+    Python floats (Fractions in RATIONAL mode).
 
     Steps run in epochs cut at each policies.rule_change_times step (the
     only ones that ask for the stay rule; flag resets are among them) and
-    quarter of t. An epoch slices its views once and sweeps the live columns
-    its last step can reach and the absorbing ones (zeros beyond stay zero).
+    quarter of t. An epoch slices every view its steps touch once per
+    parity, and sweeps the live columns its last step can reach and the
+    absorbing ones (zeros beyond stay zero), one multiply per term.
 
     One row under a mirror-symmetric policy and live window is folded: site
     -x would repeat the float operations of site x with its two neighbours
@@ -92,6 +95,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     if mode == RATIONAL and n > RATIONAL_MAX_STEPS:
         raise ParameterError(f"rational mode runs at most {RATIONAL_MAX_STEPS} steps, got n={n}")
     live = None if live is None else _site_interval(live, "live")
+    reads = range(n + 1) if reads is None else set(reads)
     resets, changes = set(flag_reset_times(policy)), set(rule_change_times(policy, 0, n))
     two = start != 0 or bool(resets)
     fold = not two and (live is None or live[0] == -live[1]) and mirror_symmetric(policy)
@@ -99,13 +103,17 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
     bufs = _zeros((1 + two, 2 * n + 3), mode), _zeros((1 + two, 2 * n + 3), mode)
     terms = _zeros((2, 1 + two, 2 * n + 3), mode)  # each neighbour's share, and the stay term
     one_half, zero, prev = (_as_mode_value(v, mode) for v in (0.5, 0, 1))
+    num = type(prev)  # the mass check's arithmetic: float, or Fraction in RATIONAL mode
     bufs[0][:, c0] = point_mass(start, mode=mode).mass[:, 0] if two else prev
     lo, hi = (c0 - n, c0 + n) if live is None else (live[0] + shift, live[1] + shift)
     if not lo <= c0 <= hi:  # a start off the live window never moves: no column is live
         lo, hi = c0 + 1, c0
-    tols = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
+    step_tol, total_tol = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
+    mul, add = np.multiply, np.add  # the step's ufuncs, bound once, called with positional out
     cuts = sorted({*changes, n})
-    yield bufs[0][:, c0 : c0 + 1]
+    ghost = terms[0, 0]  # a folded run's one row of neighbour shares
+    if 0 in reads:
+        yield bufs[0][:, c0 : c0 + 1]
     t1 = 0
     while t1 < n:
         t0, t1 = t1, min(cuts[bisect_right(cuts, t1)], t1 + max(16, t1 // 4))
@@ -122,33 +130,38 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live):
         na = p if fold else p - 1
         frozen = [x for x in (lo - 1, hi + 1) if na <= x <= r + 1]  # these stay with probability 1
         a, b = min([p, *frozen]), max([r, *frozen])  # the swept columns
-        fu = _zeros((2, 1 + two, b + 1 - a), mode)  # each swept cell's factors for both terms
-        fu[0] = one_half
+        f_half, f_stay = _zeros((2, 1 + two, b + 1 - a), mode)  # each swept cell's factor per term
+        f_half[...] = one_half
         for x0, x1 in [(p - shift, r - shift)] if intervals is None else intervals:
             x0 = max(x0 + shift, p) - a  # the stay span's swept cells, clipped to [p, r]
             cells = slice(x0, max(x0, min(x1 + shift, r) + 1 - a))
-            fu[0, rows, cells], fu[1, rows, cells] = f, u
-        fu[:, :, [x - a for x in frozen]] = [[[zero]], [[1]]]  # they move nothing and keep all
+            f_half[rows, cells], f_stay[rows, cells] = f, u
+        frozen = [x - a for x in frozen]
+        f_half[:, frozen], f_stay[:, frozen] = zero, 1  # they move nothing and keep all
         merge = two and na <= shift <= r + 1  # arrivals at site 0 join the HIT_ZERO row
         ones = np.ones(r + 1 - na if fold else r + 2 - na, bufs[0].dtype)
-        both, stays = terms[:, :, a : b + 1], terms[1, :, a : b + 1]
+        half, stay = terms[0, :, a : b + 1], terms[1, :, a : b + 1]
         h_hi, h_lo = terms[0, :, na + 1 : r + 3], terms[0, :, na - 1 : r + 1]
-        views = [(src[:, a : b + 1], dst[:, a : b + 1], dst[:, na : r + 2], merge and dst[:, shift], dst)
+        views = [(src[:, a : b + 1], dst[:, a : b + 1], dst[:, na : r + 2], dst[0, na : r + 2],
+                  dst[0, na + 1 : r + 2], merge and dst[:, shift], dst)  # row0, tail: folded check
                  for src, dst in (bufs, bufs[::-1])]
         for t in range(t0, t1):
-            s_swept, d_swept, d_out, d_zero, dst = views[t % 2]
-            np.multiply(s_swept, fu, out=both)
+            s, d_swept, d_out, row0, tail, d_zero, dst = views[t % 2]
+            mul(s, f_half, half)
+            mul(s, f_stay, stay)
             if fold:
-                terms[0, 0, c0 - 1] = terms[0, 0, c0 + 1]  # a folded run has one row
-            np.add(h_hi, h_lo, out=d_out)
-            np.add(d_swept, stays, out=d_swept)
+                ghost[c0 - 1] = ghost[c0 + 1]
+            add(h_hi, h_lo, d_out)
+            add(d_swept, stay, d_swept)
             if merge:
-                d_zero[[NOT_HIT, HIT_ZERO]] = zero, d_zero[HIT_ZERO] + d_zero[NOT_HIT]
-            total = d_out[0, 0] + 2 * d_out[0, 1:].dot(ones) if fold else (d_out @ ones).sum()
-            if not (abs(total - prev) <= tols[0] and abs(total - 1) <= tols[1]):  # NaN fails too
+                d_zero[HIT_ZERO] += d_zero[NOT_HIT]
+                d_zero[NOT_HIT] = zero
+            total = row0.item(0) + 2 * num(tail.dot(ones)) if fold else num((d_out @ ones).sum())
+            if not (abs(total - prev) <= step_tol and abs(total - 1) <= total_tol):  # NaN fails too
                 raise InvariantError(f"total mass {total!r} after step {t}, {prev!r} before")
             prev = total
-            yield dst[:, c0 : c0 + t + 2] if fold else dst[:, c0 - t - 1 : c0 + t + 2]
+            if t + 1 in reads:
+                yield dst[:, c0 : c0 + t + 2] if fold else dst[:, c0 - t - 1 : c0 + t + 2]
 
 
 def _law(t: int, start: int, m: np.ndarray, mode: str) -> LatticeDistribution:
@@ -174,8 +187,7 @@ def evolve_trace(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, 
 
 def evolve(policy: PolicySpec, n: int, start: int = 0, mode: str = FLOAT, live=None) -> LatticeDistribution:
     """Exact law of the walk after n steps from start under the policy."""
-    for m in _forward(policy, n, start, mode, live):
-        pass
+    (m,) = _forward(policy, n, start, mode, live, (n,))
     return _law(n, start, m, mode)
 
 
@@ -430,10 +442,9 @@ def _forward_curve(passes) -> dict:
     +-(R + 1) by step m. Site x >= 0 is column x - t - 1 of a view at t."""
     def points(policy, ms, radius):
         got, r = {}, radius or max(ms)
-        for t, v in enumerate(_forward(policy, max(ms), 0, FLOAT, radius and (-r, r))):
-            if t in ms:  # a folded view holds site R + 1 for both ends
-                ends = [r - t, -r - t - 2] if v.shape[1] > t + 1 else [r - t] * 2
-                got[t] = float(v[:, -1 - t].sum()), float(v[:, ends].sum()) if t > r else 0.0
+        for t, v in zip(sorted(ms), _forward(policy, max(ms), 0, FLOAT, radius and (-r, r), ms)):
+            ends = [r - t, -r - t - 2] if v.shape[1] > t + 1 else [r - t] * 2  # folded: R + 1 twice
+            got[t] = float(v[:, -1 - t].sum()), float(v[:, ends].sum()) if t > r else 0.0
         return got
 
     return {m: pb for policy, ms in passes for m, pb in _certified(

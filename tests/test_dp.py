@@ -4,6 +4,8 @@ import io
 import math
 import operator
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +58,7 @@ from ctrlwalk.dp import _backward, _forward, _optimal_curve
 from ctrlwalk.policies import _stay_region, rule_change_times
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
 from reference import ControlRow, control_grid, path_law, step_distribution, trinomial_return
+from sweep_pins import SWEEP_PINS
 
 
 def grid_optimum(q, n, objective, grid=None, target=(0, 0)):
@@ -823,7 +826,7 @@ class TestTruncatedCurves:
         forward, backward = spy(monkeypatch, "_forward"), spy(monkeypatch, "_backward")
         records, _ = exponent_sweep("constant", 0.5, self.GRID)
         curve = _optimal_curve(0.9, self.GRID, MAX)
-        radii = [live and live[1] for *_, live in forward], [args[5] for args in backward]
+        radii = [args[4] and args[4][1] for args in forward], [args[5] for args in backward]
         for (first, wider), narrow in zip(radii, (76, 107)):  # one narrow pass, then a wider one
             assert first == narrow and wider > narrow
         for r in records:
@@ -869,6 +872,88 @@ class TestKeptChecks:
         monkeypatch.setattr(lattice, "_TOTAL_TOL", -1.0)
         with pytest.raises(InvariantError):
             evolve(two_zone_policy(0.5, 1), 2, start=4)
+
+
+class TestStepLoop:
+    """The forward step loop: one multiply per term, a mass check in Python
+    floats (Fractions in RATIONAL mode), and laws handed out only at the
+    times a caller reads, all bitwise the every-step kernel's."""
+
+    @pytest.mark.parametrize("kind, q, grid", list(SWEEP_PINS))
+    def test_sweep_matches_pins(self, kind, q, grid):
+        records, _ = exponent_sweep(kind, q, list(grid))
+        got = [(r["p"].hex(), r["error_bound"].hex()) for r in records]
+        assert got == SWEEP_PINS[kind, q, grid]
+
+    @staticmethod
+    def assert_reads_match(policy, n, start, mode, live, reads):
+        reads = {t for t in reads if t <= n}
+        got = [v.copy() for v in _forward(policy, n, start, mode, live, reads)]
+        want = [v.copy() for t, v in enumerate(_forward(policy, n, start, mode, live)) if t in reads]
+        assert [g.shape for g in got] == [w.shape for w in want] and len(got) == len(reads)
+        for g, w in zip(got, want):
+            assert (g == w).all() if mode == RATIONAL else g.tobytes() == w.tobytes()
+        return got
+
+    # one row unfolded under a live window; two rows from an off-zero start;
+    # flag resets mid-run in RATIONAL mode, with a live window
+    @example((constant_policy(0.9, 0.5), 40, 0, FLOAT, (-5, 12)), {0, 11, 12, 13, 40})
+    @example((two_zone_policy(0.9, 3), 40, 4, FLOAT, (-10, 30)), {40})
+    @example((schedule_policy(0.9, [ScheduleSegment(0, 10, two_zone_policy(0.9, 2)),
+                                    ScheduleSegment(10, 30, fast_until_zero_policy(0.9))]),
+              30, 0, RATIONAL, (-6, 9)), {0, 9, 10, 11, 30})
+    @given(evolution_cases(), st.sets(st.integers(0, 40)))
+    @settings(max_examples=60, deadline=None)
+    def test_read_times_match_every_step(self, case, reads):
+        self.assert_reads_match(*case, reads)
+
+    @given(folded_cases(), st.sets(st.integers(0, 200)) | st.just(set(range(0, 201, 3))))
+    @settings(max_examples=100, deadline=None)
+    def test_folded_read_times_match_every_step(self, case, reads):
+        policy, n, mode, live, _ = case
+        got = self.assert_reads_match(policy, n, 0, mode, live, reads)
+        assert all(v.shape == (1, t + 1) for t, v in zip(sorted(t for t in reads if t <= n), got))
+
+    # The neighbour share 1/2 raised by delta (and with it two-zone's u = q =
+    # 0.5 on its band): the step the mass check names was read off the
+    # kernel that checked the mass in numpy scalars. A drift
+    # of 2^-50 per step crosses the total tolerance (1e-12) after hundreds of
+    # steps, one of 2^-44 the step tolerance (1e-14) at step 0.
+    @pytest.mark.parametrize("policy, delta, start, live, n, step", [
+        (constant_policy(0.5, 0.3), 2.0**-50, 0, None, 4000, 857),
+        (constant_policy(0.5, 0.3), 2.0**-50, 3, None, 4000, 858),
+        (constant_policy(0.5, 0.3), 2.0**-50, 0, (-40, 40), 6000, 920),
+        (constant_policy(0.5, 0.3), 2.0**-50, 0, (-40, 60), 6000, 888),
+        (two_zone_policy(0.5, 3), 2.0**-50, 0, None, 4000, 678),
+        (two_zone_policy(0.5, 3), 2.0**-50, 3, None, 4000, 669),
+        (two_zone_policy(0.5, 3), 2.0**-50, 0, (-40, 40), 6000, 733),
+        (two_zone_policy(0.5, 3), 2.0**-50, 0, (-40, 60), 6000, 704),
+        (constant_policy(0.5, 0.3), 2.0**-44, 0, None, 100, 0),
+        (two_zone_policy(0.5, 3), 2.0**-44, 3, None, 100, 0),
+        (constant_policy(0.5, 0.3), float("nan"), 0, None, 100, 0),
+        (constant_policy(0.5, 0.3), Fraction(1, 2**80), 0, None, 20, 0),
+        (two_zone_policy(0.5, 3), Fraction(1, 2**80), 3, None, 20, 0),
+    ])
+    def test_sabotaged_factor_names_the_step(self, monkeypatch, policy, delta, start, live, n, step):
+        real = dp._as_mode_value
+        monkeypatch.setattr(dp, "_as_mode_value",
+                            lambda v, mode: real(v, mode) + delta if v == 0.5 else real(v, mode))
+        mode = RATIONAL if isinstance(delta, Fraction) else FLOAT
+        with pytest.raises(InvariantError, match=f"^total mass .* after step {step}, "):
+            evolve(policy, n, start, mode, live)
+
+    def test_step_buffers_bounded(self):
+        # a whole-window two-row run: the broadcast multiply of both terms
+        # allocated iteration buffers on every step, and peaked at 341 KiB
+        policy = constant_policy(0.9, 0.9)
+        evolve(policy, 1024, 3)
+        tracemalloc.start()
+        try:
+            evolve(policy, 1024, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 280 * 1024  # 269.7 KiB measured: the buffers, factors and law
 
 
 class TestStayRuleLookups:

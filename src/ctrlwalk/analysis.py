@@ -411,16 +411,22 @@ def calibrate_lemma5(q_cap: float) -> dict:
 
 
 def level_hit_cdf(a: int, t: int) -> float:
-    """P(simple walk from 0 reaches level a within t steps), by reflection."""
-    from scipy.stats import binom  # imported here: it costs about a second per process
+    """P(simple walk from 0 reaches level a within t steps), by reflection.
+
+    The tails come from the Boost ufuncs that scipy.stats.binom.sf and .pmf
+    call: for these in-support k the wrappers change no value, so the result
+    is bitwise theirs, without the 0.5 s and 45 MiB that importing
+    scipy.stats costs a process.
+    """
+    from scipy.special._ufuncs import _binom_pmf, _binom_sf  # only the lemma-6 calls load scipy
     a, t = as_count(a, "level", 1), as_count(t, "t")
     if t < a:
         return 0.0
     m = t + a
     if m % 2 == 0:
         k = m // 2
-        return float(2.0 * binom.sf(k - 1, t, 0.5) - binom.pmf(k, t, 0.5))
-    return float(2.0 * binom.sf(m // 2, t, 0.5))
+        return float(2.0 * _binom_sf(k - 1, t, 0.5) - _binom_pmf(k, t, 0.5))
+    return float(2.0 * _binom_sf(m // 2, t, 0.5))
 
 
 def interior_survival(q_cap: float, K: int, s: int) -> float:

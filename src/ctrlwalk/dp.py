@@ -162,6 +162,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
             prev = total
             if t + 1 in reads:
                 yield dst[:, c0 : c0 + t + 2] if fold else dst[:, c0 - t - 1 : c0 + t + 2]
+        del f_half, f_stay, ones  # freed before the next epoch allocates its own: the peak holds one set
 
 
 def _law(t: int, start: int, m: np.ndarray, mode: str) -> LatticeDistribution:

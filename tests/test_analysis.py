@@ -371,12 +371,27 @@ def _ps_fit(result):
     return [r["p"] for r in records], fit
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second to import; only level_hit_cdf loads it
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats costs a process about 0.5 s and 45 MiB; level_hit_cdf takes
+    # its tails from scipy.special instead, so no call loads it
     src = os.path.dirname(os.path.dirname(ctrlwalk.__file__))
-    code = "import ctrlwalk, sys; sys.exit('scipy.stats' in sys.modules)"
+    code = "\n".join([
+        "import sys",
+        "import ctrlwalk",
+        "assert 'scipy.stats' not in sys.modules, 'import ctrlwalk'",
+        "from ctrlwalk.cli import run_command",
+        "cert = ctrlwalk.calibrate_lemma6(0.2)",
+        "assert ctrlwalk.verify_lemma6_certificate(cert)['pass']",
+        "argv = ['calibrate', 'lemma6', '--eps', '0.2', '--out', 'cert6.json']",
+        "assert run_command(argv) == 0",
+        "assert run_command(['verify', 'lemma6', '--cert', 'cert6.json']) == 0",
+        "assert 'scipy.special' in sys.modules",
+        "assert 'scipy.stats' not in sys.modules, 'lemma-6 calls'",
+    ])
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_every_public_name_resolves():
@@ -516,6 +531,41 @@ class TestBandSumIdentity:
 
 
 class TestEscapeCalibration:
+    @staticmethod
+    def assert_tails_bitwise(k, t):
+        from scipy.special._ufuncs import _binom_pmf, _binom_sf
+        from scipy.stats import binom
+        k, t = np.asarray(k, dtype=np.int64), np.asarray(t, dtype=np.int64)
+        for ufunc, wrapper in ((_binom_sf, binom.sf), (_binom_pmf, binom.pmf)):
+            got, want = ufunc(k, t, 0.5), wrapper(k, t, 0.5)
+            assert got.dtype == want.dtype == np.float64
+            bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+            assert bad.size == 0, (ufunc.__name__, k[bad][:5], t[bad][:5])
+
+    def test_binomial_tails_match_scipy_stats_for_every_k(self):
+        # level_hit_cdf calls the ufuncs that binom.sf and binom.pmf dispatch
+        # to; a scipy that dispatches elsewhere must fail here
+        k = np.concatenate([np.arange(t + 1) for t in range(301)])
+        self.assert_tails_bitwise(k, np.repeat(np.arange(301), np.arange(1, 302)))
+
+    def test_binomial_tails_match_scipy_stats_at_calibration_horizons(self):
+        # every horizon A * K^2 the escape stage reaches for these eps, sampled k
+        from scipy.stats import binom
+        top = max(calibrate_lemma6(eps)["A"] for eps in (0.1, 0.2, 0.25, 0.5))
+        rng = np.random.default_rng(6)
+        ks, ts = [], []
+        for A in (1 << d for d in range(top.bit_length())):
+            for K in ctrlwalk.defaults.L6_KS:
+                t = A * K * K
+                k = t // 2 + K  # level_hit_cdf against its reflection formula through scipy.stats
+                assert level_hit_cdf(2 * K, t) == 2.0 * binom.sf(k - 1, t, 0.5) - binom.pmf(k, t, 0.5)
+                spread = np.rint(t / 2 + np.sqrt(t) * rng.uniform(-12, 12, 200))
+                k = np.concatenate([[0, 1, t - 1, t, k - 1, k],
+                                    rng.integers(0, t + 1, 100), np.clip(spread, 0, t)])
+                ks.append(k)
+                ts.append(np.full(k.size, t))
+        self.assert_tails_bitwise(np.concatenate(ks), np.concatenate(ts))
+
     def test_level_hit_dual_routes(self):
         for a, t in [(4, 16), (5, 25), (8, 64), (7, 100)]:
             assert abs(level_hit_cdf(a, t) - level_hit_cdf_absorbing(a, t)) < 1e-12

@@ -953,7 +953,7 @@ class TestStepLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 280 * 1024  # 269.7 KiB measured: the buffers, factors and law
+        assert peak <= 240 * 1024  # 214.4 KiB measured: the buffers, one epoch's factors and law
 
 
 class TestStayRuleLookups:

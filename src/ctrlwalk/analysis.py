@@ -23,6 +23,7 @@ from .montecarlo import _fork_cores, _in_shards, estimate_hit
 from .policies import (
     PolicySpec,
     _check_cap,
+    _stay_region,
     constant_policy,
     fast_until_zero_policy,
     multiscale_localization_schedule,
@@ -134,26 +135,6 @@ def sweep_policy(policy_kind: str, q_cap: float, n: int, params: dict) -> Policy
     raise ParameterError(f"unknown sweep policy kind {policy_kind!r}")
 
 
-def _sweep_point(policy_kind: str, q_cap: float, n: int, method: str, params: dict, curve) -> dict:
-    rec = {"policy_kind": policy_kind, "q": q_cap, "n": n, "method": method, "ci_low": None, "ci_high": None}
-    if method == "exact":  # every exact point is read off the sweep's curve
-        rec["p"], rec["error_bound"] = curve[n]
-        return rec
-    if policy_kind == "optimal":
-        _, bb = solve_extremal(q_cap, n, params.get("objective", MAX), keep_values=False)
-        pol = bb.as_policy()
-    else:
-        pol = sweep_policy(policy_kind, q_cap, n, params)
-    est = estimate_hit(
-        pol,
-        n,
-        trials=params.get("trials", defaults.MC_TRIALS),
-        seed=params.get("seed", 0) + n,
-    )
-    rec["p"], rec["ci_low"], rec["ci_high"] = est.p_hat, est.ci_low, est.ci_high
-    return rec
-
-
 # steps each forked pass group must hold. Forking and reaping a child costs
 # 2-4 ms on 2 cores. Two-zone and schedule-localization sweeps (q = 0.9) ran
 # 35-38% faster forked with a child of 4,480 steps in 7 of 8 runs (4% in the
@@ -210,10 +191,24 @@ def exponent_sweep(
     check_sweep_params(policy_kind, params, ("seed", "trials") if method == "mc" else ())
     grid = [as_index(n, "n") for n in n_grid]
     min_n = defaults.MIN_FIT_N if min_n is None else as_index(min_n, "min_n")
-    if method == "mc":  # the fit's checks that read only n; the exact curve makes them too
-        fit_exponent([(n, 1.0) for n in grid], min_n)
-    curve = _exact_curve(policy_kind, q_cap, grid, params, min_n) if method == "exact" else None
-    records = [_sweep_point(policy_kind, q_cap, n, method, params, curve) for n in grid]
+    if method == "exact":  # every exact point is read off the sweep's curve
+        curve = _exact_curve(policy_kind, q_cap, grid, params, min_n)
+        points = {n: {"ci_low": None, "ci_high": None, "p": p, "error_bound": bound}
+                  for n, (p, bound) in curve.items()}
+    else:
+        fit_exponent([(n, 1.0) for n in grid], min_n)  # the fit's checks that read only n
+        points = {}
+        for n in grid:
+            if policy_kind == "optimal":
+                _, bb = solve_extremal(q_cap, n, params.get("objective", MAX), keep_values=False)
+                pol = bb.as_policy()
+            else:
+                pol = sweep_policy(policy_kind, q_cap, n, params)
+            est = estimate_hit(pol, n, trials=params.get("trials", defaults.MC_TRIALS),
+                               seed=params.get("seed", 0) + n)
+            points[n] = {"ci_low": est.ci_low, "ci_high": est.ci_high, "p": est.p_hat}
+    records = [{"policy_kind": policy_kind, "q": q_cap, "n": n, "method": method, **points[n]}
+               for n in grid]
     fit = fit_exponent([(r["n"], r["p"]) for r in records], min_n)
     return records, fit
 
@@ -239,17 +234,15 @@ class ChainSpec:
         if self.mode not in (FLOAT, RATIONAL):
             raise ParameterError(f"unknown numeric mode {self.mode!r}")
 
-    def _inside(self, x: int) -> bool:
-        return abs(x) <= self.band_halfwidth
-
     def pi(self, x: int):
         q, two = (_as_mode_value(v, self.mode) for v in (self.q_cap, 2))
-        return two / (1 - q) if self._inside(x) else two
+        return two / (1 - q) if abs(x) <= self.band_halfwidth else two
 
     def kernel(self, x: int, y: int):
-        """One-step transition probability from the policy's definition."""
-        q, zero, half = (_as_mode_value(v, self.mode) for v in (self.q_cap, 0, 0.5))
-        u = q if self._inside(x) else zero
+        """One-step transition probability under the stay rule the engines run."""
+        u, _, intervals = _stay_region(two_zone_policy(self.q_cap, self.band_halfwidth), 0)
+        inside = any(lo <= x <= hi for lo, hi in intervals)
+        u, zero, half = (_as_mode_value(v, self.mode) for v in (u if inside else 0, 0, 0.5))
         if y == x:
             return u
         if abs(y - x) == 1:

@@ -36,6 +36,7 @@ from .defaults import MC_TRIALS
 from .dp import (
     MAX,
     MIN,
+    _csv_cutoff,
     as_target,
     boundary_to_csv,
     evolve,
@@ -194,7 +195,8 @@ def _open_out(path: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: take the typed config, return (payload, provenance)
+# subcommand handlers: take the typed config, return (payload, provenance), and
+# verify a pass flag too; exponent's payload is a list, one NDJSON record each
 
 
 def _cmd_evolve(cfg):
@@ -223,6 +225,8 @@ def _cmd_solve(cfg):
     keep = bool(cfg.get("values_csv"))  # the value table is only ever read by the CSV export
     if not keep and "cutoff" in cfg:
         raise ParameterError("--cutoff only applies with --values-csv")
+    if keep:  # refused before the solve, so no values CSV is opened for it
+        _csv_cutoff(n, cfg.get("cutoff"))
     table, bb = solve_extremal(q, n, objective, target=target, keep_values=keep)
     region = extract_region(bb)
     if cfg.get("values_csv"):
@@ -308,7 +312,7 @@ def _cmd_barriers(cfg):
     return payload, {"method": "mc", "seed": seed, "trials": trials}
 
 
-def _cmd_exponent(cfg, echo, out):
+def _cmd_exponent(cfg):
     method = cfg["method"]
     params = cfg.get("params", {})
     if isinstance(params, str):
@@ -348,10 +352,8 @@ def _cmd_exponent(cfg, echo, out):
     prov = "exact" if method == "exact" else {
         "method": "mc", "seed": params.get("seed"), "trials": params.get("trials"),
     }
-    lines = [_record("exponent", echo, r, prov) for r in [*records, {"fit": fit_payload}]]
-    _emit("\n".join(json.dumps(line, default=_plain) for line in lines) + "\n", out)
     print(f"sigma_hat = {fit.sigma_hat:.6f}  r2 = {fit.r_squared:.6f}", file=sys.stderr)
-    return 0
+    return [*records, {"fit": fit_payload}], prov
 
 
 def _certificate(obj, what: str):
@@ -401,71 +403,58 @@ def _cmd_verify(cfg):
         }
         return payload, "exact", ok
 
-    if what == "heatkernel":
-        q, band = cfg["q"], cfg.get("band", 16)
-        chain = ChainSpec(q, band)
-        tg = _grid(cfg.get("t_grid", [2**k for k in range(4, 13)]))
-        ts = sorted({as_index(t, "time in t_grid") for t in tg})
-        if not ts or ts[-1] // 2 not in ts:  # the check compares the top octave's ends
-            raise ParameterError(f"t_grid must hold half its largest time, got {ts}")
-        prof = heat_kernel_profile(chain, ts)
-        running = dict(prof["running_max"])
-        growth = running[ts[-1]] / running[ts[-1] // 2] - 1.0
-        ok = growth < 0.01
-        payload = {
-            "q": q, "band": band, "t_grid": ts, "probes": list(prof["probes"]),
-            "per_t": [[t, v] for t, v in prof["per_t"]],
-            "bound_estimate": prof["bound_estimate"],
-            "top_octave_growth": growth,
-            "pass": bool(ok),
-        }
-        return payload, "exact", ok
+    # heatkernel, the one target left: argparse's choices admit no other
+    q, band = cfg["q"], cfg.get("band", 16)
+    chain = ChainSpec(q, band)
+    tg = _grid(cfg.get("t_grid", [2**k for k in range(4, 13)]))
+    ts = sorted({as_index(t, "time in t_grid") for t in tg})
+    if not ts or ts[-1] // 2 not in ts:  # the check compares the top octave's ends
+        raise ParameterError(f"t_grid must hold half its largest time, got {ts}")
+    prof = heat_kernel_profile(chain, ts)
+    running = dict(prof["running_max"])
+    growth = running[ts[-1]] / running[ts[-1] // 2] - 1.0
+    ok = growth < 0.01
+    payload = {
+        "q": q, "band": band, "t_grid": ts, "probes": list(prof["probes"]),
+        "per_t": [[t, v] for t, v in prof["per_t"]],
+        "bound_estimate": prof["bound_estimate"],
+        "top_octave_growth": growth,
+        "pass": bool(ok),
+    }
+    return payload, "exact", ok
 
-    raise ParameterError(f"unknown verify target {what!r}")
+
+# calibrate target -> (calibrator, the config key of its one input)
+_CALIBRATIONS = {"lemma5": (calibrate_lemma5, "q"), "lemma6": (calibrate_lemma6, "eps")}
 
 
 def _cmd_calibrate(cfg):
-    what = cfg["what"]
-    if what == "lemma5":
-        cert = calibrate_lemma5(cfg["q"])
-        return cert, "exact"
-    if what == "lemma6":
-        cert = calibrate_lemma6(cfg["eps"])
-        return cert, "exact"
-    raise ParameterError(f"unknown calibrate target {what!r}")
-
-
-_COMMANDS = {
-    "evolve": _cmd_evolve,
-    "solve": _cmd_solve,
-    "region": _cmd_region,
-    "simulate": _cmd_simulate,
-    "barriers": _cmd_barriers,
-    "verify": _cmd_verify,
-    "calibrate": _cmd_calibrate,
-}
+    calibrate, key = _CALIBRATIONS[cfg["what"]]
+    return calibrate(cfg[key]), "exact"
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
 
-# subcommand -> (help, positional `what` choices, flags before --seed/--out/--config)
+# subcommand -> (help, positional `what` choices, flags before --seed/--out/--config, handler)
 _SUBCOMMANDS = {
-    "evolve": ("exact law of the walk under a policy", "", "policy n start target mode"),
+    "evolve": ("exact law of the walk under a policy", "", "policy n start target mode",
+               _cmd_evolve),
     "solve": ("extremal hit probability over capped controls", "",
-              "q n objective target values_csv region_json boundary_csv cutoff"),
+              "q n objective target values_csv region_json boundary_csv cutoff", _cmd_solve),
     "region": ("bang-bang region of the extremal control", "",
-               "q n objective target boundary_csv"),
+               "q n objective target boundary_csv", _cmd_region),
     "simulate": ("Monte Carlo hit estimate with CI", "",
-                 "policy n start target trials dump_final"),
+                 "policy n start target trials dump_final", _cmd_simulate),
     "exponent": ("hit-probability sweep and power-law fit", "",
-                 "policy_kind q n_grid method trials min_n csv params"),
-    "barriers": ("barrier-entrance diagnostics", "", "policy n beta trials start"),
+                 "policy_kind q n_grid method trials min_n csv params", _cmd_exponent),
+    "barriers": ("barrier-entrance diagnostics", "", "policy n beta trials start",
+                 _cmd_barriers),
     "verify": ("statistical and structural checks",
                "lemma0 lemma5 lemma6 reversibility heatkernel",
-               "q h delta ell trials cert band window mode t_grid"),
-    "calibrate": ("search parameter witnesses", "lemma5 lemma6", "q eps"),
+               "q h delta ell trials cert band window mode t_grid", _cmd_verify),
+    "calibrate": ("search parameter witnesses", "lemma5 lemma6", "q eps", _cmd_calibrate),
 }
 
 
@@ -473,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ctrlwalk", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (text, what, keys) in _SUBCOMMANDS.items():
+    for name, (text, what, keys, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
         if what:
             p.add_argument("what", choices=what.split())
@@ -534,12 +523,15 @@ def run_command(argv) -> int:
             name = " ".join(filter(None, run))
             raise ParameterError(f"--seed is required for {name} (no hidden entropy)")
 
-        if command == "exponent":
-            return _cmd_exponent(cfg, echo, out)
-
-        payload, prov, *ok = _COMMANDS[command](cfg)  # verify adds a pass flag
-        record = _record(command, {**echo, "out": out} if out else echo, payload, prov)
-        _emit(json.dumps(record, indent=2, default=_plain) + "\n", out)
+        payload, prov, *ok = _SUBCOMMANDS[command][3](cfg)  # verify adds a pass flag
+        config = {**echo, "out": out} if out else echo
+        if isinstance(payload, list):  # a sweep: NDJSON, one record per payload
+            text = "".join(json.dumps(_record(command, config, p, prov), default=_plain) + "\n"
+                           for p in payload)
+        else:
+            record = _record(command, config, payload, prov)
+            text = json.dumps(record, indent=2, default=_plain) + "\n"
+        _emit(text, out)
         if not all(ok):
             print(f"{command} {cfg.get('what', '')}: check FAILED", file=sys.stderr)
             return 4

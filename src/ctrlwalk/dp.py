@@ -214,12 +214,12 @@ class ValueTable:
     values: np.ndarray | None = None
 
     def value(self, t: int, x: int) -> float:
-        """V_t(x) for 0 <= t <= n; 0.0 at a site off [-n, n]."""
+        """V_t(x) for 0 <= t <= n and |x| <= n; the solve holds no site off [-n, n]."""
         t, x = as_index(t, "t"), as_index(x, "x")
         if not (0 <= t <= self.n):
             raise ParameterError(f"t={t} outside [0, {self.n}]")
         if abs(x) > self.n:
-            return 0.0
+            raise ParameterError(f"x={x} outside [-{self.n}, {self.n}]")
         j = x + self.n
         if t == 0:
             return float(self.v0[j])
@@ -468,11 +468,19 @@ def extract_region(bb: BangBangPolicy) -> dict:
     }
 
 
+def _csv_cutoff(n: int, cutoff) -> int:
+    """The value export's cutoff: n when None, else a count at most n."""
+    cutoff = n if cutoff is None else as_count(cutoff, "cutoff")
+    if cutoff > n:
+        raise ParameterError(f"cutoff must be <= n={n}, got {cutoff}")
+    return cutoff
+
+
 def value_table_to_csv(table: ValueTable, fh, cutoff: int | None = None) -> int:
-    """Write (t, x, value) rows with |x| <= cutoff, 0.0 off [-n, n]; returns the row count."""
+    """Write (t, x, value) rows with |x| <= cutoff <= n; returns the row count."""
     if table.values is None:
         raise ParameterError("value export needs keep_values=True")
-    cutoff = table.n if cutoff is None else as_count(cutoff, "cutoff")
+    cutoff = _csv_cutoff(table.n, cutoff)
     writer = csv.writer(fh)
     writer.writerow(["t", "x", "value"])
     count = 0

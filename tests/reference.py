@@ -18,6 +18,9 @@ as test oracles:
   or flag rows).
 - `band_sums_exact`: the two-zone column sums of calibrate_lemma5 as exact
   fractions, by definition rather than through the reversibility identity.
+- `continuum_exponent`: the decay exponent of the optimal `max` control in
+  the diffusive limit, in closed form through parabolic-cylinder functions.
+  It alone here imports scipy; the package does not.
 """
 
 from __future__ import annotations
@@ -264,3 +267,45 @@ def band_sums_exact(q_cap: float, K: int, band: int, t: int) -> dict:
         w = [0, *(stay[i] * w[i] + move[i - 1] * w[i - 1] + move[i + 1] * w[i + 1]
                   for i in range(1, len(w) - 1)), 0]
     return {y: Fraction(w[y - sites[0]], (2 * D) ** t) for y in range(-band, band + 1)}
+
+
+# ---------------------------------------------------------------------------
+# continuum limit of the optimal control
+
+
+def continuum_exponent(q_cap: float) -> tuple[float, float]:
+    """(alpha*, xi*) for the objective max: the optimum decays like n^-alpha*
+    and the solid cap block of the control has its edge at xi* sqrt(steps to go).
+
+    In the diffusive limit V(s, x) ~ s^-alpha f(x / sqrt(s)), where f solves
+    sigma^2 f'' + xi f' + 2 alpha f = 0: sigma^2 = 1 - q on the concave core
+    (the cap) and 1 on the convex tails (u = 0). With nu = 2 alpha - 1 and D_nu
+    the parabolic-cylinder function, the even core is
+    e^(-eta^2/4) [D_nu(eta) + D_nu(-eta)] with eta = xi / sqrt(1 - q), and the
+    tail, which decays like e^(-xi^2/2), is e^(-xi^2/4) D_nu(xi). alpha* is
+    where both reach their inflection, xi f' + 2 alpha f = 0, at one xi*.
+    The root search brackets alpha* in (0.001, 0.49): caps 0.05 to 0.99999.
+    """
+    from scipy.optimize import brentq
+    from scipy.special import pbdv
+
+    def tail(x, nu):  # x f'/f of e^(-x^2/4) D_nu(x)
+        d, dd = pbdv(nu, x)
+        return x * (dd / d - x / 2)
+
+    def core(x, nu):  # the same for the even solution
+        (d1, dd1), (d2, dd2) = pbdv(nu, x), pbdv(nu, -x)
+        return x * ((dd1 - dd2) / (d1 + d2) - x / 2)
+
+    def inflection(shape, alpha):
+        """The first x > 0 with x f'/f + 2 alpha = 0, found below x = 6: both
+        inflections lie below 1 in the bracket, and pbdv overflows at large x."""
+        h = lambda x: shape(x, 2 * alpha - 1) + 2 * alpha  # noqa: E731
+        xs = np.linspace(1e-9, 6.0, 121)
+        a, b = next((a, b) for a, b in zip(xs, xs[1:]) if h(a) > 0 >= h(b))
+        return brentq(h, a, b, xtol=1e-14)
+
+    scale = math.sqrt(1.0 - q_cap)
+    alpha = brentq(lambda a: scale * inflection(core, a) - inflection(tail, a), 1e-3, 0.49,
+                   xtol=1e-13)
+    return alpha, inflection(tail, alpha)

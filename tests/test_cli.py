@@ -60,6 +60,24 @@ VALID_CONFIGS = {
     "calibrate": (["lemma5"], {"q": 0.5}),
 }
 
+# small runs of every subcommand and every verify and calibrate target; {cert}
+# names a file holding the certificate that verify lemma5 or lemma6 reads
+ECHO_ARGS = {
+    ("evolve", None): "--policy constant:q=0.5 --n 4",
+    ("solve", None): "--q 0.5 --n 4",
+    ("region", None): "--q 0.5 --n 4",
+    ("simulate", None): "--policy constant:q=0.5 --n 4 --trials 10 --seed 1",
+    ("exponent", None): "--policy-kind constant --q 0.5 --n-grid 2,4,8 --min-n 2",
+    ("barriers", None): "--policy constant:q=0.5 --n 4 --trials 10 --seed 1",
+    ("verify", "lemma0"): "--q 0.9 --h 1 --delta 0.1 --ell 240 --trials 100 --seed 7",
+    ("verify", "lemma5"): "--cert {cert}",
+    ("verify", "lemma6"): "--cert {cert}",
+    ("verify", "reversibility"): "--q 0.5 --band 2",
+    ("verify", "heatkernel"): "--q 0.5 --band 2 --t-grid 8,16",
+    ("calibrate", "lemma5"): "--q 0.5",
+    ("calibrate", "lemma6"): "--eps 0.2",
+}
+
 # every option of every subcommand, from the parser itself
 OPTIONS = [
     pytest.param(name, action, id=f"{name}-{action.dest}")
@@ -415,14 +433,34 @@ class TestEvolveAndSolve:
         assert "intervals" in json.loads(r.read_text())
 
     def test_values_csv_past_the_window(self, capsys, tmp_path):
+        # a cutoff past n is refused: the solve holds no value off [-n, n]
         v = tmp_path / "v.csv"
         argv = ["solve", "--q", "0.5", "--n", "2", "--values-csv", str(v), "--cutoff", "3"]
+        assert run_command(argv) == 2
+        assert capsys.readouterr() == ("", "error: cutoff must be <= n=2, got 3\n")
+        argv[-1] = "2"
         assert run(capsys, argv)[0] == 0
         rows = [line.split(",") for line in v.read_text().splitlines()[1:]]
-        assert len(rows) == 3 * 7
+        assert len(rows) == 3 * 5
         values = {(int(t), int(x)): float(value) for t, x, value in rows}
-        assert values[0, -3] == values[0, 3] == 0.0
         assert values[0, 0] == 0.5 and values[2, 2] == 0.0 and values[2, 0] == 1.0
+
+    @pytest.mark.parametrize("args, cutoff, message", [
+        pytest.param("--q 0.5 --n 2", "3", "cutoff must be <= n=2, got 3", id="past-n"),
+        pytest.param("--q 0.5 --n 2", "-1", "cutoff must be >= 0, got -1", id="negative"),
+        # V_0(31) of this solve is C(30, 8)/2^30, not the 0.0 the CSV once held
+        pytest.param("--q 0 --n 30 --target 17", "31", "cutoff must be <= n=30, got 31",
+                     id="off-target"),
+    ])
+    def test_refused_cutoff_writes_no_file(self, capsys, tmp_path, args, cutoff, message):
+        v = tmp_path / "v.csv"
+        argv = ["solve", *args.split(), "--values-csv", str(v), "--cutoff", cutoff]
+        assert run_command(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not v.exists()
+        v.write_text("t,x,value\n0,0,0.5\n")  # a values CSV from an earlier run stays
+        assert run_command(argv) == 2
+        assert v.read_text() == "t,x,value\n0,0,0.5\n"
 
     def test_region_subcommand(self, capsys, tmp_path):
         b = tmp_path / "b.csv"
@@ -640,6 +678,22 @@ class TestRecordsAndConfig:
         rec = json.loads(path.read_text())
         assert rec["command"] == "evolve"
         assert "created_utc" in rec
+
+    @pytest.mark.parametrize("command, what", [
+        (name, what) for name, sub in _subcommands(_build_parser()).items()
+        for what in next((a.choices for a in sub._actions if a.dest == "what"), [None])
+    ])
+    def test_every_record_echoes_out(self, capsys, tmp_path, command, what):
+        cert, path = tmp_path / "cert.json", tmp_path / "record.out"
+        if command == "verify" and what in ("lemma5", "lemma6"):
+            cert.write_text(json.dumps(
+                calibrate_lemma5(0.5) if what == "lemma5" else calibrate_lemma6(0.2)))
+        argv = [command, *filter(None, [what]), *ECHO_ARGS[command, what].format(cert=cert).split(),
+                "--out", str(path)]
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        recs = records_from(argv, path.read_text())
+        assert [r["config"]["out"] for r in recs] == [str(path)] * len(recs)
 
     def test_relative_out_resolved_against_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CTRLWALK_OUT_DIR", str(tmp_path))

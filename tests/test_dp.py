@@ -57,7 +57,9 @@ from ctrlwalk import dp, lattice, montecarlo
 from ctrlwalk.dp import _backward, _forward, _optimal_curve
 from ctrlwalk.policies import _stay_region, rule_change_times
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
-from reference import ControlRow, control_grid, path_law, step_distribution, trinomial_return
+from reference import (
+    ControlRow, continuum_exponent, control_grid, path_law, step_distribution, trinomial_return,
+)
 from sweep_pins import SWEEP_PINS
 
 
@@ -1191,6 +1193,31 @@ class TestSolverOracles:
             assert b >= a - 1e-14
 
 
+class TestContinuumLimit:
+    """The optimal curve against reference.continuum_exponent, the exponent
+    of the diffusive limit in closed form."""
+
+    @pytest.mark.parametrize("q, alpha, xi", [  # to the digits a separate solver gave
+        (0.5, 0.3571331, 0.75273), (0.9, 0.1622885, 0.37237), (0.99, 0.0518611, 0.12608)])
+    def test_oracle_values(self, q, alpha, xi):
+        got_alpha, got_xi = continuum_exponent(q)
+        assert abs(got_alpha - alpha) < 1e-7 and abs(got_xi - xi) < 1e-5
+
+    @pytest.mark.parametrize("q, side", [(0.5, -1), (0.9, 1), (0.99, 1)])
+    def test_octave_slopes_approach_the_exponent(self, q, side):
+        alpha, _ = continuum_exponent(q)
+        ms = [2**k for k in range(7, 16)]
+        curve = _optimal_curve(q, ms, MAX)
+        gaps = [-math.log2(curve[b][0] / curve[a][0]) - alpha for a, b in zip(ms, ms[1:])]
+        # monotone from one side: below at 0.5, above at 0.9 and 0.99
+        assert all(side * g > 0 for g in gaps)
+        assert all(abs(b) < abs(a) for a, b in zip(gaps, gaps[1:]))
+        # each of the top three octaves halves the gap: ratios measured 0.483 to 0.520
+        assert all(0.45 < b / a < 0.55 for a, b in zip(gaps[-4:], gaps[-3:]))
+        # Richardson's 2 s(2^14 -> 2^15) - s(2^13 -> 2^14): measured off by at most 1.1e-6
+        assert abs(2 * gaps[-1] - gaps[-2]) < 1e-5
+
+
 class TestValueTable:
     def test_terminal_level_is_indicator(self):
         table, _ = solve_extremal(0.5, 4, MAX)
@@ -1210,9 +1237,14 @@ class TestValueTable:
         for t, x in ((7, 99), (-1, 0), (5, 0), (2, 1.5), (1.0, 0), (0, np.float64(1))):
             with pytest.raises(ParameterError):
                 table.value(t, x)
-        assert table.value(0, 99) == table.value(0, -5) == 0.0
+        with pytest.raises(ParameterError, match="t=7 outside"):
+            table.value(7, 99)
+        # the solve holds no site off [-n, n], so a read there is refused rather than 0.0
+        for t, x in ((0, 99), (0, -5), (2, 99), (4, 5)):
+            with pytest.raises(ParameterError, match=rf"x={x} outside \[-4, 4\]"):
+                table.value(t, x)
         if keep:
-            assert table.value(2, 99) == 0.0 and table.value(np.int64(4), np.int32(0)) == 1.0
+            assert table.value(np.int64(4), np.int32(0)) == 1.0
 
     def test_csv_export(self):
         table, bb = solve_extremal(0.5, 3, MAX)
@@ -1232,13 +1264,18 @@ class TestValueTable:
         n = 2
         table, _ = solve_extremal(0.5, n, MAX, target=(-1, 2))
         buf = io.StringIO()
+        if cutoff is not None and cutoff > n:  # no row off [-n, n], and no header either
+            with pytest.raises(ParameterError, match=f"cutoff must be <= n=2, got {cutoff}"):
+                value_table_to_csv(table, buf, cutoff)
+            assert buf.getvalue() == ""
+            return
         rows = value_table_to_csv(table, buf, cutoff)
         lines = buf.getvalue().strip().splitlines()[1:]
         assert rows == len(lines)
         for line in lines:
             t, x, value = line.split(",")
             t, x, value = int(t), int(x), float(value)
-            assert value == (0.0 if abs(x) > n else table.values[t, x + n])
+            assert value == table.values[t, x + n]
 
     def test_csv_negative_cutoff_rejected(self):
         table, _ = solve_extremal(0.5, 2, MAX)

@@ -143,10 +143,10 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
         half, stay = terms[0, :, a : b + 1], terms[1, :, a : b + 1]
         h_hi, h_lo = terms[0, :, na + 1 : r + 3], terms[0, :, na - 1 : r + 1]
         views = [(src[:, a : b + 1], dst[:, a : b + 1], dst[:, na : r + 2], dst[0, na : r + 2],
-                  dst[0, na + 1 : r + 2], merge and dst[:, shift], dst)  # row0, tail: folded check
-                 for src, dst in (bufs, bufs[::-1])]
+                  dst[-1, na : r + 2], dst[0, na + 1 : r + 2], merge and dst[:, shift], dst)
+                 for src, dst in (bufs, bufs[::-1])]  # row0, row1, tail: the mass check
         for t in range(t0, t1):
-            s, d_swept, d_out, row0, tail, d_zero, dst = views[t % 2]
+            s, d_swept, d_out, row0, row1, tail, d_zero, dst = views[t % 2]
             mul(s, f_half, half)
             mul(s, f_stay, stay)
             if fold:
@@ -156,7 +156,12 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
             if merge:
                 d_zero[HIT_ZERO] += d_zero[NOT_HIT]
                 d_zero[NOT_HIT] = zero
-            total = row0.item(0) + 2 * num(tail.dot(ones)) if fold else num((d_out @ ones).sum())
+            if fold:
+                total = row0.item(0) + 2 * num(tail.dot(ones))
+            elif two:  # one 1-D dot per row: a (2, w) matmul and sum cost twice as much
+                total = num(row0.dot(ones)) + num(row1.dot(ones))
+            else:
+                total = num(row0.dot(ones))
             if not (abs(total - prev) <= step_tol and abs(total - 1) <= total_tol):  # NaN fails too
                 raise InvariantError(f"total mass {total!r} after step {t}, {prev!r} before")
             prev = total

@@ -146,15 +146,21 @@ def _advance(x: np.ndarray, keys: np.ndarray, t: int, u: float, where, buf) -> N
     x += move
 
 
-def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=None, entr=None):
+def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=None, entr=None,
+          counts=None):
     """Step the caller's integer sites x n times in place: the one step loop.
 
     Walk j draws the bits of keys[j], keys broadcast against x. After each
     step this yields the visited-0 flags, or None when no fast-until-zero
-    leaf of the policy reads them. Given a family (x then 1-D), the
-    caller's int64 entrance table entr is filled in as walks enter stages.
-    Barrier tracking keeps each walk's next stage and that stage's radius,
-    -1 until the stage's band opens, and updates only the walks that enter.
+    leaf of the policy reads them. Given a family (x then 1-D), barrier
+    tracking keeps each walk's next stage (0-based, so the number of stages
+    entered) and that stage's radius, -1 until the stage's band opens, and
+    updates only the walks that enter. A stage is entered only after the one
+    before it, at most one per step, so the stages a walk entered by any time
+    are a prefix 1..k of the cascade and the count k tells them all. The
+    caller's int8 (2, size) counts, if given, get each walk's count after
+    step n - 1 (row 0: the strict entries) and after step n (row 1), and
+    the caller's int64 entrance table entr, if given, the entrance times.
     """
     tracked = any(leaf.kind == FAST_UNTIL_ZERO for _, _, leaf in _leaves(policy, 0, n))
     flag = x == 0 if tracked else None
@@ -167,7 +173,8 @@ def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=No
         rad = np.array(family.radii + (-1,), dtype=x.dtype)
         bs = np.array(family.band_starts + (n + 1,), dtype=np.int64)
         first, opens = family.band_starts[0], {b: k for k, b in enumerate(family.band_starts)}
-        stage = np.zeros(x.size, dtype=np.intp)  # 0-based index of next stage
+        strict, stage = np.empty((2, x.size), dtype=np.int8) if counts is None else counts
+        stage.fill(0)
         radius = np.full(x.size, -1, dtype=x.dtype)
 
     for t in range(n):
@@ -177,16 +184,19 @@ def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=No
         _advance(x, keys, t, u, where, buf)
         if tracked:
             flag |= x == 0
-        if family is not None and t + 1 >= first:
+        if family is not None and t + 1 >= first:  # first <= n - 1, as n >= 2
             if t + 1 in opens:
                 k = opens[t + 1]
                 radius[stage == k] = rad[k]
             idx = np.flatnonzero(np.abs(x) <= radius)
             if idx.size:
                 k = stage[idx]
-                entr[idx, k] = t + 1
+                if entr is not None:
+                    entr[idx, k] = t + 1
                 stage[idx] = k + 1
                 radius[idx] = np.where(bs[k + 1] <= t + 1, rad[k + 1], -1)
+            if t + 2 == n:
+                strict[...] = stage
         yield flag
 
 
@@ -304,25 +314,54 @@ def _in_shards(shard, k: int, stop) -> list:
     return [result for result, _ in reports]
 
 
-def _run_shards(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family, entr):
-    """_walk over x in one contiguous shard per core (_in_shards).
+def _stages(family: BarrierFamily | None, n: int) -> int:
+    """Stages a walk of n steps tracks: the family's N0, 0 without one."""
+    if family is None:
+        return 0
+    if family.n != n:
+        raise ParameterError(f"family horizon {family.n} != n={n}")
+    return family.N0
 
-    Shards 1..k-1 run in forked children, so x and entr must live in a
-    shared mapping (run_batch puts them there); each shard writes its own
-    views. Walks never interact and each draws from its own key, so every
-    shard's sites and entrance rows are bitwise those of one unsplit walk.
-    One shared stop byte, read by every shard once per step, is set by a
-    failing shard and by this process on any exception.
+
+def _run_shards(policy: PolicySpec, n: int, start: int, trials: int, seed: int, family,
+                trial_base: int = 0, table: bool = True) -> tuple:
+    """_walk over `trials` walks from start, in one contiguous shard per core
+    (_in_shards): (n, start, sites, tracking), n and start as run_args reads
+    them. Given a family, tracking is the int64 (trials, N0) entrance table
+    when table is set and _walk's int8 (2, trials) stage counts otherwise;
+    it is None without a family.
+
+    Shards 1..k-1 run in forked children, so the sites and the tracking live
+    in one anonymous shared mapping, and each shard writes its own views of
+    it. Walks never interact and each draws from its own key, so every
+    shard's sites and tracking are bitwise those of one unsplit walk. The
+    returned arrays are views of the mapping. One shared stop byte, read by
+    every shard once per step, is set by a failing shard and by this
+    process on any exception.
     """
-    k = max(1, min(_fork_cores(), x.size // _MIN_SHARD))
-    cuts = [x.size * i // k for i in range(k + 1)]
+    trials = as_count(trials, "trials", 1)
+    keys = trial_keys(seed, trials, base=trial_base)
+    n, start = run_args(policy, n, start)
+    stages = _stages(family, n)
+    cols, rows = (stages, 0) if table else (0, 2 * bool(stages))
+    # int16 sites when no walk can leave (-2^15, 2^15); the int64 table goes first, aligned
+    dtype = np.dtype(np.int16 if abs(start) + n < 2**15 else np.int64)
+    shared = mmap.mmap(-1, trials * (8 * cols + dtype.itemsize + rows))
+    entr = np.frombuffer(shared, dtype=np.int64, count=trials * cols).reshape(trials, cols)
+    x = np.frombuffer(shared, dtype=dtype, count=trials, offset=entr.nbytes)
+    counts = np.frombuffer(shared, dtype=np.int8, count=trials * rows,
+                           offset=entr.nbytes + x.nbytes).reshape(rows, trials)
+    entr.fill(-1)
+    x.fill(start)
+    k = max(1, min(_fork_cores(), trials // _MIN_SHARD))
+    cuts = [trials * i // k for i in range(k + 1)]
     stop = np.frombuffer(mmap.mmap(-1, 1), dtype=np.uint8)
 
     def drive(i):
         a, b = cuts[i], cuts[i + 1]
-        rows = None if entr is None else entr[a:b]
+        tracking = (entr[a:b], None) if table else (None, counts[:, a:b])
         try:
-            for _ in _walk(policy, n, x[a:b], keys[a:b], family, rows):
+            for _ in _walk(policy, n, x[a:b], keys[a:b], family, *tracking):
                 if stop[0]:
                     break
         except BaseException:
@@ -330,15 +369,7 @@ def _run_shards(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, fam
             raise
 
     _in_shards(drive, k, stop)
-
-
-def _stages(family: BarrierFamily | None, n: int) -> int:
-    """Entrance-table columns for a walk of n steps: the family's N0, 0 without one."""
-    if family is None:
-        return 0
-    if family.n != n:
-        raise ParameterError(f"family horizon {family.n} != n={n}")
-    return family.N0
+    return n, start, x, None if family is None else entr if table else counts
 
 
 def run_batch(
@@ -356,25 +387,14 @@ def run_batch(
     after stage i-1, at most one stage per time step, never at t=0. A -1 in
     the entrance table means the stage was not reached by time n. Large
     batches run one contiguous shard of trials per core, in forked
-    processes, with results bitwise equal to a single-process run. The
-    entrance table is a view of the mapping those processes shared.
+    processes, with results bitwise equal to a single-process run. `final`
+    and `entrances` are copies this batch owns, so a process forked later
+    shares neither with the shards' mapping.
     """
-    trials = as_count(trials, "trials", 1)
-    keys = trial_keys(seed, trials, base=trial_base)
-    n, start = run_args(policy, n, start)
-    cols = _stages(family, n)
-    # int16 sites when no walk can leave (-2^15, 2^15); final is int64 either way
-    dtype = np.dtype(np.int16 if abs(start) + n < 2**15 else np.int64)
-    shared = mmap.mmap(-1, trials * (8 * cols + dtype.itemsize))
-    entr = np.frombuffer(shared, dtype=np.int64, count=trials * cols).reshape(trials, cols)
-    x = np.frombuffer(shared, dtype=dtype, count=trials, offset=entr.nbytes)
-    entr.fill(-1)
-    x.fill(start)
-    if family is None:
-        entr = None
-    _run_shards(policy, n, x, keys, family, entr)
-    return TrajectoryBatch(policy=policy, n=n, start=start, trials=trials, seed=seed,
-                           final=x.astype(np.int64), entrances=entr, family=family)
+    n, start, x, entr = _run_shards(policy, n, start, trials, seed, family, trial_base)
+    return TrajectoryBatch(policy=policy, n=n, start=start, trials=x.size, seed=seed,
+                           final=x.astype(np.int64), family=family,
+                           entrances=None if entr is None else entr.copy())
 
 
 def sample_path(
@@ -451,33 +471,43 @@ def barrier_diagnostics(
     seed: int = 0,
     start: int = 0,
 ) -> StageStats:
-    family = barrier_family(n, beta_exp)
-    batch = run_batch(policy, n, start=start, trials=trials, seed=seed, family=family)
-    entr = batch.entrances
-    strict = entr >= 0
-    strict &= entr < n
-    by_n = entr >= 0
+    """Entrance counts of the barrier cascade over `trials` walks, and the
+    returns to 0 (or to the n^beta_exp window) that skipped its last stage.
 
-    entered_strict = tuple(int(np.count_nonzero(strict[:, i])) for i in range(family.N0))
-    entered_by_n = tuple(int(np.count_nonzero(by_n[:, i])) for i in range(family.N0))
+    The counts come from _walk's per-walk stage counts, and no entrance
+    table is built. A stage is entered only after the one before it, so the
+    stages a walk entered by a time are a prefix of the cascade: with
+    k_strict its count after step n - 1 and k_by_n after step n, stage i
+    (0-based) was entered before n by #(k_strict > i) walks and by n by
+    #(k_by_n > i), the walks that entered it but not stage i + 1 before n
+    number #(k_strict == i + 1), and the last stage was never entered where
+    k_by_n < N0.
+    """
+    family = barrier_family(n, beta_exp)
+    _, _, x, (k_strict, k_by_n) = _run_shards(policy, n, start, trials, seed, family, table=False)
+    N0 = family.N0
+    # walks by stages entered, 0..N0; the suffix sum from i + 1 counts those past stage i
+    strict, by_n = (np.bincount(k, minlength=N0 + 1) for k in (k_strict, k_by_n))
+    entered_strict, entered_by_n = (tuple(int(m) for m in c[::-1].cumsum()[-2::-1])
+                                    for c in (strict, by_n))
 
     cond = []
     min_escape = None
-    for i in range(family.N0 - 1):
+    for i in range(N0 - 1):
         m = entered_strict[i]
         if m == 0:
             cond.append((None, None, None))
             continue
-        stopped = int(np.count_nonzero(strict[:, i] & ~strict[:, i + 1]))
+        stopped = int(strict[i + 1])
         lo, hi = wilson_interval(stopped, m)
         f = stopped / m
         cond.append((f, lo, hi))
         min_escape = f if min_escape is None else min(min_escape, f)
 
     window = float(n) ** beta_exp
-    in_window = np.abs(batch.final) <= window
-    at_zero = batch.final == 0
-    never_last = ~by_n[:, family.N0 - 1]
+    in_window = np.abs(x) <= window
+    at_zero = x == 0
+    never_last = k_by_n < N0
 
     return StageStats(
         n=n,

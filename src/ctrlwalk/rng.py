@@ -47,9 +47,11 @@ def trial_keys(seed: int, trials: int, base: int = 0) -> np.ndarray:
     base, trials = as_index(base, "trial base"), as_count(trials, "trials")
     if base < 0 or base + trials > _MASK + 1:
         raise ParameterError(f"trial indices {base}..{base + trials - 1} must lie in [0, 2^64)")
-    idx = np.arange(base, base + trials, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return mix64((s ^ _SALT) + idx * _GOLDEN)
+    keys = np.arange(base, base + trials, dtype=np.uint64)
+    with np.errstate(over="ignore"):  # (s ^ _SALT) + idx * _GOLDEN mod 2^64, built in place
+        np.multiply(keys, _GOLDEN, out=keys)
+        np.add(keys, s ^ _SALT, out=keys)
+        return mix64(keys, out=keys)
 
 
 def step_bits(keys: np.ndarray, step: int, out=None) -> np.ndarray:

@@ -16,6 +16,8 @@ as test oracles:
 - `path_law`: the law after n steps as a sum over all 3^n paths, read from
   the definitions of the policy kinds alone (no `_leaves`, `_stay_region`
   or flag rows).
+- `stage_stats_from_entrances`: barrier diagnostics reduced column by
+  column from a batch's entrance table, with no use of prefix closure.
 - `band_sums_exact`: the two-zone column sums of calibrate_lemma5 as exact
   fractions, by definition rather than through the reversibility identity.
 - `continuum_exponent`: the decay exponent of the optimal `max` control in
@@ -42,6 +44,7 @@ from ctrlwalk.lattice import (
     _as_mode_value,
     _zeros,
 )
+from ctrlwalk.montecarlo import BarrierFamily, StageStats, TrajectoryBatch, wilson_interval
 from ctrlwalk.policies import PolicySpec, _stay_region, stay_set
 from ctrlwalk.rng import UNIFORM_SHIFT, step_bits
 
@@ -244,6 +247,44 @@ def path_law(policy: PolicySpec, n: int, start: int = 0) -> dict:
 
     walk([start], 1.0)
     return law
+
+
+# ---------------------------------------------------------------------------
+# barrier diagnostics
+
+
+def stage_stats_from_entrances(batch: TrajectoryBatch, family: BarrierFamily) -> StageStats:
+    """The StageStats of a run_batch(..., family) batch, read off its entrance
+    table one column at a time: stage i entered strictly when its time lies
+    in [0, n), by n when it is not -1, escaped when stage i is entered
+    strictly and stage i + 1 is not."""
+    n, entr = batch.n, batch.entrances
+    strict = (entr >= 0) & (entr < n)
+    by_n = entr >= 0
+    entered_strict = tuple(int(np.count_nonzero(strict[:, i])) for i in range(family.N0))
+    entered_by_n = tuple(int(np.count_nonzero(by_n[:, i])) for i in range(family.N0))
+    cond, min_escape = [], None
+    for i in range(family.N0 - 1):
+        m = entered_strict[i]
+        if m == 0:
+            cond.append((None, None, None))
+            continue
+        stopped = int(np.count_nonzero(strict[:, i] & ~strict[:, i + 1]))
+        lo, hi = wilson_interval(stopped, m)
+        cond.append((stopped / m, lo, hi))
+        min_escape = stopped / m if min_escape is None else min(min_escape, stopped / m)
+    in_window = np.abs(batch.final) <= float(n) ** family.beta_exp
+    at_zero = batch.final == 0
+    never_last = ~by_n[:, family.N0 - 1]
+    return StageStats(
+        n=n, beta_exp=family.beta_exp, trials=batch.trials, N0=family.N0, radii=family.radii,
+        band_starts=family.band_starts, entered_strict=entered_strict, entered_by_n=entered_by_n,
+        cond_escape=tuple(cond), min_cond_escape=min_escape,
+        final_at_zero=int(np.count_nonzero(at_zero)),
+        final_in_window=int(np.count_nonzero(in_window)),
+        violations_exact=int(np.count_nonzero(at_zero & never_last)),
+        violations_window=int(np.count_nonzero(in_window & never_last)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,24 @@ def test_sharded_batch_equals_joined_pieces(three_cores, kind, start):
     assert np.array_equal(whole.entrances, np.concatenate([p.entrances for p in pieces]))
 
 
+def test_batch_arrays_are_not_shared_with_later_forks(three_cores):
+    # the shards' mapping is shared with every process forked from this
+    # one; the batch's arrays are copies, so a later child writes its own
+    policy, family = fast_until_zero_policy(0.9), barrier_family(SHARD_N)
+    batch = run_batch(policy, SHARD_N, trials=SHARD_TRIALS, seed=SEED, family=family)
+    assert len(three_cores["forked"]) == 1
+    entrances, final = batch.entrances.copy(), batch.final.copy()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            batch.entrances[0, 0] = 99
+            batch.final[0] = 99
+        finally:
+            os._exit(0)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert np.array_equal(batch.entrances, entrances) and np.array_equal(batch.final, final)
+
+
 def test_without_fork_a_batch_runs_in_one_shard(three_cores, monkeypatch):
     monkeypatch.delattr(os, "fork")
     policy = fast_until_zero_policy(0.9)

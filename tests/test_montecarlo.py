@@ -1,6 +1,9 @@
 """Counter-based sampling, barrier diagnostics, statistical probes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,8 +33,9 @@ from ctrlwalk import (
     two_zone_policy,
     wilson_interval,
 )
+from ctrlwalk import montecarlo
 from ctrlwalk.montecarlo import _MIN_SHARD
-from reference import step_uniforms
+from reference import stage_stats_from_entrances, step_uniforms
 
 MASK = (1 << 64) - 1
 
@@ -249,6 +253,77 @@ class TestBarriers:
             assert np.all(ent[both, i + 1] > ent[both, i])
             # a later stage cannot be reached without the earlier one
             assert not np.any((ent[:, i] < 0) & (ent[:, i + 1] >= 0))
+
+
+def stage_policy(kind: str, n: int):
+    if kind == "bang-bang":
+        return solve_extremal(0.9, n, "max", target=0, keep_values=False)[1].as_policy()
+    if kind == "constant-mid":
+        return constant_policy(0.9, 0.37 * 0.9)
+    return sweep_policy(kind, 0.9, n, {})
+
+
+# (n, start, beta_exp): the shortest horizon (N0 = 1), starts on and off 0, windows above 1
+STAGE_SETTINGS = [(2, 0, 0.0), (2, 1, 0.0), (65, 3, 0.2), (512, 0, 0.3), (512, -7, 0.0)]
+STAGE_CASES = [
+    (kind, *setting)
+    for kind in ("constant", "constant-mid", "two-zone", "fast-until-zero", "bang-bang")
+    for setting in STAGE_SETTINGS
+] + [(kind, 512, start, 0.0) for kind in ("schedule-localization", "schedule-qto1")
+     for start in (0, -7)]
+
+
+class TestStageCounts:
+    """barrier_diagnostics reads its counts off per-walk stage counts; the
+    reference reduces the entrance table of the same walks column by column."""
+
+    TRIALS = 3000
+
+    @pytest.mark.parametrize("kind, n, start, beta", STAGE_CASES)
+    def test_counts_equal_the_entrance_table_reduction(self, kind, n, start, beta):
+        policy, family, seed = stage_policy(kind, n), barrier_family(n, beta), n + 7 * start
+        batch = run_batch(policy, n, start=start, trials=self.TRIALS, seed=seed, family=family)
+        got = barrier_diagnostics(policy, n, beta_exp=beta, trials=self.TRIALS, seed=seed,
+                                  start=start)
+        assert got == stage_stats_from_entrances(batch, family)
+
+    def test_forked_counts_equal_the_entrance_table_reduction(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_core_count", lambda: 2)
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        policy, n, trials, family = fast_until_zero_policy(0.9), 64, 2 * _MIN_SHARD + 37, \
+            barrier_family(64)
+        batch = run_batch(policy, n, start=-3, trials=trials, seed=31, family=family)
+        got = barrier_diagnostics(policy, n, trials=trials, seed=31, start=-3)
+        assert len(forks) == 2  # each ran its second shard in a child
+        assert got == stage_stats_from_entrances(batch, family)
+        assert got.violations_exact == 0 and got.entered_by_n[0] > 0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+    def test_barrier_batch_builds_no_entrance_table(self):
+        # in a fresh process, whose peak estimate_hit sets first, with the
+        # whole batch in that process. The peak is the process's own VmHWM:
+        # ru_maxrss keeps the launching process's peak across fork and exec,
+        # so under pytest it would not move. Built with an int64 (trials, N0)
+        # entrance table (8 MB here), the barrier run raised the peak by
+        # 11.3 MiB; with int8 stage counts it raises it by 1.6 MiB.
+        code = (
+            "from ctrlwalk import barrier_diagnostics, constant_policy, estimate_hit, montecarlo\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+            "montecarlo._core_count = lambda: 1\n"
+            "p = constant_policy(0.9, 0.9)\n"
+            "estimate_hit(p, 1024, trials=100_000, seed=1)\n"
+            "before = peak()\n"
+            "barrier_diagnostics(p, 1024, trials=100_000, seed=2)\n"
+            "print(peak() - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 4 * 1024  # KiB of peak growth
 
 
 class TestProbes:

@@ -291,8 +291,8 @@ class TestStageCounts:
         monkeypatch.setattr(montecarlo, "_core_count", lambda: 2)
         fork, forks = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        policy, n, trials, family = fast_until_zero_policy(0.9), 64, 2 * _MIN_SHARD + 37, \
-            barrier_family(64)
+        policy, n, trials = fast_until_zero_policy(0.9), 64, 2 * _MIN_SHARD + 37
+        family = barrier_family(n)
         batch = run_batch(policy, n, start=-3, trials=trials, seed=31, family=family)
         got = barrier_diagnostics(policy, n, trials=trials, seed=31, start=-3)
         assert len(forks) == 2  # each ran its second shard in a child

@@ -17,8 +17,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     ChainSpec,
@@ -98,13 +96,6 @@ _SAMPLING_RUNS = {("simulate", None), ("barriers", None), ("exponent", "mc"), ("
 _VARIANT_KEY = {"exponent": "method", "verify": "what"}
 # verify targets that replay a calibration certificate; each returns its verdict as "pass"
 _CERTIFICATE_CHECKS = {"lemma5": verify_lemma5_certificate, "lemma6": verify_lemma6_certificate}
-
-
-def _plain(x):
-    """json.dump default: numpy scalars and arrays as plain Python values."""
-    if isinstance(x, (np.generic, np.ndarray)):
-        return x.tolist()
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _resolve_out(path: str) -> str:
@@ -237,7 +228,7 @@ def _cmd_solve(cfg):
             boundary_to_csv(bb, fh)
     if cfg.get("region_json"):
         with _open_out(cfg["region_json"]) as fh:
-            json.dump(region, fh, default=_plain)
+            json.dump(region, fh)
     payload = {
         "q": q,
         "n": n,
@@ -526,11 +517,10 @@ def run_command(argv) -> int:
         payload, prov, *ok = _SUBCOMMANDS[command][3](cfg)  # verify adds a pass flag
         config = {**echo, "out": out} if out else echo
         if isinstance(payload, list):  # a sweep: NDJSON, one record per payload
-            text = "".join(json.dumps(_record(command, config, p, prov), default=_plain) + "\n"
-                           for p in payload)
+            text = "".join(json.dumps(_record(command, config, p, prov)) + "\n" for p in payload)
         else:
             record = _record(command, config, payload, prov)
-            text = json.dumps(record, indent=2, default=_plain) + "\n"
+            text = json.dumps(record, indent=2) + "\n"
         _emit(text, out)
         if not all(ok):
             print(f"{command} {cfg.get('what', '')}: check FAILED", file=sys.stderr)

@@ -21,8 +21,8 @@ from .defaults import MC_TRIALS
 from .dp import as_target
 from .errors import ParameterError, as_count, as_index, as_real
 from .policies import (
-    FAST_UNTIL_ZERO, PolicySpec, _check_cap, _leaves, constant_policy, fast_until_zero_policy,
-    flag_reset_times, run_args, stay_set,
+    FAST_UNTIL_ZERO, PolicySpec, _check_cap, _leaves, _stay_region, constant_policy,
+    fast_until_zero_policy, flag_reset_times, rule_change_times, run_args,
 )
 from .rng import UNIFORM_SHIFT, step_bits, trial_keys
 
@@ -146,12 +146,45 @@ def _advance(x: np.ndarray, keys: np.ndarray, t: int, u: float, where, buf) -> N
     x += move
 
 
+def _stay_sites(intervals, lo: int, hi: int):
+    """A stay rule's sites (its intervals, None for every site) in the form
+    _stay_where reads for walks on [lo, hi]: None, the halfwidth h of one
+    band |x| <= h, or (lo, row) with row[x - lo] set where x may stay."""
+    if intervals is None:
+        return None
+    if len(intervals) == 1 and intervals[0][0] == -intervals[0][1]:
+        return intervals[0][1]
+    # the stay region can hold O(n) intervals (parity combs), so mark
+    # interval edges over [lo, hi] and cumsum them into a dense row
+    iv = np.array(intervals, dtype=np.int64).reshape(-1, 2)
+    a, b = np.maximum(iv[:, 0], lo), np.minimum(iv[:, 1], hi)
+    keep = a <= b
+    edges = np.zeros(hi - lo + 2, dtype=np.int8)
+    edges[a[keep] - lo] = 1
+    edges[b[keep] - lo + 1] -= 1  # after the starts: an interval may end where the next begins
+    return lo, np.cumsum(edges, dtype=np.int8).view(bool)
+
+
+def _stay_where(sites, x: np.ndarray, flag=None):
+    """The `where` mask of _advance for walks at x: those on the _stay_sites
+    sites and, given the visited-0 flags (a hit_only rule), flagged."""
+    if sites is None:
+        return flag
+    if isinstance(sites, tuple):
+        where = np.take(sites[1], np.subtract(x, sites[0], dtype=np.intp))  # x may be int16
+    else:
+        where = np.abs(x) <= sites  # one compare: far cheaper than a gather
+    return where if flag is None else where & flag
+
+
 def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=None, entr=None,
           counts=None):
     """Step the caller's integer sites x n times in place: the one step loop.
 
-    Walk j draws the bits of keys[j], keys broadcast against x. After each
-    step this yields the visited-0 flags, or None when no fast-until-zero
+    Walk j draws the bits of keys[j], keys broadcast against x. As in
+    dp._forward, the stay rule is read only at the policy's
+    rule_change_times steps and held, as _stay_sites, until the next. After
+    each step this yields the visited-0 flags, or None when no fast-until-zero
     leaf of the policy reads them. Given a family (x then 1-D), barrier
     tracking keeps each walk's next stage (0-based, so the number of stages
     entered) and that stage's radius, -1 until the stage's band opens, and
@@ -167,6 +200,8 @@ def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=No
     resets = set(flag_reset_times(policy)) if tracked else ()
     buf = _buffers(keys, x.shape)
     lo, hi = int(x.min()), int(x.max())
+    changes = iter(rule_change_times(policy, 0, n) + [n])
+    change = next(changes)
 
     if family is not None:
         # pads: past the last stage a walk's radius stays -1 and no band opens
@@ -180,8 +215,11 @@ def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=No
     for t in range(n):
         if t in resets:
             np.equal(x, 0, out=flag)
-        u, where = stay_set(policy, t, x, flag, sites=(lo - t, hi + t))
-        _advance(x, keys, t, u, where, buf)
+        if t == change:  # the rule holds to the next change, and walks move one site a step
+            change = next(changes)
+            u, hit_only, intervals = _stay_region(policy, t)
+            sites = _stay_sites(intervals, lo - change + 1, hi + change - 1)
+        _advance(x, keys, t, u, _stay_where(sites, x, flag if hit_only else None), buf)
         if tracked:
             flag |= x == 0
         if family is not None and t + 1 >= first:  # first <= n - 1, as n >= 2

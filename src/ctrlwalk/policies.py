@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import AdmissibilityError, DegenerateScheduleError, ParameterError, as_count, as_index, as_real
 
 CONSTANT = "constant"
@@ -300,40 +298,6 @@ def _stay_region(policy: PolicySpec, t: int):
     if not 0 <= u <= min(policy.q_cap, 1.0):  # NaN fails too
         raise AdmissibilityError(f"control value {u} escapes [0, {policy.q_cap}] at step {t}")
     return u, hit_only, intervals
-
-
-def stay_set(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray, sites=None):
-    """The stay rule at step t for samplers, as the set of trials that may stay.
-
-    Returns (u, where): the stay probability is u where the boolean mask
-    `where` holds and 0 elsewhere; where=None means every trial. flag, the
-    visited-0 flags, is read only by a fast-until-zero rule. sites is an
-    inclusive (lo, hi) range holding every entry of x; it is computed
-    from x when not given.
-    """
-    u, hit_only, intervals = _stay_region(policy, t)
-    if intervals is None:
-        where = None
-    elif len(intervals) == 1 and intervals[0][0] == -intervals[0][1]:
-        where = np.abs(x) <= intervals[0][1]
-    else:
-        # the stay region can hold O(n) intervals (parity combs), so mark
-        # interval edges over the occupied sites, cumsum them into a dense
-        # row and gather
-        lo, hi = (int(np.min(x, initial=0)), int(np.max(x, initial=0))) if sites is None else sites
-        iv = np.array(intervals, dtype=np.int64).reshape(-1, 2)
-        a = np.maximum(iv[:, 0], lo)
-        b = np.minimum(iv[:, 1], hi)
-        keep = a <= b
-        edges = np.zeros(hi - lo + 2, dtype=np.int8)
-        edges[a[keep] - lo] = 1
-        edges[b[keep] - lo + 1] -= 1  # after the starts: an interval may end where the next begins
-        row = np.cumsum(edges, dtype=np.int8).view(bool)
-        where = np.take(row, np.subtract(x, lo, dtype=np.intp))  # x may be int16
-    if hit_only:
-        flag = np.asarray(flag, dtype=bool)
-        where = flag if where is None else where & flag
-    return u, where
 
 
 def policy_to_json(policy: PolicySpec) -> dict:

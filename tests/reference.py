@@ -2,20 +2,22 @@
 
 The package runs one kernel per engine: `dp._forward` for exact evolution,
 `dp._backward` for the extremal DP, and `montecarlo._advance` on
-`rng.step_bits` for sampling, all reading the stay rule from
-`policies._stay_region`. The functions here restate those rules in the
-plainest form, one control value per (flag, site) cell, and are used only
-as test oracles:
+`rng.step_bits` for sampling. The engines read each stay rule from
+`policies._stay_region` at the steps `policies.rule_change_times` names.
+The functions here restate those rules in the plainest form, one control
+value per (flag, site) cell, from the definitions of the policy kinds
+alone (no `_leaves`, `_stay_region` or `rule_change_times`), and are used
+only as test oracles:
 
 - `ControlRow` and `step_distribution`: one exact step under an explicit
   control row, with its own mass and admissibility checks.
-- `evaluate`, `control_grid` and `control_values`: the stay rule at one
-  cell, over a window, and per trial.
+- `evaluate` and `control_grid`: the stay rule at one cell and over a
+  window, read off the leaf policy that rules the step (`_ruling`).
 - `step_uniforms`: the float uniforms behind the MC bits.
 - `trinomial_return`: the closed-form P(S_n = 0) of the constant walk.
-- `path_law`: the law after n steps as a sum over all 3^n paths, read from
-  the definitions of the policy kinds alone (no `_leaves`, `_stay_region`
-  or flag rows).
+- `path_law`: the law after n steps as a sum over all 3^n paths, each
+  step's control from `evaluate` and the path's own visits to 0 (no flag
+  rows).
 - `stage_stats_from_entrances`: barrier diagnostics reduced column by
   column from a batch's entrance table, with no use of prefix closure.
 - `band_sums_exact`: the two-zone column sums of calibrate_lemma5 as exact
@@ -45,7 +47,7 @@ from ctrlwalk.lattice import (
     _zeros,
 )
 from ctrlwalk.montecarlo import BarrierFamily, StageStats, TrajectoryBatch, wilson_interval
-from ctrlwalk.policies import PolicySpec, _stay_region, stay_set
+from ctrlwalk.policies import PolicySpec
 from ctrlwalk.rng import UNIFORM_SHIFT, step_bits
 
 # ---------------------------------------------------------------------------
@@ -135,35 +137,33 @@ def step_distribution(
 
 
 def evaluate(policy: PolicySpec, t: int, x: int, flag: int = NOT_HIT) -> float:
-    """Control value at one space-time cell. Pure and deterministic."""
-    u, hit_only, intervals = _stay_region(policy, t)
-    if hit_only and flag != HIT_ZERO:
-        return 0.0
-    if intervals is None or any(a <= x <= b for a, b in intervals):
-        return u
-    return 0.0
+    """Control value at one space-time cell, from the definition of the leaf
+    ruling step t (_ruling): constant its u_value; two-zone q_cap on |x| <=
+    band; a bang-bang table q_cap on row t's intervals; fast-until-zero q_cap
+    in the HIT_ZERO row. Every other value is 0."""
+    leaf, _ = _ruling(policy, t)
+    if leaf.kind == "constant":
+        return leaf.params["u_value"]
+    if leaf.kind == "two-zone":
+        stays = abs(x) <= leaf.params["band_halfwidth"]
+    elif leaf.kind == "fast-until-zero":
+        stays = flag == HIT_ZERO
+    elif leaf.kind == "bang-bang-table":
+        if not 0 <= t < leaf.params["n"]:
+            raise ParameterError(f"step {t} outside the table's horizon")
+        stays = any(a <= x <= b for a, b in leaf.params["rows"][t])
+    else:
+        raise ParameterError(f"unknown policy kind {leaf.kind!r}")
+    return leaf.q_cap if stays else 0.0
 
 
 def control_grid(policy: PolicySpec, t: int, offset: int, width: int, mode: str = FLOAT) -> np.ndarray:
-    """Vectorized evaluate over a window: (2, width) array, row per flag."""
-    u, hit_only, intervals = _stay_region(policy, t)
+    """evaluate over a window: (2, width) array, row per flag."""
     grid = _zeros((2, width), mode)
-    rows = grid[HIT_ZERO:] if hit_only else grid
-    u = _as_mode_value(u, mode)
-    end = offset + width - 1
-    for a, b in ((offset, end),) if intervals is None else intervals:
-        lo, hi = max(a, offset), min(b, end)
-        if lo <= hi:
-            rows[:, lo - offset : hi - offset + 1] = u
+    for flag in (NOT_HIT, HIT_ZERO):
+        for j in range(width):
+            grid[flag, j] = _as_mode_value(evaluate(policy, t, offset + j, flag), mode)
     return grid
-
-
-def control_values(policy: PolicySpec, t: int, x: np.ndarray, flag: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate for samplers: u per trial given site/flag arrays."""
-    u, where = stay_set(policy, t, x, flag)
-    if where is None:
-        return np.full(np.shape(x), u)
-    return np.where(where, u, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +208,12 @@ def trinomial_return(n, u):
 def _ruling(policy: PolicySpec, t: int):
     """(leaf, since): the policy of the innermost schedule segment containing
     step t, and the step it took over, its segment's start clipped to the
-    segments enclosing it."""
+    segments enclosing it. A step outside a schedule raises ParameterError."""
     since = 0
     while policy.kind == "schedule":
-        seg = next(s for s in policy.params["segments"] if s.t_start <= t < s.t_end)
+        seg = next((s for s in policy.params["segments"] if s.t_start <= t < s.t_end), None)
+        if seg is None:
+            raise ParameterError(f"step {t} outside the schedule's segments")
         since, policy = max(since, seg.t_start), seg.inner_policy
     return policy, since
 
@@ -220,10 +222,8 @@ def path_law(policy: PolicySpec, n: int, start: int = 0) -> dict:
     """{site: P(S_n = site)}: the weights of all 3^n paths from start, summed.
 
     Step t from site x stays with probability u and moves to each neighbour
-    with (1 - u)/2. The leaf ruling t sets u: constant its u_value; two-zone
-    q_cap on |x| <= band; a bang-bang table q_cap on row t's intervals;
-    fast-until-zero q_cap once the path has visited 0 at or after the step
-    the leaf took over. Every other u is 0.
+    with (1 - u)/2. u is evaluate's, in the HIT_ZERO row once the path has
+    visited 0 at or after the step the leaf ruling t took over.
     """
     law = {}
 
@@ -232,15 +232,8 @@ def path_law(policy: PolicySpec, n: int, start: int = 0) -> dict:
         if t == n:
             law[x] = law.get(x, 0.0) + weight
             return
-        leaf, since = _ruling(policy, t)
-        if leaf.kind == "constant":
-            u = leaf.params["u_value"]
-        elif leaf.kind == "two-zone":
-            u = leaf.q_cap if abs(x) <= leaf.params["band_halfwidth"] else 0.0
-        elif leaf.kind == "fast-until-zero":
-            u = leaf.q_cap if 0 in path[since:] else 0.0
-        else:
-            u = leaf.q_cap if any(a <= x <= b for a, b in leaf.params["rows"][t]) else 0.0
+        _, since = _ruling(policy, t)
+        u = evaluate(policy, t, x, HIT_ZERO if 0 in path[since:] else NOT_HIT)
         for step, p in ((0, u), (-1, (1 - u) / 2), (1, (1 - u) / 2)):
             if p:
                 walk([*path, x + step], weight * p)

@@ -440,6 +440,10 @@ class TestChainStructure:
             assert 0.5 < v < free
         assert prof["bound_estimate"] == max(per_t.values())
 
+    def test_heat_kernel_rejects_an_empty_grid(self):
+        with pytest.raises(ParameterError, match="t_grid must contain positive times"):
+            heat_kernel_profile(ChainSpec(0.5, 4), [])
+
     def test_heat_kernel_rejects_non_integer_times(self):
         with pytest.raises(ParameterError, match="time in t_grid must be an integer"):
             heat_kernel_profile(ChainSpec(0.5, 4), [64.5, 128])
@@ -722,6 +726,13 @@ class TestCertificates:
         assert len(cert["entries"]) == 3
         with pytest.raises(ParameterError, match="certificate.entries holds 3 items; calibrate_lemma5 writes 17"):
             verify_lemma5_certificate(cert)
+
+    @pytest.mark.parametrize("lemma, key", [(5, "q_cap"), (6, "eps")])
+    def test_certificate_without_its_input_refused(self, lemma, key):
+        cert = _cert(lemma)
+        del cert[key]
+        with pytest.raises(ParameterError, match=f"certificate lacks {key}$"):
+            _VERIFY[lemma](cert)
 
     def test_sum_past_its_bound_fails(self):
         cert = _cert(5)

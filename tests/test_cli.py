@@ -338,11 +338,22 @@ class TestConfigValues:
         ("verify", ["heatkernel"], {"q": 0.5, "t_grid": [64.5, 128]}, "t_grid"),
         ("evolve", [], {"policy": "constant:q=0.5", "n": 4, "target": True}, "target"),
         ("solve", [], {"q": 10**400, "n": 4}, "too large"),
+        ("evolve", [], [{"policy": "constant:q=0.5", "n": 4}], "flat JSON object"),
+        ("evolve", [], {"policy": 5, "n": 4}, "cannot parse policy from 5"),
+        ("evolve", [], {"policy": "constant:q=0.5,u", "n": 4}, "bad policy parameter 'u'"),
     ])
     def test_listed_bad_configs_are_exit_2(self, capsys, tmp_path, name, positional, cfg, named):
         assert run_command([name, *positional, "--config", write_config(tmp_path, cfg)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and named in err
+
+    def test_policy_as_a_json_object(self, capsys, tmp_path):
+        policy = policy_to_json(sweep_policy("two-zone", 0.5, 4, {"band": 1}))
+        path = write_config(tmp_path, {"policy": policy, "n": 4})
+        code, out = run(capsys, ["evolve", "--config", path])
+        _, flags = run(capsys, ["evolve", "--policy", "two-zone:q=0.5,band=1", "--n", "4"])
+        assert code == 0 and record_from(out)["config"]["policy"] == policy
+        assert record_from(out)["payload"] == record_from(flags)["payload"]
 
     def test_typed_values_run_as_their_flags(self, capsys, tmp_path):
         # a JSON integer for a float flag reads as the float the flag would give
@@ -512,6 +523,17 @@ class TestSampling:
         pl = rec["payload"]
         assert pl["violations_exact"] == 0
         assert len(pl["stage_stats"]) == pl["N0"]
+
+    def test_barriers_record_with_no_stage_entered(self, capsys):
+        # walks from 100 never come within the first radius (6) in 64 steps
+        code, out = run(capsys, ["barriers", "--policy", "constant:q=0.5,u=0.5", "--n", "64",
+                                 "--start", "100", "--trials", "50", "--seed", "3"])
+        pl = record_from(out)["payload"]
+        assert code == 0 and pl["N0"] == 6 and pl["min_cond_escape"] is None
+        stats = pl["stage_stats"]
+        assert [s["entered_by_n"] for s in stats] == [0] * 6
+        assert [s["cond_escape"] for s in stats] == [None] * 6
+        assert [s["cond_escape_ci"] for s in stats] == [[None, None]] * 5 + [None]
 
     def test_simulate_dump_final_matches_run_batch(self, capsys, tmp_path):
         path = tmp_path / "final.csv"

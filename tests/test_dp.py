@@ -1277,6 +1277,13 @@ class TestValueTable:
             t, x, value = int(t), int(x), float(value)
             assert value == table.values[t, x + n]
 
+    def test_csv_needs_the_values(self):
+        table, _ = solve_extremal(0.5, 2, MAX, keep_values=False)
+        buf = io.StringIO()
+        with pytest.raises(ParameterError, match="value export needs keep_values=True"):
+            value_table_to_csv(table, buf)
+        assert buf.getvalue() == ""
+
     def test_csv_negative_cutoff_rejected(self):
         table, _ = solve_extremal(0.5, 2, MAX)
         with pytest.raises(ParameterError, match="cutoff"):

@@ -39,8 +39,9 @@ from ctrlwalk import (
     two_zone_policy,
 )
 from ctrlwalk import montecarlo
-from ctrlwalk.montecarlo import _MIN_SHARD, _advance, _buffers, _step_bounds
-from ctrlwalk.policies import stay_set
+from ctrlwalk.montecarlo import (
+    _MIN_SHARD, _advance, _buffers, _stay_sites, _stay_where, _step_bounds,
+)
 from ctrlwalk.rng import _STEP, trial_keys
 from reference import step_uniforms
 
@@ -312,14 +313,14 @@ CHILD_ERRORS = {
 def test_child_shard_error_reaches_the_caller(three_cores, monkeypatch, kind):
     # only the forked shard fails, so its exception must come through the pipe;
     # one that does not survive pickling arrives as a RuntimeError with its repr
-    caller, stay = os.getpid(), montecarlo.stay_set
+    caller, advance = os.getpid(), montecarlo._advance
 
-    def failing(policy, t, *args, **kwargs):
+    def failing(x, keys, t, *args):
         if t == 3 and os.getpid() != caller:
             raise CHILD_ERRORS[kind]()
-        return stay(policy, t, *args, **kwargs)
+        return advance(x, keys, t, *args)
 
-    monkeypatch.setattr(montecarlo, "stay_set", failing)
+    monkeypatch.setattr(montecarlo, "_advance", failing)
     with pytest.raises(Exception) as info:
         run_batch(constant_policy(0.5, 0.5), SHARD_N, trials=SHARD_TRIALS, seed=SEED)
     assert_no_children()
@@ -333,14 +334,14 @@ def test_child_shard_error_reaches_the_caller(three_cores, monkeypatch, kind):
 
 def test_child_that_dies_without_a_report_fails_the_batch(three_cores, monkeypatch):
     # a shard killed outside Python leaves its half of the sites unwalked
-    caller, stay = os.getpid(), montecarlo.stay_set
+    caller, advance = os.getpid(), montecarlo._advance
 
-    def killed(policy, t, *args, **kwargs):
+    def killed(x, keys, t, *args):
         if t == 3 and os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return stay(policy, t, *args, **kwargs)
+        return advance(x, keys, t, *args)
 
-    monkeypatch.setattr(montecarlo, "stay_set", killed)
+    monkeypatch.setattr(montecarlo, "_advance", killed)
     with pytest.raises(RuntimeError, match="shard 1 ended with exit code -9 and no report"):
         run_batch(constant_policy(0.5, 0.5), SHARD_N, trials=SHARD_TRIALS, seed=SEED)
     assert_no_children()
@@ -349,16 +350,17 @@ def test_child_that_dies_without_a_report_fails_the_batch(three_cores, monkeypat
 def test_interrupted_wait_stops_the_shards(three_cores, monkeypatch):
     # a Ctrl-C while the caller waits for a lagging shard stops that shard at
     # its next step instead of leaving it to walk to the end
-    caller, stay, fork, reap = os.getpid(), montecarlo.stay_set, montecarlo._fork, montecarlo._reap
+    caller, fork, reap = os.getpid(), montecarlo._fork, montecarlo._reap
+    advance = montecarlo._advance
     stepped, lagged, go = shared_bytes(SHARD_N), shared_bytes(1), shared_bytes(1)
 
-    def lagging(policy, t, *args, **kwargs):
+    def lagging(x, keys, t, *args):
         if os.getpid() != caller:
             stepped[t] = 1
             if t == 1:
                 lagged[0] = 1
                 wait_for(go)
-        return stay(policy, t, *args, **kwargs)
+        return advance(x, keys, t, *args)
 
     class Interrupted:
         """A report pipe whose read lands a Ctrl-C while shard 1 lags in its step 1."""
@@ -381,7 +383,7 @@ def test_interrupted_wait_stops_the_shards(three_cores, monkeypatch):
         go[0] = 1
         return reap(children, stop)
 
-    monkeypatch.setattr(montecarlo, "stay_set", lagging)
+    monkeypatch.setattr(montecarlo, "_advance", lagging)
     monkeypatch.setattr(montecarlo, "_fork", interrupted_fork)
     monkeypatch.setattr(montecarlo, "_reap", reap_after_go)
     with pytest.raises(KeyboardInterrupt):
@@ -457,8 +459,8 @@ def test_table_gather_on_int16_sites_past_int16_span():
     # an int16 site minus the low end of a wide site range leaves int16
     policy = bang_bang_table_policy(0.5, 1, [((-20000, -19990), (19990, 20000))])
     x = np.array([-20000, -19995, 0, 19995, 20000, 19989], dtype=np.int16)
-    wheres = [stay_set(policy, 0, x.astype(dt), None, sites=(-20000, 20000))[1]
-              for dt in (np.int16, np.int64)]
+    sites = _stay_sites(policy.params["rows"][0], -20000, 20000)
+    wheres = [_stay_where(sites, x.astype(dt)) for dt in (np.int16, np.int64)]
     assert wheres[0].tolist() == wheres[1].tolist() == [True, True, False, True, True, False]
 
 

@@ -35,6 +35,7 @@ from ctrlwalk import (
 )
 from ctrlwalk import montecarlo
 from ctrlwalk.montecarlo import _MIN_SHARD
+from ctrlwalk.policies import _stay_region
 from reference import stage_stats_from_entrances, step_uniforms
 
 MASK = (1 << 64) - 1
@@ -54,6 +55,13 @@ class TestRng:
     def test_mix_matches_integer_reference(self, z):
         got = int(mix64(np.uint64(z)))
         assert got == mix64_reference(z)
+
+    def test_mix_into_a_separate_out(self):
+        z = np.arange(5, dtype=np.uint64)
+        out = np.empty_like(z)
+        assert mix64(z, out) is out
+        assert z.tolist() == list(range(5))  # the input is left as it was
+        assert out.tolist() == [mix64_reference(v) for v in range(5)]
 
     def test_keys_follow_weyl_sequence(self):
         seed, salt, golden = 12345, 0xD1B54A32D192ED03, 0x9E3779B97F4A7C15
@@ -263,8 +271,10 @@ def stage_policy(kind: str, n: int):
     return sweep_policy(kind, 0.9, n, {})
 
 
-# (n, start, beta_exp): the shortest horizon (N0 = 1), starts on and off 0, windows above 1
-STAGE_SETTINGS = [(2, 0, 0.0), (2, 1, 0.0), (65, 3, 0.2), (512, 0, 0.3), (512, -7, 0.0)]
+# (n, start, beta_exp): the shortest horizon (N0 = 1), starts on and off 0, windows above 1,
+# and a start no walk can bring within the first radius, so no stage has an escape frequency
+STAGE_SETTINGS = [(2, 0, 0.0), (2, 1, 0.0), (65, 3, 0.2), (512, 0, 0.3), (512, -7, 0.0),
+                  (64, 100, 0.0)]
 STAGE_CASES = [
     (kind, *setting)
     for kind in ("constant", "constant-mid", "two-zone", "fast-until-zero", "bang-bang")
@@ -324,6 +334,36 @@ class TestStageCounts:
                               env={**os.environ, "PYTHONPATH": src}, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 4 * 1024  # KiB of peak growth
+
+
+class TestStayRuleLookups:
+    """_walk reads the stay rule only at rule_change_times steps, as dp._forward does."""
+
+    @staticmethod
+    def lookups(monkeypatch, policy, n, family=None):
+        steps = []
+
+        def counted(pol, t):
+            steps.append(t)
+            return _stay_region(pol, t)
+
+        monkeypatch.setattr(montecarlo, "_stay_region", counted)
+        run_batch(policy, n, start=2, trials=64, seed=1, family=family)
+        return steps
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_one_lookup_for_a_constant_policy(self, monkeypatch, tracked):
+        family = barrier_family(64) if tracked else None
+        assert self.lookups(monkeypatch, constant_policy(0.9, 0.4), 64, family) == [0]
+
+    def test_one_lookup_per_schedule_segment(self, monkeypatch):
+        policy = sweep_policy("schedule-qto1", 0.9, 200, {})
+        assert self.lookups(monkeypatch, policy, 200) == [
+            s.t_start for s in policy.params["segments"]]
+
+    def test_one_lookup_per_step_for_a_table(self, monkeypatch):
+        _, bb = solve_extremal(0.8, 40, "max", keep_values=False)
+        assert self.lookups(monkeypatch, bb.as_policy(), 40) == list(range(40))
 
 
 class TestProbes:

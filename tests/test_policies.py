@@ -28,9 +28,35 @@ from ctrlwalk import (
 )
 from ctrlwalk.dp import evolve
 from ctrlwalk.policies import rule_change_times
-from ctrlwalk.montecarlo import run_batch
-from ctrlwalk.policies import run_args, stay_set
-from reference import control_grid, control_values, evaluate
+from ctrlwalk.montecarlo import _stay_sites, _stay_where, run_batch
+from ctrlwalk.policies import _stay_region, run_args
+from reference import control_grid, evaluate
+
+
+TABLE_ROWS = [(), ((0, 0),), ((-1, 1),), ((-2, -1), (1, 2)), ((0, 3),)]
+
+
+@st.composite
+def any_policies(draw, depth=2):
+    """A leaf policy of any kind, or a schedule of one to four segments nested
+    up to depth deep. Segment lengths ignore the inner horizons, so a step
+    may fall past the end of a table or of a nested schedule."""
+    kinds = ["constant", "two-zone", "fast", "table"] + ["schedule"] * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        return constant_policy(0.5, draw(st.sampled_from([0.0, 0.2, 0.5])))
+    if kind == "two-zone":
+        return two_zone_policy(0.5, draw(st.integers(0, 3)))
+    if kind == "fast":
+        return fast_until_zero_policy(0.5)
+    if kind == "table":
+        rows = draw(st.lists(st.sampled_from(TABLE_ROWS), min_size=1, max_size=8))
+        return bang_bang_table_policy(0.5, len(rows), rows)
+    segments, t = [], 0
+    for length in draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)):
+        segments.append(ScheduleSegment(t, t + length, draw(any_policies(depth - 1))))
+        t += length
+    return schedule_policy(0.5, segments)
 
 
 class TestBuilders:
@@ -242,6 +268,23 @@ class TestSchedules:
         short = schedule_policy(0.5, [ScheduleSegment(0, 6, inner)])
         assert rule_change_times(short, 0, 6) == [0, 2, 5]  # the inner horizon ends at 5
 
+    @given(any_policies(), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_stay_rule_changes_only_at_rule_change_times(self, policy, past):
+        # the engines read the rule only at these steps and hold it until the next
+        def rule(t):
+            try:
+                return _stay_region(policy, t)
+            except ParameterError:  # past a horizon, refused alike at every step
+                return ParameterError
+
+        n = (horizon(policy) or 8) + past
+        changes = set(rule_change_times(policy, 0, n))
+        assert set(flag_reset_times(policy)) <= changes
+        for t in range(1, n):
+            if t not in changes:
+                assert rule(t) == rule(t - 1), t
+
     def test_nested_leaves_keep_their_resets(self):
         lazy, fast = constant_policy(0.5, 0.3), fast_until_zero_policy(0.5)
         inner = schedule_policy(0.5, [ScheduleSegment(0, 2, lazy), ScheduleSegment(2, 9, fast)])
@@ -305,6 +348,8 @@ class TestVectorizedEvaluation:
         far_xs = np.array([-22, -9, -6, 9, 10, 12, 13, 14, 17, 20, 21])
         far_flags = np.zeros_like(far_xs)
         cases = [
+            (constant_policy(0.6, 0.2), 1, xs, flags),
+            (two_zone_policy(0.6, 2), 1, xs, flags),
             (fast_until_zero_policy(0.6), 5, xs, flags),
             # tables whose intervals lie beyond +-(n+1), read at far sites
             (bang_bang_table_policy(0.9, 4, [((10, 12), (14, 20))] * 4), 0, far_xs, far_flags),
@@ -312,9 +357,11 @@ class TestVectorizedEvaluation:
         ]
         for p, t, xs, flags in cases:
             want = np.array([evaluate(p, t, int(x), int(f)) for x, f in zip(xs, flags)])
-            assert np.array_equal(control_values(p, t, xs, flags), want)
-            u, where = stay_set(p, t, xs, flags, sites=(int(xs.min()) - 3, int(xs.max()) + 2))
-            assert np.array_equal(np.where(where, u, 0.0), want)
+            u, hit_only, intervals = _stay_region(p, t)
+            sites = _stay_sites(intervals, int(xs.min()) - 3, int(xs.max()) + 2)
+            where = _stay_where(sites, xs, flags.astype(bool) if hit_only else None)
+            got = np.full(xs.shape, u) if where is None else np.where(where, u, 0.0)
+            assert np.array_equal(got, want)
 
     def test_grid_admissible(self):
         for q in (0.3, 0.9):

@@ -23,7 +23,7 @@ from .montecarlo import _fork_cores, _in_shards, estimate_hit
 from .policies import (
     PolicySpec,
     _check_cap,
-    _stay_region,
+    _rules,
     constant_policy,
     fast_until_zero_policy,
     multiscale_localization_schedule,
@@ -240,7 +240,8 @@ class ChainSpec:
 
     def kernel(self, x: int, y: int):
         """One-step transition probability under the stay rule the engines run."""
-        u, _, intervals = _stay_region(two_zone_policy(self.q_cap, self.band_halfwidth), 0)
+        policy = two_zone_policy(self.q_cap, self.band_halfwidth)
+        _, _, u, _, intervals = next(_rules(policy, 0, 1))
         inside = any(lo <= x <= hi for lo, hi in intervals)
         u, zero, half = (_as_mode_value(v, self.mode) for v in (u if inside else 0, 0, 0.5))
         if y == x:

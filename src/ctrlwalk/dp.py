@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,8 @@ from .lattice import (
     reset_hit_flags,
 )
 from .policies import (
-    PolicySpec, _check_cap, _stay_region, bang_bang_table_policy, flag_reset_times,
-    mirror_symmetric, rule_change_times, run_args,
+    PolicySpec, _check_cap, _rules, bang_bang_table_policy, flag_reset_times, mirror_symmetric,
+    run_args,
 )
 
 MAX = "max"
@@ -76,15 +75,16 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
     folded at site 0. Otherwise R = 2, one row per visited-0 flag. Buffers
     sized once hold column site + shift, zero off the window. Each step
     follows the operation order of the per-cell oracle step_distribution in
-    tests/reference.py, so laws agree bitwise. _stay_region holds u in
-    [0, 1], so no mass can turn negative and only the total is checked, in
-    Python floats (Fractions in RATIONAL mode).
+    tests/reference.py, so laws agree bitwise. _rules holds u in [0, 1], so
+    no mass can turn negative and only the total is checked, in Python
+    floats (Fractions in RATIONAL mode).
 
-    Steps run in epochs cut at each policies.rule_change_times step (the
-    only ones that ask for the stay rule; flag resets are among them) and
-    quarter of t. An epoch slices every view its steps touch once per
-    parity, and sweeps the live columns its last step can reach and the
-    absorbing ones (zeros beyond stay zero), one multiply per term.
+    Steps run in epochs cut at the end of each policies._rules range (the
+    rule is drawn once per range, and a fast-until-zero range after step 0
+    resets the flags where it starts) and every quarter of t. An epoch
+    slices every view its steps touch once per parity, and sweeps the live
+    columns its last step can reach and the absorbing ones (zeros beyond
+    stay zero), one multiply per term.
 
     One row under a mirror-symmetric policy and live window is folded: site
     -x would repeat the float operations of site x with its two neighbours
@@ -96,8 +96,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
         raise ParameterError(f"rational mode runs at most {RATIONAL_MAX_STEPS} steps, got n={n}")
     live = None if live is None else _site_interval(live, "live")
     reads = range(n + 1) if reads is None else set(reads)
-    resets, changes = set(flag_reset_times(policy)), set(rule_change_times(policy, 0, n))
-    two = start != 0 or bool(resets)
+    two = start != 0 or bool(flag_reset_times(policy))
     fold = not two and (live is None or live[0] == -live[1]) and mirror_symmetric(policy)
     c0, shift = n + 1, n + 1 - start
     bufs = _zeros((1 + two, 2 * n + 3), mode), _zeros((1 + two, 2 * n + 3), mode)
@@ -110,21 +109,22 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
         lo, hi = c0 + 1, c0
     step_tol, total_tol = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
     mul, add = np.multiply, np.add  # the step's ufuncs, bound once, called with positional out
-    cuts = sorted({*changes, n})
+    rules, end = _rules(policy, 0, n), 0  # end: where the current rule's range ends
     ghost = terms[0, 0]  # a folded run's one row of neighbour shares
     if 0 in reads:
         yield bufs[0][:, c0 : c0 + 1]
     t1 = 0
     while t1 < n:
-        t0, t1 = t1, min(cuts[bisect_right(cuts, t1)], t1 + max(16, t1 // 4))
-        if t0 in resets:
-            law = bufs[t0 % 2][:, c0 - t0 : c0 + t0 + 1]
-            law[...] = reset_hit_flags(LatticeDistribution(t0, start - t0, law, mode)).mass
-        if t0 in changes:
-            u, hit_only, intervals = _stay_region(policy, t0)
+        t0 = t1
+        if t0 == end:
+            _, end, u, hit_only, intervals = next(rules)
+            if hit_only and t0 > 0:  # a fast-until-zero leaf takes over: its flags restart
+                law = bufs[t0 % 2][:, c0 - t0 : c0 + t0 + 1]
+                law[...] = reset_hit_flags(LatticeDistribution(t0, start - t0, law, mode)).mass
             u = _as_mode_value(u, mode)
             f = (1 - u) * one_half  # each neighbour's share of moving mass on a stay span
             rows = slice(HIT_ZERO, None) if hit_only and two else slice(None)
+        t1 = min(end, t0 + max(16, t0 // 4))
         # live columns [p, r] hold the law before each step, out columns [na, r + 1] take it
         p, r = max(c0 if fold else c0 - t1 + 1, lo), min(c0 + t1 - 1, hi)
         na = p if fold else p - 1
@@ -429,15 +429,13 @@ def _passes(runs) -> list:
 
 
 def _step_variance(policy: PolicySpec, n: int) -> float:
-    """A bound on the summed step variances of n steps from 0: 1 - u per step
-    whose rule holds u at every site and in every row (no intervals, and not
-    hit_only unless the run has one row: no flag reset), 1 per other step."""
-    one_row, cuts = not flag_reset_times(policy), rule_change_times(policy, 0, n) + [n]
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        u, hit_only, intervals = _stay_region(policy, a)
-        total += (b - a) * (1 - u if intervals is None and (one_row or not hit_only) else 1)
-    return total
+    """A bound on the summed step variances of n steps from 0, range by range
+    of policies._rules: 1 - u per step whose rule holds u at every site and
+    in every row (no intervals, and not hit_only unless the run has one row:
+    no flag reset), 1 per other step."""
+    one_row = not flag_reset_times(policy)
+    return sum(((b - a) * (1 - u if intervals is None and (one_row or not hit_only) else 1)
+                for a, b, u, hit_only, intervals in _rules(policy, 0, n)), 0.0)
 
 
 def _forward_curve(passes) -> dict:

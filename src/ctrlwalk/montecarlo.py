@@ -20,10 +20,7 @@ import numpy as np
 from .defaults import MC_TRIALS
 from .dp import as_target
 from .errors import ParameterError, as_count, as_index, as_real
-from .policies import (
-    FAST_UNTIL_ZERO, PolicySpec, _check_cap, _leaves, _stay_region, constant_policy,
-    fast_until_zero_policy, flag_reset_times, rule_change_times, run_args,
-)
+from .policies import PolicySpec, _check_cap, _rules, constant_policy, fast_until_zero_policy, run_args
 from .rng import UNIFORM_SHIFT, step_bits, trial_keys
 
 
@@ -182,10 +179,11 @@ def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=No
     """Step the caller's integer sites x n times in place: the one step loop.
 
     Walk j draws the bits of keys[j], keys broadcast against x. As in
-    dp._forward, the stay rule is read only at the policy's
-    rule_change_times steps and held, as _stay_sites, until the next. After
-    each step this yields the visited-0 flags, or None when no fast-until-zero
-    leaf of the policy reads them. Given a family (x then 1-D), barrier
+    dp._forward, each policies._rules range draws its stay rule once and
+    holds it, as _stay_sites, to the range's end. A fast-until-zero range
+    sets the visited-0 flags to x == 0 where it starts (at step 0 the initial
+    flags, later a reset). After each step this yields the flags, None until
+    the first fast-until-zero range. Given a family (x then 1-D), barrier
     tracking keeps each walk's next stage (0-based, so the number of stages
     entered) and that stage's radius, -1 until the stage's band opens, and
     updates only the walks that enter. A stage is entered only after the one
@@ -195,13 +193,9 @@ def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=No
     step n - 1 (row 0: the strict entries) and after step n (row 1), and
     the caller's int64 entrance table entr, if given, the entrance times.
     """
-    tracked = any(leaf.kind == FAST_UNTIL_ZERO for _, _, leaf in _leaves(policy, 0, n))
-    flag = x == 0 if tracked else None
-    resets = set(flag_reset_times(policy)) if tracked else ()
-    buf = _buffers(keys, x.shape)
+    buf, flag = _buffers(keys, x.shape), None
     lo, hi = int(x.min()), int(x.max())
-    changes = iter(rule_change_times(policy, 0, n) + [n])
-    change = next(changes)
+    rules, end = _rules(policy, 0, n), 0  # end: where the current rule's range ends
 
     if family is not None:
         # pads: past the last stage a walk's radius stays -1 and no band opens
@@ -213,14 +207,13 @@ def _walk(policy: PolicySpec, n: int, x: np.ndarray, keys: np.ndarray, family=No
         radius = np.full(x.size, -1, dtype=x.dtype)
 
     for t in range(n):
-        if t in resets:
-            np.equal(x, 0, out=flag)
-        if t == change:  # the rule holds to the next change, and walks move one site a step
-            change = next(changes)
-            u, hit_only, intervals = _stay_region(policy, t)
-            sites = _stay_sites(intervals, lo - change + 1, hi + change - 1)
+        if t == end:  # the rule holds to the range's end, and walks move one site a step
+            _, end, u, hit_only, intervals = next(rules)
+            sites = _stay_sites(intervals, lo - end + 1, hi + end - 1)
+            if hit_only:
+                flag = x == 0
         _advance(x, keys, t, u, _stay_where(sites, x, flag if hit_only else None), buf)
-        if tracked:
+        if flag is not None:
             flag |= x == 0
         if family is not None and t + 1 >= first:  # first <= n - 1, as n >= 2
             if t + 1 in opens:
@@ -468,7 +461,9 @@ class HitEstimate:
 
 
 def hit_estimate(final: np.ndarray, lo: int, hi: int) -> HitEstimate:
-    """Share of final positions in [lo, hi], with its Wilson interval."""
+    """Share of final positions in [lo, hi], with its Wilson interval; bounds
+    that do not make a target (as_target) raise ParameterError."""
+    lo, hi = as_target((lo, hi))
     hits, trials = int(np.count_nonzero((final >= lo) & (final <= hi))), final.size
     ci_low, ci_high = wilson_interval(hits, trials)
     return HitEstimate(p_hat=hits / trials, ci_low=ci_low, ci_high=ci_high, hits=hits, trials=trials)

@@ -210,7 +210,7 @@ def _leaves(policy: PolicySpec, t0: int, t1: int):
     """Yield (a, b, leaf) in time order for each step range [a, b) of [t0, t1)
     that one segment's non-schedule policy, the leaf, rules. A nested schedule
     is resolved in the outer times, clipped to its segment. A range outside
-    a schedule's horizon yields that schedule, which _stay_region refuses.
+    a schedule's horizon yields that schedule, which _rules refuses.
     """
     if policy.kind != SCHEDULE:
         if t0 < t1:
@@ -238,17 +238,6 @@ def flag_reset_times(policy: PolicySpec) -> tuple[int, ...]:
     return tuple(a for a, _, leaf in leaves if leaf.kind == FAST_UNTIL_ZERO and a > 0)
 
 
-def rule_change_times(policy: PolicySpec, t0: int, t1: int) -> list[int]:
-    """The steps t in [t0, t1) at which _stay_region may give another rule than at t - 1.
-
-    The start of each range that one leaf policy rules (see _leaves; past a
-    horizon, where _stay_region raises, too) and every step of a bang-bang
-    table. Every flag reset before t1 is among them.
-    """
-    return [t for a, b, leaf in _leaves(policy, t0, t1)
-            for t in (range(a, b) if leaf.kind == BANG_BANG_TABLE else (a,))]
-
-
 def mirror_symmetric(policy: PolicySpec) -> bool:
     """Whether the stay rule at every step is unchanged by x -> -x.
 
@@ -273,31 +262,33 @@ def run_args(policy: PolicySpec, n, start) -> tuple[int, int]:
     return n, start
 
 
-def _stay_region(policy: PolicySpec, t: int):
-    """The stay rule of every kind at step t: (u, hit_only, intervals).
+def _rules(policy: PolicySpec, t0: int, t1: int):
+    """Yield (a, b, u, hit_only, intervals) in time order for step ranges [a, b)
+    that tile [t0, t1), each under one stay rule: the range a leaf rules
+    (_leaves), or one step of a bang-bang table.
 
-    The stay probability is u on the sorted inclusive site intervals
-    (None: every site), only in the HIT_ZERO row when hit_only, and 0
-    elsewhere. Schedules resolve to the leaf that rules step t (_leaves). A t
-    past a horizon or a u outside [0, min(q_cap, 1)] raises, for every engine.
+    The stay probability is u on the sorted inclusive site intervals (None:
+    every site), only in the HIT_ZERO row when hit_only, and 0 elsewhere. A
+    step past a horizon or a u outside [0, min(q_cap, 1)] raises, for every
+    engine, when the range that starts there is drawn.
     """
-    _, _, inner = next(_leaves(policy, t, t + 1))
-    hz = horizon(inner)
-    if hz is not None and not 0 <= t < hz:
-        raise ParameterError(f"step {t} outside policy horizon [0, {hz})")
-    kind, u = inner.kind, inner.q_cap
-    hit_only, intervals = kind == FAST_UNTIL_ZERO, None
-    if kind == CONSTANT:
-        u = inner.params["u_value"]
-    elif kind == TWO_ZONE:
-        intervals = ((-inner.params["band_halfwidth"], inner.params["band_halfwidth"]),)
-    elif kind == BANG_BANG_TABLE:
-        intervals = inner.params["rows"][t]
-    elif kind != FAST_UNTIL_ZERO:
-        raise ParameterError(f"unknown policy kind {kind!r}")
-    if not 0 <= u <= min(policy.q_cap, 1.0):  # NaN fails too
-        raise AdmissibilityError(f"control value {u} escapes [0, {policy.q_cap}] at step {t}")
-    return u, hit_only, intervals
+    for a, b, leaf in _leaves(policy, t0, t1):
+        kind, hz = leaf.kind, horizon(leaf)
+        for t in range(a, b) if kind == BANG_BANG_TABLE else (a,):
+            if hz is not None and not 0 <= t < hz:
+                raise ParameterError(f"step {t} outside policy horizon [0, {hz})")
+            u, end, intervals = leaf.q_cap, b, None
+            if kind == CONSTANT:
+                u = leaf.params["u_value"]
+            elif kind == TWO_ZONE:
+                intervals = ((-leaf.params["band_halfwidth"], leaf.params["band_halfwidth"]),)
+            elif kind == BANG_BANG_TABLE:
+                end, intervals = t + 1, leaf.params["rows"][t]
+            elif kind != FAST_UNTIL_ZERO:
+                raise ParameterError(f"unknown policy kind {kind!r}")
+            if not 0 <= u <= min(policy.q_cap, 1.0):  # NaN fails too
+                raise AdmissibilityError(f"control value {u} escapes [0, {policy.q_cap}] at step {t}")
+            yield t, end, u, kind == FAST_UNTIL_ZERO, intervals
 
 
 def policy_to_json(policy: PolicySpec) -> dict:

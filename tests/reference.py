@@ -2,12 +2,11 @@
 
 The package runs one kernel per engine: `dp._forward` for exact evolution,
 `dp._backward` for the extremal DP, and `montecarlo._advance` on
-`rng.step_bits` for sampling. The engines read each stay rule from
-`policies._stay_region` at the steps `policies.rule_change_times` names.
-The functions here restate those rules in the plainest form, one control
-value per (flag, site) cell, from the definitions of the policy kinds
-alone (no `_leaves`, `_stay_region` or `rule_change_times`), and are used
-only as test oracles:
+`rng.step_bits` for sampling. The engines read the stay rules from one
+stream, `policies._rules`, one rule per range of steps. The functions here
+restate those rules in the plainest form, one control value per (flag,
+site) cell and step, from the definitions of the policy kinds alone (no
+`_leaves` or `_rules`), and are used only as test oracles:
 
 - `ControlRow` and `step_distribution`: one exact step under an explicit
   control row, with its own mass and admissibility checks.

@@ -55,7 +55,7 @@ from ctrlwalk import (
 )
 from ctrlwalk import dp, lattice, montecarlo
 from ctrlwalk.dp import _backward, _forward, _optimal_curve
-from ctrlwalk.policies import _stay_region, rule_change_times
+from ctrlwalk.policies import _rules
 from ctrlwalk.lattice import RATIONAL_MAX_STEPS
 from reference import (
     ControlRow, continuum_exponent, control_grid, path_law, step_distribution, trinomial_return,
@@ -547,7 +547,7 @@ def flat_schedules(draw):
 def assert_same_walk(got, want, n, start):
     """Two policies give the same resets, rule changes, law and samples, bitwise."""
     assert flag_reset_times(got) == flag_reset_times(want)
-    assert rule_change_times(got, 0, n) == rule_change_times(want, 0, n)
+    assert list(_rules(got, 0, n)) == list(_rules(want, 0, n))
     a, b = evolve(got, n, start), evolve(want, n, start)
     assert (a.offset, a.mass.tobytes()) == (b.offset, b.mass.tobytes())
     batch = [run_batch(p, n, start, trials=200, seed=17).final for p in (got, want)]
@@ -959,19 +959,23 @@ class TestStepLoop:
 
 
 class TestStayRuleLookups:
-    """_forward resolves the stay rule only at steps where it may change."""
+    """_forward draws its stay rules from one _rules stream per run, one rule
+    per range: once for a homogeneous kind, per segment, per table step."""
 
     @staticmethod
     def lookups(monkeypatch, policy, n, start=0, live=None):
-        steps = []
+        calls, starts = [], []
 
-        def counted(pol, t):
-            steps.append(t)
-            return _stay_region(pol, t)
+        def counted(pol, t0, t1):
+            calls.append((t0, t1))
+            for rule in _rules(pol, t0, t1):
+                starts.append(rule[0])
+                yield rule
 
-        monkeypatch.setattr(dp, "_stay_region", counted)
+        monkeypatch.setattr(dp, "_rules", counted)
         evolve(policy, n, start, live=live)
-        return steps
+        assert calls == [(0, n)]
+        return starts
 
     @pytest.mark.parametrize(
         "policy", [constant_policy(0.9, 0.4), two_zone_policy(0.9, 3), fast_until_zero_policy(0.9)]
@@ -1216,6 +1220,18 @@ class TestContinuumLimit:
         assert all(0.45 < b / a < 0.55 for a, b in zip(gaps[-4:], gaps[-3:]))
         # Richardson's 2 s(2^14 -> 2^15) - s(2^13 -> 2^14): measured off by at most 1.1e-6
         assert abs(2 * gaps[-1] - gaps[-2]) < 1e-5
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_switching_boundary_tracks_the_continuum_edge(self, q):
+        # the right end of the cap interval holding 0 sits at xi* sqrt(n - t):
+        # at n = 4096, over every row with n - t >= 256, it was off by at most
+        # 1.147 sites (q = 0.5, t = 173), 1.019 (q = 0.9) and 1.065 (q = 0.99)
+        _, xi = continuum_exponent(q)
+        n = 4096
+        _, bb = solve_extremal(q, n, MAX, keep_values=False)
+        for t in range(n - 255):
+            edge = next(b for a, b in bb.rows[t] if a <= 0 <= b)
+            assert abs(edge - xi * math.sqrt(n - t)) < 1.25, (t, edge)
 
 
 class TestValueTable:

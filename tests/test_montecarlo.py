@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ctrlwalk import (
     ParameterError,
+    ScheduleSegment,
     as_target,
     bang_bang_table_policy,
     barrier_diagnostics,
@@ -27,6 +28,7 @@ from ctrlwalk import (
     mix64,
     run_batch,
     sample_path,
+    schedule_policy,
     solve_extremal,
     sweep_policy,
     trial_keys,
@@ -34,8 +36,8 @@ from ctrlwalk import (
     wilson_interval,
 )
 from ctrlwalk import montecarlo
-from ctrlwalk.montecarlo import _MIN_SHARD
-from ctrlwalk.policies import _stay_region
+from ctrlwalk.montecarlo import _MIN_SHARD, hit_estimate
+from ctrlwalk.policies import _rules
 from reference import stage_stats_from_entrances, step_uniforms
 
 MASK = (1 << 64) - 1
@@ -217,6 +219,16 @@ class TestEstimates:
         est = estimate_hit(p, 20, target=(-20, 20), trials=2000, seed=2)
         assert est.p_hat == 1.0
 
+    @pytest.mark.parametrize("lo, hi", [(5, 3), (0.5, 3), (0, 2.5), (True, 2), (0, "1"), (0, None)])
+    def test_hit_estimate_rejects_bad_bounds(self, lo, hi):
+        # an empty interval read p_hat = 0.0, and non-integer bounds were compared as given
+        with pytest.raises(ParameterError):
+            hit_estimate(np.zeros(10, dtype=np.int64), lo, hi)
+
+    def test_hit_estimate_reads_integral_bounds(self):
+        est = hit_estimate(np.array([-2, 0, 0, 3]), np.int64(0), 3)
+        assert (est.hits, est.trials, est.p_hat) == (3, 4, 0.75)
+
 
 class TestBarriers:
     def test_family_pinned_values(self):
@@ -337,33 +349,67 @@ class TestStageCounts:
 
 
 class TestStayRuleLookups:
-    """_walk reads the stay rule only at rule_change_times steps, as dp._forward does."""
+    """_walk draws its stay rules from one _rules stream per run, one rule per
+    range, as dp._forward does."""
 
     @staticmethod
     def lookups(monkeypatch, policy, n, family=None):
-        steps = []
+        calls, starts = [], []
 
-        def counted(pol, t):
-            steps.append(t)
-            return _stay_region(pol, t)
+        def counted(pol, t0, t1):
+            calls.append((t0, t1))
+            for rule in _rules(pol, t0, t1):
+                starts.append(rule[0])
+                yield rule
 
-        monkeypatch.setattr(montecarlo, "_stay_region", counted)
+        monkeypatch.setattr(montecarlo, "_rules", counted)
         run_batch(policy, n, start=2, trials=64, seed=1, family=family)
-        return steps
+        assert calls == [(0, n)]
+        return starts
 
+    @pytest.mark.parametrize(
+        "policy", [constant_policy(0.9, 0.4), two_zone_policy(0.9, 3), fast_until_zero_policy(0.9)]
+    )
     @pytest.mark.parametrize("tracked", [False, True])
-    def test_one_lookup_for_a_constant_policy(self, monkeypatch, tracked):
+    def test_one_lookup_for_a_homogeneous_kind(self, monkeypatch, policy, tracked):
         family = barrier_family(64) if tracked else None
-        assert self.lookups(monkeypatch, constant_policy(0.9, 0.4), 64, family) == [0]
+        assert self.lookups(monkeypatch, policy, 64, family) == [0]
 
-    def test_one_lookup_per_schedule_segment(self, monkeypatch):
-        policy = sweep_policy("schedule-qto1", 0.9, 200, {})
-        assert self.lookups(monkeypatch, policy, 200) == [
+    @pytest.mark.parametrize("kind", ["schedule-localization", "schedule-qto1"])
+    def test_one_lookup_per_schedule_segment(self, monkeypatch, kind):
+        policy = sweep_policy(kind, 0.9, 512, {})
+        assert self.lookups(monkeypatch, policy, 512) == [
             s.t_start for s in policy.params["segments"]]
+
+    def test_nested_schedule_segments_counted(self, monkeypatch):
+        inner = schedule_policy(0.9, [ScheduleSegment(0, 20, two_zone_policy(0.9, 2)),
+                                      ScheduleSegment(20, 50, fast_until_zero_policy(0.9))])
+        outer = schedule_policy(0.9, [ScheduleSegment(0, 50, inner),
+                                      ScheduleSegment(50, 80, constant_policy(0.9, 0.1))])
+        assert self.lookups(monkeypatch, outer, 80) == [0, 20, 50]
 
     def test_one_lookup_per_step_for_a_table(self, monkeypatch):
         _, bb = solve_extremal(0.8, 40, "max", keep_values=False)
         assert self.lookups(monkeypatch, bb.as_policy(), 40) == list(range(40))
+
+    def test_flags_start_at_each_fast_until_zero_range(self):
+        # None before the first such range; then the visits to 0 since the range's start
+        free, fast = constant_policy(0.9, 0.0), fast_until_zero_policy(0.9)
+        policy = schedule_policy(0.9, [ScheduleSegment(0, 10, free), ScheduleSegment(10, 30, fast),
+                                       ScheduleSegment(30, 40, two_zone_policy(0.9, 1)),
+                                       ScheduleSegment(40, 60, fast)])
+        x = np.zeros(200, dtype=np.int64)
+        path, flags = [x.copy()], []
+        for flag in montecarlo._walk(policy, 60, x, trial_keys(3, 200)):
+            path.append(x.copy())
+            flags.append(None if flag is None else flag.copy())
+        path = np.array(path)
+        for t, flag in enumerate(flags):  # the flags after step t
+            if t < 10:
+                assert flag is None
+            else:
+                since = 40 if t >= 40 else 10
+                assert np.array_equal(flag, (path[since : t + 2] == 0).any(axis=0)), t
 
 
 class TestProbes:

@@ -1,5 +1,8 @@
 """Control policies: builders, evaluation, schedules, serialization."""
 
+import ast
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,11 +29,23 @@ from ctrlwalk import (
     schedule_policy,
     two_zone_policy,
 )
+from ctrlwalk import policies
 from ctrlwalk.dp import evolve
-from ctrlwalk.policies import rule_change_times
 from ctrlwalk.montecarlo import _stay_sites, _stay_where, run_batch
-from ctrlwalk.policies import _stay_region, run_args
+from ctrlwalk.policies import _rules, run_args
 from reference import control_grid, evaluate
+
+
+def ranges(policy, t0, t1):
+    """The (a, b, u, hit_only, intervals) rules _rules yields for [t0, t1)
+    before it stops, and the message of the ParameterError it stops on, if any."""
+    got = []
+    try:
+        for rule in _rules(policy, t0, t1):
+            got.append(rule)
+    except ParameterError as exc:
+        return got, str(exc)
+    return got, None
 
 
 TABLE_ROWS = [(), ((0, 0),), ((-1, 1),), ((-2, -1), (1, 2)), ((0, 3),)]
@@ -254,36 +269,55 @@ class TestSchedules:
         segs = multiscale_localization_schedule(0.5, 0.25, 0.5, 2, 64)
         assert horizon(schedule_policy(0.5, segs)) == 64
 
-    def test_rule_change_times(self):
+    def test_rule_ranges(self):
+        def spans(policy, t0, t1):
+            got, error = ranges(policy, t0, t1)
+            return [(a, b) for a, b, *_ in got], error
+
         lazy, band = constant_policy(0.5, 0.3), two_zone_policy(0.5, 3)
         for p in (lazy, band, fast_until_zero_policy(0.5)):
-            assert rule_change_times(p, 0, 9) == [0] and rule_change_times(p, 0, 0) == []
+            assert spans(p, 0, 9) == ([(0, 9)], None) and spans(p, 0, 0) == ([], None)
         table = bang_bang_table_policy(0.5, 7, [((0, 0),), (), ((-1, 1),)] * 2 + [()])
-        assert rule_change_times(table, 0, 3) == [0, 1, 2]
+        assert spans(table, 0, 3) == ([(0, 1), (1, 2), (2, 3)], None)
         inner = schedule_policy(0.5, [ScheduleSegment(0, 2, lazy), ScheduleSegment(2, 5, band)])
         outer = schedule_policy(0.5, [ScheduleSegment(0, 4, inner), ScheduleSegment(4, 7, table)])
-        # the inner schedule's segment starts, then each step of the table
-        assert rule_change_times(outer, 0, 7) == [0, 2, 4, 5, 6]
-        assert rule_change_times(outer, 0, 3) == [0, 2]
+        # the inner schedule's segments, then each step of the table
+        assert spans(outer, 0, 7) == ([(0, 2), (2, 4), (4, 5), (5, 6), (6, 7)], None)
+        assert spans(outer, 0, 3) == ([(0, 2), (2, 3)], None)
         short = schedule_policy(0.5, [ScheduleSegment(0, 6, inner)])
-        assert rule_change_times(short, 0, 6) == [0, 2, 5]  # the inner horizon ends at 5
+        # the inner horizon ends at 5, and step 5 is refused
+        assert spans(short, 0, 6) == ([(0, 2), (2, 5)], "step 5 outside policy horizon [0, 5)")
 
     @given(any_policies(), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
-    def test_stay_rule_changes_only_at_rule_change_times(self, policy, past):
-        # the engines read the rule only at these steps and hold it until the next
-        def rule(t):
+    def test_rules_tile_the_run_and_agree_with_evaluate(self, policy, past):
+        def refuses(t):
             try:
-                return _stay_region(policy, t)
-            except ParameterError:  # past a horizon, refused alike at every step
-                return ParameterError
+                evaluate(policy, t, 0)
+            except ParameterError:  # past a horizon, whatever the site and flag
+                return True
+            return False
 
         n = (horizon(policy) or 8) + past
-        changes = set(rule_change_times(policy, 0, n))
-        assert set(flag_reset_times(policy)) <= changes
-        for t in range(1, n):
-            if t not in changes:
-                assert rule(t) == rule(t - 1), t
+        first_refused = next((t for t in range(n) if refuses(t)), None)
+        got, error = ranges(policy, 0, n)
+        # the ranges tile [0, n) in order, up to the first step evaluate refuses
+        assert [a for a, *_ in got] == [0] + [b for _, b, *_ in got[:-1]]
+        assert got[-1][1] == (n if first_refused is None else first_refused)
+        if first_refused is None:
+            assert error is None
+        else:
+            assert error.startswith(f"step {first_refused} outside policy horizon")
+        for a, b, u, hit_only, intervals in got:
+            for t in range(a, b):
+                for x in range(-5, 6):
+                    on = intervals is None or any(lo <= x <= hi for lo, hi in intervals)
+                    for flag in (NOT_HIT, HIT_ZERO):
+                        stays = on and (flag == HIT_ZERO or not hit_only)
+                        assert (u if stays else 0.0) == evaluate(policy, t, x, flag), (t, x, flag)
+        # the engines reset the visited-0 flags where a fast-until-zero range starts after 0
+        resets = tuple(a for a, _, _, hit_only, _ in got if hit_only and a > 0)
+        assert resets == tuple(t for t in flag_reset_times(policy) if t < got[-1][1])
 
     def test_nested_leaves_keep_their_resets(self):
         lazy, fast = constant_policy(0.5, 0.3), fast_until_zero_policy(0.5)
@@ -292,7 +326,9 @@ class TestSchedules:
                                       ScheduleSegment(7, 9, inner)])
         # the inner fast phase takes over at 2 and again at 7, where its segment starts
         assert flag_reset_times(outer) == (2, 4, 7)
-        assert rule_change_times(outer, 0, 9) == [0, 2, 4, 7]
+        got, _ = ranges(outer, 0, 9)
+        assert [(a, b, hit_only) for a, b, _, hit_only, _ in got] == [
+            (0, 2, False), (2, 4, True), (4, 7, True), (7, 9, True)]
 
     def test_mirror_symmetric_reads_only_ruled_rows(self):
         lopsided_late = bang_bang_table_policy(0.5, 4, [((-1, 1),)] * 2 + [((0, 3),)] * 2)
@@ -357,7 +393,7 @@ class TestVectorizedEvaluation:
         ]
         for p, t, xs, flags in cases:
             want = np.array([evaluate(p, t, int(x), int(f)) for x, f in zip(xs, flags)])
-            u, hit_only, intervals = _stay_region(p, t)
+            _, _, u, hit_only, intervals = next(_rules(p, t, t + 1))
             sites = _stay_sites(intervals, int(xs.min()) - 3, int(xs.max()) + 2)
             where = _stay_where(sites, xs, flags.astype(bool) if hit_only else None)
             got = np.full(xs.shape, u) if where is None else np.where(where, u, 0.0)
@@ -414,3 +450,17 @@ class TestSerialization:
     def test_malformed_rejected(self, obj, error):
         with pytest.raises(error):
             policy_from_json(obj)
+
+
+def test_policy_layer_imports_only_the_standard_library_and_errors():
+    # the policy layer states the stay rules; the engines apply them with numpy
+    with open(policies.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {(0, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {(node.level, node.module) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert (1, "errors") in imported
+    for level, name in imported:
+        assert (level, name) == (1, "errors") or (
+            level == 0 and name.split(".")[0] in sys.stdlib_module_names), name

@@ -97,7 +97,9 @@ def bang_bang_table_policy(q_cap: float, n: int, rows: Sequence[Sequence[tuple]]
     """Space-time table: rows[t] lists inclusive site intervals where u=q_cap.
 
     Intervals must be sorted and disjoint; everything else gets u=0. This is
-    the output format of the exact optimizer.
+    the output format of the exact optimizer. A row that is already a tuple
+    of (int, int) tuples, as BangBangPolicy.rows holds, is checked and kept
+    as it is; any other row is copied into one.
     """
     q_cap = _check_cap(q_cap)
     n = as_count(n, "n", 1)
@@ -105,15 +107,16 @@ def bang_bang_table_policy(q_cap: float, n: int, rows: Sequence[Sequence[tuple]]
         raise ParameterError(f"need one interval row per step, got {len(rows)} for n={n}")
     frozen_rows = []
     for t, row in enumerate(rows):
-        prev = None
-        clean = []
-        for a, b in row:
+        keep, prev, clean = type(row) is tuple, None, []
+        for iv in row:
+            a, b = iv
+            keep = keep and type(iv) is tuple and type(a) is int and type(b) is int
             a, b = as_index(a, "interval end"), as_index(b, "interval end")
             if a > b or (prev is not None and a <= prev):
                 raise ParameterError(f"row {t} intervals not sorted/disjoint")
-            clean.append((a, b))
+            clean.append(iv if keep else (a, b))
             prev = b
-        frozen_rows.append(tuple(clean))
+        frozen_rows.append(row if keep else tuple(clean))
     return PolicySpec(BANG_BANG_TABLE, q_cap, {"n": n, "rows": tuple(frozen_rows)})
 
 

@@ -1,10 +1,13 @@
 """Exact evolution driver and the extremal dynamic program."""
 
+import hashlib
 import io
+import json
 import math
 import operator
 import random
 import tracemalloc
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -1370,3 +1373,53 @@ class TestBangBang:
         p = bb.as_policy()
         back = policy_from_json(policy_to_json(p))
         assert abs(hit_probability(back, 16) - hit_probability(p, 16)) == 0.0
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestMaskBlocks:
+    """Each _backward epoch's cap masks are one zlib-compressed packed bit
+    block, inflated only where BangBangPolicy.rows is built."""
+
+    # sha256 prefixes of repr(bb.rows), json.dumps(extract_region(bb)), the
+    # boundary_to_csv text and v0's bytes, recorded when the blocks were
+    # held as raw np.packbits bytes: a folded (-h, h) max target, a folded
+    # min site, two straddles, a partly-outside target and one off the window
+    PINS = {
+        (0.9, 300, MAX, (-4, 4)): (
+            "b99dc95718252465", "6c7ede5d28af4e39", "9c2b091a29c3dde8", "1fb21d06c87bbc1c"),
+        (0.5, 200, MIN, 0): (
+            "64c940c977cbcf35", "c5f19bf187db0387", "3979dd50d8ede3b6", "33028ace02e704c8"),
+        (0.9, 1024, MAX, (-30, 70)): (
+            "3286de4bb186e6d6", "141869a849534878", "66d67a4f4f75b5e4", "3e5e4937eee1e857"),
+        (0.9, 500, MIN, (-7, 12)): (
+            "777d070de6de3bb0", "79766b3f64bc2d5e", "22eea3034d59fe07", "d8a6d0a3107feca3"),
+        (0.9, 256, MAX, (200, 350)): (
+            "414709124d1c3d85", "72492ec3a1ac84dc", "8e2dac316ccd479e", "0bcf9feb7fae68a1"),
+        (0.5, 128, MIN, (140, 160)): (
+            "acd2073827d0560c", "3c147c19a56b4ee2", "f3fff4d097545494", "d5fe696dc1aa5c0a"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINS))
+    def test_rows_region_and_boundary_match_pins(self, case):
+        table, bb = solve_extremal(*case, keep_values=False)
+        fh = io.StringIO()
+        boundary_to_csv(bb, fh)
+        got = sha(repr(bb.rows)), sha(json.dumps(extract_region(bb))), sha(fh.getvalue())
+        assert (*got, hashlib.sha256(table.v0.tobytes()).hexdigest()[:16]) == self.PINS[case]
+        for _, steps, _, width, bits in bb.masks:
+            assert len(zlib.decompress(bits)) == steps * -(-width // 8)
+
+    def test_solve_memory_bounded(self):
+        # raw packed blocks: 524,864 mask bytes and a 1,070 KiB traced peak
+        solve_extremal(0.9, 2048, MAX, (-30, 70), keep_values=False)
+        tracemalloc.start()
+        try:
+            _, bb = solve_extremal(0.9, 2048, MAX, (-30, 70), keep_values=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 800 * 1024  # 703 KiB measured: one epoch's block and the value rows
+        assert sum(len(bits) for *_, bits in bb.masks) <= 16 * 1024  # 9,368 bytes measured

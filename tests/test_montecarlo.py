@@ -1,6 +1,7 @@
 """Counter-based sampling, barrier diagnostics, statistical probes."""
 
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -527,3 +528,51 @@ class TestAgainstExact:
             else:
                 se = math.sqrt(exact * (1 - exact) / trials)
                 assert abs(p_hat - exact) <= 4.5 * se, (target, p_hat, exact)
+
+
+@st.composite
+def law_cases(draw):
+    """(policy, n, start, seed): a builder's policy, a cap, n <= 200 and a
+    start inside [-n, n] or beyond it."""
+    q = draw(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99))
+    kind = draw(st.sampled_from([
+        "constant", "two-zone", "fast-until-zero", "schedule-localization", "schedule-qto1",
+        "bang-bang",
+    ]))
+    n = draw(st.integers(64 if kind == "schedule-localization" else 5, 200))
+    if kind == "bang-bang":
+        objective, target = draw(st.sampled_from(["max", "min"])), draw(st.integers(-5, 5))
+        policy = solve_extremal(q, n, objective, target, keep_values=False)[1].as_policy()
+    else:
+        policy = sweep_policy(kind, q, n, {"K0": draw(st.integers(1, 2)), "A": draw(st.integers(1, 4))})
+    near, far = st.integers(-n, n), st.integers(n + 1, 2 * n + 40)
+    start = draw(near | far | far.map(operator.neg))
+    return policy, n, start, draw(st.integers(0, 2**32))
+
+
+class TestWholeLaw:
+    """The empirical CDF of run_batch's final sites against the exact law's
+    CDF, within the Dvoretzky-Kiefer-Wolfowitz bound: sup |F_N - F| exceeds
+    eps = sqrt(ln(2 / alpha) / 2N) with probability at most alpha = 1e-9."""
+
+    @staticmethod
+    def assert_within_dkw(policy, n, start, trials, seed):
+        final = run_batch(policy, n, start=start, trials=trials, seed=seed).final
+        law = evolve(policy, n, start)
+        sites = law.offset + np.arange(law.width)  # both CDFs step only at these sites
+        exact = np.cumsum(law.mass.sum(axis=0))
+        empirical = np.searchsorted(np.sort(final), sites, side="right") / trials
+        eps = math.sqrt(math.log(2 / 1e-9) / (2 * trials))
+        gap = np.abs(empirical - exact).max()
+        assert gap <= eps, (gap, eps)
+
+    @given(law_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_final_law_within_dkw_bound(self, case):
+        policy, n, start, seed = case
+        self.assert_within_dkw(policy, n, start, 20000, seed)
+
+    def test_sharded_final_law_within_dkw_bound(self):
+        # two shards' worth of trials: forked on a machine with more than one core
+        policy = sweep_policy("schedule-qto1", 0.9, 200, {"A": 2})
+        self.assert_within_dkw(policy, 200, -7, 2 * _MIN_SHARD, 35)

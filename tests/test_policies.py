@@ -27,6 +27,7 @@ from ctrlwalk import (
     policy_from_json,
     policy_to_json,
     schedule_policy,
+    solve_extremal,
     two_zone_policy,
 )
 from ctrlwalk import policies
@@ -122,9 +123,29 @@ class TestBuilders:
         with pytest.raises(ParameterError):
             bang_bang_table_policy(0.5, 1, [[(-1, 1), (0, 2)]])
 
+    # a row kept as it is, a tuple of (int, int) tuples, is checked as a copied one is
+    @pytest.mark.parametrize("row", [((0, 2), (2, 3)), ((3, 4), (0, 1)), ((2, 1),)])
+    def test_bang_bang_table_checks_kept_rows(self, row):
+        with pytest.raises(ParameterError, match="^row 1 intervals not sorted/disjoint$"):
+            bang_bang_table_policy(0.5, 2, [(), row])
+
     def test_bang_bang_table_row_count(self):
         with pytest.raises(ParameterError):
             bang_bang_table_policy(0.5, 3, [[(0, 0)]])
+
+    def test_bang_bang_table_keeps_solver_rows(self):
+        _, bb = solve_extremal(0.9, 200, "max", target=(-3, 8), keep_values=False)
+        rows = bb.as_policy().params["rows"]
+        assert len(rows) == 200 and all(got is row for got, row in zip(rows, bb.rows))
+
+    def test_bang_bang_table_freezes_other_rows(self):
+        # lists, numpy ints and a tuple row holding a list are copied into
+        # tuples of (int, int) tuples
+        given_rows = [[[-2, -1], [1, 2]], ((np.int64(0), np.int32(3)),), ((0, 1), [3, 4]), ()]
+        rows = bang_bang_table_policy(0.5, 4, given_rows).params["rows"]
+        assert rows == (((-2, -1), (1, 2)), ((0, 3),), ((0, 1), (3, 4)), ())
+        assert {(type(iv), type(iv[0]), type(iv[1])) for row in rows for iv in row} == {(tuple, int, int)}
+        assert rows[2] is not given_rows[2] and rows[3] is given_rows[3]
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: two_zone_policy(0.5, 2.5), id="two-zone-band"),

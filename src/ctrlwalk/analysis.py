@@ -197,6 +197,8 @@ def exponent_sweep(
                   for n, (p, bound) in curve.items()}
     else:
         fit_exponent([(n, 1.0) for n in grid], min_n)  # the fit's checks that read only n
+        seed = as_index(params.get("seed", 0), "seed")
+        trials = as_count(params.get("trials", defaults.MC_TRIALS), "trials", 1)
         points = {}
         for n in grid:
             if policy_kind == "optimal":
@@ -204,8 +206,7 @@ def exponent_sweep(
                 pol = bb.as_policy()
             else:
                 pol = sweep_policy(policy_kind, q_cap, n, params)
-            est = estimate_hit(pol, n, trials=params.get("trials", defaults.MC_TRIALS),
-                               seed=params.get("seed", 0) + n)
+            est = estimate_hit(pol, n, trials=trials, seed=seed + n)
             points[n] = {"ci_low": est.ci_low, "ci_high": est.ci_high, "p": est.p_hat}
     records = [{"policy_kind": policy_kind, "q": q_cap, "n": n, "method": method, **points[n]}
                for n in grid]

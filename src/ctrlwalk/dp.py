@@ -70,15 +70,15 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
     """The law at each time of reads (default 0..n), ascending, as (R, W)
     views that the next step overwrites.
 
-    R = 1 when the walk starts on 0 and no flag reset follows: all mass is
-    flagged, so the NOT_HIT row would stay zero. The one row is then the
-    HIT_ZERO row, every step's stay rule holds on all of it, and nothing is
-    folded at site 0. Otherwise R = 2, one row per visited-0 flag. Buffers
-    sized once hold column site + shift, zero off the window. Each step
-    follows the operation order of the per-cell oracle step_distribution in
-    tests/reference.py, so laws agree bitwise. _rules holds u in [0, 1], so
-    no mass can turn negative and only the total is checked, in Python
-    floats (Fractions in RATIONAL mode).
+    R = 1 when the walk starts on 0 and no flag reset falls in its n steps:
+    all mass is flagged, so the NOT_HIT row would stay zero. The one row is
+    then the HIT_ZERO row, every step's stay rule holds on all of it, and
+    nothing is folded at site 0. Otherwise R = 2, one row per visited-0
+    flag. Buffers sized once hold column site + shift, zero off the window.
+    Each step follows the operation order of the per-cell oracle
+    step_distribution in tests/reference.py, so laws agree bitwise. _rules
+    holds u in [0, 1], so no mass can turn negative and only the total is
+    checked, in Python floats (Fractions in RATIONAL mode).
 
     Steps run in epochs cut at the end of each policies._rules range (the
     rule is drawn once per range, and a fast-until-zero range after step 0
@@ -97,8 +97,8 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
         raise ParameterError(f"rational mode runs at most {RATIONAL_MAX_STEPS} steps, got n={n}")
     live = None if live is None else _site_interval(live, "live")
     reads = range(n + 1) if reads is None else set(reads)
-    two = start != 0 or bool(flag_reset_times(policy))
-    fold = not two and (live is None or live[0] == -live[1]) and mirror_symmetric(policy)
+    two = start != 0 or bool(flag_reset_times(policy, n))
+    fold = not two and (live is None or live[0] == -live[1]) and mirror_symmetric(policy, n)
     c0, shift = n + 1, n + 1 - start
     bufs = _zeros((1 + two, 2 * n + 3), mode), _zeros((1 + two, 2 * n + 3), mode)
     terms = _zeros((2, 1 + two, 2 * n + 3), mode)  # each neighbour's share, and the stay term
@@ -438,7 +438,7 @@ def _step_variance(policy: PolicySpec, n: int) -> float:
     of policies._rules: 1 - u per step whose rule holds u at every site and
     in every row (no intervals, and not hit_only unless the run has one row:
     no flag reset), 1 per other step."""
-    one_row = not flag_reset_times(policy)
+    one_row = not flag_reset_times(policy, n)
     return sum(((b - a) * (1 - u if intervals is None and (one_row or not hit_only) else 1)
                 for a, b, u, hit_only, intervals in _rules(policy, 0, n)), 0.0)
 

@@ -35,11 +35,13 @@ def as_count(value, name: str, low: int = 0) -> int:
 
 
 def as_real(value, name: str) -> float:
-    """float(value), with float()'s own errors raised as ParameterError."""
+    """float(value), with float()'s own errors raised as ParameterError; bools raise too."""
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"{name} must be a number, got {value!r}") from None
+        pass
+    raise ParameterError(f"{name} must be a number, got {value!r}")
 
 
 class AdmissibilityError(ParameterError):

@@ -29,7 +29,7 @@ def wilson_interval(k: int, m: int, z: float = 1.96) -> tuple[float, float]:
     k, m = as_count(k, "k"), as_count(m, "m", 1)
     if k > m:
         raise ParameterError(f"need k <= m, got k={k}, m={m}")
-    if not (isinstance(z, numbers.Real) and 0 < z < math.inf):
+    if not isinstance(z, numbers.Real) or not 0 < (z := as_real(z, "z")) < math.inf:
         raise ParameterError(f"z must be finite and > 0, got {z!r}")
     p = k / m
     z2 = z * z

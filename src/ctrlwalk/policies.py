@@ -209,53 +209,6 @@ def horizon(policy: PolicySpec) -> int | None:
     return None
 
 
-def _leaves(policy: PolicySpec, t0: int, t1: int):
-    """Yield (a, b, leaf) in time order for each step range [a, b) of [t0, t1)
-    that one segment's non-schedule policy, the leaf, rules. A nested schedule
-    is resolved in the outer times, clipped to its segment. A range outside
-    a schedule's horizon yields that schedule, which _rules refuses.
-    """
-    if policy.kind != SCHEDULE:
-        if t0 < t1:
-            yield t0, t1, policy
-        return
-    segs = policy.params["segments"]
-    if t0 < min(0, t1):
-        yield t0, min(0, t1), policy
-    for seg in segs:
-        a, b = max(seg.t_start, t0), min(seg.t_end, t1)
-        if a < b:
-            yield from _leaves(seg.inner_policy, a, b)
-    if segs[-1].t_end < t1:
-        yield max(segs[-1].t_end, t0), t1, policy
-
-
-def flag_reset_times(policy: PolicySpec) -> tuple[int, ...]:
-    """Times at which evolution drivers must restart the visited-0 flag.
-
-    A fast-until-zero leaf of a schedule, nested or not, measures hitting
-    times from the step where it takes over, so the flag is reset there
-    (t=0 needs none: fresh distributions already carry correct flags).
-    """
-    leaves = _leaves(policy, 0, horizon(policy) or 1)
-    return tuple(a for a, _, leaf in leaves if leaf.kind == FAST_UNTIL_ZERO and a > 0)
-
-
-def mirror_symmetric(policy: PolicySpec) -> bool:
-    """Whether the stay rule at every step is unchanged by x -> -x.
-
-    Every leaf must be: constant, two-zone and fast-until-zero rules are,
-    and a bang-bang table when each row it rules equals its mirror image.
-    """
-    def symmetric(a, b, leaf):
-        if leaf.kind == BANG_BANG_TABLE:
-            return all(row == tuple((-y, -x) for x, y in reversed(row))
-                       for row in leaf.params["rows"][a:b])
-        return leaf.kind in (CONSTANT, TWO_ZONE, FAST_UNTIL_ZERO)
-
-    return all(symmetric(*piece) for piece in _leaves(policy, 0, horizon(policy) or 1))
-
-
 def run_args(policy: PolicySpec, n, start) -> tuple[int, int]:
     """(n, start) as ints for a run of n steps under the policy, else ParameterError."""
     n, start = as_count(n, "n"), as_index(start, "start")
@@ -267,31 +220,69 @@ def run_args(policy: PolicySpec, n, start) -> tuple[int, int]:
 
 def _rules(policy: PolicySpec, t0: int, t1: int):
     """Yield (a, b, u, hit_only, intervals) in time order for step ranges [a, b)
-    that tile [t0, t1), each under one stay rule: the range a leaf rules
-    (_leaves), or one step of a bang-bang table.
+    that tile [t0, t1), each under one stay rule: the range one segment's
+    non-schedule policy rules, or one step of a bang-bang table. A schedule
+    nested in a segment keeps the outer step times and rules only within
+    that segment.
 
     The stay probability is u on the sorted inclusive site intervals (None:
     every site), only in the HIT_ZERO row when hit_only, and 0 elsewhere. A
-    step past a horizon or a u outside [0, min(q_cap, 1)] raises, for every
-    engine, when the range that starts there is drawn.
+    step past a horizon or a u outside [0, min(q_cap, 1)], q_cap the outermost
+    policy's, raises, for every engine, when the range that starts there is
+    drawn.
     """
-    for a, b, leaf in _leaves(policy, t0, t1):
+    cap = min(policy.q_cap, 1.0)
+
+    def ranges(leaf, t0, t1):
         kind, hz = leaf.kind, horizon(leaf)
-        for t in range(a, b) if kind == BANG_BANG_TABLE else (a,):
-            if hz is not None and not 0 <= t < hz:
-                raise ParameterError(f"step {t} outside policy horizon [0, {hz})")
-            u, end, intervals = leaf.q_cap, b, None
+        if kind == SCHEDULE:
+            if t0 < min(0, t1):
+                raise ParameterError(f"step {t0} outside policy horizon [0, {hz})")
+            for seg in leaf.params["segments"]:
+                a, b = max(seg.t_start, t0), min(seg.t_end, t1)
+                if a < b:
+                    yield from ranges(seg.inner_policy, a, b)
+            if hz < t1:
+                raise ParameterError(f"step {max(hz, t0)} outside policy horizon [0, {hz})")
+            return
+        steps = range(t0, t1)
+        for t in steps if kind == BANG_BANG_TABLE else steps[:1]:
+            u, end, intervals = leaf.q_cap, t1, None
             if kind == CONSTANT:
                 u = leaf.params["u_value"]
             elif kind == TWO_ZONE:
                 intervals = ((-leaf.params["band_halfwidth"], leaf.params["band_halfwidth"]),)
             elif kind == BANG_BANG_TABLE:
+                if not 0 <= t < hz:
+                    raise ParameterError(f"step {t} outside policy horizon [0, {hz})")
                 end, intervals = t + 1, leaf.params["rows"][t]
             elif kind != FAST_UNTIL_ZERO:
                 raise ParameterError(f"unknown policy kind {kind!r}")
-            if not 0 <= u <= min(policy.q_cap, 1.0):  # NaN fails too
+            if not 0 <= u <= cap:  # NaN fails too
                 raise AdmissibilityError(f"control value {u} escapes [0, {policy.q_cap}] at step {t}")
             yield t, end, u, kind == FAST_UNTIL_ZERO, intervals
+
+    return ranges(policy, t0, t1)
+
+
+def flag_reset_times(policy: PolicySpec, n=None) -> tuple[int, ...]:
+    """Times in a run of n steps (default: the horizon, or 1 step for a
+    homogeneous policy) at which evolution drivers must restart the
+    visited-0 flag: the starts after 0 of the fast-until-zero ranges of
+    _rules. Such a range measures hitting times from the step where it takes
+    over (t=0 needs no reset: fresh distributions already carry correct flags).
+    """
+    n = (horizon(policy) or 1) if n is None else as_count(n, "n")
+    return tuple(a for a, _, _, hit_only, _ in _rules(policy, 0, n) if hit_only and a > 0)
+
+
+def mirror_symmetric(policy: PolicySpec, n=None) -> bool:
+    """Whether the stay rule at every step of a run of n steps (default as in
+    flag_reset_times) is unchanged by x -> -x: every range of _rules rules
+    every site or intervals equal to their mirror image."""
+    n = (horizon(policy) or 1) if n is None else as_count(n, "n")
+    return all(intervals is None or intervals == tuple((-y, -x) for x, y in reversed(intervals))
+               for *_, intervals in _rules(policy, 0, n))
 
 
 def policy_to_json(policy: PolicySpec) -> dict:

@@ -6,7 +6,7 @@ The package runs one kernel per engine: `dp._forward` for exact evolution,
 stream, `policies._rules`, one rule per range of steps. The functions here
 restate those rules in the plainest form, one control value per (flag,
 site) cell and step, from the definitions of the policy kinds alone (no
-`_leaves` or `_rules`), and are used only as test oracles:
+`_rules`), and are used only as test oracles:
 
 - `ControlRow` and `step_distribution`: one exact step under an explicit
   control row, with its own mass and admissibility checks.

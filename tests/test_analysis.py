@@ -207,6 +207,31 @@ class TestSweeps:
             exponent_sweep("optimal", 0.5, [16, 32, 64], method="bogus")
         assert calls == []
 
+    @pytest.mark.parametrize("params, message", [
+        ({"seed": "a"}, "seed must be an integer, got 'a'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"trials": 2.0}, "trials must be an integer, got 2.0"),
+    ])
+    def test_mc_params_refused_before_any_run(self, monkeypatch, params, message):
+        # seed "a" raised TypeError, seed True ran, and seed 1.5 was refused as
+        # "seed must be an integer, got 129.5", the seed of the first point
+        def refuse(*args, **kwargs):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(analysis, "estimate_hit", refuse)
+        with pytest.raises(ParameterError) as info:
+            exponent_sweep("constant", 0.5, [128, 256, 512], method="mc", params=params)
+        assert str(info.value) == message
+
+    def test_mc_params_read_as_integers(self):
+        ints = exponent_sweep("constant", 0.5, [128, 256, 512], method="mc",
+                              params={"seed": 3, "trials": 400})
+        numpy_ints = exponent_sweep("constant", 0.5, [128, 256, 512], method="mc",
+                                    params={"seed": np.int64(3), "trials": np.int64(400)})
+        assert ints == numpy_ints
+
     def test_params_the_kind_does_not_read_rejected(self):
         with pytest.raises(ParameterError, match="bnd"):
             exponent_sweep("two-zone", 0.9, [16, 32, 64], params={"bnd": 3})
@@ -1067,6 +1092,45 @@ COUNTS = [
     pytest.param(lambda v: early_exit_probability(0.5, v, 2), "A", 1, id="early-exit-A"),
     pytest.param(lambda v: early_exit_probability(0.5, 1, v), "K", 1, id="early-exit-K"),
 ]
+
+
+# every argument read by errors.as_real: (call with the value, its name)
+REALS = [
+    pytest.param(lambda v: constant_policy(v, 0.0), "q_cap", id="constant-cap"),
+    pytest.param(lambda v: constant_policy(0.5, v), "u_value", id="constant-u"),
+    pytest.param(lambda v: two_zone_policy(v, 1), "q_cap", id="two-zone-cap"),
+    pytest.param(lambda v: fast_until_zero_policy(v), "q_cap", id="fast-cap"),
+    pytest.param(lambda v: schedule_policy(v, [ScheduleSegment(0, 1, constant_policy(0.5, 0.0))]),
+                 "q_cap", id="schedule-cap"),
+    pytest.param(lambda v: bang_bang_table_policy(v, 1, [()]), "q_cap", id="bang-bang-cap"),
+    pytest.param(lambda v: multiscale_localization_schedule(v, 0.25, 0.5, 2, 64), "q_cap",
+                 id="localization-cap"),
+    pytest.param(lambda v: multiscale_localization_schedule(0.5, v, 0.5, 2, 64), "alpha",
+                 id="localization-alpha"),
+    pytest.param(lambda v: multiscale_localization_schedule(0.5, 0.25, v, 2, 64), "beta",
+                 id="localization-beta"),
+    pytest.param(lambda v: multiscale_qto1_schedule(v, 2, 64), "q_cap", id="qto1-cap"),
+    pytest.param(lambda v: solve_extremal(v, 4), "q_cap", id="solve-cap"),
+    pytest.param(lambda v: interior_survival(v, 2, 3), "q_cap", id="survival-cap"),
+    pytest.param(lambda v: interior_survival_absorbing(v, 2, 3), "q_cap", id="absorbing-survival-cap"),
+    pytest.param(lambda v: lemma0_check(v, 1, 0.5, 48, trials=10), "q_cap", id="lemma0-cap"),
+    pytest.param(lambda v: lemma0_check(0.5, 1, v, 48, trials=10), "delta", id="lemma0-delta"),
+    pytest.param(lambda v: lemma_ori_check(v, 1, 2, trials=10), "q_cap", id="lemma-ori-cap"),
+    pytest.param(lambda v: barrier_family(8, v), "beta_exp", id="barrier-beta"),
+    pytest.param(lambda v: calibrate_lemma5(v), "q_cap", id="lemma5-cap"),
+    pytest.param(lambda v: calibrate_lemma6(v), "eps", id="lemma6-eps"),
+    pytest.param(lambda v: wilson_interval(1, 3, v), "z", id="wilson-z"),
+]
+
+
+@pytest.mark.parametrize("call, name", REALS)
+@pytest.mark.parametrize("value", [True, False])
+def test_reals_refuse_bools_by_name(call, name, value):
+    # constant_policy(0.5, False) and solve_extremal(False, 4) ran, and
+    # wilson_interval(1, 3, True) read z = 1
+    with pytest.raises(ParameterError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a number, got {value!r}"
 
 
 class TestCounts:

@@ -337,7 +337,7 @@ class TestSiteLawOneRow:
         got = hit_probability(policy, n, start, target)
         want = float(interval_mass(evolve(policy, n, start), *as_target(target)))
         assert got.hex() == want.hex()
-        rows = 2 if start != 0 or flag_reset_times(policy) else 1
+        rows = 2 if start != 0 or flag_reset_times(policy, n) else 1
         assert next(_forward(policy, n, start, FLOAT, None)).shape == (rows, 1)
 
     @pytest.mark.parametrize("start", [0, 3])
@@ -715,6 +715,22 @@ class TestMirrorFoldGuard:
         resetting = schedule_policy(0.9, multiscale_qto1_schedule(0.9, 2, 40))
         assert mirror_symmetric(resetting) and flag_reset_times(resetting)
         assert self.second_view(resetting, 40) == (2, 3)
+
+    @pytest.mark.parametrize("policy", [
+        # its only flag reset, at step 5, falls past a 4-step run
+        schedule_policy(0.9, [ScheduleSegment(0, 5, constant_policy(0.9, 0.5)),
+                              ScheduleSegment(5, 9, fast_until_zero_policy(0.9))]),
+        # its rows turn lopsided at step 4, past a 4-step run
+        bang_bang_table_policy(0.9, 6, [((-1, 1),), (), ((-2, -1), (1, 2)), ((0, 0),),
+                                        ((0, 3),), ((-1, 0),)]),
+    ], ids=["reset-after-n", "lopsided-after-n"])
+    def test_rules_past_the_run_leave_it_folded(self, policy):
+        # the run reads only its own steps: one folded row, bitwise the per-cell oracle's law
+        assert next(_forward(policy, 4, 0, FLOAT, None)).shape == (1, 1)
+        assert self.second_view(policy, 4) == (1, 2)
+        got, want = evolve(policy, 4), list(per_cell_trace(policy, 4, 0))[-1]
+        assert (got.time, got.offset) == (want.time, want.offset)
+        assert got.mass.tobytes() == want.mass.tobytes()
 
     # n = 100: the first epoch runs steps 36..99 and sweeps 64 sites past the
     # target on each side, clipped to [-100, 100]

@@ -1,6 +1,7 @@
 """Control policies: builders, evaluation, schedules, serialization."""
 
 import ast
+import pathlib
 import sys
 
 import numpy as np
@@ -338,7 +339,7 @@ class TestSchedules:
                         assert (u if stays else 0.0) == evaluate(policy, t, x, flag), (t, x, flag)
         # the engines reset the visited-0 flags where a fast-until-zero range starts after 0
         resets = tuple(a for a, _, _, hit_only, _ in got if hit_only and a > 0)
-        assert resets == tuple(t for t in flag_reset_times(policy) if t < got[-1][1])
+        assert resets == flag_reset_times(policy, got[-1][1])
 
     def test_nested_leaves_keep_their_resets(self):
         lazy, fast = constant_policy(0.5, 0.3), fast_until_zero_policy(0.5)
@@ -367,7 +368,29 @@ class TestSchedules:
         assert mirror_symmetric(lopsided) is False
         mixed = [ScheduleSegment(0, 1, lazy), ScheduleSegment(1, 2, lopsided)]
         assert mirror_symmetric(schedule_policy(0.5, mixed)) is False
-        assert mirror_symmetric(PolicySpec("unknown", 0.5, {})) is False
+        with pytest.raises(ParameterError, match="unknown policy kind 'unknown'"):
+            mirror_symmetric(PolicySpec("unknown", 0.5, {}))
+
+    def test_run_questions_read_only_the_run_steps(self):
+        resetting = schedule_policy(0.9, multiscale_qto1_schedule(0.9, 4, 64))
+        lopsided_late = bang_bang_table_policy(0.5, 4, [((-1, 1),)] * 2 + [((0, 3),)] * 2)
+        first = flag_reset_times(resetting)[0]
+        assert flag_reset_times(resetting, first) == () and flag_reset_times(resetting, first + 1)
+        assert mirror_symmetric(lopsided_late, 2) and not mirror_symmetric(lopsided_late, 3)
+        for p in (resetting, lopsided_late, constant_policy(0.5, 0.3)):
+            assert flag_reset_times(p, 0) == () and mirror_symmetric(p, 0)
+            for n in (-1, True, 1.5):
+                for question in (flag_reset_times, mirror_symmetric):
+                    with pytest.raises(ParameterError, match="^n must be"):
+                        question(p, n)
+
+    def test_run_questions_refuse_what_rules_refuse(self):
+        inner = schedule_policy(0.5, [ScheduleSegment(0, 5, fast_until_zero_policy(0.5))])
+        short = schedule_policy(0.5, [ScheduleSegment(0, 6, inner)])
+        for question in (flag_reset_times, mirror_symmetric):
+            with pytest.raises(ParameterError, match=r"step 5 outside policy horizon \[0, 5\)"):
+                question(short)
+            question(short, 5)
 
     def test_evaluate_beyond_horizon_rejected(self):
         p = schedule_policy(0.5, multiscale_localization_schedule(0.5, 0.25, 0.5, 2, 64))
@@ -485,3 +508,18 @@ def test_policy_layer_imports_only_the_standard_library_and_errors():
     for level, name in imported:
         assert (level, name) == (1, "errors") or (
             level == 0 and name.split(".")[0] in sys.stdlib_module_names), name
+
+
+def test_only_builders_and_rules_name_the_leaf_kinds():
+    # one evaluator per kind: _rules alone reads a leaf's stay rule, and the
+    # module-level _BUILDERS table maps each kind to its builder
+    owners = {"CONSTANT": {"constant_policy", "_rules"}, "TWO_ZONE": {"two_zone_policy", "_rules"},
+              "FAST_UNTIL_ZERO": {"fast_until_zero_policy", "_rules"}}
+    src = pathlib.Path(policies.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = getattr(top, "name", None) or next(
+                (t.id for t in getattr(top, "targets", []) if isinstance(t, ast.Name)), None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in owners:
+                    assert where == "_BUILDERS" or where in owners[node.id], (path.name, where, node.id)

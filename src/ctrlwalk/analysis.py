@@ -405,18 +405,52 @@ def calibrate_lemma5(q_cap: float) -> dict:
 # exit/containment calibration (free escape, lazy containment)
 
 
+# level_hit_cdf's Boost values at every (a, t) the escape stage and its
+# verifier ask for: (2K, A K^2) for K in defaults.L6_KS and A = 1, 2, 4, ...,
+# 2^L6_MAX_A_DOUBLINGS, and the cross-check (16, 256). tests/test_analysis.py
+# pins each against the ufuncs.
+_BOOST_LEVEL_HITS = {
+    (32, 256): 0.04571175374722852, (32, 512): 0.157637225694204,
+    (32, 1024): 0.31754678041003315, (32, 2048): 0.47961631377906905,
+    (32, 4096): 0.6171234202523085, (32, 8192): 0.7236921418358038,
+    (32, 16384): 0.8025941703531217, (32, 32768): 0.8596862561017262,
+    (32, 65536): 0.9005244291988679, (32, 131072): 0.929568334567818,
+    (32, 262144): 0.9501647726306983, (32, 524288): 0.9647496653164372,
+    (32, 1048576): 0.9750701789935085, (128, 4096): 0.04551344756515735,
+    (128, 8192): 0.15732032130406642, (128, 16384): 0.31732527647870784,
+    (128, 32768): 0.4795073853984303, (128, 65536): 0.6170780992294144,
+    (128, 131072): 0.7236747681589889, (128, 262144): 0.8025877750066409,
+    (128, 524288): 0.8596839490078951, (128, 1048576): 0.9005236052689817,
+    (128, 2097152): 0.9295680417958425, (128, 4194304): 0.9501646688595807,
+    (128, 8388608): 0.964749628581669, (128, 16777216): 0.9750701659976303,
+    (512, 65536): 0.04550108774202984, (512, 131072): 0.15730052664459046,
+    (512, 262144): 0.3173114309075579, (512, 524288): 0.47950057614250746,
+    (512, 1048576): 0.6170752663144556, (512, 2097152): 0.7236736822275529,
+    (512, 4194304): 0.8025873752824467, (512, 8388608): 0.8596838048117755,
+    (512, 16777216): 0.9005235537728139, (512, 33554432): 0.9295680234974867,
+    (512, 67108864): 0.9501646623738561, (512, 134217728): 0.964749626285789,
+    (512, 268435456): 0.9750701651854212, (16, 256): 0.3182552709992635,
+}
+
+
 def level_hit_cdf(a: int, t: int) -> float:
     """P(simple walk from 0 reaches level a within t steps), by reflection.
 
     The tails come from the Boost ufuncs that scipy.stats.binom.sf and .pmf
     call: for these in-support k the wrappers change no value, so the result
-    is bitwise theirs, without the 0.5 s and 45 MiB that importing
-    scipy.stats costs a process.
+    is bitwise theirs. On the lemma-6 domain the values are read from
+    _BOOST_LEVEL_HITS, so calibrate_lemma6 and verify_lemma6_certificate load
+    no scipy module (about 25 MiB and 0.2 s a process) and their certificates
+    do not depend on the installed scipy's last bits; any other (a, t) calls
+    the ufuncs.
     """
-    from scipy.special._ufuncs import _binom_pmf, _binom_sf  # only the lemma-6 calls load scipy
     a, t = as_count(a, "level", 1), as_count(t, "t")
     if t < a:
         return 0.0
+    pinned = _BOOST_LEVEL_HITS.get((a, t))
+    if pinned is not None:
+        return pinned
+    from scipy.special._ufuncs import _binom_pmf, _binom_sf  # off the table only
     m = t + a
     if m % 2 == 0:
         k = m // 2
@@ -429,15 +463,18 @@ def interior_survival(q_cap: float, K: int, s: int) -> float:
 
     Spectral sum over the Dirichlet modes of the path on 2K-1 interior
     sites: eigenvalues q + (1-q) cos(pi j / 2K), eigenvectors
-    sin(pi j (x+K) / 2K), started from the delta at 0.
+    sin(pi j (x+K) / 2K), started from the delta at 0. The (2K-1)^2 matrix of
+    sines is built in one buffer, in the operation order of the three-matrix
+    form in tests/reference.py, so the value is bitwise that form's.
     """
     q_cap, K, s = _check_cap(q_cap), as_count(K, "K", 1), as_count(s, "s")
     if s == 0:
         return 1.0
-    j = np.arange(1, 2 * K, dtype=np.float64)
+    j = np.arange(1, 2 * K, dtype=np.float64)  # also x + K over the sites x = -K+1..K-1
     lam = q_cap + (1.0 - q_cap) * np.cos(np.pi * j / (2 * K))
-    x = np.arange(-K + 1, K, dtype=np.float64)
-    phi = np.sin(np.pi * j[:, None] * (x[None, :] + K) / (2 * K))
+    phi = np.multiply.outer(np.pi * j, j)
+    np.divide(phi, 2 * K, out=phi)
+    np.sin(phi, out=phi)
     phi0 = np.sin(np.pi * j * 0.5)  # eigenvector at the start site 0
     colsum = phi.sum(axis=1)
     with np.errstate(divide="ignore"):

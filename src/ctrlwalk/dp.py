@@ -33,8 +33,7 @@ from .lattice import (
     reset_hit_flags,
 )
 from .policies import (
-    PolicySpec, _check_cap, _rules, bang_bang_table_policy, flag_reset_times, mirror_symmetric,
-    run_args,
+    PolicySpec, _check_cap, _mirrored, _reset_times, _rules, bang_bang_table_policy, run_args,
 )
 
 MAX = "max"
@@ -97,8 +96,9 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
         raise ParameterError(f"rational mode runs at most {RATIONAL_MAX_STEPS} steps, got n={n}")
     live = None if live is None else _site_interval(live, "live")
     reads = range(n + 1) if reads is None else set(reads)
-    two = start != 0 or bool(flag_reset_times(policy, n))
-    fold = not two and (live is None or live[0] == -live[1]) and mirror_symmetric(policy, n)
+    ranges = list(_rules(policy, 0, n))  # one pass: the flag resets, the fold and the steps
+    two = start != 0 or bool(_reset_times(ranges))
+    fold = not two and (live is None or live[0] == -live[1]) and _mirrored(ranges)
     c0, shift = n + 1, n + 1 - start
     bufs = _zeros((1 + two, 2 * n + 3), mode), _zeros((1 + two, 2 * n + 3), mode)
     terms = _zeros((2, 1 + two, 2 * n + 3), mode)  # each neighbour's share, and the stay term
@@ -110,7 +110,7 @@ def _forward(policy: PolicySpec, n: int, start: int, mode: str, live, reads=None
         lo, hi = c0 + 1, c0
     step_tol, total_tol = (0, 0) if mode == RATIONAL else (lattice._STEP_TOL, lattice._TOTAL_TOL)
     mul, add = np.multiply, np.add  # the step's ufuncs, bound once, called with positional out
-    rules, end = _rules(policy, 0, n), 0  # end: where the current rule's range ends
+    rules, end = iter(ranges), 0  # end: where the current rule's range ends
     ghost = terms[0, 0]  # a folded run's one row of neighbour shares
     if 0 in reads:
         yield bufs[0][:, c0 : c0 + 1]
@@ -438,9 +438,10 @@ def _step_variance(policy: PolicySpec, n: int) -> float:
     of policies._rules: 1 - u per step whose rule holds u at every site and
     in every row (no intervals, and not hit_only unless the run has one row:
     no flag reset), 1 per other step."""
-    one_row = not flag_reset_times(policy, n)
+    ranges = list(_rules(policy, 0, n))
+    one_row = not _reset_times(ranges)
     return sum(((b - a) * (1 - u if intervals is None and (one_row or not hit_only) else 1)
-                for a, b, u, hit_only, intervals in _rules(policy, 0, n)), 0.0)
+                for a, b, u, hit_only, intervals in ranges), 0.0)
 
 
 def _forward_curve(passes) -> dict:

@@ -218,12 +218,12 @@ def run_args(policy: PolicySpec, n, start) -> tuple[int, int]:
     return n, start
 
 
-def _rules(policy: PolicySpec, t0: int, t1: int):
+def _rules(policy: PolicySpec, t0: int, t1: int, outer: PolicySpec | None = None):
     """Yield (a, b, u, hit_only, intervals) in time order for step ranges [a, b)
     that tile [t0, t1), each under one stay rule: the range one segment's
     non-schedule policy rules, or one step of a bang-bang table. A schedule
     nested in a segment keeps the outer step times and rules only within
-    that segment.
+    that segment: the recursion passes the outermost policy down as outer.
 
     The stay probability is u on the sorted inclusive site intervals (None:
     every site), only in the HIT_ZERO row when hit_only, and 0 elsewhere. A
@@ -231,38 +231,45 @@ def _rules(policy: PolicySpec, t0: int, t1: int):
     policy's, raises, for every engine, when the range that starts there is
     drawn.
     """
-    cap = min(policy.q_cap, 1.0)
+    outer = policy if outer is None else outer
+    kind, hz = policy.kind, horizon(policy)
+    if kind == SCHEDULE:
+        if t0 < min(0, t1):
+            raise ParameterError(f"step {t0} outside policy horizon [0, {hz})")
+        for seg in policy.params["segments"]:
+            a, b = max(seg.t_start, t0), min(seg.t_end, t1)
+            if a < b:
+                yield from _rules(seg.inner_policy, a, b, outer)
+        if hz < t1:
+            raise ParameterError(f"step {max(hz, t0)} outside policy horizon [0, {hz})")
+        return
+    steps = range(t0, t1)
+    for t in steps if kind == BANG_BANG_TABLE else steps[:1]:
+        u, end, intervals = policy.q_cap, t1, None
+        if kind == CONSTANT:
+            u = policy.params["u_value"]
+        elif kind == TWO_ZONE:
+            intervals = ((-policy.params["band_halfwidth"], policy.params["band_halfwidth"]),)
+        elif kind == BANG_BANG_TABLE:
+            if not 0 <= t < hz:
+                raise ParameterError(f"step {t} outside policy horizon [0, {hz})")
+            end, intervals = t + 1, policy.params["rows"][t]
+        elif kind != FAST_UNTIL_ZERO:
+            raise ParameterError(f"unknown policy kind {kind!r}")
+        if not 0 <= u <= min(outer.q_cap, 1.0):  # NaN fails too
+            raise AdmissibilityError(f"control value {u} escapes [0, {outer.q_cap}] at step {t}")
+        yield t, end, u, kind == FAST_UNTIL_ZERO, intervals
 
-    def ranges(leaf, t0, t1):
-        kind, hz = leaf.kind, horizon(leaf)
-        if kind == SCHEDULE:
-            if t0 < min(0, t1):
-                raise ParameterError(f"step {t0} outside policy horizon [0, {hz})")
-            for seg in leaf.params["segments"]:
-                a, b = max(seg.t_start, t0), min(seg.t_end, t1)
-                if a < b:
-                    yield from ranges(seg.inner_policy, a, b)
-            if hz < t1:
-                raise ParameterError(f"step {max(hz, t0)} outside policy horizon [0, {hz})")
-            return
-        steps = range(t0, t1)
-        for t in steps if kind == BANG_BANG_TABLE else steps[:1]:
-            u, end, intervals = leaf.q_cap, t1, None
-            if kind == CONSTANT:
-                u = leaf.params["u_value"]
-            elif kind == TWO_ZONE:
-                intervals = ((-leaf.params["band_halfwidth"], leaf.params["band_halfwidth"]),)
-            elif kind == BANG_BANG_TABLE:
-                if not 0 <= t < hz:
-                    raise ParameterError(f"step {t} outside policy horizon [0, {hz})")
-                end, intervals = t + 1, leaf.params["rows"][t]
-            elif kind != FAST_UNTIL_ZERO:
-                raise ParameterError(f"unknown policy kind {kind!r}")
-            if not 0 <= u <= cap:  # NaN fails too
-                raise AdmissibilityError(f"control value {u} escapes [0, {policy.q_cap}] at step {t}")
-            yield t, end, u, kind == FAST_UNTIL_ZERO, intervals
 
-    return ranges(policy, t0, t1)
+def _reset_times(ranges) -> tuple[int, ...]:
+    """The starts after 0 of the fast-until-zero ranges among (a, b, u, hit_only, intervals)."""
+    return tuple(a for a, _, _, hit_only, _ in ranges if hit_only and a > 0)
+
+
+def _mirrored(ranges) -> bool:
+    """Whether every range rules every site or intervals equal to their mirror image."""
+    return all(intervals is None or intervals == tuple((-y, -x) for x, y in reversed(intervals))
+               for *_, intervals in ranges)
 
 
 def flag_reset_times(policy: PolicySpec, n=None) -> tuple[int, ...]:
@@ -273,7 +280,7 @@ def flag_reset_times(policy: PolicySpec, n=None) -> tuple[int, ...]:
     over (t=0 needs no reset: fresh distributions already carry correct flags).
     """
     n = (horizon(policy) or 1) if n is None else as_count(n, "n")
-    return tuple(a for a, _, _, hit_only, _ in _rules(policy, 0, n) if hit_only and a > 0)
+    return _reset_times(_rules(policy, 0, n))
 
 
 def mirror_symmetric(policy: PolicySpec, n=None) -> bool:
@@ -281,8 +288,7 @@ def mirror_symmetric(policy: PolicySpec, n=None) -> bool:
     flag_reset_times) is unchanged by x -> -x: every range of _rules rules
     every site or intervals equal to their mirror image."""
     n = (horizon(policy) or 1) if n is None else as_count(n, "n")
-    return all(intervals is None or intervals == tuple((-y, -x) for x, y in reversed(intervals))
-               for *_, intervals in _rules(policy, 0, n))
+    return _mirrored(_rules(policy, 0, n))
 
 
 def policy_to_json(policy: PolicySpec) -> dict:

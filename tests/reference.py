@@ -21,6 +21,8 @@ site) cell and step, from the definitions of the policy kinds alone (no
   column from a batch's entrance table, with no use of prefix closure.
 - `band_sums_exact`: the two-zone column sums of calibrate_lemma5 as exact
   fractions, by definition rather than through the reversibility identity.
+- `interior_survival_three_matrix`: `analysis.interior_survival` with its
+  (2K-1)^2 sine matrix built through three temporaries, one per operation.
 - `continuum_exponent`: the decay exponent of the optimal `max` control in
   the diffusive limit, in closed form through parabolic-cylinder functions.
   It alone here imports scipy; the package does not.
@@ -300,6 +302,29 @@ def band_sums_exact(q_cap: float, K: int, band: int, t: int) -> dict:
         w = [0, *(stay[i] * w[i] + move[i - 1] * w[i - 1] + move[i + 1] * w[i + 1]
                   for i in range(1, len(w) - 1)), 0]
     return {y: Fraction(w[y - sites[0]], (2 * D) ** t) for y in range(-band, band + 1)}
+
+
+# ---------------------------------------------------------------------------
+# interior survival, one matrix per operation
+
+
+def interior_survival_three_matrix(q_cap: float, K: int, s: int) -> float:
+    """P(lazy-q walk from 0 stays strictly inside (-K, K) for s steps), as
+    analysis.interior_survival, from valid arguments, with each operation on
+    the sine matrix allocating its own result."""
+    if s == 0:
+        return 1.0
+    j = np.arange(1, 2 * K, dtype=np.float64)
+    lam = q_cap + (1.0 - q_cap) * np.cos(np.pi * j / (2 * K))
+    x = np.arange(-K + 1, K, dtype=np.float64)
+    phi = np.sin(np.pi * j[:, None] * (x[None, :] + K) / (2 * K))
+    phi0 = np.sin(np.pi * j * 0.5)
+    colsum = phi.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        loglam = np.log(np.abs(lam))
+    mag = np.where(np.abs(lam) > 0.0, np.exp(s * loglam), 0.0)
+    sign = np.where(lam < 0.0, -1.0 if s % 2 else 1.0, 1.0)
+    return float(np.sum(mag * sign * phi0 * colsum) / K)
 
 
 # ---------------------------------------------------------------------------

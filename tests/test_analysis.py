@@ -1,5 +1,6 @@
 """Exponent fits, chain structure checks, closed-form calibrations."""
 
+import ast
 import copy
 import functools
 import io
@@ -63,7 +64,7 @@ from ctrlwalk import (
 from ctrlwalk import analysis, dp, montecarlo
 from ctrlwalk.dp import _forward
 from ctrlwalk.errors import InvariantError
-from reference import band_sums_exact, trinomial_return
+from reference import band_sums_exact, interior_survival_three_matrix, trinomial_return
 
 
 class TestExponentFit:
@@ -397,9 +398,9 @@ def _ps_fit(result):
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy.stats costs a process about 0.5 s and 45 MiB; level_hit_cdf takes
-    # its tails from scipy.special instead, so no call loads it. Importing the
-    # package and the CLI loads no scipy module at all: only the lemma-6 calls do
+    # scipy.stats costs a process about 0.5 s and 45 MiB, scipy.special about
+    # 25 MiB. Importing the package and the CLI loads no scipy module, and
+    # neither do the lemma-6 calls: level_hit_cdf reads their tails from a table
     src = os.path.dirname(os.path.dirname(ctrlwalk.__file__))
     code = "\n".join([
         "import sys",
@@ -412,13 +413,70 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
         "argv = ['calibrate', 'lemma6', '--eps', '0.2', '--out', 'cert6.json']",
         "assert run_command(argv) == 0",
         "assert run_command(['verify', 'lemma6', '--cert', 'cert6.json']) == 0",
-        "assert 'scipy.special' in sys.modules",
-        "assert 'scipy.stats' not in sys.modules, 'lemma-6 calls'",
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "assert not loaded, f'the lemma-6 calls loaded {loaded[:3]} and more'",
     ])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_lemma6_commands_stay_small(tmp_path):
+    # measured on Linux x86-64 (numpy 2.4, scipy 1.17): the two commands raise
+    # VmHWM by about 2.7 MiB, the 2 MiB sine matrix of interior_survival at
+    # K = 256 among it, and by about 29 MiB when they import scipy.special
+    src = os.path.dirname(os.path.dirname(ctrlwalk.__file__))
+    code = "\n".join([
+        "import sys",
+        "from ctrlwalk.cli import run_command",
+        "def peak_kib():",
+        "    with open('/proc/self/status') as fh:",
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
+        "before = peak_kib()",
+        "assert run_command(['calibrate', 'lemma6', '--eps', '0.2', '--out', 'cert6.json']) == 0",
+        "assert run_command(['verify', 'lemma6', '--cert', 'cert6.json']) == 0",
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "assert not loaded, f'the lemma-6 commands loaded {loaded[:3]} and more'",
+        "grown = peak_kib() - before",
+        "assert grown < 8 * 1024, f'the lemma-6 commands raised VmHWM by {grown} KiB'",
+    ])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_only_level_hit_cdf_imports_scipy_off_its_table():
+    # the one scipy import under src/ctrlwalk is a statement of level_hit_cdf
+    # after the table lookup that returns every value on the lemma-6 domain
+    def loads_scipy(node):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Call):  # import_module("scipy..."), __import__("scipy")
+            names = [c.value for c in node.args[:1] if isinstance(c, ast.Constant)]
+        else:
+            return False
+        return any(isinstance(m, str) and m.split(".")[0] == "scipy" for m in names)
+
+    src = os.path.dirname(analysis.__file__)
+    found = []
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            for top in ast.parse(fh.read()).body:
+                found += [(name, getattr(top, "name", None), top, node)
+                          for node in ast.walk(top) if loads_scipy(node)]
+    assert [(name, where) for name, where, *_ in found] == [("analysis.py", "level_hit_cdf")]
+    body, node = found[0][2].body, found[0][3]
+    assert node in body, "the import sits in a nested block"
+    before = body[:body.index(node)]
+    lookup = [i for i, stmt in enumerate(before) if any(
+        isinstance(n, ast.Name) and n.id == "_BOOST_LEVEL_HITS" for n in ast.walk(stmt))]
+    assert lookup and any(isinstance(stmt, ast.If) and isinstance(stmt.body[-1], ast.Return)
+                          for stmt in before[lookup[0] + 1:]), "no table hit returns before it"
 
 
 def test_every_public_name_resolves():
@@ -596,6 +654,31 @@ class TestEscapeCalibration:
                 ks.append(k)
                 ts.append(np.full(k.size, t))
         self.assert_tails_bitwise(np.concatenate(ks), np.concatenate(ts))
+
+    def test_boost_table_pins_the_lemma6_domain(self):
+        # the escape stage's search domain from defaults, and the verifier's
+        # cross-check; on a mismatch the message holds the corrected entries
+        from scipy.special._ufuncs import _binom_pmf, _binom_sf
+        d = ctrlwalk.defaults
+        domain = {(2 * K, (1 << e) * K * K) for K in d.L6_KS for e in range(d.L6_MAX_A_DOUBLINGS + 1)}
+        table = analysis._BOOST_LEVEL_HITS
+        assert set(table) == domain | {(16, 256)}
+        fixes = []
+        for (a, t), got in table.items():
+            assert (t + a) % 2 == 0
+            k = (t + a) // 2
+            want = float(2.0 * _binom_sf(k - 1, t, 0.5) - _binom_pmf(k, t, 0.5))
+            if type(got) is not float or got.hex() != want.hex():
+                fixes.append(f"({a}, {t}): {want!r},")
+            assert level_hit_cdf(a, t) is got
+        assert not fixes, "\n".join(["corrected entries:", *fixes])
+
+    def test_interior_survival_matches_the_three_matrix_form(self):
+        for q in (0.0, 0.3, 0.5, 0.9, 0.96875, 1 - 2.0**-24):
+            for K in (1, 2, 3, 8, 16, 64, 256):
+                for s in (0, 1, 2, 7, 255, 4095, 65535):
+                    got, want = interior_survival(q, K, s), interior_survival_three_matrix(q, K, s)
+                    assert got.hex() == want.hex(), (q, K, s)
 
     def test_level_hit_dual_routes(self):
         for a, t in [(4, 16), (5, 25), (8, 64), (7, 100)]:

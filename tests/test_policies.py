@@ -1,6 +1,7 @@
 """Control policies: builders, evaluation, schedules, serialization."""
 
 import ast
+import gc
 import pathlib
 import sys
 
@@ -391,6 +392,24 @@ class TestSchedules:
             with pytest.raises(ParameterError, match=r"step 5 outside policy horizon \[0, 5\)"):
                 question(short)
             question(short, 5)
+
+    def test_rules_leave_no_garbage(self):
+        # _rules recurses through module-level generators: no call leaves a
+        # closure cycle that keeps its policy alive until a collection
+        inner = schedule_policy(0.5, [ScheduleSegment(0, 2, constant_policy(0.5, 0.3)),
+                                      ScheduleSegment(2, 5, fast_until_zero_policy(0.5))])
+        nested = schedule_policy(0.5, [ScheduleSegment(0, 5, inner),
+                                       ScheduleSegment(5, 7, two_zone_policy(0.5, 3))])
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(1000):
+                _rules(constant_policy(0.5, 0.3), 0, 5)
+                list(_rules(nested, 0, 7))
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left == 0
 
     def test_evaluate_beyond_horizon_rejected(self):
         p = schedule_policy(0.5, multiscale_localization_schedule(0.5, 0.25, 0.5, 2, 64))

@@ -21,15 +21,7 @@ from .errors import CalibrationError, ParameterError, as_count, as_index, as_rea
 from .lattice import FLOAT, RATIONAL, _as_mode_value, interval_mass
 from .montecarlo import _fork_cores, _in_shards, estimate_hit
 from .policies import (
-    PolicySpec,
-    _check_cap,
-    _rules,
-    constant_policy,
-    fast_until_zero_policy,
-    multiscale_localization_schedule,
-    multiscale_qto1_schedule,
-    schedule_policy,
-    two_zone_policy,
+    _check_cap, _rules, check_sweep_params, constant_policy, sweep_policy, two_zone_policy,
 )
 
 # ---------------------------------------------------------------------------
@@ -92,47 +84,6 @@ def fit_exponent(points, min_n: int = defaults.MIN_FIT_N) -> ExponentFit:
         local_slopes=tuple((n1, n2, -math.log(p2 / p1) / math.log(n2 / n1))
                            for (n1, p1), (n2, p2) in zip(kept, kept[1:])),
     )
-
-
-# the params each sweep kind reads ("optimal" is solved, not built);
-# exponent_sweep also takes seed and trials for the mc method
-SWEEP_PARAMS = {
-    "constant": ("u_value",), "two-zone": ("band",), "fast-until-zero": (),
-    "schedule-localization": ("alpha", "beta", "K0"), "schedule-qto1": ("A",),
-    "optimal": ("objective",),
-}
-
-
-def check_sweep_params(policy_kind: str, params: dict, extra=()) -> None:
-    """Reject params the kind does not read (extra: more accepted keys)."""
-    unread = sorted(set(params) - set(SWEEP_PARAMS.get(policy_kind, ())) - set(extra))
-    if unread:
-        raise ParameterError(f"{policy_kind} policy does not read {', '.join(unread)}")
-
-
-def sweep_policy(policy_kind: str, q_cap: float, n: int, params: dict) -> PolicySpec:
-    """Builtin policy for one sweep point; schedule kinds scale with n."""
-    n = as_count(n, "n")
-    if policy_kind == "constant":
-        return constant_policy(q_cap, params.get("u_value", q_cap))
-    if policy_kind == "two-zone":
-        band = params.get("band", max(1, int(0.5 * math.sqrt(n))))
-        return two_zone_policy(q_cap, band)
-    if policy_kind == "fast-until-zero":
-        return fast_until_zero_policy(q_cap)
-    if policy_kind == "schedule-localization":
-        segs = multiscale_localization_schedule(
-            q_cap,
-            params.get("alpha", defaults.LOC_ALPHA),
-            params.get("beta", defaults.LOC_BETA),
-            params.get("K0", defaults.LOC_K0),
-            n,
-        )
-        return schedule_policy(q_cap, segs)
-    if policy_kind == "schedule-qto1":
-        segs = multiscale_qto1_schedule(q_cap, params.get("A", defaults.QTO1_A), n)
-        return schedule_policy(q_cap, segs)
-    raise ParameterError(f"unknown sweep policy kind {policy_kind!r}")
 
 
 # steps each forked pass group must hold. Forking and reaping a child costs
@@ -458,25 +409,32 @@ def level_hit_cdf(a: int, t: int) -> float:
     return float(2.0 * _binom_sf(m // 2, t, 0.5))
 
 
+_SINE_ROWS = 64  # rows of interior_survival's sine matrix held at once: 0.25 MiB at K = 256
+
+
 def interior_survival(q_cap: float, K: int, s: int) -> float:
     """P(lazy-q walk from 0 stays strictly inside (-K, K) for s steps).
 
     Spectral sum over the Dirichlet modes of the path on 2K-1 interior
     sites: eigenvalues q + (1-q) cos(pi j / 2K), eigenvectors
     sin(pi j (x+K) / 2K), started from the delta at 0. The (2K-1)^2 matrix of
-    sines is built in one buffer, in the operation order of the three-matrix
-    form in tests/reference.py, so the value is bitwise that form's.
+    sines is built and summed _SINE_ROWS rows at a time, each element and row
+    sum in the operation order of the three-matrix form in tests/reference.py,
+    so the value is bitwise that form's.
     """
     q_cap, K, s = _check_cap(q_cap), as_count(K, "K", 1), as_count(s, "s")
     if s == 0:
         return 1.0
     j = np.arange(1, 2 * K, dtype=np.float64)  # also x + K over the sites x = -K+1..K-1
     lam = q_cap + (1.0 - q_cap) * np.cos(np.pi * j / (2 * K))
-    phi = np.multiply.outer(np.pi * j, j)
-    np.divide(phi, 2 * K, out=phi)
-    np.sin(phi, out=phi)
+    pij = np.pi * j
+    colsum = np.empty_like(j)
+    for r in range(0, j.size, _SINE_ROWS):
+        phi = np.multiply.outer(pij[r:r + _SINE_ROWS], j)
+        np.divide(phi, 2 * K, out=phi)
+        np.sin(phi, out=phi)
+        phi.sum(axis=1, out=colsum[r:r + _SINE_ROWS])
     phi0 = np.sin(np.pi * j * 0.5)  # eigenvector at the start site 0
-    colsum = phi.sum(axis=1)
     with np.errstate(divide="ignore"):
         loglam = np.log(np.abs(lam))
     mag = np.where(np.abs(lam) > 0.0, np.exp(s * loglam), 0.0)

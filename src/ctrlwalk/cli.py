@@ -11,6 +11,7 @@ verify run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -18,18 +19,6 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .analysis import (
-    ChainSpec,
-    calibrate_lemma5,
-    calibrate_lemma6,
-    check_sweep_params,
-    exponent_sweep,
-    heat_kernel_profile,
-    reversibility_check,
-    sweep_policy,
-    verify_lemma5_certificate,
-    verify_lemma6_certificate,
-)
 from .defaults import MC_TRIALS
 from .dp import (
     MAX,
@@ -44,8 +33,10 @@ from .dp import (
 )
 from .errors import CalibrationError, InvariantError, ParameterError, as_index
 from .lattice import FLOAT, RATIONAL, interval_mass, to_snapshot
-from .montecarlo import barrier_diagnostics, hit_estimate, lemma0_check, run_batch
-from .policies import policy_from_json, policy_to_json
+from .policies import check_sweep_params, policy_from_json, policy_to_json, sweep_policy
+
+# analysis and montecarlo are imported by the handlers that call them, so a
+# command loads only the engines it runs
 
 OUT_DIR_ENV = "CTRLWALK_OUT_DIR"
 
@@ -94,8 +85,11 @@ _FLAGS = {
 # the runs that sample and so need --seed: (command, its method or what)
 _SAMPLING_RUNS = {("simulate", None), ("barriers", None), ("exponent", "mc"), ("verify", "lemma0")}
 _VARIANT_KEY = {"exponent": "method", "verify": "what"}
-# verify targets that replay a calibration certificate; each returns its verdict as "pass"
-_CERTIFICATE_CHECKS = {"lemma5": verify_lemma5_certificate, "lemma6": verify_lemma6_certificate}
+# verify targets that replay a calibration certificate -> the analysis function
+# that checks it and returns its verdict as "pass"
+_CERTIFICATE_CHECKS = {
+    "lemma5": "verify_lemma5_certificate", "lemma6": "verify_lemma6_certificate",
+}
 
 
 def _resolve_out(path: str) -> str:
@@ -170,13 +164,19 @@ def _record(command: str, config: dict, payload, provenance) -> dict:
     }
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(command: str, config: dict, payload, provenance, out: str | None) -> None:
+    """Write the record to --out, or to stdout, as it is encoded: indented JSON,
+    or one NDJSON line per record for a sweep's payload list. json.dump hands
+    the indented text over in chunks, so its whole text is never held."""
+    with _open_out(out) if out else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(payload, list):
+            for p in payload:
+                fh.write(json.dumps(_record(command, config, p, provenance)) + "\n")
+        else:
+            json.dump(_record(command, config, payload, provenance), fh, indent=2)
+            fh.write("\n")
     if out:
-        with _open_out(out) as fh:
-            fh.write(text)
         print(f"wrote {_resolve_out(out)}")
-    else:
-        sys.stdout.write(text)
 
 
 def _open_out(path: str):
@@ -246,6 +246,8 @@ def _cmd_region(cfg):
 
 
 def _cmd_simulate(cfg):
+    from .montecarlo import hit_estimate, run_batch
+
     n, start, seed, trials = cfg["n"], cfg["start"], cfg["seed"], cfg["trials"]
     policy = parse_policy(cfg["policy"], n=n)
     target = _parse_target(cfg.get("target"))
@@ -271,6 +273,8 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_barriers(cfg):
+    from .montecarlo import barrier_diagnostics
+
     n, seed, trials = cfg["n"], cfg["seed"], cfg["trials"]
     policy = parse_policy(cfg["policy"], n=n)
     st = barrier_diagnostics(
@@ -304,6 +308,8 @@ def _cmd_barriers(cfg):
 
 
 def _cmd_exponent(cfg):
+    from .analysis import exponent_sweep
+
     method = cfg["method"]
     params = cfg.get("params", {})
     if isinstance(params, str):
@@ -363,13 +369,9 @@ def _certificate(obj, what: str):
 
 def _cmd_verify(cfg):
     what = cfg["what"]
-    if what in _CERTIFICATE_CHECKS:
-        cert = _certificate(_load_json(_resolve_out(cfg["cert"])), what)
-        rep = _CERTIFICATE_CHECKS[what](cert)
-        ok = rep.pop("pass")
-        return {"replay_max_diff": rep.pop("max_diff"), **rep}, "exact", ok
-
     if what == "lemma0":
+        from .montecarlo import lemma0_check
+
         res = lemma0_check(
             cfg["q"], cfg["h"], cfg["delta"], cfg["ell"], trials=cfg["trials"], seed=cfg["seed"]
         )
@@ -382,10 +384,18 @@ def _cmd_verify(cfg):
         ok = not res.violation
         return payload, {"method": "mc", "seed": cfg["seed"], "trials": res.trials}, ok
 
+    from . import analysis
+
+    if what in _CERTIFICATE_CHECKS:
+        cert = _certificate(_load_json(_resolve_out(cfg["cert"])), what)
+        rep = getattr(analysis, _CERTIFICATE_CHECKS[what])(cert)
+        ok = rep.pop("pass")
+        return {"replay_max_diff": rep.pop("max_diff"), **rep}, "exact", ok
+
     if what == "reversibility":
         q, band, mode = cfg["q"], cfg["band"], cfg["mode"]
         window = cfg.get("window", band + 8)
-        residual = reversibility_check(ChainSpec(q, band, mode=mode), window)
+        residual = analysis.reversibility_check(analysis.ChainSpec(q, band, mode=mode), window)
         tol = 0.0 if mode == RATIONAL else 1e-15
         ok = residual <= tol
         payload = {
@@ -396,12 +406,12 @@ def _cmd_verify(cfg):
 
     # heatkernel, the one target left: argparse's choices admit no other
     q, band = cfg["q"], cfg.get("band", 16)
-    chain = ChainSpec(q, band)
+    chain = analysis.ChainSpec(q, band)
     tg = _grid(cfg.get("t_grid", [2**k for k in range(4, 13)]))
     ts = sorted({as_index(t, "time in t_grid") for t in tg})
     if not ts or ts[-1] // 2 not in ts:  # the check compares the top octave's ends
         raise ParameterError(f"t_grid must hold half its largest time, got {ts}")
-    prof = heat_kernel_profile(chain, ts)
+    prof = analysis.heat_kernel_profile(chain, ts)
     running = dict(prof["running_max"])
     growth = running[ts[-1]] / running[ts[-1] // 2] - 1.0
     ok = growth < 0.01
@@ -415,13 +425,15 @@ def _cmd_verify(cfg):
     return payload, "exact", ok
 
 
-# calibrate target -> (calibrator, the config key of its one input)
-_CALIBRATIONS = {"lemma5": (calibrate_lemma5, "q"), "lemma6": (calibrate_lemma6, "eps")}
+# calibrate target -> (its analysis calibrator, the config key of its one input)
+_CALIBRATIONS = {"lemma5": ("calibrate_lemma5", "q"), "lemma6": ("calibrate_lemma6", "eps")}
 
 
 def _cmd_calibrate(cfg):
+    from . import analysis
+
     calibrate, key = _CALIBRATIONS[cfg["what"]]
-    return calibrate(cfg[key]), "exact"
+    return getattr(analysis, calibrate)(cfg[key]), "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +510,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def run_command(argv) -> int:
+    """Run one subcommand and return its exit code. The handler computes the
+    payload; _emit then streams its record to --out or stdout."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -515,13 +529,7 @@ def run_command(argv) -> int:
             raise ParameterError(f"--seed is required for {name} (no hidden entropy)")
 
         payload, prov, *ok = _SUBCOMMANDS[command][3](cfg)  # verify adds a pass flag
-        config = {**echo, "out": out} if out else echo
-        if isinstance(payload, list):  # a sweep: NDJSON, one record per payload
-            text = "".join(json.dumps(_record(command, config, p, prov)) + "\n" for p in payload)
-        else:
-            record = _record(command, config, payload, prov)
-            text = json.dumps(record, indent=2) + "\n"
-        _emit(text, out)
+        _emit(command, {**echo, "out": out} if out else echo, payload, prov, out)
         if not all(ok):
             print(f"{command} {cfg.get('what', '')}: check FAILED", file=sys.stderr)
             return 4

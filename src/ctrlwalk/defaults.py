@@ -1,8 +1,11 @@
-"""Recorded default parameters for schedules, fits, sampling and calibration searches.
+"""Recorded default parameters for fits, sampling and calibration searches.
 
 The localization/return constructions only assert that suitable constants
-exist; these are the concrete witnesses this package ships with. Sweep
-params and fit cutoffs can also be set per call.
+exist; these are the concrete witnesses this package ships with. The
+schedule constants a sweep policy falls back on (LOC_ALPHA, LOC_BETA, LOC_K0,
+QTO1_A) live in ctrlwalk.policies beside sweep_policy, which reads them, so
+the policy layer imports only the standard library and ctrlwalk.errors.
+Sweep params and fit cutoffs can also be set per call.
 """
 
 # Monte Carlo trials per estimate
@@ -10,14 +13,6 @@ MC_TRIALS = 10000
 
 # exponent fits drop pre-asymptotic points below this n
 MIN_FIT_N = 128
-
-# multiscale localization schedule (coarse-to-fine squeezing)
-LOC_ALPHA = 0.5
-LOC_BETA = 0.25
-LOC_K0 = 4
-
-# multiscale return schedule for very lazy caps
-QTO1_A = 4
 
 # band-sum calibration: candidate grids, tried in order
 L5_ALPHAS = (0.25, 0.5, 1.0)

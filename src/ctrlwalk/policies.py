@@ -200,6 +200,59 @@ def multiscale_qto1_schedule(q_cap: float, A: int, n: int) -> list[ScheduleSegme
     return segments
 
 
+# ---------------------------------------------------------------------------
+# sweep policies: the builtin policy of each kind at one horizon, as exponent
+# sweeps and CLI policy strings build it
+
+# multiscale localization schedule (coarse-to-fine squeezing)
+LOC_ALPHA = 0.5
+LOC_BETA = 0.25
+LOC_K0 = 4
+
+# multiscale return schedule for very lazy caps
+QTO1_A = 4
+
+# the params each sweep kind reads ("optimal" is solved, not built);
+# exponent_sweep also takes seed and trials for the mc method
+SWEEP_PARAMS = {
+    "constant": ("u_value",), "two-zone": ("band",), "fast-until-zero": (),
+    "schedule-localization": ("alpha", "beta", "K0"), "schedule-qto1": ("A",),
+    "optimal": ("objective",),
+}
+
+
+def check_sweep_params(policy_kind: str, params: dict, extra=()) -> None:
+    """Reject params the kind does not read (extra: more accepted keys)."""
+    unread = sorted(set(params) - set(SWEEP_PARAMS.get(policy_kind, ())) - set(extra))
+    if unread:
+        raise ParameterError(f"{policy_kind} policy does not read {', '.join(unread)}")
+
+
+def sweep_policy(policy_kind: str, q_cap: float, n: int, params: dict) -> PolicySpec:
+    """Builtin policy for one sweep point; schedule kinds scale with n."""
+    n = as_count(n, "n")
+    if policy_kind == "constant":
+        return constant_policy(q_cap, params.get("u_value", q_cap))
+    if policy_kind == "two-zone":
+        band = params.get("band", max(1, int(0.5 * math.sqrt(n))))
+        return two_zone_policy(q_cap, band)
+    if policy_kind == "fast-until-zero":
+        return fast_until_zero_policy(q_cap)
+    if policy_kind == "schedule-localization":
+        segs = multiscale_localization_schedule(
+            q_cap,
+            params.get("alpha", LOC_ALPHA),
+            params.get("beta", LOC_BETA),
+            params.get("K0", LOC_K0),
+            n,
+        )
+        return schedule_policy(q_cap, segs)
+    if policy_kind == "schedule-qto1":
+        segs = multiscale_qto1_schedule(q_cap, params.get("A", QTO1_A), n)
+        return schedule_policy(q_cap, segs)
+    raise ParameterError(f"unknown sweep policy kind {policy_kind!r}")
+
+
 def horizon(policy: PolicySpec) -> int | None:
     """Last valid step + 1 for finite-horizon kinds, None for homogeneous ones."""
     if policy.kind == SCHEDULE:

@@ -48,6 +48,15 @@ def write_config(tmp_path, cfg):
     return str(path)
 
 
+def fresh_process(args, tmp_path):
+    """Stdout and stderr of `python ARGS` run in tmp_path on the package under test."""
+    src = os.path.dirname(os.path.dirname(ctrlwalk.__file__))
+    done = subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, done.stderr
+
+
 # one valid config per subcommand, with its positional arguments
 VALID_CONFIGS = {
     "evolve": ([], {"policy": "constant:q=0.5", "n": 4}),
@@ -717,6 +726,55 @@ class TestRecordsAndConfig:
         recs = records_from(argv, path.read_text())
         assert [r["config"]["out"] for r in recs] == [str(path)] * len(recs)
 
+    @pytest.mark.parametrize("args", [
+        "evolve --policy constant:q=0.9 --n 64 --target 0",
+        "solve --q 0.5 --n 32 --target=-3:4",
+        "region --q 0.5 --n 32 --target=-3:4",
+        "simulate --policy two-zone:q=0.9,band=3 --n 32 --trials 100 --seed 5",
+        "barriers --policy constant:q=0.9 --n 32 --beta 0 --trials 100 --seed 6",
+        "exponent --policy-kind constant --q 0.9 --n-grid 128,256,512",
+        "verify reversibility --mode rational --q 0.9 --band 3",
+        "calibrate lemma6 --eps 0.2",
+        "verify lemma6 --cert {cert}",
+    ], ids=["evolve", "solve", "region", "simulate", "barriers", "exponent",
+            "verify-reversibility", "calibrate-lemma6", "verify-lemma6"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_streamed_record_is_its_dumps_text(self, capsys, tmp_path, args, to_file):
+        # records are streamed as they are encoded; the text is still json.dumps's,
+        # indented, or one line per record for a sweep
+        cert, path = tmp_path / "cert.json", tmp_path / "record.out"
+        if "{cert}" in args:
+            cert.write_text(json.dumps(calibrate_lemma6(0.2)))
+        argv = args.format(cert=cert).split() + (["--out", str(path)] if to_file else [])
+        code, out = run(capsys, argv)
+        assert code == 0
+        text = path.read_text() if to_file else out
+        assert out == (f"wrote {path}\n" if to_file else text)
+        if argv[0] == "exponent":
+            lines = text.splitlines(keepends=True)
+            assert len(lines) == 4
+            assert lines == [json.dumps(json.loads(line)) + "\n" for line in lines]
+        else:
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_solve_record_stays_small(self, tmp_path):
+        # measured on Linux x86-64 (numpy 2.4): the solve raises VmHWM by about
+        # 1.8 MiB, and by about 3.6 MiB when its 380 KB record is rendered whole
+        # before it is written; the bound leaves 0.7 MiB of margin
+        code = "\n".join([
+            "from ctrlwalk.cli import run_command",
+            "def peak_kib():",
+            "    with open('/proc/self/status') as fh:",
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
+            "before = peak_kib()",
+            "argv = ['solve', '--q', '0.5', '--n', '256', '--target=-8:8', '--out', 'solve.json']",
+            "assert run_command(argv) == 0",
+            "grown = peak_kib() - before",
+            "assert grown < 2.5 * 1024, f'the solve raised VmHWM by {grown} KiB'",
+        ])
+        fresh_process(["-c", code], tmp_path)
+
     def test_relative_out_resolved_against_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CTRLWALK_OUT_DIR", str(tmp_path))
         code, _ = run(
@@ -891,3 +949,65 @@ class TestInstalledScript:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 2  # no subcommand given
+
+
+# the public names of the package, as its eager __init__ exported them
+PUBLIC_NAMES = set("""
+__version__ AdmissibilityError as_target band_sum_direct band_sum_profile
+BANG_BANG_TABLE bang_bang_table_policy BangBangPolicy barrier_diagnostics barrier_family
+BarrierFamily boundary_to_csv calibrate_lemma5 calibrate_lemma6 CalibrationError
+ChainSpec CONSTANT constant_policy DegenerateScheduleError early_exit_probability
+escape_probability EscapeProbeResult estimate_hit evolve evolve_trace exponent_sweep
+ExponentFit extract_region FAST_UNTIL_ZERO fast_until_zero_policy fit_exponent
+flag_reset_times FLOAT from_snapshot heat_kernel_profile hit_probability HIT_ZERO
+HitEstimate horizon interior_survival interior_survival_absorbing interval_mass
+InvariantError LatticeDistribution lemma0_check lemma_ori_check level_hit_cdf
+level_hit_cdf_absorbing MAX MIN mirror_symmetric mix64 multiscale_localization_schedule
+multiscale_qto1_schedule NOT_HIT ParameterError point_mass policy_from_json
+policy_to_json PolicySpec RATIONAL reset_hit_flags ReturnProbeResult reversibility_check
+run_batch sample_path SCHEDULE schedule_policy ScheduleSegment solve_extremal StageStats
+sweep_policy to_snapshot TrajectoryBatch trial_keys TWO_ZONE two_zone_policy
+value_table_to_csv ValueTable verify_lemma5_certificate verify_lemma6_certificate
+wilson_interval
+""".split())
+
+
+class TestLeanProcesses:
+    def test_import_loads_no_submodule_and_no_numpy(self, tmp_path):
+        code = "\n".join([
+            "import sys",
+            "import ctrlwalk",
+            "loaded = sorted(m for m in sys.modules",
+            "                if m.startswith('ctrlwalk.') or m.split('.')[0] == 'numpy')",
+            "assert not loaded, f'import ctrlwalk loaded {loaded[:3]} and more'",
+            "assert set(dir(ctrlwalk)) >= set(ctrlwalk.__all__)",
+            "assert ctrlwalk.dp.solve_extremal is ctrlwalk.solve_extremal",  # no import named dp
+            "assert callable(ctrlwalk.analysis.exponent_sweep)",
+        ])
+        fresh_process(["-c", code], tmp_path)
+
+    def test_public_names_resolve_to_their_modules(self):
+        assert set(ctrlwalk.__all__) == PUBLIC_NAMES
+        for name in ctrlwalk.__all__:
+            value = getattr(ctrlwalk, name)
+            if callable(value) and name != "__version__":
+                owner = sys.modules[value.__module__]
+                assert getattr(owner, value.__name__) is value, name
+        assert ctrlwalk.sweep_policy is ctrlwalk.analysis.sweep_policy
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ctrlwalk.no_such_name
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        ("solve --q 0.9 --n 16", {"ctrlwalk.analysis", "ctrlwalk.montecarlo"}),
+        ("evolve --policy constant:q=0.5 --n 16", {"ctrlwalk.analysis", "ctrlwalk.montecarlo"}),
+        ("simulate --policy two-zone:q=0.9,band=3 --n 16 --trials 100 --seed 1",
+         {"ctrlwalk.analysis"}),
+    ], ids=["solve", "evolve", "simulate"])
+    def test_a_command_loads_only_the_engines_it_runs(self, tmp_path, argv, unloaded):
+        # -X importtime names every module the process imports, one per stderr line
+        _, err = fresh_process(["-X", "importtime", "-m", "ctrlwalk.cli", *argv.split()],
+                               tmp_path)
+        loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                  if line.startswith("import time:")}
+        assert {"ctrlwalk.dp", "ctrlwalk.policies"} <= loaded
+        assert not loaded & unloaded
